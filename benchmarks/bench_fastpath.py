@@ -14,10 +14,11 @@ Three differential-equivalence-plus-speedup proofs, one per batched layer:
   seeded dirty): :meth:`SlotAccurateHierarchy.run_ops_batch` vs
   :meth:`~SlotAccurateHierarchy.run_ops`, >= 2x.
 
-Stage 3 adds the vectorized-engine gate (reference vs vectorized, >= 10x
-on the large shapes) and stage 4 the stacked-engine gate (a stack of 16
-same-shape runs vs the same specs run sequentially on the vectorized
-engine, >= 3x at (64, 16)).
+A fourth gate times every engine name against the slot-by-slot reference
+on the large shapes (>= 10x): ``batch``, ``vectorized`` and ``stacked``
+all run the one fast driver, and a stack of 16 same-shape specs through
+:func:`repro.fastpath.stack.run_specs_stacked` must equal per-spec serial
+``run_spec``.
 
 Every repeat asserts the two paths bit-identical before timing counts.
 
@@ -59,21 +60,16 @@ HIER_SHAPE = (4, 4, 8)
 MIN_HIER_SPEEDUP = 2.0
 HIER_ROUNDS = 40
 
-#: Stage 3: shapes the vectorized engine is gated on, with the slot count
-#: per shape (a few full rotations of the b=n·c bank cycle each, so the
-#: epoch planner and the whole-block read memo both get exercised).
-VECTOR_SHAPES = [((64, 16), 4 * 64 * 16), ((128, 32), 3 * 128 * 32)]
-MIN_VECTOR_SPEEDUP = 10.0
+#: Shapes the engine-name gate runs on, with the slot count per shape (a
+#: few full rotations of the b=n·c bank cycle each, so epoch batching and
+#: the whole-block read memo both get exercised).
+ENGINE_SHAPES = [((64, 16), 4 * 64 * 16), ((128, 32), 3 * 128 * 32)]
+MIN_ENGINE_SPEEDUP = 10.0
 
-#: Stage 4: the stacked engine gate — a stack of STACK_WIDTH same-shape
-#: bench specs executed as one cross-simulation run vs the same specs run
-#: sequentially on the stage-3 vectorized engine.  The stack amortizes
-#: epoch planning across lanes, bulk-unlinks finishers, and shares the
-#: whole-block memo instead of copying it per access.
+#: Stacked specs: STACK_WIDTH identical STACK_SHAPE bench specs.
 STACK_SHAPE = (64, 16)
 STACK_SLOTS = 4 * 64 * 16
 STACK_WIDTH = 16
-MIN_STACK_SPEEDUP = 3.0
 
 
 def _full_load(mem: CFMemory, log: List[Tuple[int, int, int]]) -> None:
@@ -356,7 +352,7 @@ def test_hierarchy_batch_equivalence():
 
 
 # --------------------------------------------------------------------------
-# Stage 3: vectorized epoch engine vs slot-by-slot reference
+# Engine names: the one fast driver vs slot-by-slot reference
 
 
 def _run_engine_once(n_procs: int, bank_cycle: int, slots: int, engine: str):
@@ -372,121 +368,67 @@ def _run_engine_once(n_procs: int, bank_cycle: int, slots: int, engine: str):
     return log, mem.slot, elapsed
 
 
-def measure_vector(repeats: int = 3):
-    """(shape, reference s, vectorized s, speedup) per gated shape.
+def measure_engines(repeats: int = 3):
+    """(shape, slots, reference s, {engine: s}) per gated shape.
 
-    Each repeat runs all three engines and asserts their completion logs
-    bit-identical before the timing counts; the speedup compared is the
-    vectorized engine against the slot-by-slot reference."""
-    from repro.fastpath.engine import (
-        ENGINE_BATCH, ENGINE_REFERENCE, ENGINE_VECTORIZED,
-    )
+    Each repeat runs every engine name and asserts their completion logs
+    bit-identical to the reference before the timing counts; each fast
+    name's time is the best of ``repeats``."""
+    from repro.fastpath.engine import ENGINE_REFERENCE, ENGINES
 
+    fast = [e for e in ENGINES if e != ENGINE_REFERENCE]
     rows = []
-    for (n_procs, bank_cycle), slots in VECTOR_SHAPES:
-        t_ref = t_vec = float("inf")
+    for (n_procs, bank_cycle), slots in ENGINE_SHAPES:
+        t_ref = float("inf")
+        t_fast = dict.fromkeys(fast, float("inf"))
         for _ in range(repeats):
             log_ref, end_ref, ts = _run_engine_once(
                 n_procs, bank_cycle, slots, ENGINE_REFERENCE)
-            log_bat, end_bat, _ = _run_engine_once(
-                n_procs, bank_cycle, slots, ENGINE_BATCH)
-            log_vec, end_vec, tv = _run_engine_once(
-                n_procs, bank_cycle, slots, ENGINE_VECTORIZED)
-            assert log_ref == log_bat == log_vec, (
-                "engines diverged on the full-load workload")
-            assert end_ref == end_bat == end_vec == slots
+            assert end_ref == slots
             t_ref = min(t_ref, ts)
-            t_vec = min(t_vec, tv)
-        rows.append(((n_procs, bank_cycle), slots, t_ref, t_vec,
-                     t_ref / t_vec if t_vec > 0 else float("inf")))
+            for engine in fast:
+                log, end, tf = _run_engine_once(
+                    n_procs, bank_cycle, slots, engine)
+                assert log == log_ref and end == slots, (
+                    f"{engine} diverged on the full-load workload")
+                t_fast[engine] = min(t_fast[engine], tf)
+        rows.append(((n_procs, bank_cycle), slots, t_ref, t_fast))
     return rows
 
 
-# --------------------------------------------------------------------------
-# Stage 4: stacked cross-simulation engine vs sequential vectorized
+def test_engine_speedup():
+    from benchmarks._report import emit_table
+
+    rows = measure_engines()
+    emit_table(
+        "CFM full-load: reference vs the fast driver, per engine name",
+        ["shape (n, c)", "slots", "ref (s)", "engine", "fast (s)", "speedup"],
+        [(f"({n}, {c})", str(slots), f"{t_ref:.3f}", engine, f"{tf:.3f}",
+          f"{t_ref / tf:.1f}x")
+         for (n, c), slots, t_ref, t_fast in rows
+         for engine, tf in t_fast.items()],
+    )
+    for (n, c), _, t_ref, t_fast in rows:
+        for engine, tf in t_fast.items():
+            speedup = t_ref / tf if tf > 0 else float("inf")
+            assert speedup >= MIN_ENGINE_SPEEDUP, (
+                f"{engine} only {speedup:.1f}x on ({n}, {c}), "
+                f"need >= {MIN_ENGINE_SPEEDUP}x"
+            )
 
 
-def _stack_spec(engine: str):
-    n_procs, bank_cycle = STACK_SHAPE
-    return {"system": "cfm",
-            "params": {"n_procs": n_procs, "bank_cycle": bank_cycle,
-                       "cycles": STACK_SLOTS, "engine": engine}}
-
-
-def measure_stack(repeats: int = 3):
-    """(sequential-vectorized s, stacked s, speedup) for a stack of
-    ``STACK_WIDTH`` identical ``STACK_SHAPE`` bench specs.
-
-    Bit-identity is asserted before any timing counts: the stacked
-    reports must equal per-spec serial :func:`repro.obs.bench.run_spec`
-    of the same specs (invariant 11).  The timed comparison then runs the
-    same workload per path — ``STACK_WIDTH`` sequential runs on the
-    stage-3 vectorized engine vs one stacked execution."""
+def test_stack_bit_identity():
+    """A stack of ``STACK_WIDTH`` identical ``STACK_SHAPE`` specs returns
+    exactly the reports per-spec serial ``run_spec`` does (invariant 11)."""
     from repro.fastpath.stack import run_specs_stacked
     from repro.obs.bench import run_spec
 
-    vec_specs = [_stack_spec("vectorized") for _ in range(STACK_WIDTH)]
-    stack_specs = [_stack_spec("stacked") for _ in range(STACK_WIDTH)]
-    serial = [run_spec(spec) for spec in stack_specs]
-    stacked = run_specs_stacked(stack_specs)
-    assert serial == stacked, (
-        "stacked reports diverged from per-spec serial run_spec")
-    t_vec = t_stack = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        t0 = time.perf_counter()
-        for spec in vec_specs:
-            run_spec(spec)
-        tv = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        run_specs_stacked(stack_specs)
-        tk = time.perf_counter() - t0
-        gc.enable()
-        t_vec = min(t_vec, tv)
-        t_stack = min(t_stack, tk)
-    return t_vec, t_stack, t_vec / t_stack if t_stack > 0 else float("inf")
-
-
-def test_stack_engine_speedup():
-    from benchmarks._report import emit_table
-    from repro.fastpath.engine import engine_available
-
-    if not engine_available("stacked", "cfm"):
-        pytest.skip("numpy unavailable; stacked engine gated off")
-    t_vec, t_stack, speedup = measure_stack()
     n_procs, bank_cycle = STACK_SHAPE
-    emit_table(
-        f"CFM stack-of-{STACK_WIDTH}: sequential vectorized vs stacked "
-        f"({STACK_SLOTS} slots each)",
-        ["shape (n, c)", "seq vec (s)", "stacked (s)", "speedup"],
-        [(f"({n_procs}, {bank_cycle})", f"{t_vec:.3f}", f"{t_stack:.3f}",
-          f"{speedup:.1f}x")],
-    )
-    assert speedup >= MIN_STACK_SPEEDUP, (
-        f"stacked engine only {speedup:.1f}x on a stack of {STACK_WIDTH} "
-        f"{STACK_SHAPE} runs, need >= {MIN_STACK_SPEEDUP}x"
-    )
-
-
-def test_vector_engine_speedup():
-    from benchmarks._report import emit_table
-    from repro.fastpath.engine import vector_available
-
-    if not vector_available():
-        pytest.skip("numpy unavailable; vectorized engine gated off")
-    rows = measure_vector()
-    emit_table(
-        "CFM full-load: reference vs vectorized engine",
-        ["shape (n, c)", "slots", "ref (s)", "vec (s)", "speedup"],
-        [(f"({n}, {c})", str(slots), f"{ts:.3f}", f"{tv:.3f}", f"{sp:.1f}x")
-         for (n, c), slots, ts, tv, sp in rows],
-    )
-    for (n, c), _, _, _, speedup in rows:
-        assert speedup >= MIN_VECTOR_SPEEDUP, (
-            f"vectorized engine only {speedup:.1f}x on ({n}, {c}), "
-            f"need >= {MIN_VECTOR_SPEEDUP}x"
-        )
+    specs = [{"system": "cfm",
+              "params": {"n_procs": n_procs, "bank_cycle": bank_cycle,
+                         "cycles": STACK_SLOTS, "engine": "stacked"}}
+             for _ in range(STACK_WIDTH)]
+    assert run_specs_stacked(specs) == [run_spec(spec) for spec in specs]
 
 
 if __name__ == "__main__":
@@ -500,13 +442,7 @@ if __name__ == "__main__":
     t_slow, t_fast, speedup = measure_hierarchy()
     print(f"hier  (k={k}, m={m}, c={c})  slow {t_slow:7.3f}s  "
           f"fast {t_fast:7.3f}s  {speedup:5.1f}x")
-    from repro.fastpath.engine import vector_available
-    if vector_available():
-        for (n, c), slots, t_ref, t_vec, speedup in measure_vector():
-            print(f"vec   (n={n:3d}, c={c:2d})  ref  {t_ref:7.3f}s  "
-                  f"vec  {t_vec:7.3f}s  {speedup:5.1f}x  ({slots} slots)")
-        n, c = STACK_SHAPE
-        t_vec, t_stack, speedup = measure_stack()
-        print(f"stack (n={n:3d}, c={c:2d})  seq  {t_vec:7.3f}s  "
-              f"stk  {t_stack:7.3f}s  {speedup:5.1f}x  "
-              f"(width {STACK_WIDTH}, {STACK_SLOTS} slots)")
+    for (n, c), slots, t_ref, t_fast in measure_engines():
+        for engine, t in t_fast.items():
+            print(f"{engine:10s} (n={n:3d}, c={c:2d})  ref  {t_ref:7.3f}s  "
+                  f"fast {t:7.3f}s  {t_ref / t:5.1f}x  ({slots} slots)")

@@ -38,7 +38,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.block import Block, Word
 from repro.core.cfm import (
-    _INIT_WORD,
     AccessController,
     AccessKind,
     AccessState,
@@ -49,11 +48,7 @@ from repro.core.cfm import (
 from repro.core.config import CFMConfig
 from repro.cache.directory import CacheDirectory, CacheLine
 from repro.cache.state import CacheLineState
-from repro.fastpath.engine import (
-    ENGINE_BATCH,
-    ENGINE_REFERENCE,
-    resolve_engine,
-)
+from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
 from repro.sim.engine import SimulationTimeout
 from repro.tracking.att import AddressTrackingTable
 
@@ -547,35 +542,24 @@ class CacheSystem:
         completion streams, directory/memory state, and stats to the
         per-slot reference.
         """
-        self._run_ops_fast(ops, max_slots, vector=False)
-
-    def run_ops_vector(self, ops: List[CpuOp], max_slots: int = 200_000) -> None:
-        """Drive ``ops`` to completion via the stage-3 vectorized engine.
-
-        Identical classification to :meth:`run_ops_batch` — same hazard
-        checks, same per-slot fallbacks — but interaction-free spans are
-        serviced by :func:`repro.fastpath.vector.advance_span` (the numpy
-        epoch planner) instead of the per-access Python walk.
-        """
-        self._run_ops_fast(ops, max_slots, vector=True)
+        self._run_ops_fast(ops, max_slots)
 
     def run_ops_engine(self, ops: List[CpuOp], max_slots: int = 200_000,
                        engine: Optional[str] = None) -> None:
         """Drive ``ops`` under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only; all
-        strategies produce bit-identical observable results (invariant 10).
+        ``engine`` overrides the instance default for this call only;
+        ``reference`` is the per-slot :meth:`run_ops`, ``batch`` and
+        ``vectorized`` are aliases of :meth:`run_ops_batch`.  All produce
+        bit-identical observable results (invariant 10).
         """
         name = resolve_engine(engine, default=self.engine, layer="cache")
         if name == ENGINE_REFERENCE:
             self.run_ops(ops, max_slots)
-        elif name == ENGINE_BATCH:
-            self.run_ops_batch(ops, max_slots)
         else:
-            self.run_ops_vector(ops, max_slots)
+            self.run_ops_batch(ops, max_slots)
 
-    def _run_ops_fast(self, ops: List[CpuOp], max_slots: int,
-                      vector: bool) -> None:
+    def _run_ops_fast(self, ops: List[CpuOp], max_slots: int) -> None:
         start = self.slot
         limit = start + max_slots  # strict bound: no epoch may reach it
         hp = self.hotpath
@@ -585,17 +569,17 @@ class CacheSystem:
             while remaining:
                 if self.slot - start >= max_slots:
                     self._raise_timeout(max_slots)
-                self._batch_step(limit, vector)
+                self._batch_step(limit)
                 remaining = [op for op in remaining if not op.done]
         finally:
             if hp is not None:
                 hp.release(token)
 
-    def _batch_step(self, limit: int = _FAR, vector: bool = False) -> None:
+    def _batch_step(self, limit: int = _FAR) -> None:
         """Advance one epoch: a batch span, or one reference tick.
 
         ``limit`` is the first slot the epoch must not reach (the caller's
-        timeout boundary); ``vector`` selects the numpy span walk."""
+        timeout boundary)."""
         hp = self.hotpath
         if self.faults is not None and self.faults.active:
             # Live fault injection is defined per-slot (fault windows,
@@ -659,18 +643,11 @@ class CacheSystem:
                     hp.count("cache", "fallback.hazard")
                 self.tick()
                 return
-            if vector:
-                from repro.fastpath.vector import advance_span
-
-                if hp is not None:
-                    hp.count("cache", "vector.batched_slots", target - slot + 1)
-                advance_span(self.mem, target)
-                return
             if hp is not None:
                 hp.count("cache", "batched_slots", target - slot + 1)
         elif hp is not None:
             hp.count("cache", "skipped_slots", target - slot + 1)
-        self._advance_span(target)
+        self.mem._advance_span(target)
 
     def _cpu_next_slot(self, slot: int) -> int:
         """Earliest slot at which some processor state machine acts.
@@ -776,59 +753,6 @@ class CacheSystem:
                     ):
                         return False
         return True
-
-    def _advance_span(self, target: int) -> int:
-        """Run every in-flight access forward through slot ``target``.
-
-        The exact inner loop of :meth:`CFMemory.run_batch`: each access is
-        a straight walk along its precomputed bank order (consecutive
-        slots visit consecutive banks), so the span is serviced per access
-        instead of per slot.  Completions all land exactly at ``target``
-        (the span never extends past the earliest finisher) and fire in
-        processor order with ``slot`` set the way :meth:`tick` would.
-
-        Returns the number of completions fired, so callers batching
-        *above* this layer (the hierarchy) know whether the cluster's
-        cached classification is still valid.
-        """
-        mem = self.mem
-        slot = mem.slot
-        active = mem.active
-        if active:
-            n_banks = mem.cfg.banks_per_module
-            orders = mem._orders
-            banks = mem.banks
-            row = mem._table[slot % n_banks]
-            span = target - slot + 1
-            finishers: List[BlockAccess] = []
-            for acc in active:
-                order = orders[row[acc.proc]]
-                offset = acc.offset
-                remaining = n_banks - acc.words_done
-                steps = span if span < remaining else remaining
-                if acc.kind.is_write:
-                    data = acc.data
-                    assert data is not None
-                    words = data.words
-                    version = acc.version
-                    written = acc.banks_written
-                    for bank in order[:steps]:
-                        banks[bank][offset] = Word(words[bank].value, version)
-                        written.append(bank)
-                else:
-                    results = acc.result_words
-                    for bank in order[:steps]:
-                        results[bank] = banks[bank].get(offset, _INIT_WORD)
-                acc.words_done += steps
-                if acc.words_done == n_banks:
-                    finishers.append(acc)
-            mem.slot = target
-            for acc in finishers:
-                mem._finish(acc, AccessState.COMPLETED, target)
-            mem.slot = target + 1
-            return len(finishers)
-        mem.slot = target + 1
-        return 0
 
     # -- per-processor state machine -------------------------------------------------
 

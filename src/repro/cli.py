@@ -593,8 +593,9 @@ def main(argv=None) -> int:
         "--engine", choices=["reference", "batch", "vectorized", "stacked"],
         default=None, metavar="ENGINE",
         help="engine strategy for runs that sit behind the engine seam "
-        "(cfm/cache/hierarchy): reference, batch, vectorized, or stacked "
-        "(cfm-only; other layers keep their defaults); results are "
+        "(cfm/cache/hierarchy): reference (per-slot tick) or batch; "
+        "vectorized and stacked are aliases of batch (stacked is "
+        "cfm-only; other layers keep their defaults); results are "
         "bit-identical across engines",
     )
     p_bench.add_argument(

@@ -36,12 +36,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.block import Block, Word
 from repro.core.config import CFMConfig
-from repro.fastpath.engine import (
-    ENGINE_BATCH,
-    ENGINE_REFERENCE,
-    ENGINE_STACKED,
-    resolve_engine,
-)
+from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
 from repro.fastpath.tables import bank_orders, slot_bank_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
@@ -72,11 +67,16 @@ class AccessKind(enum.Enum):
     @property
     def is_write(self) -> bool:
         """Does this access store into the banks?"""
-        return self in (AccessKind.WRITE, AccessKind.WRITE_BACK, AccessKind.SWAP_WRITE)
+        return self in _WRITE_KINDS
 
     @property
     def is_read(self) -> bool:
-        return not self.is_write
+        return self not in _WRITE_KINDS
+
+
+#: The kinds that store into the banks.  A module tuple rather than
+#: class-attribute lookups: hot loops test ``kind in _WRITE_KINDS``.
+_WRITE_KINDS = (AccessKind.WRITE, AccessKind.WRITE_BACK, AccessKind.SWAP_WRITE)
 
 
 class AccessState(enum.Enum):
@@ -259,9 +259,9 @@ class CFMemory:
         self.engine = resolve_engine(engine, layer="cfm")
         self.slot = 0
         self._next_id = 0
-        # Monotone write counter: bumped on every write_word so the
-        # vectorized engine can detect stores made behind its back (finish
-        # callbacks poking blocks) and drop its memoized reads.
+        # Monotone write counter: bumped on every write_word so run_batch
+        # can detect stores made behind its back (ticks, finish callbacks
+        # poking blocks) and drop its memoized reads.
         self._write_stamp = 0
         # The whole AT-space schedule, precomputed once per (b, c) shape:
         # _table[slot % b][proc] is the bank proc addresses at that slot,
@@ -505,13 +505,12 @@ class CFMemory:
 
     def _finish(self, acc: BlockAccess, state: AccessState, slot: int,
                 unlink: bool = True) -> None:
-        # ``unlink=False`` is the stacked engine's bulk-unlink protocol:
-        # the caller has already removed every finisher from ``active`` in
-        # one pass (list.remove is an O(n) scan through the dataclass
-        # __eq__ of each already-reissued access — the dominant cost of
-        # finishing under load).  Everything else here is unchanged, so
-        # completion order, complete_slot, observers, and callbacks stay
-        # bit-identical.
+        # ``unlink=False`` is _advance_span's bulk-unlink protocol: the
+        # caller has already removed every finisher from ``active`` in one
+        # pass (list.remove is an O(n) scan through the dataclass __eq__ of
+        # each already-reissued access — the dominant cost of finishing
+        # under load).  Everything else here is unchanged, so completion
+        # order, complete_slot, observers, and callbacks stay bit-identical.
         acc.state = state
         if unlink:
             self.active.remove(acc)
@@ -768,7 +767,7 @@ class CFMemory:
         seen: Dict[int, bool] = {}
         for acc in self.active:
             has_write = seen.get(acc.offset)
-            is_write = acc.kind.is_write
+            is_write = acc.kind in _WRITE_KINDS
             if has_write is not None and (has_write or is_write):
                 return True
             seen[acc.offset] = is_write
@@ -777,27 +776,28 @@ class CFMemory:
     def run_batch(self, slots: int) -> None:
         """Advance ``slots`` slots with results identical to :meth:`run`.
 
-        Three result-preserving accelerations, each falling back to
-        :meth:`tick` the moment its precondition breaks:
+        The one fast driver behind every non-reference engine name.  Three
+        result-preserving accelerations, each falling back to :meth:`tick`
+        the moment its precondition breaks:
 
         * **idle-slot skipping** — with nothing in flight the slot counter
           leaps straight to the end;
-        * **per-access batching** — an undisturbed access is a straight
-          walk along a precomputed bank order, so every active access is
-          run forward to the earliest completion slot in one tight loop
-          (conflict checks are subsumed by the static row-injectivity
-          proof of the table itself);
+        * **epoch batching** — an undisturbed access is a straight walk
+          along a precomputed bank order, so every active access is run
+          forward to the earliest completion slot in one pass
+          (:meth:`_advance_span`; conflict checks are subsumed by the
+          static row-injectivity proof of the table itself);
         * **completion-slot scheduling** — finish callbacks fire exactly
           at their slot-accurate times, in processor order, so chained
           re-issues land on the same slots as under :meth:`tick`.
+
+        Whole-block reads share one result dict per offset (the memo
+        below) for as long as no store has touched the offset.
         """
         if slots < 0:
             raise ValueError(f"slots must be >= 0, got {slots}")
         end = self.slot + slots
         n_banks = self.cfg.banks_per_module
-        table = self._table
-        orders = self._orders
-        banks = self.banks
         active = self.active
         # Eligibility and the hazard set can only change through finish
         # callbacks (issue/probe/controller swaps all happen there) or
@@ -805,6 +805,12 @@ class CFMemory:
         # those points rather than per round.
         eligible = self._fast_eligible()
         hazard = self._batch_hazard()
+        # offset -> result dict of a read that collected the whole block in
+        # one epoch.  Span writes pop their offset; any store through
+        # write_word (a tick, a finish callback's poke_block) bumps
+        # _write_stamp, and the whole memo is dropped before the next epoch.
+        memo: Dict[int, Dict[int, Word]] = {}
+        stamp = self._write_stamp
         hp = self.hotpath
         # Claim the shared profiler: while this driver advances time, inner
         # or sibling layers' slot counters are suppressed, so each slot is
@@ -831,97 +837,130 @@ class CFMemory:
                     eligible = self._fast_eligible()
                     hazard = self._batch_hazard()
                     continue
+                if self._write_stamp != stamp:
+                    memo.clear()
+                    stamp = self._write_stamp
                 slot = self.slot
                 # Earliest slot at which some access performs its last word.
-                next_finish = min(
+                target = min(
                     slot + n_banks - acc.words_done - 1 for acc in active
                 )
-                target = min(next_finish, end - 1)
-                span = target - slot + 1
-                full = span == n_banks  # implies words_done == 0 for everyone
-                row = table[slot % n_banks]
-                finishers: List[BlockAccess] = []
-                # active cannot mutate inside this loop (callbacks only fire
-                # from _finish below), so no snapshot copy is needed.
-                for acc in active:
-                    bank_now = row[acc.proc]
-                    if acc.words_done == 0:
-                        acc.first_bank = bank_now
-                        acc.start_slot = slot
-                        # controller.on_start is the base no-op (checked by
-                        # _fast_eligible), so it is not called.
-                    offset = acc.offset
-                    order = orders[bank_now]
-                    if acc.kind.is_write:
-                        data = acc.data
-                        assert data is not None
-                        words = data.words
-                        version = acc.version
-                        written = acc.banks_written
-                        seq = order if full else order[:span]
-                        for bank in seq:
-                            banks[bank][offset] = Word(words[bank].value, version)
-                            written.append(bank)
-                    elif full:
-                        # Whole access in one round: build the result dict in
-                        # a single comprehension (the steady-state case).
-                        acc.result_words = {
-                            bank: banks[bank].get(offset, _INIT_WORD)
-                            for bank in order
-                        }
-                    else:
-                        results = acc.result_words
-                        for bank in order[:span]:
-                            results[bank] = banks[bank].get(offset, _INIT_WORD)
-                    acc.words_done += span
-                    if acc.words_done == n_banks:
-                        finishers.append(acc)
-                # Completions observe the slot they finish in, exactly as
-                # under tick(); re-issues from callbacks join at target + 1.
-                self.slot = target
-                for acc in finishers:
-                    self._finish(acc, AccessState.COMPLETED, target)
-                self.slot = target + 1
-                if hp is not None:
-                    hp.count("cfm", "batched_slots", span)
-                if finishers:
+                if target >= end:
+                    target = end - 1
+                if self._advance_span(target, memo):
                     eligible = self._fast_eligible()
                     hazard = self._batch_hazard()
+                if hp is not None:
+                    hp.count("cfm", "batched_slots", target - slot + 1)
         finally:
             if hp is not None:
                 hp.release(token)
 
-    def run_vector(self, slots: int) -> None:
-        """Advance ``slots`` slots via the stage-3 numpy epoch engine.
+    def _advance_span(self, target: int,
+                      memo: Optional[Dict[int, Dict[int, Word]]] = None) -> int:
+        """Run every in-flight access forward through slot ``target``.
 
-        Results are bit-identical to :meth:`run` and :meth:`run_batch`;
-        any hazard hands the remaining window to :meth:`run_batch` (see
-        :mod:`repro.fastpath.vector`).
+        The word movement of one epoch, shared by :meth:`run_batch` and the
+        cache and hierarchy batchers.  The caller has proven the span
+        interaction-free (no observer, no fault plan, no degraded bank, no
+        same-offset write interleaving) and ``target`` no later than the
+        earliest finish, so each access is a straight walk along its
+        precomputed bank order.  Completions all land at ``target`` and
+        fire in processor order with ``slot`` set the way :meth:`tick`
+        would; returns the number fired.
+
+        ``memo`` is :meth:`run_batch`'s whole-block read memo.  A memoized
+        dict is never mutated after it is built and is only handed to
+        accesses completing this epoch, so readers share it rather than
+        copy it.
         """
-        from repro.fastpath.vector import run_vector
-
-        run_vector(self, slots)
+        slot = self.slot
+        active = self.active
+        if not active:
+            self.slot = target + 1
+            return 0
+        if memo is None:
+            memo = {}
+        n_banks = self.cfg.banks_per_module
+        orders = self._orders
+        banks = self.banks
+        row = self._table[slot % n_banks]
+        span = target - slot + 1
+        finishers: List[BlockAccess] = []
+        # active cannot mutate inside this loop (callbacks only fire from
+        # _finish below), so no snapshot copy is needed.
+        for acc in active:
+            bank_now = row[acc.proc]
+            done = acc.words_done
+            if not done:
+                acc.first_bank = bank_now
+                acc.start_slot = slot
+                # controller.on_start is the base no-op (the caller's
+                # eligibility proof), so it is not called.
+            offset = acc.offset
+            order = orders[bank_now]
+            steps = n_banks - done
+            if span < steps:
+                steps = span
+            if acc.kind in _WRITE_KINDS:
+                data = acc.data
+                assert data is not None
+                words = data.words
+                version = acc.version
+                written = acc.banks_written
+                for bank in order if steps == n_banks else order[:steps]:
+                    banks[bank][offset] = Word(words[bank].value, version)
+                    written.append(bank)
+                memo.pop(offset, None)
+            elif steps == n_banks:
+                # Whole block in one epoch: the result holds every bank's
+                # word, independent of rotation order, so one dict per
+                # offset serves every streaming read.
+                cached = memo.get(offset)
+                if cached is None:
+                    cached = memo[offset] = {
+                        bank: banks[bank].get(offset, _INIT_WORD)
+                        for bank in order
+                    }
+                acc.result_words = cached
+            else:
+                results = acc.result_words
+                for bank in order[:steps]:
+                    results[bank] = banks[bank].get(offset, _INIT_WORD)
+            acc.words_done = done + steps
+            if done + steps == n_banks:
+                finishers.append(acc)
+        if finishers:
+            # Unlink every finisher in one pass before any callback runs,
+            # instead of one O(n) list.remove per finish.  Processor keys
+            # are unique, so the proc-sorted list callbacks re-issue into
+            # ends up exactly as under per-finish unlinking.
+            if len(finishers) == len(active):
+                active.clear()
+            else:
+                gone = {id(acc) for acc in finishers}
+                active[:] = [acc for acc in active if id(acc) not in gone]
+            # Completions observe the slot they finish in, exactly as under
+            # tick(); re-issues from callbacks join at target + 1.
+            self.slot = target
+            for acc in finishers:
+                self._finish(acc, AccessState.COMPLETED, target, unlink=False)
+        self.slot = target + 1
+        return len(finishers)
 
     def run_engine(self, slots: int, engine: Optional[str] = None) -> None:
         """Advance ``slots`` slots under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only; all
-        strategies produce bit-identical observable results (invariants
-        10 and 11).  ``stacked`` on a single module is the width-1 stack
-        — the same lockstep driver ``repro.fastpath.stack.run_stack``
-        runs across modules.
+        ``engine`` overrides the instance default for this call only.
+        ``reference`` is the per-slot :meth:`run`; every other name is an
+        alias of :meth:`run_batch`.  All produce bit-identical observable
+        results (invariants 10 and 11).
         """
         name = resolve_engine(engine, default=self.engine, layer="cfm")
         if name == ENGINE_REFERENCE:
             self.run(slots)
-        elif name == ENGINE_BATCH:
-            self.run_batch(slots)
-        elif name == ENGINE_STACKED:
-            from repro.fastpath.stack import run_stack
-
-            run_stack([self], slots)
         else:
-            self.run_vector(slots)
+            self.run_batch(slots)
 
     def run_until_idle(self, max_slots: int = 100_000) -> int:
         """Tick until no access is active; returns slots elapsed.

@@ -10,13 +10,13 @@ themselves (:meth:`repro.core.cfm.CFMemory.run_batch`,
 :meth:`repro.sim.engine.SlotClock.advance_until`,
 :meth:`repro.sim.engine.Engine.run_batch`).
 
-Stage 3 adds the engine-strategy seam: :mod:`repro.fastpath.engine`
-names the interchangeable strategies (``reference`` / ``batch`` /
-``vectorized`` / ``stacked``) every batched layer dispatches through,
-and :mod:`repro.fastpath.vector` implements the vectorized one — whole
-epochs planned as numpy gathers over the same tables.  Stage 4 adds
-:mod:`repro.fastpath.stack`: S independent same-shape CFM runs advanced
-in lockstep as one stacked numpy computation.
+:mod:`repro.fastpath.engine` is the engine-strategy seam every batched
+layer dispatches through.  ``reference`` is the per-slot tick.  ``batch``
+is the one epoch driver, :meth:`repro.core.cfm.CFMemory.run_batch`, and
+``vectorized`` and ``stacked`` are wire-level aliases of it.  The cache
+and hierarchy batchers share its per-epoch word movement,
+``CFMemory._advance_span``.  :mod:`repro.fastpath.stack` runs batches of
+same-shape CFM run specs.
 
 Every fast path is differentially tested against the slot-by-slot
 reference path for bit-identical traces, metrics, and bench payloads
@@ -34,7 +34,6 @@ from repro.fastpath.engine import (
     engine_available,
     resolve_engine,
     supported_layers,
-    vector_available,
 )
 from repro.fastpath.parallel import derive_seed, map_specs, sweep
 from repro.fastpath.tables import (
@@ -64,6 +63,5 @@ __all__ = [
     "shift_permutations",
     "slot_bank_table",
     "sweep",
-    "vector_available",
     "warm_tables",
 ]

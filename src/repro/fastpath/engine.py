@@ -2,56 +2,47 @@
 
 Each batched layer (:class:`repro.core.cfm.CFMemory`,
 :class:`repro.cache.protocol.CacheSystem`,
-:class:`repro.hierarchy.slot_accurate.SlotAccurateHierarchy`) can advance
-time several ways, all bit-identical on their observable results:
+:class:`repro.hierarchy.slot_accurate.SlotAccurateHierarchy`) advances
+time one of two ways, bit-identical on every observable result:
 
 ``reference``
     The per-slot tick loop — the paper's semantics, one slot at a time.
-    Always available, always correct, the differential oracle.
-``batch``
-    The stage-2 epoch batcher: prove a span interaction-free, replay it
-    in one pass over the precomputed bank orders (the default).
-``vectorized``
-    The stage-3 numpy epoch engine (:mod:`repro.fastpath.vector`): the
-    whole epoch plan — completion slots, bank occupancy, membership
-    windows — computed as array gathers, falling back to ``batch`` the
-    moment a hazard (same-offset write interleaving, an active fault
-    plan, a degraded bank, any observer) breaks the static proof.
-``stacked``
-    The stage-4 cross-run engine (:mod:`repro.fastpath.stack`): S
-    independent same-shape simulations advanced in lockstep as one
-    stacked numpy computation, each run individually ejected onto its
-    own ``run_batch`` path the moment its static proof breaks.  CFM
-    only — the other layers report a typed error (below).
+    Always correct, the differential oracle.
+``batch`` (also ``vectorized``, ``stacked``)
+    The epoch batcher: prove a span interaction-free, replay it in one
+    pass over the precomputed bank orders, and tick per slot the moment
+    a hazard (same-offset write interleaving, an active fault plan, a
+    degraded bank, any observer) breaks the static proof.  ``vectorized``
+    and ``stacked`` are wire-level aliases kept so existing requests and
+    reports stay valid; ``stacked`` is CFM-only, and the other layers
+    reject it with a typed error (below).
 
 Layers accept an ``engine=`` constructor argument and expose a
 ``run_*_engine`` dispatcher; ``repro bench --engine=`` threads the choice
-through the bench harness.  Not every engine supports every layer:
-:func:`resolve_engine` takes the resolving layer's name (and, for custom
-seams, an availability predicate) and raises a typed ``ValueError``
-naming exactly which layers do support the engine — at construction or
-dispatch, never deep inside an engine loop.  This module is deliberately
-dependency-free (no ``repro.*`` imports) so the registry can be
-consulted from any layer without import cycles.
+through the bench harness.  Not every engine name supports every layer:
+:func:`resolve_engine` takes the resolving layer's name and raises a
+typed ``ValueError`` naming exactly which layers do support the engine —
+at construction or dispatch, never deep inside an engine loop.  This
+module is deliberately dependency-free (no ``repro.*`` imports) so the
+registry can be consulted from any layer without import cycles.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 ENGINE_REFERENCE = "reference"
 ENGINE_BATCH = "batch"
 ENGINE_VECTORIZED = "vectorized"
 ENGINE_STACKED = "stacked"
 
-#: Every selectable engine strategy, in fallback order (stacked ejects
-#: runs to batch, vectorized falls back to batch, batch falls back to
-#: reference ticks).
+#: Every selectable engine name.  Only ``reference`` and the epoch batcher
+#: are distinct strategies; ``vectorized`` and ``stacked`` alias the batcher.
 ENGINES: Tuple[str, ...] = (
     ENGINE_REFERENCE, ENGINE_BATCH, ENGINE_VECTORIZED, ENGINE_STACKED,
 )
 
-#: The engine layers use when none is configured — the stage-2 batcher,
+#: The engine layers use when none is configured — the epoch batcher,
 #: preserving the behaviour of every pre-existing ``run_ops_batch`` caller.
 DEFAULT_ENGINE = ENGINE_BATCH
 
@@ -59,20 +50,12 @@ DEFAULT_ENGINE = ENGINE_BATCH
 ENGINE_LAYERS: Tuple[str, ...] = ("cfm", "cache", "hierarchy")
 
 #: Which layers each engine supports.  Engines absent from this map run
-#: on every seam layer; ``stacked`` plans across whole CFM runs and (for
-#: now) has no cache/hierarchy stacking story.
+#: on every seam layer; ``stacked`` names cross-run CFM stacking
+#: (:func:`repro.fastpath.stack.run_specs_stacked`), which has no
+#: cache/hierarchy counterpart.
 ENGINE_LAYER_SUPPORT = {
     ENGINE_STACKED: ("cfm",),
 }
-
-
-def vector_available() -> bool:
-    """Is the vectorized engine usable (numpy importable) in this process?"""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with the repo deps
-        return False
-    return True
 
 
 def supported_layers(name: str) -> Tuple[str, ...]:
@@ -81,33 +64,18 @@ def supported_layers(name: str) -> Tuple[str, ...]:
 
 
 def engine_available(name: str, layer: str) -> bool:
-    """May ``layer`` dispatch through engine ``name`` in this process?
-
-    Combines the per-layer support table with the numpy gate (both the
-    vectorized and the stacked engine plan in numpy)."""
-    if name not in ENGINES:
-        return False
-    if layer not in supported_layers(name):
-        return False
-    if name in (ENGINE_VECTORIZED, ENGINE_STACKED) and not vector_available():
-        return False
-    return True
+    """May ``layer`` dispatch through engine ``name``?"""
+    return name in ENGINES and layer in supported_layers(name)
 
 
 def resolve_engine(name: Optional[str],
                    default: str = DEFAULT_ENGINE,
-                   layer: Optional[str] = None,
-                   available: Optional[Callable[[str, str], bool]] = None,
-                   ) -> str:
+                   layer: Optional[str] = None) -> str:
     """Validate an engine name; ``None`` resolves to ``default``.
 
-    Raises ``ValueError`` for unknown names, for the numpy engines when
-    numpy is not importable, and — when ``layer`` is given — for engines
-    that layer cannot drive, naming the layers that can.  ``available``
-    overrides the per-layer predicate (``(engine, layer) -> bool``) for
-    custom seams; the error text still names the registry's supported
-    layers.  The engines never degrade silently to a different strategy
-    than the one asked for.
+    Raises ``ValueError`` for unknown names and — when ``layer`` is given
+    — for engines that layer cannot drive, naming the layers that can.
+    The name is returned as given, so reports record the caller's pin.
     """
     if name is None:
         name = default
@@ -115,18 +83,10 @@ def resolve_engine(name: Optional[str],
         raise ValueError(
             f"unknown engine {name!r} (valid: {' '.join(ENGINES)})"
         )
-    if name in (ENGINE_VECTORIZED, ENGINE_STACKED) and not vector_available():
+    if layer is not None and layer not in supported_layers(name):
+        layers = supported_layers(name)
         raise ValueError(
-            f"{name} engine requires numpy, which is not importable; "
-            "use 'batch' or 'reference'"
+            f"engine {name!r} does not support layer {layer!r} "
+            f"(supported layers: {' '.join(layers)})"
         )
-    if layer is not None:
-        ok = (available(name, layer) if available is not None
-              else layer in supported_layers(name))
-        if not ok:
-            layers = supported_layers(name)
-            raise ValueError(
-                f"engine {name!r} does not support layer {layer!r} "
-                f"(supported layers: {' '.join(layers)})"
-            )
     return name

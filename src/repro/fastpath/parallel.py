@@ -125,8 +125,8 @@ def map_specs(
     is identical to the old blocking semantics.
 
     ``stack=True`` groups stackable same-shape cfm specs into stacked
-    execution units (:func:`plan_stack_units`) run as one cross-simulation
-    numpy computation each.  Reports are bit-identical to the unstacked
+    execution units (:func:`plan_stack_units`), each one
+    :func:`repro.fastpath.stack.run_specs_stacked` call.  Reports are bit-identical to the unstacked
     path and the returned list stays in spec order; only wall times (split
     evenly across a stack's lanes) and ``on_result`` ordering (unit
     completion order, spec order within a unit) differ."""
@@ -201,7 +201,7 @@ def sweep(
     The document itself is unaffected (progress is observational only).
 
     ``stack=True`` executes stackable same-shape cfm specs as stacked
-    cross-simulation runs (see :func:`map_specs`); ``runs`` stays
+    units (see :func:`map_specs`); ``runs`` stays
     bit-identical to the unstacked sweep, and the ``timing`` section gains
     a ``stack`` summary (``units`` executed stacked, ``stacked_runs``
     lanes they covered)."""

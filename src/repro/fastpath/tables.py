@@ -37,8 +37,8 @@ from typing import Tuple
 
 #: Bound on each table cache: comfortably above any one sweep's working
 #: set of machine shapes, finite so unbounded shape exploration cannot
-#: leak memory.  Shared by :mod:`repro.faults.degrade` and
-#: :mod:`repro.fastpath.vector` for their derived tables.
+#: leak memory.  Shared by :mod:`repro.faults.degrade` for its derived
+#: tables.
 TABLE_CACHE_SIZE = 128
 
 
@@ -108,8 +108,7 @@ def warm_tables(shapes) -> int:
     This is the serving layer's cache warmer: a worker process that owns a
     set of shapes (:func:`repro.serve.shard.shard_for_shape`) calls this
     from its pool initializer so the first request it serves already finds
-    ``slot_bank_table``/``bank_orders``/``shift_permutations`` — and, when
-    numpy is importable, the vectorized engine's ndarray mirrors — hot.
+    ``slot_bank_table``/``bank_orders``/``shift_permutations`` hot.
     Invalid shapes raise the same ``ValueError`` the tables would, so a
     misconfigured shard fails at pool start, not mid-request.
     """
@@ -120,13 +119,6 @@ def warm_tables(shapes) -> int:
         # The omega data path of an (n, c) module moves n = b/c ports.
         shift_permutations(n_banks // bank_cycle)
         touched += 3
-        try:
-            from repro.fastpath.vector import np_bank_orders, np_slot_bank_table
-        except ImportError:  # numpy absent: table warm still counts
-            continue
-        np_slot_bank_table(n_banks, bank_cycle)
-        np_bank_orders(n_banks)
-        touched += 2
     return touched
 
 

@@ -192,11 +192,10 @@ def _hier_fingerprint(n_clusters: int, per: int, rounds: int, seed: int,
 
 
 def _engines(layer: str = "cfm") -> Tuple[str, ...]:
-    """Every engine strategy runnable on ``layer`` in this process.
+    """Every engine name runnable on ``layer``.
 
-    Filters the registry through :func:`engine_available`: the numpy
-    engines drop out where numpy is missing, and ``stacked`` only ever
-    appears for the CFM layer."""
+    Filters the registry through :func:`engine_available`: ``stacked``
+    only ever appears for the CFM layer."""
     from repro.fastpath.engine import ENGINES, engine_available
 
     return tuple(e for e in ENGINES if engine_available(e, layer))

@@ -45,11 +45,7 @@ from repro.core.cfm import (
     ControlAction,
 )
 from repro.core.config import CFMConfig
-from repro.fastpath.engine import (
-    ENGINE_BATCH,
-    ENGINE_REFERENCE,
-    resolve_engine,
-)
+from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
 from repro.hierarchy.controller import EventType, NetworkController
 from repro.hierarchy.hierarchical import IllegalStateCombination, _LEGAL
 from repro.sim.criticality import parse_tier
@@ -636,37 +632,27 @@ class SlotAccurateHierarchy:
         work (NC transactions, parked wakeups, global traffic) runs through
         the reference :meth:`tick`; only spans where *all* activity is
         provably conflict-free intra-cluster streaming are leapt, reusing
-        each cluster's AT tables via ``CacheSystem._advance_span`` with the
+        each cluster's AT tables via ``CFMemory._advance_span`` with the
         three slot counters (hierarchy, clusters, global) kept in lockstep.
         """
-        self._run_ops_fast(ops, max_slots, vector=False)
-
-    def run_ops_vector(self, ops: List[HierOp], max_slots: int = 300_000) -> None:
-        """Drive ``ops`` to completion via the stage-3 vectorized engine.
-
-        Identical classification to :meth:`run_ops_batch`; leapt spans are
-        serviced per cluster by :func:`repro.fastpath.vector.advance_span`
-        (the numpy epoch planner) instead of the per-access Python walk.
-        """
-        self._run_ops_fast(ops, max_slots, vector=True)
+        self._run_ops_fast(ops, max_slots)
 
     def run_ops_engine(self, ops: List[HierOp], max_slots: int = 300_000,
                        engine: Optional[str] = None) -> None:
         """Drive ``ops`` under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only; all
-        strategies produce bit-identical observable results (invariant 10).
+        ``engine`` overrides the instance default for this call only;
+        ``reference`` is the per-slot :meth:`run_ops`, ``batch`` and
+        ``vectorized`` are aliases of :meth:`run_ops_batch`.  All produce
+        bit-identical observable results (invariant 10).
         """
         name = resolve_engine(engine, default=self.engine, layer="hierarchy")
         if name == ENGINE_REFERENCE:
             self.run_ops(ops, max_slots)
-        elif name == ENGINE_BATCH:
-            self.run_ops_batch(ops, max_slots)
         else:
-            self.run_ops_vector(ops, max_slots)
+            self.run_ops_batch(ops, max_slots)
 
-    def _run_ops_fast(self, ops: List[HierOp], max_slots: int,
-                      vector: bool) -> None:
+    def _run_ops_fast(self, ops: List[HierOp], max_slots: int) -> None:
         start = self.slot
         limit = start + max_slots  # strict bound: no leap may reach it
         hp = self.hotpath
@@ -676,13 +662,13 @@ class SlotAccurateHierarchy:
             while remaining:
                 if self.slot - start >= max_slots:
                     self._raise_timeout(max_slots)
-                self._batch_step(limit, vector)
+                self._batch_step(limit)
                 remaining = [op for op in remaining if not op.done]
         finally:
             if hp is not None:
                 hp.release(token)
 
-    def _batch_step(self, limit: int = _FAR, vector: bool = False) -> None:
+    def _batch_step(self, limit: int = _FAR) -> None:
         hp = self.hotpath
         slot = self.slot
         if self.faults is not None and self.faults.active:
@@ -779,24 +765,13 @@ class SlotAccurateHierarchy:
         # cluster spans fire their finishers, so _cluster_done records the
         # same done_slot the reference path would.
         self.slot = target
-        if vector:
-            from repro.fastpath.vector import advance_span
-
-            for c, cs in enumerate(self.clusters):
-                if advance_span(cs.mem, target):
-                    cache[c] = None  # completions changed directory state
-        else:
-            for c, cs in enumerate(self.clusters):
-                if cs._advance_span(target):
-                    cache[c] = None  # completions changed directory state
+        for c, cs in enumerate(self.clusters):
+            if cs.mem._advance_span(target):
+                cache[c] = None  # completions changed directory state
         self.global_mem.slot = target + 1  # its on_slot is the base no-op
         self.slot = target + 1
         if hp is not None:
-            hp.count(
-                "hier",
-                "vector.batched_slots" if vector else "batched_slots",
-                target - slot + 1,
-            )
+            hp.count("hier", "batched_slots", target - slot + 1)
 
     # -- invariants ---------------------------------------------------------------------------
 

@@ -665,8 +665,8 @@ def _spec(system: str, **params: object) -> Dict[str, object]:
 
 def specs_quick(quick: bool = True) -> List[Dict[str, object]]:
     """The smoke trajectory: CFM + interleaved baseline + one run through
-    each batched layer (cache protocol, two-level hierarchy), plus a
-    stage-4 stacked-engine CFM run (a width-1 stack here; the sweep and
+    each batched layer (cache protocol, two-level hierarchy), plus an
+    ``engine="stacked"`` CFM run (a width-1 stack here; the sweep and
     the serving layer stack it wider)."""
     cycles = 2_000 if quick else 20_000
     rounds = 4 if quick else 20

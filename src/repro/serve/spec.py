@@ -11,10 +11,11 @@ so a validated request dispatches to the same pure function a serial bench
 run uses, and identical specs produce bit-identical reports either way.
 
 Validation happens in the front-end process, *before* the request costs a
-worker round-trip: unknown systems, unknown parameter names (checked
-against the runner's signature), non-JSON param values, and malformed
-fault-injection descriptions all raise :class:`RequestError`, which the
-service turns into a typed error response.
+worker round-trip: unknown systems, unknown or missing parameter names
+(checked against the runner's signature), non-JSON param values, engine
+names the system's layer cannot run, and malformed fault-injection
+descriptions all raise :class:`RequestError`, which the service turns
+into a typed error response.
 
 An optional ``"inject"`` member asks the worker to run the spec under a
 seeded :class:`repro.faults.FaultPlan` (cfm only — the chaos-harness
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.sim.criticality import TIERS
@@ -88,14 +90,21 @@ def _require_str(value: object, what: str, max_len: int = 256) -> str:
     return value
 
 
-def _validate_params(system: str, params: object) -> Dict[str, object]:
+@lru_cache(maxsize=None)
+def _runner_params(system: str):
+    """The parameters of ``system``'s :func:`repro.obs.bench.run_spec`
+    runner (a fixed registry, so cached per process)."""
     from repro.obs.bench import SYSTEMS
 
+    return inspect.signature(SYSTEMS[system]).parameters
+
+
+def _validate_params(system: str, params: object) -> Dict[str, object]:
     if params is None:
         return {}
     if not isinstance(params, dict):
         raise RequestError(f"params must be an object, got {type(params).__name__}")
-    accepted = inspect.signature(SYSTEMS[system]).parameters
+    accepted = _runner_params(system)
     out: Dict[str, object] = {}
     for key, value in params.items():
         if not isinstance(key, str):
@@ -113,6 +122,29 @@ def _validate_params(system: str, params: object) -> Dict[str, object]:
             )
         out[key] = value
     return out
+
+
+def _check_runnable(system: str, params: Dict[str, object]) -> None:
+    """Would the runner accept ``params``?  Every required argument of its
+    signature is present, and a pinned engine runs on the system's layer."""
+    from repro.fastpath.engine import resolve_engine
+    from repro.obs.bench import ENGINE_SYSTEMS, SYSTEM_ENGINE_LAYER
+
+    missing = sorted(
+        name for name, param in _runner_params(system).items()
+        if param.default is inspect.Parameter.empty and name not in params
+    )
+    if missing:
+        raise RequestError(
+            f"missing required param(s) for system {system!r}: "
+            f"{' '.join(missing)}"
+        )
+    if params.get("engine") is not None and system in ENGINE_SYSTEMS:
+        try:
+            resolve_engine(params["engine"],
+                           layer=SYSTEM_ENGINE_LAYER.get(system, system))
+        except ValueError as exc:
+            raise RequestError(str(exc)) from None
 
 
 def _validate_inject(system: str, inject: object) -> Dict[str, object]:
@@ -223,6 +255,7 @@ def validate_request(obj: object,
         raise RequestError(
             f"unknown request field(s): {' '.join(sorted(unknown))}"
         )
+    _check_runnable(system, params)
     return ServeRequest(id=req_id, tenant=tenant, system=system,
                         params=params, inject=inject,
                         criticality=criticality, deadline_ms=deadline_ms)

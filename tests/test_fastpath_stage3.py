@@ -1,25 +1,21 @@
-"""Stage-3 fastpath: the vectorized epoch engine and the engine seam.
+"""The engine seam and the engine-name differentials.
 
-Four proof obligations, mirroring ISSUE acceptance:
+Three proof obligations:
 
 * **engine seam** — ``resolve_engine`` and the per-layer ``engine=``
   constructor/dispatch surface behave identically everywhere.
-* **three-way differential** — reference / batch / vectorized produce
-  bit-identical full-state fingerprints on every layer, across shapes
-  from (4, 1) to (128, 32), with and without a zero-fault plan attached,
-  and under a degraded bank (the batch engines must detect degraded mode
-  and tick per-slot — the latent bug this PR fixes).
-* **plan algebra** — :func:`plan_epoch` / :func:`bank_occupancy` /
-  :func:`att_windows` match brute-force per-slot simulation of the same
-  tables, and the ATT windows match the real
-  :class:`~repro.tracking.att.AddressTrackingTable` contract.
+* **engine-name differential** — every engine name a layer accepts
+  (``reference`` and the fast driver's ``batch``/``vectorized``/
+  ``stacked`` aliases) produces bit-identical full-state fingerprints,
+  across shapes from (4, 1) to (128, 32), with and without a zero-fault
+  plan attached, and under a degraded bank (the batch drivers must
+  detect degraded mode and tick per slot).
 * **observability** — HotpathProfiler per-layer counter sums equal the
-  slots each layer advanced (``vector.fallbacks`` excluded: it is an
-  event count, not slot-denominated), and every engine raises
+  slots each layer advanced, and every engine raises
   :class:`SimulationTimeout` at the identical strict boundary slot.
 
-Satellites ride along: bounded table caches + degraded-table aliasing,
-the partial bench-document contract, and the ``--engine`` CLI surface.
+Also covered: bounded table caches + degraded-table aliasing, the
+partial bench-document contract, and the ``--engine`` CLI surface.
 """
 
 from __future__ import annotations
@@ -44,14 +40,11 @@ from repro.faults.chaos import (
 )
 from repro.fastpath.engine import (
     DEFAULT_ENGINE,
-    ENGINE_BATCH,
     ENGINE_REFERENCE,
-    ENGINE_STACKED,
     ENGINE_VECTORIZED,
     ENGINES,
     resolve_engine,
     supported_layers,
-    vector_available,
 )
 from repro.fastpath.tables import (
     TABLE_CACHE_SIZE,
@@ -64,21 +57,11 @@ from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimulationTimeout
 
-np = pytest.importorskip("numpy")
-
-#: Engines each layer can drive (the stage-4 ``stacked`` engine is
-#: CFM-only; the three originals run everywhere).
+#: Engines each layer can drive (``stacked`` is CFM-only; the other names
+#: run everywhere).
 CFM_ENGINES = tuple(e for e in ENGINES if "cfm" in supported_layers(e))
 CACHE_ENGINES = tuple(e for e in ENGINES if "cache" in supported_layers(e))
 HIER_ENGINES = tuple(e for e in ENGINES if "hierarchy" in supported_layers(e))
-
-from repro.fastpath.vector import (  # noqa: E402 - needs numpy
-    att_windows,
-    bank_occupancy,
-    np_bank_orders,
-    np_slot_bank_table,
-    plan_epoch,
-)
 
 
 # --------------------------------------------------------------------------
@@ -95,13 +78,6 @@ def test_resolve_engine_defaults_and_names():
 def test_resolve_engine_rejects_unknown():
     with pytest.raises(ValueError):
         resolve_engine("turbo")
-
-
-def test_vector_available_here():
-    # numpy imported at module top, so the gate must report available and
-    # the vectorized name must resolve.
-    assert vector_available()
-    assert resolve_engine(ENGINE_VECTORIZED) == ENGINE_VECTORIZED
 
 
 @pytest.mark.parametrize("engine", [None, *ENGINES])
@@ -131,123 +107,7 @@ def test_layer_constructors_reject_unknown_engine():
 
 
 # --------------------------------------------------------------------------
-# Plan algebra vs brute force
-
-
-def _brute_visits(n_banks, bank_cycle, slot, procs, words_done, limit):
-    """Per-slot simulation of the AT schedule for one epoch."""
-    table = slot_bank_table(n_banks, bank_cycle)
-    orders = bank_orders(n_banks)
-    banks_now = [table[slot % n_banks][p] for p in procs]
-    remaining = [n_banks - w for w in words_done]
-    finish_slots = [slot + r - 1 for r in remaining]
-    target = min(min(finish_slots), limit)
-    span = target - slot + 1
-    steps = [min(r, span) for r in remaining]
-    visits = []  # (access index, bank, visit slot)
-    for i, first in enumerate(banks_now):
-        for j in range(steps[i]):
-            visits.append((i, orders[first][j], slot + j))
-    return banks_now, remaining, finish_slots, target, steps, visits
-
-
-@pytest.mark.parametrize("n_procs,bank_cycle", [(4, 1), (8, 2), (16, 4)])
-def test_plan_epoch_matches_brute_force(n_procs, bank_cycle):
-    n_banks = n_procs * bank_cycle
-    rng = np.random.default_rng(n_banks)
-    for _ in range(20):
-        k = int(rng.integers(1, n_procs + 1))
-        procs = np.sort(rng.choice(n_procs, size=k, replace=False))
-        words_done = rng.integers(0, n_banks, size=k)
-        slot = int(rng.integers(0, 3 * n_banks))
-        limit = slot + int(rng.integers(0, 2 * n_banks))
-        plan = plan_epoch(n_banks, bank_cycle, slot,
-                          procs.astype(np.intp), words_done.astype(np.intp),
-                          limit)
-        banks_now, remaining, finish_slots, target, steps, _ = _brute_visits(
-            n_banks, bank_cycle, slot, procs.tolist(), words_done.tolist(),
-            limit)
-        assert plan.banks_now.tolist() == banks_now
-        assert plan.finish_slots.tolist() == finish_slots
-        assert plan.target == target
-        assert plan.span == target - slot + 1
-        assert plan.steps.tolist() == steps
-        assert plan.finishers.tolist() == [
-            i for i in range(k) if steps[i] == remaining[i]
-        ]
-
-
-@pytest.mark.parametrize("n_procs,bank_cycle", [(4, 1), (8, 2), (16, 4)])
-def test_bank_occupancy_matches_brute_force(n_procs, bank_cycle):
-    n_banks = n_procs * bank_cycle
-    rng = np.random.default_rng(7 * n_banks)
-    for _ in range(20):
-        k = int(rng.integers(1, n_procs + 1))
-        procs = np.sort(rng.choice(n_procs, size=k, replace=False))
-        words_done = rng.integers(0, n_banks, size=k)
-        slot = int(rng.integers(0, 3 * n_banks))
-        limit = slot + int(rng.integers(0, 2 * n_banks))
-        plan = plan_epoch(n_banks, bank_cycle, slot,
-                          procs.astype(np.intp), words_done.astype(np.intp),
-                          limit)
-        first_slot, busy_until = bank_occupancy(plan, n_banks, bank_cycle)
-        _, _, _, _, _, visits = _brute_visits(
-            n_banks, bank_cycle, slot, procs.tolist(), words_done.tolist(),
-            limit)
-        exp_first = [-1] * n_banks
-        exp_busy = [-1] * n_banks
-        seen = {}
-        for _, bank, at in visits:
-            # Row injectivity: no two accesses may claim one (bank, slot).
-            assert (bank, at) not in seen
-            seen[(bank, at)] = True
-            if exp_first[bank] == -1 or at < exp_first[bank]:
-                exp_first[bank] = at
-            exp_busy[bank] = max(exp_busy[bank], at + bank_cycle - 1)
-        assert first_slot.tolist() == exp_first
-        assert busy_until.tolist() == exp_busy
-
-
-def test_att_windows_match_tracking_table_contract():
-    from repro.tracking.att import AddressTrackingTable
-
-    n_banks, bank_cycle = 8, 2
-    capacity = max(1, n_banks - 1)
-    procs = np.array([0, 1, 2, 3], dtype=np.intp)
-    words_done = np.array([0, 3, 0, 5], dtype=np.intp)
-    slot = 11
-    plan = plan_epoch(n_banks, bank_cycle, slot, procs, words_done,
-                      slot + 4 * n_banks)
-    starters, inserts, expiries = att_windows(plan, capacity)
-    # Only accesses performing their first word open a window.
-    assert starters.tolist() == [0, 2]
-    assert inserts.tolist() == [slot, slot]
-    assert expiries.tolist() == [slot + capacity, slot + capacity]
-    # The windows match the real table: live at expiry, gone one later.
-    att = AddressTrackingTable(capacity)
-    for idx, at, until in zip(starters.tolist(), inserts.tolist(),
-                              expiries.tolist()):
-        offset = 100 + idx
-        att.insert(offset, op_id=idx, kind=AccessKind.WRITE, slot=at)
-        assert att.has_entry(offset, at)
-        assert att.has_entry(offset, until)
-        assert not att.has_entry(offset, until + 1)
-
-
-def test_np_tables_match_tuple_tables():
-    for n_banks, bank_cycle in [(4, 1), (8, 2), (16, 4)]:
-        assert np_slot_bank_table(n_banks, bank_cycle).tolist() == [
-            list(row) for row in slot_bank_table(n_banks, bank_cycle)
-        ]
-        assert np_bank_orders(n_banks).tolist() == [
-            list(row) for row in bank_orders(n_banks)
-        ]
-        assert not np_slot_bank_table(n_banks, bank_cycle).flags.writeable
-        assert not np_bank_orders(n_banks).flags.writeable
-
-
-# --------------------------------------------------------------------------
-# Three-way engine differential (satellite 4)
+# Engine-name differential
 
 CFM_SHAPES = [(4, 1), (8, 2), (16, 4), (32, 8), (64, 16), (128, 32)]
 #: Shapes small enough to also sweep with a zero-fault plan attached.
@@ -357,9 +217,8 @@ def test_cfm_metrics_snapshot_identical_across_engines():
 
 
 def _slot_sum(events):
-    """Sum of slot-denominated counters: everything except the auxiliary
-    ``vector.fallbacks`` event count."""
-    return sum(n for name, n in events.items() if name != "vector.fallbacks")
+    """Sum of the (all slot-denominated) counters."""
+    return sum(events.values())
 
 
 def test_vector_counter_sum_equals_cfm_slots():
@@ -375,7 +234,7 @@ def test_vector_counter_sum_equals_cfm_slots():
         mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=reissue)
     mem.run_engine(500, engine=ENGINE_VECTORIZED)
     events = hp.snapshot()["cfm"]
-    assert events.get("vector.batched_slots", 0) > 0
+    assert events.get("batched_slots", 0) > 0
     assert _slot_sum(events) == mem.slot == 500
 
 
@@ -383,9 +242,9 @@ def test_vector_counter_sum_equals_cache_slots():
     hp = HotpathProfiler()
     sys_ = CacheSystem(8, bank_cycle=2, hotpath=hp)
     ops = _build_cache_ops(sys_, 8, rounds=4, seed=3)
-    sys_.run_ops_vector(ops)
+    sys_.run_ops_engine(ops, engine=ENGINE_VECTORIZED)
     events = hp.snapshot()["cache"]
-    assert events.get("vector.batched_slots", 0) > 0
+    assert events.get("batched_slots", 0) > 0
     assert _slot_sum(events) == sys_.slot
 
 
@@ -393,26 +252,10 @@ def test_vector_counter_sum_equals_hier_slots():
     hp = HotpathProfiler()
     hier = SlotAccurateHierarchy(2, 2, bank_cycle=2, hotpath=hp)
     ops = _build_hier_ops(hier, rounds=3, seed=5)
-    hier.run_ops_vector(ops)
+    hier.run_ops_engine(ops, engine=ENGINE_VECTORIZED)
     events = hp.snapshot()["hier"]
-    assert events.get("vector.batched_slots", 0) > 0
+    assert events.get("batched_slots", 0) > 0
     assert _slot_sum(events) == hier.slot
-
-
-def test_vector_fallback_counted_but_not_slot_denominated():
-    """With metrics attached the vectorized driver must fall back once,
-    the slots must all be accounted by the batch/tick counters, and the
-    fallback event itself must not perturb the slot sum."""
-    hp = HotpathProfiler()
-    mem = CFMemory(CFMConfig(n_procs=4, bank_cycle=1),
-                   metrics=MetricsRegistry())
-    mem.hotpath = hp
-    mem.issue(0, AccessKind.READ, offset=0)
-    mem.run_engine(50, engine=ENGINE_VECTORIZED)
-    events = hp.snapshot()["cfm"]
-    assert events.get("vector.fallbacks") == 1
-    assert events.get("vector.batched_slots", 0) == 0
-    assert _slot_sum(events) == mem.slot == 50
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +295,7 @@ def test_table_caches_are_bounded():
     from repro.faults.degrade import degraded_slot_bank_table
 
     for fn in (slot_bank_table, bank_orders, shift_permutations,
-               degraded_slot_bank_table, np_slot_bank_table, np_bank_orders):
+               degraded_slot_bank_table):
         assert fn.cache_info().maxsize == TABLE_CACHE_SIZE, fn.__name__
 
 

@@ -1,21 +1,24 @@
-"""Stage-4 stacked engine: lockstep cross-run execution (invariant 11).
+"""Stacked spec execution and the fast driver's lanes (invariant 11).
 
-Proof obligations, mirroring the ISSUE acceptance list:
+Proof obligations:
 
 * **differential sweep** — :func:`repro.fastpath.stack.run_specs_stacked`
   is bit-identical to per-spec serial :func:`repro.obs.bench.run_spec`
   across shapes (4, 1)…(128, 32), every engine pin, and duplicate specs
   (which get their own lanes);
-* **raw lockstep identity** — :func:`repro.fastpath.stack.run_stack` on
-  mixed workloads (full-load reads, partial load, private writes, mixed
-  budgets) leaves every module in exactly the state a serial
+* **lane identity** — a lane advanced through the ``stacked`` engine
+  alias on mixed workloads (full-load reads, partial load, private
+  writes, mixed budgets) ends in exactly the state a per-slot
   ``mem.run(slots)`` produces: same banks, same completion log, same
   slot;
-* **hazard ejection mid-stack** — a lane that picks up a same-offset
-  write interleave (or carries an observer from the start) is ejected
-  onto its own ``run_batch`` — counted as ``stack.fallbacks`` — while
-  its stack-mates stay vectorized, and the ejected lane remains
-  bit-identical to its serial run;
+* **shared whole-block memo** — :meth:`CFMemory.run_batch` hands one
+  result dict to every whole-block reader of an offset; stores between
+  reads (in-span writes, finish-callback pokes) invalidate it, matching
+  the per-slot reference bit for bit;
+* **hazard fallback** — a lane that picks up a same-offset write
+  interleave (or carries an observer from the start) ticks per slot
+  while a clean lane stays batched, and both remain bit-identical to
+  their serial runs;
 * **metrics-snapshot identity** — observed lanes see the identical
   event stream stacked or serial;
 * **sweep integration** — ``sweep(..., stack=True)`` groups stackable
@@ -33,17 +36,9 @@ from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
 from repro.fastpath.engine import ENGINE_STACKED, ENGINES, engine_available
+from repro.fastpath.stack import run_specs_stacked, stack_shape, stackable_spec
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
-
-np = pytest.importorskip("numpy")
-
-from repro.fastpath.stack import (  # noqa: E402 - needs numpy
-    run_stack,
-    run_specs_stacked,
-    stack_shape,
-    stackable_spec,
-)
 
 
 def _normalized(doc):
@@ -82,7 +77,7 @@ def _reads(cfg: CFMConfig, stride: int = 1):
 
 def _private_writes(cfg: CFMConfig):
     """Every 2nd reissue of a proc writes a processor-private offset —
-    hazard-free, exercising the stacked write path + memo invalidation."""
+    hazard-free, exercising the span write path + memo invalidation."""
     mem = CFMemory(cfg)
     log = []
     counts = [0] * cfg.n_procs
@@ -106,7 +101,7 @@ def _private_writes(cfg: CFMConfig):
 def _conflicting_writes(cfg: CFMConfig):
     """Procs 0 and 1 periodically write the SAME offset: under full load
     both writes go in flight together, the write-interleave hazard breaks
-    the static proof, and the lane must eject mid-stack."""
+    the static proof, and the lane must tick per slot mid-run."""
     mem = CFMemory(cfg)
     log = []
     counts = [0] * cfg.n_procs
@@ -132,7 +127,12 @@ WORKLOADS = [_reads, lambda cfg: _reads(cfg, stride=2), _private_writes,
 
 
 # --------------------------------------------------------------------------
-# Raw lockstep identity
+# Lane identity
+
+
+def _run_lanes(lanes, budgets):
+    for (mem, _), budget in zip(lanes, budgets):
+        mem.run_engine(budget, engine=ENGINE_STACKED)
 
 
 @pytest.mark.parametrize("n_procs,bank_cycle", [(4, 1), (8, 2), (16, 4)])
@@ -140,7 +140,7 @@ def test_run_stack_mixed_workloads_match_serial(n_procs, bank_cycle):
     cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
     slots = 6 * cfg.n_banks
     stacked = [build(cfg) for build in WORKLOADS]
-    run_stack([mem for mem, _ in stacked], slots)
+    _run_lanes(stacked, [slots] * len(stacked))
     for build, (mem, log) in zip(WORKLOADS, stacked):
         serial_mem, serial_log = build(cfg)
         serial_mem.run(slots)
@@ -151,27 +151,117 @@ def test_run_stack_mixed_budgets_match_serial():
     cfg = CFMConfig(n_procs=8, bank_cycle=2)
     budgets = [2 * cfg.n_banks, 5 * cfg.n_banks, 0, 3 * cfg.n_banks + 7]
     stacked = [_reads(cfg) for _ in budgets]
-    run_stack([mem for mem, _ in stacked], budgets)
+    _run_lanes(stacked, budgets)
     for budget, (mem, log) in zip(budgets, stacked):
         serial_mem, serial_log = _reads(cfg)
         serial_mem.run(budget)
         assert _fingerprint(mem, log) == _fingerprint(serial_mem, serial_log)
 
 
-def test_run_stack_validates_shapes_and_budgets():
-    a = CFMemory(CFMConfig(n_procs=4, bank_cycle=1))
-    b = CFMemory(CFMConfig(n_procs=8, bank_cycle=2))
-    with pytest.raises(ValueError, match="shape"):
-        run_stack([a, b], 10)
-    with pytest.raises(ValueError, match="slot budgets"):
-        run_stack([a], [10, 20])
-    with pytest.raises(ValueError, match=">= 0"):
-        run_stack([a], [-1])
-    run_stack([], 10)  # empty stack is a no-op
+# --------------------------------------------------------------------------
+# Shared whole-block memo: run_batch vs the per-slot reference
+
+
+def _results(accs):
+    return [(a.proc, a.kind.value, a.complete_slot,
+             None if a.kind.is_write else a.result.words) for a in accs]
+
+
+def _memo_differential(build, slots):
+    """Run ``build``'s module per slot and through run_batch; the
+    completion streams (read results included) and banks must agree."""
+    ref, ref_log = build()
+    ref.run(slots)
+    fast, fast_log = build()
+    fast.run_batch(slots)
+    assert _results(fast.completed) == _results(ref.completed)
+    assert [sorted(b.items()) for b in fast.banks] == \
+        [sorted(b.items()) for b in ref.banks]
+    assert fast.slot == ref.slot
+    return ref_log, fast_log
+
+
+def test_memo_read_write_read_same_offset_across_epochs():
+    """A whole-block read memoizes offset 0; a later write to offset 0
+    must drop the memo, so the second read sees the new words — while
+    the first reader's result keeps the pre-write words."""
+    cfg = CFMConfig(n_procs=4, bank_cycle=1)
+
+    def build():
+        mem = CFMemory(cfg)
+        mem.poke_block(0, Block.of_values([1, 2, 3, 4], "seed"))
+        log = []
+        steps = iter([
+            lambda: mem.issue(0, AccessKind.WRITE, offset=0,
+                              data=Block.of_values([9, 8, 7, 6]),
+                              version="new", on_finish=step),
+            lambda: mem.issue(0, AccessKind.READ, offset=0, on_finish=step),
+        ])
+
+        def step(acc):
+            log.append(acc)
+            nxt = next(steps, None)
+            if nxt is not None:
+                nxt()
+
+        mem.issue(0, AccessKind.READ, offset=0, on_finish=step)
+        return mem, log
+
+    ref_log, fast_log = _memo_differential(build, 4 * cfg.n_banks)
+    first, _, second = fast_log
+    assert [w.value for w in first.result.words] == [1, 2, 3, 4]
+    assert [w.value for w in second.result.words] == [9, 8, 7, 6]
+    assert first.result.words == ref_log[0].result.words
+
+
+def test_memo_dropped_when_finish_callback_pokes_memoized_offset():
+    """A finish callback that stores through poke_block bumps the write
+    stamp; the next whole-block read of that offset must not be served
+    from the memo built before the poke."""
+    cfg = CFMConfig(n_procs=4, bank_cycle=1)
+
+    def build():
+        mem = CFMemory(cfg)
+        log = []
+        count = [0]
+
+        def reissue(acc):
+            log.append(acc)
+            count[0] += 1
+            mem.poke_block(1, Block.of_values([count[0]] * 4, "poke"))
+            mem.issue(acc.proc, AccessKind.READ, offset=1, on_finish=reissue)
+
+        mem.issue(0, AccessKind.READ, offset=1, on_finish=reissue)
+        return mem, log
+
+    _, fast_log = _memo_differential(build, 5 * cfg.n_banks)
+    # Each read sees the block the previous completion poked.
+    assert [acc.result.words[0].value for acc in fast_log] == [0, 1, 2, 3, 4]
+
+
+def test_memo_two_readers_of_one_offset_complete_in_one_epoch():
+    """Two whole-block readers of one offset finishing in the same epoch
+    share the memoized dict; both match the per-slot results."""
+    cfg = CFMConfig(n_procs=4, bank_cycle=1)
+
+    def build():
+        mem = CFMemory(cfg)
+        mem.poke_block(5, Block.of_values([10, 11, 12, 13], "seed"))
+        log = []
+        for p in (1, 3):
+            mem.issue(p, AccessKind.READ, offset=5, on_finish=log.append)
+        return mem, log
+
+    ref_log, fast_log = _memo_differential(build, cfg.n_banks)
+    assert len(fast_log) == 2
+    assert fast_log[0].complete_slot == fast_log[1].complete_slot
+    assert fast_log[0].result_words is fast_log[1].result_words
+    for fast_acc, ref_acc in zip(fast_log, ref_log):
+        assert fast_acc.result.words == ref_acc.result.words
 
 
 # --------------------------------------------------------------------------
-# Hazard ejection mid-stack
+# Hazard fallback inside a lane
 
 
 def test_hazard_lane_ejects_while_stackmates_stay_vectorized():
@@ -182,21 +272,19 @@ def test_hazard_lane_ejects_while_stackmates_stay_vectorized():
     clean_hp, hazard_hp = HotpathProfiler(), HotpathProfiler()
     clean_mem.hotpath = clean_hp
     hazard_mem.hotpath = hazard_hp
-    run_stack([clean_mem, hazard_mem], slots)
+    _run_lanes([(clean_mem, clean_log), (hazard_mem, hazard_log)],
+               [slots, slots])
 
     clean_events = clean_hp.snapshot()["cfm"]
     hazard_events = hazard_hp.snapshot()["cfm"]
-    # The clean lane never fell out of lockstep...
-    assert "stack.fallbacks" not in clean_events
-    assert clean_events["stack.batched_slots"] == slots
-    # ...the hazard lane was ejected exactly once, ran some rounds stacked
-    # first, and finished its window on its own batch/tick path.
-    assert hazard_events["stack.fallbacks"] == 1
-    assert 0 < hazard_events.get("stack.batched_slots", 0) < slots
-    slot_sum = sum(n for name, n in hazard_events.items()
-                   if name not in ("stack.fallbacks", "vector.fallbacks"))
-    assert slot_sum == slots
-    # Occupancy pools stacked slots with the other batch counters.
+    # The clean lane never left the batched path...
+    assert "fallback.hazard" not in clean_events
+    assert clean_events["batched_slots"] == slots
+    # ...the hazard lane batched some epochs, ticked through its write
+    # interleaves, and every one of its slots is accounted for once.
+    assert hazard_events["fallback.hazard"] > 0
+    assert 0 < hazard_events.get("batched_slots", 0) < slots
+    assert sum(hazard_events.values()) == slots
     assert clean_hp.occupancy()["cfm"]["batched_frac"] == 1.0
     assert clean_hp.occupancy()["cfm"]["batched"] == slots
 
@@ -210,7 +298,7 @@ def test_hazard_lane_ejects_while_stackmates_stay_vectorized():
 
 def test_observed_lane_ejects_with_identical_metrics_snapshot():
     """An observer (metrics registry) voids the static proof before the
-    first round: the lane ejects immediately and its registry sees the
+    first epoch: the lane ticks every slot and its registry sees the
     identical event stream a serial run feeds it."""
     cfg = CFMConfig(n_procs=4, bank_cycle=1)
     slots = 40
@@ -229,8 +317,8 @@ def test_observed_lane_ejects_with_identical_metrics_snapshot():
     obs_mem, obs_done, obs_reg = observed()
     obs_mem.hotpath = hp
     clean_mem, clean_log = _reads(cfg)
-    run_stack([obs_mem, clean_mem], slots)
-    assert hp.snapshot()["cfm"]["stack.fallbacks"] == 1
+    _run_lanes([(obs_mem, obs_done), (clean_mem, clean_log)], [slots, slots])
+    assert hp.snapshot()["cfm"] == {"tick.pinned": slots}
 
     serial_mem, serial_done, serial_reg = observed()
     serial_mem.run(slots)
@@ -257,10 +345,9 @@ def test_run_specs_stacked_matches_run_spec(n_procs, bank_cycle):
     from repro.obs.bench import run_spec
 
     n_banks = n_procs * bank_cycle
-    # Reference/batch pins ride only the small shapes (they are the slow
-    # serial oracles); the numpy engines sweep everything.
-    engines = [e for e in ENGINES
-               if n_banks <= 64 or e in ("vectorized", "stacked")]
+    # The reference pin rides only the small shapes (it is the slow
+    # per-slot oracle); the fast-driver aliases sweep everything.
+    engines = [e for e in ENGINES if n_banks <= 64 or e != "reference"]
     specs = [_spec(n_procs, bank_cycle, n_banks * (i + 2), engine)
              for i, engine in enumerate(engines)]
     specs.append(_normalized(specs[-1]))  # duplicate spec: its own lane
@@ -281,6 +368,13 @@ def test_run_specs_stacked_validation():
     with pytest.raises(ValueError, match="shape"):
         run_specs_stacked([_spec(4, 1, 20, "stacked"),
                            _spec(8, 2, 20, "stacked")])
+    # A spec without an int budget is rejected up front, never run.
+    for cycles in (None, True, -1, "10"):
+        spec = _spec(4, 1, cycles, "stacked")
+        if cycles is None:
+            del spec["params"]["cycles"]
+        with pytest.raises(ValueError, match="not stackable"):
+            run_specs_stacked([spec])
 
 
 def test_stackable_spec_predicate():
@@ -301,6 +395,8 @@ def test_stackable_spec_predicate():
     assert not stackable_spec(bad_probe)
     for params in ({"n_procs": 0, "cycles": 10, "engine": "stacked"},
                    {"n_procs": 4, "cycles": -1, "engine": "stacked"},
+                   {"n_procs": 4, "engine": "stacked"},  # no cycles
+                   {"n_procs": 4, "cycles": True, "engine": "stacked"},
                    {"n_procs": 4, "cycles": 10, "engine": "turbo"},
                    {"n_procs": "x", "cycles": 10, "engine": "stacked"}):
         assert not stackable_spec({"system": "cfm", "params": params})

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 import pytest
 
@@ -304,6 +305,33 @@ class TestSimulationService:
         assert metrics[0] == 200 and "service" in metrics[1]
         assert missing[0] == 404
         assert bad[0] == 422 and bad[1]["error"]["type"] == "RequestError"
+
+    @pytest.mark.parametrize("bad, fragment", [
+        # Each of these used to pass validation and come back from a
+        # worker round trip as an untyped TypeError/ValueError.
+        ({"system": "cfm", "params": {"n_procs": 4, "bank_cycle": 1}},
+         "missing required param.*cycles"),
+        ({"system": "cfm", "params": dict(CFM_PARAMS, engine="turbo")},
+         "unknown engine 'turbo'"),
+        ({"system": "cache",
+          "params": {"n_procs": 4, "rounds": 2, "engine": "stacked"}},
+         "supported layers: cfm"),
+        ({"system": "hierarchy",
+          "params": {"n_clusters": 2, "procs_per_cluster": 2, "rounds": 2,
+                     "engine": "stacked"}},
+         "supported layers: cfm"),
+    ], ids=["missing_arg", "unknown_engine", "stacked_cache",
+            "stacked_hierarchy"])
+    def test_unrunnable_params_rejected_before_dispatch(self, pool, bad,
+                                                        fragment):
+        assert serve_worker(dict(bad))["error"]["typed"] is False
+        before = (list(pool.dispatched), list(pool.batches))
+        resp = asyncio.run(SimulationService(pool=pool).process(
+            dict(bad, id="bad")))
+        assert resp["ok"] is False
+        assert resp["error"]["type"] == "RequestError"
+        assert re.search(fragment, resp["error"]["message"])
+        assert (list(pool.dispatched), list(pool.batches)) == before
 
     def test_control_ops_and_bad_json(self, pool):
         async def scenario():

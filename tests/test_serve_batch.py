@@ -27,7 +27,6 @@ import time
 
 import pytest
 
-from repro.fastpath.engine import engine_available
 from repro.serve import (
     MicroBatcher,
     ShardedWorkerPool,
@@ -135,10 +134,6 @@ def _stacked(cycles, n_procs=4, bank_cycle=1):
 
 
 class TestStackedBatch:
-    pytestmark = pytest.mark.skipif(
-        not engine_available("stacked", "cfm"),
-        reason="stacked engine unavailable (numpy)")
-
     def test_stacked_flush_is_one_run_and_bit_identical(self):
         payloads = [_stacked(100), _stacked(150), _stacked(200)]
         results = serve_worker_batch(payloads)
