@@ -20,20 +20,19 @@ connection:
   content-addressed hit whose per-tenant hit/miss accounting sums to the
   tenant's request count.
 
+After the metrics check the drive sends one more round of requests that
+pin ``engine="stacked"`` (the CFM-only alias of the batch driver), reads
+one response, and SIGTERMs the server with the rest in flight: graceful
+shutdown must still deliver every remaining response before it closes
+the connection.
+
 ``--max-batch``/``--cache-size`` select the serving mode under test; CI
 runs both PR 7's per-request mode (``--max-batch 1 --cache-size 0``) and
-the batched+cached default.  ``--stack`` switches to the stage-4 stacked
-drive instead: same-shape ``engine="stacked"`` cfm requests whose batch
-flushes execute as one stacked run each, asserting the
-``serve.stack.width`` accounting invariant (widths sum to the
-stacked-executed request count, and every stacked response carries a
-``worker.stacked`` marker) and that SIGTERM with a stack in flight still
-drains every response before the clean exit.  Exits 0 on success, 1 with
-a diagnostic on any violated expectation::
+the batched+cached default.  Exits 0 on success, 1 with a diagnostic on
+any violated expectation::
 
     PYTHONPATH=src python benchmarks/serve_smoke.py
     PYTHONPATH=src python benchmarks/serve_smoke.py --max-batch 1 --cache-size 0
-    PYTHONPATH=src python benchmarks/serve_smoke.py --stack
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ FAULTED = {
 
 INVALID = {"id": "invalid", "system": "cfm", "params": {"frobnicate": 1}}
 
-N_STACK = 8  # stacked requests per round in --stack mode (2 rounds)
+N_DRAIN = 8  # engine="stacked" requests in flight across the SIGTERM
 
 
 def _spawn_server(max_batch: int, cache_size: int):
@@ -97,7 +96,50 @@ async def _http_get(host: str, port: int, path: str):
     return status, json.loads(data.partition(b"\r\n\r\n")[2])
 
 
-async def _drive(host: str, port: int, max_batch: int,
+async def _read_n(reader, n: int) -> dict:
+    """Read ``n`` JSONL responses, keyed by request id."""
+    out = {}
+    while len(out) < n:
+        line = await asyncio.wait_for(reader.readline(), timeout=120)
+        assert line, f"connection closed after {len(out)}/{n} responses"
+        resp = json.loads(line)
+        out[resp["id"]] = resp
+    return out
+
+
+async def _drain_on_sigterm(proc, host: str, port: int) -> None:
+    """SIGTERM the server with ``engine="stacked"`` requests in flight and
+    require the graceful shutdown to deliver every response before the
+    connection closes."""
+    # Distinct cycles: no in-batch dedup and no result-cache hits, so
+    # every request is dispatched to a worker.
+    requests = [
+        {"id": f"d{i}", "tenant": f"team{i % 2}", "system": "cfm",
+         "params": {"n_procs": 4, "bank_cycle": 1, "cycles": 1000 + 10 * i,
+                    "engine": "stacked"}}
+        for i in range(N_DRAIN)
+    ]
+    reader, writer = await asyncio.open_connection(host, port)
+    for req in requests:
+        writer.write((json.dumps(req) + "\n").encode())
+    await writer.drain()
+    first = json.loads(await asyncio.wait_for(reader.readline(), timeout=120))
+    assert first["ok"], first
+    proc.send_signal(signal.SIGTERM)
+    late = await _read_n(reader, N_DRAIN - 1)
+    late[first["id"]] = first
+    assert len(late) == N_DRAIN, sorted(late)
+    assert all(r["ok"] for r in late.values()), late
+    assert all(r["report"]["params"]["engine"] == "stacked"
+               for r in late.values()), late
+    eof = await asyncio.wait_for(reader.readline(), timeout=60)
+    assert eof == b"", eof  # server closed the stream only after draining
+    writer.close()
+    print(f"drain OK: {N_DRAIN - 1} engine=stacked responses delivered "
+          "after SIGTERM")
+
+
+async def _drive(proc, host: str, port: int, max_batch: int,
                  cache_size: int) -> None:
     requests = []
     for i in range(N_REQUESTS):
@@ -113,15 +155,7 @@ async def _drive(host: str, port: int, max_batch: int,
         writer.write((json.dumps(req) + "\n").encode())
     await writer.drain()
     writer.write_eof()
-    responses = {}
-    while len(responses) < len(requests):
-        line = await asyncio.wait_for(reader.readline(), timeout=120)
-        assert line, (
-            f"connection closed after {len(responses)}/{len(requests)} "
-            "responses"
-        )
-        resp = json.loads(line)
-        responses[resp["id"]] = resp
+    responses = await _read_n(reader, len(requests))
     writer.close()
 
     ok = [r for r in responses.values() if r["ok"]]
@@ -209,113 +243,22 @@ async def _drive(host: str, port: int, max_batch: int,
           f"{cache['hits']} cache hits, "
           f"peak inflight {metrics['inflight']['peak']}"
           f"/{metrics['inflight']['max']}")
-
-
-async def _drive_stack(proc, host: str, port: int) -> dict:
-    """Stacked serving drive: every request pins ``engine="stacked"`` on
-    the same (4, 1) cfm shape, so each micro-batch flush executes as one
-    stacked run.  Round 1 checks the ``serve.stack.width`` accounting
-    end-to-end (responses and /metrics agree, widths sum to the stacked
-    request count); round 2 SIGTERMs the server with responses still
-    outstanding and requires the graceful shutdown to drain the in-flight
-    stack before the connection closes."""
-
-    def _requests(round_no: int):
-        # Distinct cycles everywhere: no in-batch dedup and no result-cache
-        # hits, so every request is exactly one lane of exactly one stack.
-        return [
-            {"id": f"s{round_no}-{i}", "tenant": f"team{i % 2}",
-             "system": "cfm",
-             "params": {"n_procs": 4, "bank_cycle": 1,
-                        "cycles": 100 * round_no + 10 * i,
-                        "engine": "stacked"}}
-            for i in range(N_STACK)
-        ]
-
-    async def _read_n(reader, n: int) -> dict:
-        out = {}
-        while len(out) < n:
-            line = await asyncio.wait_for(reader.readline(), timeout=120)
-            assert line, f"connection closed after {len(out)}/{n} responses"
-            resp = json.loads(line)
-            out[resp["id"]] = resp
-        return out
-
-    def _n_stacks(responses: dict) -> int:
-        # Only the first lane of each stack carries the width.
-        return sum(1 for r in responses.values()
-                   if "stack_width" in r.get("worker", {}))
-
-    reader, writer = await asyncio.open_connection(host, port)
-
-    # Round 1: full accounting check while the server keeps running.
-    for req in _requests(1):
-        writer.write((json.dumps(req) + "\n").encode())
-    await writer.drain()
-    responses = await _read_n(reader, N_STACK)
-    assert all(r["ok"] for r in responses.values()), responses
-    stacked = [r for r in responses.values()
-               if r.get("worker", {}).get("stacked")]
-    assert len(stacked) == N_STACK, (len(stacked), responses)
-    widths = [r["worker"]["stack_width"] for r in responses.values()
-              if "stack_width" in r.get("worker", {})]
-    assert sum(widths) == N_STACK, (widths, N_STACK)
-
-    status, metrics = await _http_get(host, port, "/metrics")
-    assert status == 200, status
-    stack_counts = metrics["service"]["serve.stack"]["counts"]
-    assert stack_counts["requests"] == N_STACK, stack_counts
-    assert stack_counts["width"] == stack_counts["requests"], stack_counts
-    assert stack_counts["stacks"] == len(widths), (stack_counts, widths)
-    width_stats = metrics["service"]["serve.stack.width"]
-    assert width_stats["n"] == stack_counts["stacks"], (
-        width_stats, stack_counts)
-
-    # Round 2: send another stack's worth, read ONE response, then SIGTERM
-    # while the rest are in flight.  Graceful shutdown must still deliver
-    # every remaining response before closing the connection.
-    for req in _requests(2):
-        writer.write((json.dumps(req) + "\n").encode())
-    await writer.drain()
-    first = json.loads(await asyncio.wait_for(reader.readline(), timeout=120))
-    assert first["ok"], first
-    proc.send_signal(signal.SIGTERM)
-    late = await _read_n(reader, N_STACK - 1)
-    late[first["id"]] = first
-    assert len(late) == N_STACK, sorted(late)
-    assert all(r["ok"] for r in late.values()), late
-    assert all(r.get("worker", {}).get("stacked") for r in late.values()), late
-    eof = await asyncio.wait_for(reader.readline(), timeout=60)
-    assert eof == b"", eof  # server closed the stream only after draining
-    writer.close()
-
-    n_stacks = len(widths) + _n_stacks(late)
-    print(f"serve smoke OK [stack]: {2 * N_STACK} stacked responses in "
-          f"{n_stacks} stacks, widths summed to request count, "
-          f"{N_STACK - 1} responses drained after SIGTERM")
-    return {"requests": 2 * N_STACK, "stacks": n_stacks}
+    await _drain_on_sigterm(proc, host, port)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-batch", type=int, default=4)
     parser.add_argument("--cache-size", type=int, default=256)
-    parser.add_argument("--stack", action="store_true",
-                        help="drive same-shape engine=stacked traffic and "
-                        "check serve.stack.width accounting plus in-flight "
-                        "stack drain on shutdown")
     args = parser.parse_args(argv)
     proc, host, port = _spawn_server(args.max_batch, args.cache_size)
-    expected = None
     try:
-        if args.stack:
-            expected = asyncio.run(_drive_stack(proc, host, port))
-        else:
-            asyncio.run(_drive(host, port, args.max_batch, args.cache_size))
+        asyncio.run(_drive(proc, host, port, args.max_batch,
+                           args.cache_size))
     finally:
-        # In --stack mode the drive already SIGTERMed mid-stream; the
-        # handler (an Event.set) is idempotent, so signalling again on an
-        # error path is harmless.
+        # The drive already SIGTERMed mid-stream; the handler (an
+        # Event.set) is idempotent, so signalling again on an error path
+        # is harmless.
         if proc.poll() is None:
             proc.send_signal(signal.SIGTERM)
         try:
@@ -330,18 +273,6 @@ def main(argv=None) -> int:
     assert "final metrics: " in stderr, stderr
     assert "Traceback" not in stderr, stderr
     assert "BrokenProcessPool" not in stderr, stderr
-    if expected is not None:
-        final = json.loads(
-            stderr.split("final metrics: ", 1)[1].splitlines()[0])
-        stack_counts = final["service"]["serve.stack"]["counts"]
-        assert stack_counts["requests"] == expected["requests"], stack_counts
-        assert stack_counts["width"] == stack_counts["requests"], stack_counts
-        assert stack_counts["stacks"] == expected["stacks"], (
-            stack_counts, expected)
-        print("final metrics stack accounting OK "
-              f"({stack_counts['stacks']} stacks, width sum "
-              f"{stack_counts['width']} == {stack_counts['requests']} "
-              "stacked requests)")
     print("graceful shutdown OK (drained, final metrics flushed, exit 0)")
     return 0
 

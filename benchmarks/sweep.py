@@ -14,7 +14,7 @@ Usage::
     PYTHONPATH=src python benchmarks/sweep.py --jobs 4
     PYTHONPATH=src python benchmarks/sweep.py --jobs 8 --bench cfm partial
     PYTHONPATH=src python benchmarks/sweep.py --rates 0.02 0.04 --seeds 3
-    PYTHONPATH=src python benchmarks/sweep.py --engine stacked --stack
+    PYTHONPATH=src python benchmarks/sweep.py --engine stacked
 """
 
 from __future__ import annotations
@@ -79,38 +79,27 @@ def main(argv=None) -> int:
                         help="print one line per completed spec to stderr "
                         "as it streams off the pool (failures surface "
                         "immediately, not after the sweep drains)")
-    parser.add_argument("--stack", action="store_true",
-                        help="run engine-pinned same-shape cfm specs as "
-                        "stacked cross-simulation units (reports stay "
-                        "bit-identical to the unstacked sweep)")
     parser.add_argument("--engine", default=None, metavar="ENGINE",
                         help="pin an engine on every spec whose system "
-                        "supports it (stackable specs require a pin; "
-                        "e.g. --engine stacked --stack)")
+                        "supports it (e.g. --engine stacked)")
     args = parser.parse_args(argv)
 
     from repro.fastpath.parallel import sweep
-    from repro.obs.bench import BENCH_SPECS, write_document
+    from repro.obs.bench import BENCH_SPECS, pin_specs, write_document
 
     unknown = [n for n in args.bench if n not in BENCH_SPECS]
     if unknown:
         print(f"error: unknown bench id {unknown[0]!r} "
               f"(valid: {' '.join(sorted(BENCH_SPECS))})", file=sys.stderr)
         return 2
-    specs = build_specs(args)
     if args.engine is not None:
-        from repro.fastpath.engine import ENGINES, engine_available
-        from repro.obs.bench import ENGINE_SYSTEMS
+        from repro.fastpath.engine import ENGINES
 
         if args.engine not in ENGINES:
             print(f"error: unknown engine {args.engine!r} "
                   f"(valid: {' '.join(ENGINES)})", file=sys.stderr)
             return 2
-        for spec in specs:
-            if spec["system"] in ENGINE_SYSTEMS and engine_available(
-                args.engine, str(spec["system"])
-            ):
-                spec["params"]["engine"] = args.engine
+    specs = pin_specs(build_specs(args), engine=args.engine)
     progress = None
     if args.progress:
         def progress(event):
@@ -121,15 +110,11 @@ def main(argv=None) -> int:
                 line += f": {event['error']}"
             print(line, file=sys.stderr, flush=True)
     doc = sweep(specs, jobs=args.jobs, name="sweep", quick=args.quick,
-                timing=not args.no_timing, progress=progress,
-                stack=args.stack)
+                timing=not args.no_timing, progress=progress)
     path = write_document(doc, "sweep", out_dir=args.out)
     timing = doc.get("timing") or {}
     wall = timing.get("wall_time_s")
     suffix = f" in {wall:.2f}s" if wall is not None else ""
-    stacked = (timing.get("stack") or {}).get("stacked_runs")
-    if stacked:
-        suffix += f", {stacked} runs stacked"
     print(f"wrote {path}: {len(specs)} runs, jobs={args.jobs}{suffix}")
     return 0
 

@@ -378,8 +378,8 @@ def _print_hotpath(doc) -> None:
 
 def _cmd_bench(args) -> int:
     from repro.obs.bench import (
-        BENCHMARKS, ENGINE_SYSTEMS, PROFILABLE_SYSTEMS, benchmark_specs,
-        run_benchmark, write_document,
+        BENCHMARKS, benchmark_specs, pin_specs, run_benchmark,
+        write_document,
     )
 
     if args.list_benches:
@@ -395,30 +395,14 @@ def _cmd_bench(args) -> int:
         return _fail_unknown("bench", unknown[0], BENCHMARKS)
     status = 0
     for name in names:
-        if args.parallel > 1 or args.stack:
-            # --stack routes through the sweep runner even single-process:
-            # stacking is a property of the spec plan, not of the pool.
+        if args.parallel > 1:
             from repro.fastpath.parallel import sweep
 
-            specs = benchmark_specs(name, quick=args.quick)
-            if args.profile:
-                for spec in specs:
-                    if spec["system"] in PROFILABLE_SYSTEMS:
-                        spec["params"]["profile"] = True
-            if args.engine is not None:
-                from repro.fastpath.engine import engine_available
-
-                # Mirror run_benchmark's pinning rule: only pin systems
-                # the engine can actually drive (``stacked`` is cfm-only).
-                for spec in specs:
-                    if spec["system"] in ENGINE_SYSTEMS and engine_available(
-                        args.engine, spec["system"]
-                    ):
-                        spec["params"]["engine"] = args.engine
+            specs = pin_specs(benchmark_specs(name, quick=args.quick),
+                              profile=args.profile, engine=args.engine)
             doc = sweep(
                 specs, jobs=args.parallel, name=name,
                 quick=args.quick or name == "quick", timing=args.timing,
-                stack=args.stack,
             )
         else:
             doc = run_benchmark(name, quick=args.quick, timing=args.timing,
@@ -597,12 +581,6 @@ def main(argv=None) -> int:
         "vectorized and stacked are aliases of batch (stacked is "
         "cfm-only; other layers keep their defaults); results are "
         "bit-identical across engines",
-    )
-    p_bench.add_argument(
-        "--stack", action="store_true",
-        help="execute engine-pinned same-shape cfm runs as stacked "
-        "cross-simulation units (combine with --engine stacked; reports "
-        "stay bit-identical to unstacked runs)",
     )
     p_serve = sub.add_parser(
         "serve",

@@ -15,8 +15,10 @@ layer dispatches through.  ``reference`` is the per-slot tick.  ``batch``
 is the one epoch driver, :meth:`repro.core.cfm.CFMemory.run_batch`, and
 ``vectorized`` and ``stacked`` are wire-level aliases of it.  The cache
 and hierarchy batchers share its per-epoch word movement,
-``CFMemory._advance_span``.  :mod:`repro.fastpath.stack` runs batches of
-same-shape CFM run specs.
+``CFMemory._advance_span``.  :mod:`repro.fastpath.stack` validates a list
+of same-shape CFM run specs and runs them one by one: runs are pure
+functions of their spec and share no work, so the sweep runner and the
+serving layer run ``engine="stacked"`` specs like any other.
 
 Every fast path is differentially tested against the slot-by-slot
 reference path for bit-identical traces, metrics, and bench payloads

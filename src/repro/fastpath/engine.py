@@ -50,8 +50,8 @@ DEFAULT_ENGINE = ENGINE_BATCH
 ENGINE_LAYERS: Tuple[str, ...] = ("cfm", "cache", "hierarchy")
 
 #: Which layers each engine supports.  Engines absent from this map run
-#: on every seam layer; ``stacked`` names cross-run CFM stacking
-#: (:func:`repro.fastpath.stack.run_specs_stacked`), which has no
+#: on every seam layer; ``stacked`` is the name CFM run specs batched by
+#: :func:`repro.fastpath.stack.run_specs_stacked` carry, which has no
 #: cache/hierarchy counterpart.
 ENGINE_LAYER_SUPPORT = {
     ENGINE_STACKED: ("cfm",),

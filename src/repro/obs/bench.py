@@ -82,53 +82,6 @@ def _run_report(system: str, params: Dict[str, object], summary,
 # Individual runs
 
 
-def _cfm_engine_setup(n_procs: int, bank_cycle: int,
-                      probe: Optional[Probe] = None):
-    """Build one engine-driven CFM run, primed but not yet advanced.
-
-    Returns ``(params, summary, mem)`` with the saturating full-load read
-    workload wired as completion callbacks — the identical issue stream
-    under every engine strategy.  The stacked engine's spec runner
-    (:func:`repro.fastpath.stack.run_specs_stacked`) builds its lanes
-    through this same helper so a stacked run report is assembled from
-    exactly the serial path's state."""
-    from repro.core.cfm import AccessKind, AccessState, CFMemory
-    from repro.core.config import CFMConfig
-    from repro.sim.stats import RunSummary
-
-    cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
-    params: Dict[str, object] = {
-        "n_procs": n_procs, "bank_cycle": bank_cycle,
-        "n_banks": cfg.n_banks, "beta": cfg.block_access_time,
-        "workload": "full_load_reads",
-    }
-    summary = RunSummary()
-    mem = CFMemory(cfg, probe=probe)
-
-    def finished_e(acc) -> None:
-        if acc.state is AccessState.COMPLETED:
-            summary.completed += 1
-            summary.latencies.add(acc.latency)
-        else:
-            summary.retries += acc.restarts or 1
-        # Keep the processor saturated: completion slots are engine-
-        # invariant, so every engine sees the identical issue stream.
-        mem.issue(acc.proc, AccessKind.READ, offset=acc.proc % 4,
-                  on_finish=finished_e)
-
-    for p in range(n_procs):
-        mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=finished_e)
-    return params, summary, mem
-
-
-def _cfm_engine_report(params: Dict[str, object], summary, cycles: int,
-                       engine: str) -> Dict[str, object]:
-    """Assemble the run report of one advanced engine-driven CFM run."""
-    summary.cycles = cycles
-    params["engine"] = engine
-    return _run_report("cfm", params, summary, MetricsRegistry(), "cfm.bank")
-
-
 def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
              probe: Optional[Probe] = None,
              engine: Optional[str] = None) -> Dict[str, object]:
@@ -142,19 +95,13 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
     path, which would make an engine comparison vacuous); reissues are
     callback-driven, so the workload is identical across engines.
     """
-    from repro.core.cfm import AccessState
+    from repro.core.cfm import AccessKind, AccessState, CFMemory
+    from repro.core.config import CFMConfig
     from repro.fastpath.engine import resolve_engine
+    from repro.sim.stats import RunSummary
 
     if engine is not None:
         resolve_engine(engine, layer="cfm")  # fail fast, typed
-        params, summary, mem = _cfm_engine_setup(n_procs, bank_cycle,
-                                                 probe=probe)
-        mem.run_engine(cycles, engine=engine)
-        return _cfm_engine_report(params, summary, cycles, engine)
-    from repro.core.cfm import AccessKind, CFMemory
-    from repro.core.config import CFMConfig
-    from repro.sim.stats import RunSummary
-
     cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
     params: Dict[str, object] = {
         "n_procs": n_procs, "bank_cycle": bank_cycle,
@@ -162,6 +109,27 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
         "workload": "full_load_reads",
     }
     summary = RunSummary()
+    if engine is not None:
+        mem = CFMemory(cfg, probe=probe)
+
+        def finished_e(acc) -> None:
+            if acc.state is AccessState.COMPLETED:
+                summary.completed += 1
+                summary.latencies.add(acc.latency)
+            else:
+                summary.retries += acc.restarts or 1
+            # Keep the processor saturated: completion slots are engine-
+            # invariant, so every engine sees the identical issue stream.
+            mem.issue(acc.proc, AccessKind.READ, offset=acc.proc % 4,
+                      on_finish=finished_e)
+
+        for p in range(n_procs):
+            mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=finished_e)
+        mem.run_engine(cycles, engine=engine)
+        summary.cycles = cycles
+        params["engine"] = engine
+        return _run_report("cfm", params, summary, MetricsRegistry(),
+                           "cfm.bank")
     metrics = MetricsRegistry()
     mem = CFMemory(cfg, probe=probe, metrics=metrics)
     outstanding = [False] * n_procs
@@ -644,6 +612,30 @@ ENGINE_SYSTEMS = frozenset({"cfm", "cache", "hierarchy", "qos"})
 SYSTEM_ENGINE_LAYER = {"qos": "cfm"}
 
 
+def pin_specs(specs: List[Dict[str, object]], profile: bool = False,
+              engine: Optional[str] = None) -> List[Dict[str, object]]:
+    """Apply ``repro bench``'s ``--profile``/``--engine`` pins in place.
+
+    ``profile`` marks every run of :data:`PROFILABLE_SYSTEMS`.  ``engine``
+    pins every run of :data:`ENGINE_SYSTEMS` whose seam layer
+    (:data:`SYSTEM_ENGINE_LAYER`) the engine can drive, so ``stacked``
+    reaches ``cfm`` and ``qos`` and leaves the other seam systems on their
+    default engine.  The one pinning rule of :func:`run_benchmark` and the
+    sweep runners; returns ``specs``."""
+    from repro.fastpath.engine import engine_available
+
+    for spec in specs:
+        system = str(spec["system"])
+        params = spec["params"]
+        if profile and system in PROFILABLE_SYSTEMS:
+            params["profile"] = True  # type: ignore[index]
+        if (engine is not None and system in ENGINE_SYSTEMS
+                and engine_available(
+                    engine, SYSTEM_ENGINE_LAYER.get(system, system))):
+            params["engine"] = engine  # type: ignore[index]
+    return specs
+
+
 def run_spec(spec: Dict[str, object]) -> Dict[str, object]:
     """Execute one run spec and return its run report."""
     system = spec.get("system")
@@ -666,8 +658,7 @@ def _spec(system: str, **params: object) -> Dict[str, object]:
 def specs_quick(quick: bool = True) -> List[Dict[str, object]]:
     """The smoke trajectory: CFM + interleaved baseline + one run through
     each batched layer (cache protocol, two-level hierarchy), plus an
-    ``engine="stacked"`` CFM run (a width-1 stack here; the sweep and
-    the serving layer stack it wider)."""
+    ``engine="stacked"`` CFM run."""
     cycles = 2_000 if quick else 20_000
     rounds = 4 if quick else 20
     return [
@@ -834,21 +825,12 @@ def run_benchmark(name: str, quick: bool = False,
     ``params.engine`` and observer-dependent sections.  Engines with a
     restricted layer set (``stacked`` is CFM-only) leave the other seam
     systems on their default engine rather than failing the document."""
-    from repro.fastpath.engine import engine_available, resolve_engine
+    from repro.fastpath.engine import resolve_engine
 
     if engine is not None:
         engine = resolve_engine(engine)  # fail fast on unknown names
-    specs = benchmark_specs(name, quick=quick)
-    if profile:
-        for spec in specs:
-            if spec["system"] in PROFILABLE_SYSTEMS:
-                spec["params"]["profile"] = True  # type: ignore[index]
-    if engine is not None:
-        for spec in specs:
-            system = str(spec["system"])
-            layer = SYSTEM_ENGINE_LAYER.get(system, system)
-            if system in ENGINE_SYSTEMS and engine_available(engine, layer):
-                spec["params"]["engine"] = engine  # type: ignore[index]
+    specs = pin_specs(benchmark_specs(name, quick=quick), profile=profile,
+                      engine=engine)
     doc: Dict[str, object] = {
         "bench": name, "schema": SCHEMA,
         "quick": bool(quick or name == "quick"),

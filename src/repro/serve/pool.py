@@ -16,10 +16,6 @@ typed fault (:class:`repro.faults.FaultError` subclass or
 not a worker death — and anything else as an untyped error dict.  The
 worker that served a faulted request serves the next one.
 
-:meth:`ShardedWorkerPool.run_async` bridges ``apply_async`` onto an
-asyncio future via ``loop.call_soon_threadsafe``, so the front-end awaits
-results without burning a thread per in-flight request.
-
 Batch dispatch (:func:`serve_worker_batch` via
 :meth:`ShardedWorkerPool.submit_batch`) carries a whole micro-batch of
 requests through **one** pool task — one pickle/IPC round trip instead of
@@ -31,7 +27,6 @@ builds batches; this module only executes them.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -142,96 +137,29 @@ def serve_worker(payload: Dict[str, object]) -> WorkerResult:
     return base
 
 
-def _run_stacked_lanes(lane_payloads: Sequence[Dict[str, object]]
-                       ) -> List[WorkerResult]:
-    """Serve same-shape ``engine="stacked"`` payloads as one stacked run.
-
-    Reports are bit-identical to per-payload :func:`serve_worker` (the
-    stage-4 invariant); the envelope differs only in accounting: every
-    lane carries ``"stacked": True``, the first lane carries the stack's
-    ``"stack_width"`` and table-cache delta, and the stack's wall clock is
-    attributed evenly across lanes.  Any stacking error degrades to
-    per-payload :func:`serve_worker`, which never raises."""
-    from repro.fastpath.stack import run_specs_stacked
-
-    t0 = time.perf_counter()
-    hits0, misses0 = _table_cache_stats()
-    specs = [{"system": p["system"], "params": dict(p.get("params") or {})}
-             for p in lane_payloads]
-    try:
-        reports = run_specs_stacked(specs)
-    except Exception:  # noqa: BLE001 — failures-as-data boundary
-        return [serve_worker(p) for p in lane_payloads]
-    hits1, misses1 = _table_cache_stats()
-    wall_ms = (time.perf_counter() - t0) * 1e3 / len(lane_payloads)
-    results: List[WorkerResult] = []
-    for k, report in enumerate(reports):
-        result: WorkerResult = {
-            "pid": os.getpid(), "ok": True, "report": report,
-            "wall_ms": wall_ms, "stacked": True,
-            "tables": ({"hits": hits1 - hits0, "misses": misses1 - misses0}
-                       if k == 0 else {"hits": 0, "misses": 0}),
-        }
-        if k == 0:
-            result["stack_width"] = len(lane_payloads)
-        results.append(result)
-    return results
-
-
 def serve_worker_batch(payloads: Sequence[Dict[str, object]]
                        ) -> List[WorkerResult]:
     """Worker-side batch entry point: N payloads → N result dicts, one IPC.
 
     Per-request semantics are exactly :func:`serve_worker`'s (typed faults
-    as data, never raises); duplicate specs are served by one engine run.
-    Fault-injected payloads are never deduplicated — each one exercises the
-    fault path it asked for.
-
-    After deduplication, unique payloads that ask for the stacked engine
-    (``params["engine"] == "stacked"``, no injection) execute as **one**
-    stacked cross-simulation run per ``(n_banks, bank_cycle)`` shape
-    (:func:`repro.fastpath.stack.run_specs_stacked`) — the batcher already
-    groups by shape, so a flush is normally a single stack.  Lane results
-    carry ``"stacked"``/``"stack_width"`` accounting (replicated duplicate
-    results don't: a duplicate was not a lane, so per-batch stack widths
-    sum to exactly the number of stacked-executed requests)."""
-    from repro.fastpath.stack import stack_shape, stackable_spec
+    as data, never raises, each run timed on its own); duplicate specs are
+    served by one engine run.  Fault-injected payloads are never
+    deduplicated — each one exercises the fault path it asked for."""
     from repro.serve.cache import canonical_payload
 
     results: List[Optional[WorkerResult]] = [None] * len(payloads)
     seen: Dict[str, int] = {}
-    dup_of: Dict[int, int] = {}
-    serial: List[int] = []
-    stacks: Dict[Tuple[int, int], List[int]] = {}
     for i, payload in enumerate(payloads):
         if payload.get("inject") is None:
             key = canonical_payload(payload)
             first = seen.get(key)
             if first is not None:
-                dup_of[i] = first
+                dup = dict(results[first])  # type: ignore[arg-type]
+                dup["deduped"] = True
+                results[i] = dup
                 continue
             seen[key] = i
-        spec = {"system": payload.get("system"),
-                "params": payload.get("params") or {},
-                "inject": payload.get("inject")}
-        if (isinstance(spec["params"], dict)
-                and spec["params"].get("engine") == "stacked"
-                and stackable_spec(spec)):
-            stacks.setdefault(stack_shape(spec), []).append(i)
-        else:
-            serial.append(i)
-    for i in serial:
-        results[i] = serve_worker(payloads[i])
-    for lanes in stacks.values():
-        for i, result in zip(lanes,
-                             _run_stacked_lanes([payloads[i] for i in lanes])):
-            results[i] = result
-    for i, first in dup_of.items():
-        dup = dict(results[first])  # type: ignore[arg-type]
-        dup["deduped"] = True
-        dup.pop("stacked", None)
-        dup.pop("stack_width", None)
-        results[i] = dup
+        results[i] = serve_worker(payload)
     return results  # type: ignore[return-value]
 
 
@@ -310,31 +238,6 @@ class ShardedWorkerPool:
                  shard: Optional[int] = None) -> WorkerResult:
         """Blocking dispatch — the bench baseline and tests use this."""
         return self.submit(payload, shard=shard).get()
-
-    async def run_async(self, payload: Dict[str, object],
-                        shard: Optional[int] = None) -> WorkerResult:
-        """Awaitable dispatch: resolves when the worker's result lands."""
-        if shard is None:
-            shard = self.shard_of(str(payload["system"]),
-                                  dict(payload.get("params") or {}))
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[WorkerResult]" = loop.create_future()
-
-        def _done(result: WorkerResult) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_result(result)
-            )
-
-        def _failed(exc: BaseException) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_exception(exc)
-            )
-
-        self.dispatched[shard] += 1
-        self._pools[shard].apply_async(
-            serve_worker, (payload,), callback=_done, error_callback=_failed
-        )
-        return await future
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -175,7 +175,7 @@ class SimulationService:
         else:
             response["error"] = result.get("error")
         worker: Dict[str, object] = {}
-        for field in ("pid", "tables", "deduped", "stacked", "stack_width"):
+        for field in ("pid", "tables", "deduped"):
             if field in result:
                 worker[field] = result[field]
         if worker:
@@ -199,17 +199,6 @@ class SimulationService:
             shard_tables = self.metrics.counter(f"serve.tables[{shard}]")
             shard_tables.incr("hits", int(tables.get("hits") or 0))
             shard_tables.incr("misses", int(tables.get("misses") or 0))
-        if result.get("stacked"):
-            # Stacked-execution accounting (invariant: ``width`` sums to
-            # ``requests`` — every stacked-executed request is exactly one
-            # lane of exactly one stack; the first lane carries the width).
-            stack = self.metrics.counter("serve.stack")
-            stack.incr("requests")
-            width = result.get("stack_width")
-            if width is not None:
-                stack.incr("stacks")
-                stack.incr("width", int(width))
-                self.metrics.stats("serve.stack.width").add(float(width))
         shape = shape_of(request.system, request.params)
         if shape is not None:
             self.metrics.counter(

@@ -479,6 +479,28 @@ class TestParallelSweep:
         assert "timing" not in bare
         assert bare["runs"] == doc["runs"]
 
+    def test_parallel_bench_pins_engines_like_run_benchmark(self, tmp_path):
+        """``repro bench --parallel`` and the sweep runner pin engines by
+        :func:`repro.obs.bench.run_benchmark`'s rule, including its
+        qos -> cfm layer mapping: the runs are identical."""
+        import json
+
+        from repro.cli import main
+        from repro.fastpath.parallel import sweep
+        from repro.obs import bench
+
+        expected = bench.run_benchmark("qos", quick=True,
+                                       engine="batch")["runs"]
+        assert {r["params"]["engine"] for r in expected} == {"batch"}
+        assert main(["bench", "qos", "--quick", "--engine", "batch",
+                     "--parallel", "2", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "BENCH_qos.json").read_text())
+        assert doc["runs"] == json.loads(json.dumps(expected))
+        specs = bench.pin_specs(bench.benchmark_specs("qos", quick=True),
+                                engine="batch")
+        assert sweep(specs, jobs=1, name="qos", quick=True,
+                     timing=False)["runs"] == expected
+
     def test_derive_seed_deterministic_and_distinct(self):
         from repro.fastpath.parallel import derive_seed
 

@@ -20,10 +20,7 @@ Proof obligations:
   while a clean lane stays batched, and both remain bit-identical to
   their serial runs;
 * **metrics-snapshot identity** — observed lanes see the identical
-  event stream stacked or serial;
-* **sweep integration** — ``sweep(..., stack=True)`` groups stackable
-  specs by shape, produces the identical document (serial or pooled),
-  and records the stacking plan under ``timing.stack``.
+  event stream stacked or serial.
 """
 
 from __future__ import annotations
@@ -409,49 +406,3 @@ def test_width_one_stack_is_the_run_engine_stacked_path():
     mem, log = _reads(CFMConfig(n_procs=8, bank_cycle=2))
     mem.run_engine(160, engine=ENGINE_STACKED)
     assert _fingerprint(mem, log) == _fingerprint(serial_mem, serial_log)
-
-
-# --------------------------------------------------------------------------
-# Sweep integration (satellite: shape-grouped stacking in the harness)
-
-
-class TestStackedSweep:
-    SPECS = [
-        _spec(8, 2, 200, "stacked"),
-        {"system": "interleaved",
-         "params": {"n_procs": 8, "n_modules": 8, "rate": 0.04, "beta": 17,
-                    "cycles": 500, "seed": 7}},
-        _spec(8, 2, 300, "vectorized"),   # same shape, different pin
-        _spec(4, 1, 150, "stacked"),      # second shape group
-        {"system": "cfm",                 # engineless: observed, unstackable
-         "params": {"n_procs": 8, "bank_cycle": 2, "cycles": 200}},
-        _spec(8, 2, 200, "stacked"),      # duplicate of SPECS[0]
-    ]
-
-    def test_stacked_sweep_identical_serial_and_pooled(self):
-        from repro.fastpath.parallel import sweep
-
-        plain = sweep(_normalized(self.SPECS), jobs=1, name="t")
-        stacked = sweep(_normalized(self.SPECS), jobs=1, name="t", stack=True)
-        pooled = sweep(_normalized(self.SPECS), jobs=2, name="t", stack=True)
-        for doc in (plain, stacked, pooled):
-            doc.pop("timing")
-        assert stacked == plain
-        assert pooled == plain
-
-    def test_timing_records_the_stack_plan(self):
-        from repro.fastpath.parallel import sweep
-
-        doc = sweep(_normalized(self.SPECS), jobs=1, name="t", timing=True,
-                    stack=True)
-        # One multi-lane unit — the (16, 2) group: specs 0, 2, and 5.
-        # The (4, 1) group is width-1 and is demoted to a singleton.
-        assert doc["timing"]["stack"] == {"units": 1, "stacked_runs": 3}
-        assert len(doc["timing"]["runs"]) == len(self.SPECS)
-
-    def test_unstacked_sweep_has_no_stack_section(self):
-        from repro.fastpath.parallel import sweep
-
-        doc = sweep(_normalized(self.SPECS[:1]), jobs=1, name="t",
-                    timing=True)
-        assert "stack" not in doc["timing"]

@@ -124,80 +124,29 @@ class TestServeWorkerBatch:
 
 
 # --------------------------------------------------------------------------
-# Stacked execution inside a batch (stage 4)
+# Engine-pinned ``stacked`` payloads inside a batch
 
 
-def _stacked(cycles, n_procs=4, bank_cycle=1):
+def _stacked(cycles):
     return {"system": "cfm",
-            "params": {"n_procs": n_procs, "bank_cycle": bank_cycle,
-                       "cycles": cycles, "engine": "stacked"}}
+            "params": dict(CFM_PARAMS, cycles=cycles, engine="stacked")}
 
 
 class TestStackedBatch:
-    def test_stacked_flush_is_one_run_and_bit_identical(self):
-        payloads = [_stacked(100), _stacked(150), _stacked(200)]
+    def test_stacked_payloads_report_their_own_time(self):
+        """``engine="stacked"`` payloads run one by one like any other
+        payload: the same envelope and report as :func:`serve_worker`, and
+        each ``wall_ms`` is the payload's own run, not a share of its
+        batch-mates' time."""
+        payloads = [_stacked(100), _stacked(20_000)]
         results = serve_worker_batch(payloads)
         for payload, result in zip(payloads, results):
             assert result["ok"], result.get("error")
-            assert result["stacked"] is True
             alone = serve_worker(_normalized(payload))
+            assert set(result) == set(alone)
             assert (_normalized(result["report"])
                     == _normalized(alone["report"]))
-        # Exactly one first lane carries the width of the whole stack.
-        widths = [r["stack_width"] for r in results if "stack_width" in r]
-        assert widths == [3]
-
-    def test_width_sums_to_stacked_request_count(self):
-        """The serve.stack invariant at the worker level: across a mixed
-        batch — duplicates, a second shape group, non-stacked riders —
-        the first-lane widths sum to exactly the number of results that
-        executed stacked."""
-        payloads = [
-            _stacked(100),
-            _stacked(100),             # duplicate: deduped, NOT a lane
-            _stacked(150),
-            _stacked(80, n_procs=8, bank_cycle=2),  # second shape group
-            _cfm(100),                 # engineless: never stacked
-        ]
-        results = serve_worker_batch(payloads)
-        assert all(r["ok"] for r in results)
-        stacked_results = [r for r in results if r.get("stacked")]
-        widths = [r["stack_width"] for r in results if "stack_width" in r]
-        assert sum(widths) == len(stacked_results) == 3
-        assert sorted(widths) == [1, 2]  # (4,1) group of 2, (16,2) group of 1
-        # The dedup replica inherits the report but no stack bookkeeping —
-        # else widths would double-count.
-        dup = results[1]
-        assert dup["deduped"] is True
-        assert "stacked" not in dup and "stack_width" not in dup
-        assert (_normalized(dup["report"])
-                == _normalized(results[0]["report"]))
-        # The engineless rider is untouched by the stacking path.
-        assert "stacked" not in results[4]
-
-    def test_service_accounting_width_sums_to_requests(self, pool):
-        """Service-level serve.stack counters: width always sums to the
-        stacked-executed request count, stacks matches the width samples."""
-
-        async def scenario():
-            service = SimulationService(pool=pool, max_inflight=8,
-                                        max_batch=4, cache_size=0)
-            tasks = [asyncio.ensure_future(service.process(
-                {"id": f"k{i}", "system": "cfm",
-                 "params": dict(CFM_PARAMS, cycles=100 + 10 * i,
-                                engine="stacked")})) for i in range(6)]
-            await asyncio.sleep(0)
-            await service.drain()
-            return service, [t.result() for t in tasks]
-
-        service, results = asyncio.run(scenario())
-        assert all(r["ok"] for r in results)
-        snap = service.metrics_snapshot()
-        counts = snap["service"]["serve.stack"]["counts"]
-        assert counts["requests"] == 6
-        assert counts["width"] == counts["requests"]
-        width_stats = snap["service"]["serve.stack.width"]
-        assert width_stats["n"] == counts["stacks"] >= 1
+        assert results[1]["wall_ms"] > results[0]["wall_ms"]
 
 
 # --------------------------------------------------------------------------
