@@ -43,6 +43,7 @@ import asyncio
 import json
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Tuple
 
 from repro.obs.bench import SCHEMA, run_spec
@@ -105,9 +106,9 @@ def _assert_identical_to_serial(results: List[Dict[str, object]],
 
 
 def _cold_caches() -> None:
-    """Baseline pool initializer: start genuinely cold.
+    """Baseline executor initializer: start genuinely cold.
 
-    Linux pools fork, so a 'fresh' worker inherits the parent's warm
+    Linux executors fork, so a 'fresh' worker inherits the parent's warm
     ``lru_cache`` tables — clearing them keeps the baseline honest."""
     from repro.fastpath import tables
 
@@ -121,21 +122,24 @@ def measure_warm(payloads: List[Dict[str, object]],
     """Steady-state seconds to serve ``payloads`` through one warm pool."""
     with ShardedWorkerPool(n_shards=n_shards) as pool:
         t0 = time.perf_counter()
-        handles = [pool.submit(dict(p)) for p in payloads]
-        results = [h.get() for h in handles]
+        futures = []
+        for p in payloads:
+            shard = pool.shard_of(p["system"], p["params"])
+            futures.append(pool.submit([dict(p)], shard))
+        results = [f.result()[0] for f in futures]
         elapsed = time.perf_counter() - t0
     return elapsed, results
 
 
 def measure_fresh(payloads: List[Dict[str, object]]) -> Tuple[float, List[Dict[str, object]]]:
-    """Seconds to serve ``payloads`` standing up one cold pool per request."""
-    import multiprocessing as mp
-
+    """Seconds to serve ``payloads`` standing up one cold executor per
+    request."""
     results = []
     t0 = time.perf_counter()
     for payload in payloads:
-        with mp.Pool(processes=1, initializer=_cold_caches) as pool:
-            results.append(pool.apply(serve_worker, (dict(payload),)))
+        with ProcessPoolExecutor(1, initializer=_cold_caches) as executor:
+            results.append(executor.submit(serve_worker,
+                                           dict(payload)).result())
     elapsed = time.perf_counter() - t0
     return elapsed, results
 

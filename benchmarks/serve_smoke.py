@@ -20,11 +20,17 @@ connection:
   content-addressed hit whose per-tenant hit/miss accounting sums to the
   tenant's request count.
 
-After the metrics check the drive sends one more round of requests that
-pin ``engine="stacked"`` (the CFM-only alias of the batch driver), reads
-one response, and SIGTERMs the server with the rest in flight: graceful
+After the metrics check the drive kills a worker: it takes one shard's
+worker pid from a response, puts a long spec in flight on that shard and
+SIGKILLs the pid.  The victim must get the typed ``BrokenProcessPool``
+error, requests on the other shard must complete, and the next request to
+the killed shard must succeed from a new worker pid.
+
+The drive ends with one more round of requests that pin
+``engine="stacked"`` (the CFM-only alias of the batch driver): it reads
+one response and SIGTERMs the server with the rest in flight; graceful
 shutdown must still deliver every remaining response before it closes
-the connection.
+the connection — with a worker killed earlier in the same server's life.
 
 ``--max-batch``/``--cache-size`` select the serving mode under test; CI
 runs both PR 7's per-request mode (``--max-batch 1 --cache-size 0``) and
@@ -64,6 +70,10 @@ FAULTED = {
 INVALID = {"id": "invalid", "system": "cfm", "params": {"frobnicate": 1}}
 
 N_DRAIN = 8  # engine="stacked" requests in flight across the SIGTERM
+
+#: Worker time of the kill round's victim: long enough to still be running
+#: when the SIGKILL lands.
+VICTIM_CYCLES = 500_000
 
 
 def _spawn_server(max_batch: int, cache_size: int):
@@ -105,6 +115,52 @@ async def _read_n(reader, n: int) -> dict:
         resp = json.loads(line)
         out[resp["id"]] = resp
     return out
+
+
+def _cfm(rid: str, bank_cycle: int, cycles: int) -> dict:
+    return {"id": rid, "system": "cfm",
+            "params": {"n_procs": 4, "bank_cycle": bank_cycle,
+                       "cycles": cycles}}
+
+
+async def _kill_worker(host: str, port: int) -> None:
+    """SIGKILL one shard's worker with a long request running on it: the
+    victim gets the typed ``BrokenProcessPool`` error, the other shard
+    keeps serving, and the killed shard serves again from a new worker."""
+    reader, writer = await asyncio.open_connection(host, port)
+
+    async def send(*requests) -> None:
+        for req in requests:
+            writer.write((json.dumps(req) + "\n").encode())
+        await writer.drain()
+
+    # Cycle counts unlike any other round's: no cache hits, no dedup.
+    await send(_cfm("k-probe", 1, 4321))
+    probe = (await _read_n(reader, 1))["k-probe"]
+    assert probe["ok"] and "worker" in probe, probe
+    pid, shard = probe["worker"]["pid"], probe["shard"]
+    others = [_cfm(f"k-other{i}", 2, 4400 + i) for i in range(3)]
+    await send(_cfm("k-victim", 1, VICTIM_CYCLES), *others)
+    await asyncio.sleep(0.5)  # the victim is now running on that worker
+    os.kill(pid, signal.SIGKILL)
+    got = await _read_n(reader, 1 + len(others))
+    victim = got["k-victim"]
+    assert victim["ok"] is False, victim
+    assert victim["error"]["type"] == "BrokenProcessPool", victim["error"]
+    assert victim["error"]["typed"] is True, victim["error"]
+    assert victim["error"]["kind"] == "worker", victim["error"]
+    for req in others:
+        resp = got[req["id"]]
+        assert resp["ok"] and resp["shard"] != shard, resp
+    await send(_cfm("k-after", 1, 4322))
+    after = (await _read_n(reader, 1))["k-after"]
+    assert after["ok"] and after["shard"] == shard, after
+    assert after["worker"]["pid"] != pid, (after["worker"], pid)
+    writer.close()
+    print(f"worker kill OK: shard {shard} worker {pid} killed mid-request, "
+          f"victim got a typed BrokenProcessPool error, {len(others)} "
+          f"requests on the other shard completed, shard {shard} served "
+          f"again from worker {after['worker']['pid']}")
 
 
 async def _drain_on_sigterm(proc, host: str, port: int) -> None:
@@ -243,6 +299,7 @@ async def _drive(proc, host: str, port: int, max_batch: int,
           f"{cache['hits']} cache hits, "
           f"peak inflight {metrics['inflight']['peak']}"
           f"/{metrics['inflight']['max']}")
+    await _kill_worker(host, port)
     await _drain_on_sigterm(proc, host, port)
 
 

@@ -3,19 +3,19 @@
 A benchmark sweep is embarrassingly parallel — every run spec
 (:func:`repro.obs.bench.run_spec`) is a pure function of its parameters,
 with all randomness derived from an explicit seed inside the spec.  This
-module maps specs across a :class:`multiprocessing.Pool` and merges the
-reports into one ``repro-bench/1`` document, bit-identical to a serial
-run of the same specs (asserted by the test suite for jobs ∈ {1, 2}).
+module maps specs across a :class:`~concurrent.futures.ProcessPoolExecutor`
+and merges the reports into one ``repro-bench/1`` document, bit-identical
+to a serial run of the same specs (asserted for jobs ∈ {1, 2}).
 
-Worker functions are module-level so they pickle under the default
-``spawn``/``fork`` start methods; per-spec wall times ride back alongside
+Worker functions are module-level so they pickle under any start
+method; per-spec wall times ride back alongside
 the report and are merged into the document's opt-in ``timing`` section,
 never into ``runs``.  Every spec is its own task: runs share no work, so
 there is nothing to gain from grouping them (same-shape CFM specs can
 still be run as a batch through :func:`repro.fastpath.stack.run_specs_stacked`).
 
-A spec that raises inside a worker no longer surfaces as a raw
-multiprocessing traceback killing the whole sweep: the worker catches the
+A spec that raises inside a worker does not surface as a raw worker
+traceback killing the whole sweep: the worker catches the
 exception and sends it back as data, the surviving runs are preserved in
 the document, and failures are listed in its ``failures`` section (the CLI
 prints them to stderr and exits 1).
@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 import traceback
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.bench import SCHEMA, ops_per_sec, run_spec
@@ -48,9 +49,9 @@ def derive_seed(base: int, *keys: object) -> int:
 
 
 def _timed_run_spec(spec: Dict[str, object]) -> SpecResult:
-    """Pool worker: one spec -> (report, wall seconds, error).  Module-level
-    so it pickles; exceptions come back as strings, not tracebacks that kill
-    the pool."""
+    """Worker task: one spec -> (report, wall seconds, error).  Module-level
+    so it pickles; exceptions come back as strings, not tracebacks that
+    abort the sweep."""
     t0 = time.perf_counter()
     try:
         report = run_spec(spec)
@@ -69,12 +70,11 @@ def map_specs(
     ``jobs <= 1`` runs inline (no pool, no pickling) — the degenerate case
     the equivalence tests compare the pooled path against.
 
-    Pooled execution streams through ``Pool.imap`` rather than blocking on
-    ``Pool.map``: results surface one at a time, in spec order, as workers
-    finish them.  ``on_result(index, spec, result)`` — when given — fires
-    per completed spec on both paths, so a caller can report progress (or a
-    first failure) while later specs are still running.  The returned list
-    is identical to the old blocking semantics."""
+    Pooled execution streams through ``ProcessPoolExecutor.map``: results
+    surface one at a time, in spec order, as workers finish them.
+    ``on_result(index, spec, result)`` — when given — fires per completed
+    spec on both paths, so a caller can report progress (or a first
+    failure) while later specs are still running."""
     def collect(stream) -> List[SpecResult]:
         results = []
         for i, result in enumerate(stream):
@@ -85,10 +85,8 @@ def map_specs(
 
     if jobs <= 1 or len(specs) <= 1:
         return collect(map(_timed_run_spec, specs))
-    import multiprocessing as mp
-
-    with mp.Pool(processes=min(jobs, len(specs))) as pool:
-        return collect(pool.imap(_timed_run_spec, list(specs)))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
+        return collect(pool.map(_timed_run_spec, specs))
 
 
 def sweep(
@@ -111,8 +109,8 @@ def sweep(
 
     ``progress`` — when given — receives one event dict per completed spec
     *as it completes* (``{"index", "total", "system", "wall_time_s",
-    "error"}``), streamed off :func:`map_specs`'s ``imap`` path: a failure
-    in spec 2 of 40 surfaces on event 2, not after the whole pool drains.
+    "error"}``), streamed off :func:`map_specs`: a failure in spec 2 of 40
+    surfaces on event 2, not after the whole pool drains.
     The document itself is unaffected (progress is observational only)."""
     t0 = time.perf_counter()
     on_result: Optional[ResultCallback] = None

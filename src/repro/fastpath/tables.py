@@ -106,11 +106,11 @@ def warm_tables(shapes) -> int:
     shapes; returns the number of tables touched.
 
     This is the serving layer's cache warmer: a worker process that owns a
-    set of shapes (:func:`repro.serve.shard.shard_for_shape`) calls this
-    from its pool initializer so the first request it serves already finds
+    set of shapes (:func:`repro.serve.shard.shard_for_shape`) runs this as
+    its first task so the first request it serves already finds
     ``slot_bank_table``/``bank_orders``/``shift_permutations`` hot.
     Invalid shapes raise the same ``ValueError`` the tables would, so a
-    misconfigured shard fails at pool start, not mid-request.
+    misconfigured shard fails at pool construction, not mid-request.
     """
     touched = 0
     for n_banks, bank_cycle in shapes:

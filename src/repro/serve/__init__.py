@@ -20,9 +20,9 @@ Layers (one module each):
 * :mod:`repro.serve.batch`   — continuous micro-batching: per-shard
   coalescing by ``(system, shape)``, count/drain-driven flushes (never
   wall-clock), one pool task per batch;
-* :mod:`repro.serve.pool`    — the persistent pools, pre-warmed via
-  :func:`repro.fastpath.tables.warm_tables`, failures-as-data workers,
-  single- and batch-task entry points;
+* :mod:`repro.serve.pool`    — one single-worker process executor per
+  shard, pre-warmed via :func:`repro.fastpath.tables.warm_tables` and
+  rebuilt if its worker dies; failures-as-data batch workers;
 * :mod:`repro.serve.service` — the asyncio front-end: streaming responses,
   bounded in-flight depth (backpressure), per-tenant/per-shape metrics,
   graceful drain on shutdown.
@@ -35,7 +35,7 @@ Serving invariants (tested in ``tests/test_serve.py``,
    whether it came from a worker, a micro-batch, or the result cache;
 2. a faulted request returns a typed error response and the worker that
    served it survives to serve the next request; faulted runs never
-   populate the result cache;
+   populate the result cache; a killed worker costs only its batch;
 3. in-flight depth never exceeds ``max_inflight`` (the reader parks);
 4. warm sharded throughput ≥ 2x a fresh-pool-per-request baseline, and
    micro-batched dispatch ≥ 2x per-request dispatch under concurrent

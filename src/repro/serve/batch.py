@@ -11,11 +11,11 @@ running :func:`repro.serve.pool.serve_worker_batch`.
 
 Flushing is request-count/drain-driven, never wall-clock:
 
-* a batch is dispatched immediately while the shard has worker capacity
-  free (an idle shard never waits for company — first request, batch of 1);
-* while the shard's workers are busy, arrivals accumulate in the pending
-  queue; the moment a batch completes, up to ``max_batch`` queued requests
-  of the oldest pending key flush as the next batch.
+* a batch is dispatched immediately while the shard's worker is free (an
+  idle shard never waits for company — first request, batch of 1);
+* while the shard's worker is busy, arrivals accumulate in the pending
+  queue; the moment its batch completes, up to ``max_batch`` queued
+  requests of the oldest pending key flush as the next batch.
 
 No timers means no wall-clock nondeterminism in results: a request's
 response depends only on its own spec (the worker runs each spec through
@@ -25,8 +25,8 @@ result cache already relies on), never on which batch it happened to ride.
 
 Typed per-request fault semantics are preserved end to end: the batch
 worker returns one result dict per request (``ok``/``error`` exactly as the
-single-request worker), and only a pool infrastructure failure — not any
-request's outcome — rejects a batch's futures.
+single-request worker), and only a pool failure — such as the worker dying
+mid-batch — rejects a batch's futures.
 """
 
 from __future__ import annotations
@@ -82,12 +82,10 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.metrics = metrics
         self._pending: List[List[_Entry]] = [[] for _ in range(pool.n_shards)]
-        #: Batches currently in flight per shard, bounded by the shard's
-        #: worker process count — one batch per worker keeps workers busy
-        #: without queueing inside the pool (where we could no longer
-        #: coalesce late arrivals into it).
+        #: Batches currently in flight per shard, at most one: a shard has
+        #: one worker, and a batch queued inside the pool could no longer
+        #: coalesce late arrivals.
         self._inflight: List[int] = [0] * pool.n_shards
-        self._capacity: List[int] = [pool.procs_per_shard] * pool.n_shards
         self._seq = itertools.count()
 
     # -- submission ----------------------------------------------------------
@@ -98,8 +96,8 @@ class MicroBatcher:
         """Queue one request; resolves with its per-request result dict.
 
         ``criticality`` (a :mod:`repro.sim.criticality` tier) only affects
-        which pending key flushes first while the shard's workers are all
-        busy; it is never part of the payload, so batches, dedup, and
+        which pending key flushes first while the shard's worker is busy;
+        it is never part of the payload, so batches, dedup, and
         cache entries are tier-blind."""
         if shard is None:
             shard = self.pool.shard_of(str(payload["system"]),
@@ -115,15 +113,14 @@ class MicroBatcher:
     # -- flushing ------------------------------------------------------------
 
     def _flush(self, shard: int, loop: asyncio.AbstractEventLoop) -> None:
-        """Dispatch batches while the shard has capacity and pending work.
+        """Dispatch a batch if the shard's worker is free and work is pending.
 
         The lead entry is the best (criticality rank, arrival seq) pending
         request; its key flushes as one batch.  With no tags every rank is
         equal, so the lead is the *oldest* entry — a hot key arriving
         behind an older different-key request can never starve it, and the
         untagged path batches exactly as before."""
-        while (self._pending[shard]
-               and self._inflight[shard] < self._capacity[shard]):
+        if self._pending[shard] and not self._inflight[shard]:
             pending = self._pending[shard]
             lead = min(pending, key=lambda e: (e.rank, e.seq)).key
             take: List[_Entry] = []
@@ -145,24 +142,19 @@ class MicroBatcher:
             batches.incr("batches")
             batches.incr("requests", len(entries))
 
-        def _done(results: List[Dict[str, object]]) -> None:
-            loop.call_soon_threadsafe(self._complete, shard, entries,
-                                      results, None)
-
-        def _failed(exc: BaseException) -> None:
-            loop.call_soon_threadsafe(self._complete, shard, entries,
-                                      None, exc)
-
-        self.pool.submit_batch([e.payload for e in entries], shard=shard,
-                               callback=_done, error_callback=_failed)
+        future = asyncio.wrap_future(
+            self.pool.submit([e.payload for e in entries], shard), loop=loop)
+        future.add_done_callback(lambda f: self._complete(
+            shard, entries, None if f.exception() else f.result(),
+            f.exception()))
 
     def _complete(self, shard: int, entries: Sequence[_Entry],
                   results: Optional[List[Dict[str, object]]],
                   exc: Optional[BaseException]) -> None:
         self._inflight[shard] -= 1
         if exc is not None:
-            # Pool infrastructure failure: every request of the batch gets
-            # the exception (the service turns it into an error response).
+            # Pool failure: every request of the batch gets the exception
+            # (the service turns it into an error response).
             for entry in entries:
                 if not entry.future.done():
                     entry.future.set_exception(exc)
@@ -170,8 +162,7 @@ class MicroBatcher:
             for entry, result in zip(entries, results or []):
                 if not entry.future.done():
                     entry.future.set_result(result)
-        loop = asyncio.get_running_loop()
-        self._flush(shard, loop)
+        self._flush(shard, asyncio.get_running_loop())
 
     # -- inspection ----------------------------------------------------------
 

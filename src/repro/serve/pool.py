@@ -1,8 +1,9 @@
 """The persistent sharded worker pool behind the serving front-end.
 
-One :class:`multiprocessing.pool.Pool` per shard, each worker long-lived:
-the pool initializer pre-warms the AT-space table caches for exactly the
-shapes the shard owns (:func:`repro.serve.shard.owned_shapes` →
+One single-worker :class:`concurrent.futures.ProcessPoolExecutor` per
+shard, each worker long-lived: the executor's first task pre-warms the
+AT-space table caches for exactly the shapes the shard owns
+(:func:`repro.serve.shard.owned_shapes` →
 :func:`repro.fastpath.tables.warm_tables`), and because routing is by
 shape, every later request finds its ``lru_cache``'d tables hot.  This is
 what the throughput bench measures against a fresh-pool-per-request
@@ -14,33 +15,31 @@ typed fault (:class:`repro.faults.FaultError` subclass or
 :class:`repro.sim.engine.SimulationTimeout`) comes back as
 ``{"ok": False, "error": {..., "typed": True}}`` — a per-request outcome,
 not a worker death — and anything else as an untyped error dict.  The
-worker that served a faulted request serves the next one.
+worker that served a faulted request serves the next one.  A worker that
+*dies* fails its running batch with ``BrokenProcessPool``, and the shard's
+next dispatch replaces the executor, warm-up included.
 
-Batch dispatch (:func:`serve_worker_batch` via
-:meth:`ShardedWorkerPool.submit_batch`) carries a whole micro-batch of
-requests through **one** pool task — one pickle/IPC round trip instead of
-one per request — and runs duplicate specs within the batch once (runs are
-pure functions of their spec, so replicating the result is bit-identical
-to re-running it).  The continuous batcher (:mod:`repro.serve.batch`)
-builds batches; this module only executes them.
+:meth:`ShardedWorkerPool.submit` carries a whole micro-batch of requests
+(:func:`serve_worker_batch`) through **one** executor task — one
+pickle/IPC round trip instead of one per request — and runs duplicate
+specs within the batch once (runs are pure functions of their spec, so
+replicating the result is bit-identical to re-running it).  The
+continuous batcher (:mod:`repro.serve.batch`) builds batches; this module
+only executes them.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.fastpath.tables import warm_tables
 from repro.serve.shard import DEFAULT_WARM_SHAPES, Shape, owned_shapes, shard_for
 
 WorkerResult = Dict[str, object]
-
-
-def _warm_initializer(shapes: Sequence[Shape]) -> None:
-    """Pool initializer: build this shard's tables before the first request."""
-    from repro.fastpath.tables import warm_tables
-
-    warm_tables(shapes)
 
 
 def _table_cache_stats() -> Tuple[int, int]:
@@ -164,45 +163,36 @@ def serve_worker_batch(payloads: Sequence[Dict[str, object]]
 
 
 class ShardedWorkerPool:
-    """``n_shards`` persistent single-worker pools, warm per shape.
+    """``n_shards`` persistent single-worker executors, warm per shape.
 
     One process per shard keeps the shard's table-cache story exact: the
     shapes a shard owns are warmed once, in the process that will serve
-    them.  (``procs_per_shard`` can widen a shard for CPU-bound scale-out;
-    every extra process is warmed by the same initializer.)
+    them.  Workers fork with the platform's default start method, so they
+    inherit whatever the parent patched before constructing the pool.
     """
 
     def __init__(self, n_shards: int = 2,
-                 warm_shapes: Sequence[Shape] = DEFAULT_WARM_SHAPES,
-                 procs_per_shard: int = 1):
+                 warm_shapes: Sequence[Shape] = DEFAULT_WARM_SHAPES):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if procs_per_shard < 1:
-            raise ValueError(
-                f"procs_per_shard must be >= 1, got {procs_per_shard}"
-            )
-        import multiprocessing as mp
-
         # Validate (and incidentally warm) the shapes in the parent first:
-        # a bad shape must fail construction, not kill workers at startup.
-        from repro.fastpath.tables import warm_tables
-
+        # a bad shape must fail construction, not a worker's warm-up task.
         warm_tables(warm_shapes)
         self.n_shards = n_shards
-        self.procs_per_shard = procs_per_shard
         self.warm_shapes: Tuple[Shape, ...] = tuple(
             (int(b), int(c)) for b, c in warm_shapes
         )
         self.dispatched: List[int] = [0] * n_shards
         self.batches: List[int] = [0] * n_shards
-        self._pools = []
-        for shard in range(n_shards):
-            owned = tuple(owned_shapes(shard, n_shards, self.warm_shapes))
-            self._pools.append(mp.Pool(
-                processes=procs_per_shard,
-                initializer=_warm_initializer,
-                initargs=(owned,),
-            ))
+        self._executors = [self._start(shard) for shard in range(n_shards)]
+
+    def _start(self, shard: int) -> ProcessPoolExecutor:
+        """A fresh executor for ``shard``; its first task, submitted now,
+        forks the worker and warms its tables before any request."""
+        executor = ProcessPoolExecutor(max_workers=1)
+        executor.submit(warm_tables,
+                        owned_shapes(shard, self.n_shards, self.warm_shapes))
+        return executor
 
     # -- routing -------------------------------------------------------------
 
@@ -211,33 +201,22 @@ class ShardedWorkerPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def submit(self, payload: Dict[str, object],
-               shard: Optional[int] = None):
-        """Dispatch one request payload; returns the ``AsyncResult``."""
-        if shard is None:
-            shard = self.shard_of(str(payload["system"]),
-                                  dict(payload.get("params") or {}))
-        self.dispatched[shard] += 1
-        return self._pools[shard].apply_async(serve_worker, (payload,))
+    def submit(self, payloads: Sequence[Dict[str, object]],
+               shard: int) -> "Future[List[WorkerResult]]":
+        """Dispatch a micro-batch to ``shard`` as one executor task.
 
-    def submit_batch(self, payloads: Sequence[Dict[str, object]],
-                     shard: int, callback=None, error_callback=None):
-        """Dispatch a micro-batch as one pool task; returns ``AsyncResult``.
-
-        The caller (the continuous batcher) has already grouped the
-        payloads by shape, so the shard is explicit — no per-payload
-        routing here."""
+        A dead worker's executor refuses the task, which then goes to a
+        warm replacement.  :func:`serve_worker_batch` is looked up per
+        call, so a replacement installed before the workers fork runs."""
         self.dispatched[shard] += len(payloads)
         self.batches[shard] += 1
-        return self._pools[shard].apply_async(
-            serve_worker_batch, (list(payloads),),
-            callback=callback, error_callback=error_callback,
-        )
-
-    def run_sync(self, payload: Dict[str, object],
-                 shard: Optional[int] = None) -> WorkerResult:
-        """Blocking dispatch — the bench baseline and tests use this."""
-        return self.submit(payload, shard=shard).get()
+        batch = list(payloads)
+        try:
+            return self._executors[shard].submit(serve_worker_batch, batch)
+        except BrokenProcessPool:
+            self._executors[shard].shutdown(wait=False)
+            self._executors[shard] = self._start(shard)
+            return self._executors[shard].submit(serve_worker_batch, batch)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -250,16 +229,19 @@ class ShardedWorkerPool:
         }
 
     def close(self) -> None:
-        for pool in self._pools:
-            pool.close()
-        for pool in self._pools:
-            pool.join()
+        """Finish the submitted work, then stop every worker."""
+        for executor in self._executors:
+            executor.shutdown(wait=True)
 
     def terminate(self) -> None:
-        for pool in self._pools:
-            pool.terminate()
-        for pool in self._pools:
-            pool.join()
+        """Stop every worker now, abandoning any batch still running.
+
+        Executors have no public way to kill their workers, so this is the
+        one place that reads their private process table."""
+        for executor in self._executors:
+            for process in list((executor._processes or {}).values()):
+                process.kill()
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ShardedWorkerPool":
         return self

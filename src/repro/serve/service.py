@@ -24,9 +24,9 @@ Architecture (one request's life)::
   propagates to the client.  No unbounded task or queue growth anywhere.
 * **Failures are responses** — validation problems
   (:class:`repro.serve.spec.RequestError`), typed faults from the fault
-  layer, and unexpected worker exceptions all come back as ``{"ok": false,
-  "error": {...}}`` on the same stream; a faulted request never kills a
-  worker or a connection.
+  layer, a killed worker (typed ``BrokenProcessPool``) and unexpected
+  worker exceptions all come back as ``{"ok": false, "error": {...}}`` on
+  the same stream; a faulted request never kills a worker or a connection.
 * **Accounting from day one** — per-tenant (:class:`repro.obs.TenantMetrics`)
   and per-shape/per-shard counters, exposed as a JSON snapshot via the
   ``{"op": "metrics"}`` control request and the HTTP ``GET /metrics``
@@ -44,6 +44,7 @@ import asyncio
 import itertools
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Optional, Sequence, TextIO
 
 from repro.obs.metrics import MetricsRegistry, TenantMetrics
@@ -150,10 +151,11 @@ class SimulationService:
             else:
                 result = await self.batcher.submit(
                     payload, shard=shard, criticality=request.criticality)
-        except Exception as exc:  # pool infrastructure failure (rare)
+        except Exception as exc:  # pool failure: the batch is lost
+            died = isinstance(exc, BrokenProcessPool)  # typed; shard rebuilt
             result = {"ok": False, "error": {
-                "type": type(exc).__name__, "message": str(exc),
-                "typed": False, "kind": None, "slot": None,
+                "type": type(exc).__name__, "message": str(exc), "slot": None,
+                "typed": died, "kind": "worker" if died else None,
             }, "wall_ms": 0.0}
         finally:
             self._inflight -= 1
@@ -260,21 +262,16 @@ class SimulationService:
 
     async def handle_line(self, line: str) -> Dict[str, object]:
         """One JSONL input line → one response dict (never raises)."""
-        try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            self.metrics.counter("serve.requests").incr("rejected")
-            return _error_response(None, "RequestError",
-                                   f"request is not valid JSON: {exc}",
-                                   typed=True)
-        return await self.process(obj)
+        async with self._gate:
+            return await self._process_line_ungated(line)
 
     # -- TCP server ----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> asyncio.AbstractServer:
         """Bind and return the TCP server (JSONL + HTTP on one port)."""
-        return await asyncio.start_server(self._serve_connection, host, port)
+        return await asyncio.start_server(self._serve_connection, host, port,
+                                          limit=MAX_REQUEST_BYTES)
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
@@ -283,13 +280,18 @@ class SimulationService:
             self._connections[task] = writer
         try:
             try:
-                first = await reader.readline()
-            except (ValueError, ConnectionError):
+                first = await _read_line(reader)
+            except ConnectionError:
                 return
-            if not first:
+            if first == b"":
                 return
-            if first.split(b" ", 1)[0] + b" " in _HTTP_METHODS:
-                await self._serve_http(first, reader, writer)
+            if first and first.split(b" ", 1)[0] + b" " in _HTTP_METHODS:
+                try:
+                    await self._serve_http(first, reader, writer)
+                except (ValueError, EOFError, ConnectionError) as exc:
+                    # An over-long header line, a short body or a gone peer.
+                    await _http_reply(writer, 400, {"ok": False,
+                                                    "error": str(exc)})
                 return
             await self._serve_jsonl(first, reader, writer)
         finally:
@@ -322,11 +324,12 @@ class SimulationService:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
 
-    async def _serve_jsonl(self, first: bytes, reader: asyncio.StreamReader,
+    async def _serve_jsonl(self, first: Optional[bytes],
+                           reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         lock = asyncio.Lock()
         tasks = []
-        line: Optional[bytes] = first
+        line = first
         while line and not self.closing:
             text = line.decode("utf-8", errors="replace").strip()
             if text:
@@ -338,16 +341,21 @@ class SimulationService:
                 tasks.append(asyncio.ensure_future(
                     self._respond_gated(text, writer, lock)))
             try:
-                line = await reader.readline()
-            except (ValueError, ConnectionError):
+                line = await _read_line(reader)
+            except ConnectionError:
                 break
+        if line is None:  # an over-long line: answer it, then close
+            await self._gate.acquire()
+            tasks.append(asyncio.ensure_future(
+                self._respond_gated(None, writer, lock)))
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
 
-    async def _respond_gated(self, text: str, writer: asyncio.StreamWriter,
+    async def _respond_gated(self, text: Optional[str],
+                             writer: asyncio.StreamWriter,
                              lock: asyncio.Lock) -> None:
         try:
-            if len(text.encode("utf-8", errors="replace")) > MAX_REQUEST_BYTES:
+            if text is None:  # the line was over the limit (and skipped)
                 response = _error_response(
                     None, "RequestError",
                     f"request line exceeds {MAX_REQUEST_BYTES} bytes",
@@ -388,7 +396,10 @@ class SimulationService:
             return
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
+            if line is None:
+                raise ValueError(
+                    f"header line exceeds {MAX_REQUEST_BYTES} bytes")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -456,6 +467,22 @@ class SimulationService:
         if tasks:
             await asyncio.gather(*tasks)
         return served
+
+
+async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next line (``b""`` at end of stream), or ``None`` for a line over
+    the reader's limit, consumed whole so no tail of it reads as a line."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            oversized = True
+            await reader.readexactly(exc.consumed)  # already buffered
+            continue
+        return None if oversized else line
 
 
 def _error_response(rid: object, type_: str, message: str,

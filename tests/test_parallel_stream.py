@@ -3,8 +3,9 @@
 Pins the satellite behaviours the serving layer builds on:
 
 * :func:`repro.fastpath.parallel.map_specs` streams results through
-  ``Pool.imap`` in spec order and fires ``on_result`` per completed spec
-  on both the inline and pooled paths — identical returned lists either way.
+  ``ProcessPoolExecutor.map`` in spec order and fires ``on_result`` per
+  completed spec on both the inline and pooled paths — identical returned
+  lists either way.
 * :func:`repro.fastpath.parallel.sweep` surfaces per-spec progress events
   (including the first failure) while later specs may still be running.
 * ``ops_per_sec`` emits ``null`` — not ``0.0`` — when a report carries no

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import re
+import signal
 
 import pytest
 
@@ -188,21 +190,27 @@ def pool():
         yield p
 
 
+def _run(pool, payload):
+    """One payload as a batch of one on its own shard; blocks for it."""
+    shard = pool.shard_of(payload["system"], payload["params"])
+    return pool.submit([payload], shard).result()[0]
+
+
 class TestShardedWorkerPool:
-    def test_run_sync_bit_identical_to_serial(self, pool):
+    def test_submit_bit_identical_to_serial(self, pool):
         from repro.obs.bench import run_spec
 
         spec = {"system": "cache", "params": {"n_procs": 4, "rounds": 2}}
-        result = pool.run_sync(dict(spec))
+        result = _run(pool, dict(spec))
         assert result["ok"] is True
         assert _normalized(result["report"]) == _normalized(run_spec(spec))
 
     def test_fault_does_not_kill_the_worker(self, pool):
         shard = pool.shard_of("cfm", CFM_PARAMS)
-        faulted = pool.run_sync({"system": "cfm", "params": dict(CFM_PARAMS),
-                                 "inject": dict(DEAD_BANK_INJECT)})
+        faulted = _run(pool, {"system": "cfm", "params": dict(CFM_PARAMS),
+                              "inject": dict(DEAD_BANK_INJECT)})
         assert faulted["ok"] is False and faulted["error"]["typed"]
-        after = pool.run_sync({"system": "cfm", "params": dict(CFM_PARAMS)})
+        after = _run(pool, {"system": "cfm", "params": dict(CFM_PARAMS)})
         assert after["ok"] is True
         assert after["pid"] == faulted["pid"]  # same worker, still alive
         assert pool.shard_of("cfm", CFM_PARAMS) == shard
@@ -210,14 +218,14 @@ class TestShardedWorkerPool:
     def test_warm_shard_serves_from_hot_tables(self, pool):
         # Repeat of a warm shape: the second request must add no misses.
         spec = {"system": "cfm", "params": dict(CFM_PARAMS)}
-        pool.run_sync(dict(spec))
-        again = pool.run_sync(dict(spec))
+        _run(pool, dict(spec))
+        again = _run(pool, dict(spec))
         assert again["tables"]["misses"] == 0
 
     def test_dispatch_counters(self, pool):
         before = list(pool.dispatched)
         shard = pool.shard_of("cfm", CFM_PARAMS)
-        pool.run_sync({"system": "cfm", "params": dict(CFM_PARAMS)})
+        _run(pool, {"system": "cfm", "params": dict(CFM_PARAMS)})
         assert pool.dispatched[shard] == before[shard] + 1
 
 
@@ -347,6 +355,142 @@ class TestSimulationService:
             bad_op["error"]["message"])
         assert bad_json["ok"] is False
         assert "not valid JSON" in bad_json["error"]["message"]
+
+
+# --------------------------------------------------------------------------
+# Worker death: a killed worker costs its batch a typed error, not its shard
+
+
+class TestWorkerDeath:
+    def test_sigkill_mid_batch_is_typed_and_the_shard_recovers(self):
+        """SIGKILL shard k's worker while it runs a batch: every request of
+        that batch gets the typed ``BrokenProcessPool`` error, the other
+        shard keeps serving, the next request to shard k runs on a new
+        worker, and the drain barrier still completes."""
+        long_params = dict(CFM_PARAMS, cycles=500_000)  # seconds of work
+        other_params = {"n_procs": 4, "bank_cycle": 2, "cycles": 200}
+
+        def request(rid, params):
+            return {"id": rid, "system": "cfm", "params": dict(params)}
+
+        async def scenario(pool):
+            service = SimulationService(pool=pool, max_inflight=16,
+                                        max_batch=4, cache_size=0)
+            assert (pool.shard_of("cfm", CFM_PARAMS)
+                    != pool.shard_of("cfm", other_params))
+            first = await service.process(request("first", CFM_PARAMS))
+            victim_pid = first["worker"]["pid"]
+            # A short lead batch occupies the worker while three long
+            # requests queue behind it; they flush as one batch the moment
+            # the lead completes.
+            lead = asyncio.ensure_future(service.process(
+                request("lead", dict(CFM_PARAMS, cycles=2000))))
+            victims = [asyncio.ensure_future(service.process(request(
+                f"v{i}", dict(long_params, cycles=500_000 + i))))
+                for i in range(3)]
+            assert (await lead)["ok"]
+            others = [asyncio.ensure_future(service.process(request(
+                f"o{i}", dict(other_params, cycles=200 + i))))
+                for i in range(3)]
+            await asyncio.sleep(0.5)  # the victims' batch is running
+            os.kill(victim_pid, signal.SIGKILL)
+            killed = await asyncio.wait_for(asyncio.gather(*victims), 10)
+            survived = await asyncio.wait_for(asyncio.gather(*others), 30)
+            after = await asyncio.wait_for(
+                service.process(request("after", CFM_PARAMS)), 30)
+            await asyncio.wait_for(service.drain(), 10)
+            return victim_pid, killed, survived, after
+
+        with ShardedWorkerPool(n_shards=2) as pool:
+            victim_pid, killed, survived, after = asyncio.run(scenario(pool))
+        for response in killed:
+            assert response["ok"] is False, response
+            assert response["error"]["type"] == "BrokenProcessPool"
+            assert response["error"]["typed"] is True
+            assert response["error"]["kind"] == "worker"
+        assert all(r["ok"] for r in survived), survived
+        assert after["ok"] is True, after
+        assert after["worker"]["pid"] != victim_pid
+        # The replacement worker was warmed before it served.
+        assert after["worker"]["tables"]["misses"] == 0
+
+
+# --------------------------------------------------------------------------
+# Framing: long lines and broken HTTP requests get answers, not silence
+
+
+async def _with_server(pool, client):
+    """Run ``client(port)`` against a fresh service; returns its result and
+    every context that reached the loop's exception handler."""
+    loop = asyncio.get_running_loop()
+    unhandled = []
+    loop.set_exception_handler(lambda _loop, ctx: unhandled.append(ctx))
+    server = await SimulationService(pool=pool).start("127.0.0.1", 0)
+    try:
+        result = await client(server.sockets[0].getsockname()[1])
+        await asyncio.sleep(0.05)  # let the connection handler finish
+    finally:
+        server.close()
+        await server.wait_closed()
+    return result, unhandled
+
+
+class TestFraming:
+    def test_long_line_within_limit_and_the_next_are_answered(self, pool):
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            big = {"op": "ping", "id": "big", "pad": "x" * (100 << 10)}
+            writer.write((json.dumps(big) + "\n").encode())
+            writer.write(b'{"op": "ping", "id": "small"}\n')
+            await writer.drain()
+            lines = [await asyncio.wait_for(reader.readline(), 10)
+                     for _ in range(2)]
+            writer.close()
+            return [json.loads(line) for line in lines]
+
+        responses, unhandled = asyncio.run(_with_server(pool, client))
+        assert sorted(r["id"] for r in responses) == ["big", "small"]
+        assert all(r["ok"] for r in responses)
+        assert unhandled == []
+
+    def test_line_over_limit_gets_request_error(self, pool):
+        from repro.serve.service import MAX_REQUEST_BYTES
+
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            huge = {"op": "ping", "id": "huge",
+                    "pad": "x" * (MAX_REQUEST_BYTES + 10)}
+            writer.write((json.dumps(huge) + "\n").encode())
+            await writer.drain()
+            line = await asyncio.wait_for(reader.readline(), 10)
+            eof = await asyncio.wait_for(reader.readline(), 10)
+            writer.close()
+            return json.loads(line), eof
+
+        (response, eof), unhandled = asyncio.run(_with_server(pool, client))
+        assert response["ok"] is False
+        assert response["error"]["type"] == "RequestError"
+        assert "exceeds" in response["error"]["message"]
+        assert eof == b""  # answered, then closed
+        assert unhandled == []
+
+    @pytest.mark.parametrize("raw", [
+        b"POST /run HTTP/1.1\r\nContent-Length: 500\r\n\r\n0123456789",
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (1 << 21) + b"\r\n\r\n",
+    ], ids=["truncated_body", "header_over_limit"])
+    def test_broken_http_request_gets_400(self, pool, raw):
+        async def client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(raw)
+            writer.write_eof()
+            await writer.drain()
+            data = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            return data
+
+        data, unhandled = asyncio.run(_with_server(pool, client))
+        assert data.startswith(b"HTTP/1.1 400 "), data[:80]
+        assert unhandled == []
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ What continuous batching must preserve from PR 7's per-request dispatch
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import os
 import signal
@@ -226,10 +227,11 @@ class TestMicroBatcher:
 
 
 class _FakePool:
-    """Captures dispatched batches; the test completes them explicitly."""
+    """Captures dispatched batches; the test completes them explicitly.
+
+    One shard, one batch in flight: everything after batch 1 must queue."""
 
     n_shards = 1
-    procs_per_shard = 1  # capacity 1: everything after batch 1 must queue
 
     def __init__(self):
         self.batches = []
@@ -237,13 +239,18 @@ class _FakePool:
     def shard_of(self, system, params):
         return 0
 
-    def submit_batch(self, payloads, shard, callback, error_callback):
-        self.batches.append((payloads, callback))
+    def submit(self, payloads, shard):
+        future = concurrent.futures.Future()
+        self.batches.append((payloads, future))
+        return future
 
-    def complete_next(self):
-        payloads, callback = self.batches[len(self.batches) - 1]
-        callback([{"ok": True, "report": dict(p["params"]), "wall_ms": 0.0}
-                  for p in payloads])
+    async def complete_next(self):
+        """Resolve the latest batch and let the batcher act on it."""
+        payloads, future = self.batches[-1]
+        future.set_result([{"ok": True, "report": dict(p["params"]),
+                            "wall_ms": 0.0} for p in payloads])
+        await asyncio.sleep(0)  # the loop copies the result to its future
+        await asyncio.sleep(0)  # ...then runs the batcher's done-callback
 
 
 def _shape_payload(n_procs, cycles):
@@ -273,17 +280,14 @@ class TestFlushFairness:
                 for i in range(4)]
             await asyncio.sleep(0)
             assert batcher.pending() == 5
-            pool.complete_next()  # finish batch 1 → one flush decision
-            await asyncio.sleep(0)
+            await pool.complete_next()  # finish batch 1 → one flush decision
             # The victim's key flushed next, alone — not the hot key.
             assert [p["params"]["n_procs"]
                     for p in pool.batches[1][0]] == [8]
-            pool.complete_next()
-            await asyncio.sleep(0)
+            await pool.complete_next()
             assert [p["params"]["n_procs"]
                     for p in pool.batches[2][0]] == [4, 4, 4, 4]
-            pool.complete_next()
-            await asyncio.sleep(0)
+            await pool.complete_next()
             await asyncio.gather(first, victim, *hot)
 
         asyncio.run(scenario())
@@ -305,18 +309,15 @@ class TestFlushFairness:
                 batcher.submit(_shape_payload(16, 100),
                                criticality="latency_critical"))
             await asyncio.sleep(0)
-            pool.complete_next()
-            await asyncio.sleep(0)
+            await pool.complete_next()
             # The critical request's key wins the contended flush...
             assert [p["params"]["n_procs"]
                     for p in pool.batches[1][0]] == [16]
-            pool.complete_next()
-            await asyncio.sleep(0)
+            await pool.complete_next()
             # ...and the older key follows (reordered, never starved).
             assert [p["params"]["n_procs"]
                     for p in pool.batches[2][0]] == [8]
-            pool.complete_next()
-            await asyncio.sleep(0)
+            await pool.complete_next()
             await asyncio.gather(first, older, crit)
 
         asyncio.run(scenario())
@@ -336,8 +337,7 @@ class TestFlushFairness:
             while batcher.pending() or batcher.inflight_batches():
                 order.append([p["params"]["n_procs"]
                               for p in pool.batches[-1][0]])
-                pool.complete_next()
-                await asyncio.sleep(0)
+                await pool.complete_next()
             await asyncio.gather(*tasks)
             assert order == [[4], [8, 8], [16]]
 
