@@ -15,18 +15,18 @@ Three differential-equivalence-plus-speedup proofs, one per batched layer:
   :meth:`~SlotAccurateHierarchy.run_ops`, >= 2x.
 
 A fourth gate times every engine name against the slot-by-slot reference
-on the large shapes (>= 10x): ``batch``, ``vectorized`` and ``stacked``
-all run the one fast driver, and a stack of 16 same-shape specs through
-:func:`repro.fastpath.stack.run_specs_stacked` must equal per-spec serial
-``run_spec``.
+on the large shapes (>= :data:`MIN_ENGINE_SPEEDUP`): ``batch``,
+``vectorized`` and ``stacked`` all run the one fast driver, and a stack of
+16 same-shape specs through :func:`repro.fastpath.stack.run_specs_stacked`
+must equal per-spec serial ``run_spec``.  A fifth holds the reference
+itself to a host-normalised floor: its (16, 4) full-load slots/s per
+calibration loop/s of ``perfbench/hostspeed.py``.
 
-Every repeat asserts the two paths bit-identical before timing counts.
+Every timing is :func:`benchmarks._timing.best_of`; the two paths'
+results are asserted bit-identical before any ratio is gated.  Run the
+gates, with their timing tables, through pytest::
 
-Run standalone for the timing tables::
-
-    PYTHONPATH=src python benchmarks/bench_fastpath.py
-
-or through pytest (``pytest benchmarks/bench_fastpath.py -s``).
+    PYTHONPATH=src python -m pytest benchmarks/bench_fastpath.py -q -s
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from __future__ import annotations
 import gc
 import random
 import time
+from functools import partial
 from typing import List, Tuple
 
 import pytest
 
+from benchmarks._timing import best_of, emit_gate_table, host_speed
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
 
@@ -48,6 +50,15 @@ SHAPES = [(4, 1), (8, 2), (16, 4), (32, 8)]
 #: per-slot scan dominates.
 GATED_SHAPES = [(16, 4), (32, 8)]
 MIN_SPEEDUP = 5.0
+
+#: Host-normalised floor on the slot-by-slot reference: full-load slots/s
+#: at FLOOR_SHAPE divided by the host's speed in calibration loops/s
+#: (``perfbench/hostspeed.py``), measured around the timing.  Set midway
+#: between ten clean runs (281-409) and ten with ``CFMemory.tick`` slowed
+#: 2x (131-201) on a 2-vCPU Xeon.
+FLOOR_SHAPE = (16, 4)
+FLOOR_SLOTS = 20_000
+MIN_REFERENCE_SLOTS_PER_LOOP = 241.0
 
 #: Coherence layer: (n_procs, bank_cycle) CacheSystem shapes; the gate
 #: applies to the last (largest) one.
@@ -64,7 +75,9 @@ HIER_ROUNDS = 40
 #: few full rotations of the b=n·c bank cycle each, so epoch batching and
 #: the whole-block read memo both get exercised).
 ENGINE_SHAPES = [((64, 16), 4 * 64 * 16), ((128, 32), 3 * 128 * 32)]
-MIN_ENGINE_SPEEDUP = 10.0
+#: Set midway between ten clean runs (lowest cell 45-62x) and ten with
+#: ``CFMemory._advance_span`` slowed 2x (21-31x) on a 2-vCPU Xeon.
+MIN_ENGINE_SPEEDUP = 38.0
 
 #: Stacked specs: STACK_WIDTH identical STACK_SHAPE bench specs.
 STACK_SHAPE = (64, 16)
@@ -98,37 +111,30 @@ def _run_one(n_procs: int, bank_cycle: int, slots: int, fast: bool):
         mem.run(slots)
     elapsed = time.perf_counter() - t0
     gc.enable()
-    return log, mem.slot, elapsed
+    return elapsed, (log, mem.slot)
 
 
 def measure(slots: int = 20_000, repeats: int = 3):
     """(shape, slow seconds, fast seconds, speedup) per Table 3.3 shape.
 
-    Best-of-``repeats`` per path (the minimum is the least-noise estimate
-    of the true cost); the two paths' completion logs are asserted
-    identical on every repeat."""
+    Both paths are timed by :func:`best_of` ``repeats``; their completion
+    logs are asserted identical."""
     rows = []
     for n_procs, bank_cycle in SHAPES:
-        t_slow = t_fast = float("inf")
-        for _ in range(repeats):
-            log_slow, end_slow, ts = _run_one(
-                n_procs, bank_cycle, slots, fast=False)
-            log_fast, end_fast, tf = _run_one(
-                n_procs, bank_cycle, slots, fast=True)
-            assert log_slow == log_fast, "fast path diverged from reference"
-            assert end_slow == end_fast == slots
-            t_slow = min(t_slow, ts)
-            t_fast = min(t_fast, tf)
+        (t_slow, slow), (t_fast, fast) = best_of(
+            partial(_run_one, n_procs, bank_cycle, slots, fast=False),
+            partial(_run_one, n_procs, bank_cycle, slots, fast=True),
+            repeats=repeats)
+        assert slow == fast, "fast path diverged from reference"
+        assert slow[1] == slots
         rows.append(((n_procs, bank_cycle), t_slow, t_fast,
                      t_slow / t_fast if t_fast > 0 else float("inf")))
     return rows
 
 
 def test_fastpath_speedup():
-    from benchmarks._report import emit_table
-
     rows = measure()
-    emit_table(
+    emit_gate_table(
         "CFM full-load: slot-by-slot vs batch engine (20k slots)",
         ["shape (n, c)", "slow (s)", "fast (s)", "speedup"],
         [(f"({n}, {c})", f"{ts:.3f}", f"{tf:.3f}", f"{sp:.1f}x")
@@ -145,10 +151,32 @@ def test_fastpath_speedup():
 
 @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
 def test_fastpath_equivalence(n_procs, bank_cycle):
-    log_slow, end_slow, _ = _run_one(n_procs, bank_cycle, 2_000, fast=False)
-    log_fast, end_fast, _ = _run_one(n_procs, bank_cycle, 2_000, fast=True)
-    assert log_slow == log_fast
-    assert end_slow == end_fast
+    _, slow = _run_one(n_procs, bank_cycle, 2_000, fast=False)
+    _, fast = _run_one(n_procs, bank_cycle, 2_000, fast=True)
+    assert slow == fast
+
+
+def test_reference_floor():
+    """The per-slot reference is the path every unpinned run takes; its
+    rate per unit of host speed must not fall below the floor."""
+    n_procs, bank_cycle = FLOOR_SHAPE
+    before = host_speed()
+    [(t_ref, (_, end))] = best_of(partial(_run_one, n_procs, bank_cycle,
+                                          FLOOR_SLOTS, fast=False))
+    speed = (before + host_speed()) / 2
+    assert end == FLOOR_SLOTS
+    per_loop = FLOOR_SLOTS / t_ref / speed
+    emit_gate_table(
+        f"CFM full-load reference, host-normalised ({FLOOR_SLOTS} slots)",
+        ["shape (n, c)", "ref (s)", "slots/s", "host loops/s",
+         "slots per loop"],
+        [(f"({n_procs}, {bank_cycle})", f"{t_ref:.3f}",
+          f"{FLOOR_SLOTS / t_ref:,.0f}", f"{speed:.1f}", f"{per_loop:.0f}")],
+    )
+    assert per_loop >= MIN_REFERENCE_SLOTS_PER_LOOP, (
+        f"reference only {per_loop:.0f} slots per calibration loop on "
+        f"{FLOOR_SHAPE}, need >= {MIN_REFERENCE_SLOTS_PER_LOOP:.0f}"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -204,31 +232,25 @@ def _run_cache_once(n_procs: int, bank_cycle: int, rounds: int, fast: bool):
         all_ops.extend(ops)
     elapsed = time.perf_counter() - t0
     gc.enable()
-    return _cache_fingerprint(sys_, all_ops), elapsed
+    return elapsed, _cache_fingerprint(sys_, all_ops)
 
 
 def measure_cache(rounds: int = CACHE_ROUNDS, repeats: int = 3):
     rows = []
     for n_procs, bank_cycle in CACHE_SHAPES:
-        t_slow = t_fast = float("inf")
-        for _ in range(repeats):
-            fp_slow, ts = _run_cache_once(n_procs, bank_cycle, rounds,
-                                          fast=False)
-            fp_fast, tf = _run_cache_once(n_procs, bank_cycle, rounds,
-                                          fast=True)
-            assert fp_slow == fp_fast, "batched epochs diverged from reference"
-            t_slow = min(t_slow, ts)
-            t_fast = min(t_fast, tf)
+        (t_slow, fp_slow), (t_fast, fp_fast) = best_of(
+            partial(_run_cache_once, n_procs, bank_cycle, rounds, fast=False),
+            partial(_run_cache_once, n_procs, bank_cycle, rounds, fast=True),
+            repeats=repeats)
+        assert fp_slow == fp_fast, "batched epochs diverged from reference"
         rows.append(((n_procs, bank_cycle), t_slow, t_fast,
                      t_slow / t_fast if t_fast > 0 else float("inf")))
     return rows
 
 
 def test_cache_batch_speedup():
-    from benchmarks._report import emit_table
-
     rows = measure_cache()
-    emit_table(
+    emit_gate_table(
         f"Coherence full-load: run_ops vs run_ops_batch ({CACHE_ROUNDS} rounds)",
         ["shape (n, c)", "slow (s)", "fast (s)", "speedup"],
         [(f"({n}, {c})", f"{ts:.3f}", f"{tf:.3f}", f"{sp:.1f}x")
@@ -243,8 +265,8 @@ def test_cache_batch_speedup():
 
 @pytest.mark.parametrize("n_procs,bank_cycle", CACHE_SHAPES)
 def test_cache_batch_equivalence(n_procs, bank_cycle):
-    fp_slow, _ = _run_cache_once(n_procs, bank_cycle, 12, fast=False)
-    fp_fast, _ = _run_cache_once(n_procs, bank_cycle, 12, fast=True)
+    _, fp_slow = _run_cache_once(n_procs, bank_cycle, 12, fast=False)
+    _, fp_fast = _run_cache_once(n_procs, bank_cycle, 12, fast=True)
     assert fp_slow == fp_fast
 
 
@@ -311,29 +333,22 @@ def _run_hier_once(n_clusters: int, per: int, bank_cycle: int, rounds: int,
     elapsed = time.perf_counter() - t0
     gc.enable()
     h.check_invariants()
-    return _hier_fingerprint(h, all_ops), elapsed
+    return elapsed, _hier_fingerprint(h, all_ops)
 
 
 def measure_hierarchy(rounds: int = HIER_ROUNDS, repeats: int = 3):
-    n_clusters, per, bank_cycle = HIER_SHAPE
-    t_slow = t_fast = float("inf")
-    for _ in range(repeats):
-        fp_slow, ts = _run_hier_once(n_clusters, per, bank_cycle, rounds,
-                                     fast=False)
-        fp_fast, tf = _run_hier_once(n_clusters, per, bank_cycle, rounds,
-                                     fast=True)
-        assert fp_slow == fp_fast, "hierarchy batch diverged from reference"
-        t_slow = min(t_slow, ts)
-        t_fast = min(t_fast, tf)
+    (t_slow, fp_slow), (t_fast, fp_fast) = best_of(
+        partial(_run_hier_once, *HIER_SHAPE, rounds, fast=False),
+        partial(_run_hier_once, *HIER_SHAPE, rounds, fast=True),
+        repeats=repeats)
+    assert fp_slow == fp_fast, "hierarchy batch diverged from reference"
     return t_slow, t_fast, t_slow / t_fast if t_fast > 0 else float("inf")
 
 
 def test_hierarchy_batch_speedup():
-    from benchmarks._report import emit_table
-
     t_slow, t_fast, speedup = measure_hierarchy()
     n_clusters, per, bank_cycle = HIER_SHAPE
-    emit_table(
+    emit_gate_table(
         f"Hierarchy all-local: run_ops vs run_ops_batch ({HIER_ROUNDS} rounds)",
         ["shape (k, m, c)", "slow (s)", "fast (s)", "speedup"],
         [(f"({n_clusters}, {per}, {bank_cycle})", f"{t_slow:.3f}",
@@ -346,8 +361,8 @@ def test_hierarchy_batch_speedup():
 
 
 def test_hierarchy_batch_equivalence():
-    fp_slow, _ = _run_hier_once(2, 4, 2, 10, fast=False)
-    fp_fast, _ = _run_hier_once(2, 4, 2, 10, fast=True)
+    _, fp_slow = _run_hier_once(2, 4, 2, 10, fast=False)
+    _, fp_fast = _run_hier_once(2, 4, 2, 10, fast=True)
     assert fp_slow == fp_fast
 
 
@@ -365,42 +380,34 @@ def _run_engine_once(n_procs: int, bank_cycle: int, slots: int, engine: str):
     mem.run_engine(slots, engine=engine)
     elapsed = time.perf_counter() - t0
     gc.enable()
-    return log, mem.slot, elapsed
+    return elapsed, (log, mem.slot)
 
 
 def measure_engines(repeats: int = 3):
     """(shape, slots, reference s, {engine: s}) per gated shape.
 
-    Each repeat runs every engine name and asserts their completion logs
-    bit-identical to the reference before the timing counts; each fast
-    name's time is the best of ``repeats``."""
+    Every engine name's completion log is asserted bit-identical to the
+    reference's; each time is :func:`best_of` ``repeats``."""
     from repro.fastpath.engine import ENGINE_REFERENCE, ENGINES
 
     fast = [e for e in ENGINES if e != ENGINE_REFERENCE]
     rows = []
     for (n_procs, bank_cycle), slots in ENGINE_SHAPES:
-        t_ref = float("inf")
-        t_fast = dict.fromkeys(fast, float("inf"))
-        for _ in range(repeats):
-            log_ref, end_ref, ts = _run_engine_once(
-                n_procs, bank_cycle, slots, ENGINE_REFERENCE)
-            assert end_ref == slots
-            t_ref = min(t_ref, ts)
-            for engine in fast:
-                log, end, tf = _run_engine_once(
-                    n_procs, bank_cycle, slots, engine)
-                assert log == log_ref and end == slots, (
-                    f"{engine} diverged on the full-load workload")
-                t_fast[engine] = min(t_fast[engine], tf)
-        rows.append(((n_procs, bank_cycle), slots, t_ref, t_fast))
+        (t_ref, ref), *timed = best_of(
+            *(partial(_run_engine_once, n_procs, bank_cycle, slots, engine)
+              for engine in [ENGINE_REFERENCE] + fast),
+            repeats=repeats)
+        assert ref[1] == slots
+        for engine, (_, out) in zip(fast, timed):
+            assert out == ref, f"{engine} diverged on the full-load workload"
+        rows.append(((n_procs, bank_cycle), slots, t_ref,
+                     {engine: t for engine, (t, _) in zip(fast, timed)}))
     return rows
 
 
 def test_engine_speedup():
-    from benchmarks._report import emit_table
-
     rows = measure_engines()
-    emit_table(
+    emit_gate_table(
         "CFM full-load: reference vs the fast driver, per engine name",
         ["shape (n, c)", "slots", "ref (s)", "engine", "fast (s)", "speedup"],
         [(f"({n}, {c})", str(slots), f"{t_ref:.3f}", engine, f"{tf:.3f}",
@@ -430,19 +437,3 @@ def test_stack_bit_identity():
              for _ in range(STACK_WIDTH)]
     assert run_specs_stacked(specs) == [run_spec(spec) for spec in specs]
 
-
-if __name__ == "__main__":
-    for (n, c), t_slow, t_fast, speedup in measure():
-        print(f"core  (n={n:3d}, c={c:2d})  slow {t_slow:7.3f}s  "
-              f"fast {t_fast:7.3f}s  {speedup:5.1f}x")
-    for (n, c), t_slow, t_fast, speedup in measure_cache():
-        print(f"cache (n={n:3d}, c={c:2d})  slow {t_slow:7.3f}s  "
-              f"fast {t_fast:7.3f}s  {speedup:5.1f}x")
-    k, m, c = HIER_SHAPE
-    t_slow, t_fast, speedup = measure_hierarchy()
-    print(f"hier  (k={k}, m={m}, c={c})  slow {t_slow:7.3f}s  "
-          f"fast {t_fast:7.3f}s  {speedup:5.1f}x")
-    for (n, c), slots, t_ref, t_fast in measure_engines():
-        for engine, t in t_fast.items():
-            print(f"{engine:10s} (n={n:3d}, c={c:2d})  ref  {t_ref:7.3f}s  "
-                  f"fast {t:7.3f}s  {t_ref / t:5.1f}x  ({slots} slots)")

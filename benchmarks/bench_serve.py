@@ -1,58 +1,53 @@
 """Serving throughput: warm pools, micro-batching, and the result cache.
 
-Two perf claims of ``repro.serve``, each gated at >= 2x:
+Three same-run gates on ``repro.serve``:
 
-1. **warm vs fresh** (PR 7): a persistent worker pool sharded by machine
-   shape — every worker pre-warmed with exactly the AT-space tables of the
-   shapes it owns — serves a mixed-shape request stream at >= 2x the
-   throughput of standing up a fresh worker pool for every request.
-2. **batched vs per-request** (this PR): under >= 32 concurrent same-shape
-   requests (heavy traffic with duplicates in flight, the regime the
-   continuous batcher exists for), micro-batched dispatch through the full
-   service path — coalescing queue, one pool task per batch, intra-batch
-   dedup — serves >= 2x the requests/sec of PR 7's one-pool-task-per-
-   request dispatch (``max_batch=1`` through the identical code path).
-   A third, cached pass measures steady-state content-addressed hits, and
-   a fourth, stacked pass pins every request to ``engine="stacked"`` —
-   the fast CFM driver, where the unpinned requests run the observed
-   per-slot reference path — gated at >= 1x batched (an engine pin must
-   never cost throughput).
+1. **warm vs fresh**: a persistent worker pool sharded by machine shape —
+   every worker pre-warmed with exactly the AT-space tables of the shapes
+   it owns — serves a mixed-shape request stream at >= 2x the throughput
+   of standing up a fresh worker pool for every request.
+2. **batched vs per-request**: under >= 32 concurrent same-shape requests
+   (heavy traffic with duplicates in flight, the regime the continuous
+   batcher exists for), micro-batched dispatch through the full service
+   path — coalescing queue, one pool task per batch, intra-batch dedup —
+   serves >= 2x the requests/sec of one-pool-task-per-request dispatch
+   (``max_batch=1`` through the identical code path).  A stacked pass pins
+   every request to ``engine="stacked"`` — the fast CFM driver, where the
+   unpinned requests run the observed per-slot reference path — and must
+   be at least as fast as batched (an engine pin must never cost
+   throughput); a cached pass of steady-state content-addressed hits must
+   be at least as fast as batched too.
+3. **pool round trip vs in process**: one 8-spec batch through a one-shard
+   pool costs at most :data:`MAX_ROUND_TRIP_RATIO` times the same specs
+   run in this process.  The pool adds only IPC, so the ratio sits near 1
+   and moves when the worker side gets slower.
 
-Before any timing counts, every distinct spec's served report — warm,
-fresh, batched, *and* cached — is asserted bit-identical (post JSON
-round-trip) to :func:`repro.obs.bench.run_spec` run serially: the serving
-layer must never buy throughput with drift.
+Every timing is :func:`benchmarks._timing.best_of`.  Every distinct spec's
+served report is asserted bit-identical (post JSON round-trip) to
+:func:`repro.obs.bench.run_spec` run serially: the serving layer must
+never buy throughput with drift.
 
-Run standalone to write ``BENCH_serve.json``::
-
-    PYTHONPATH=src python benchmarks/bench_serve.py --out .
-
-or through pytest for the >= 2x gates (CI ``serve-smoke``)::
+Run the gates through pytest (CI ``serve-smoke``)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_serve.py -q -s
-
-The written document carries a ``timing`` section
-(``requests_per_sec`` per mode) gated against
-``benchmarks/baseline_serve.json`` by ``benchmarks/check_perf.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Dict, List, Tuple
 
-from repro.obs.bench import SCHEMA, run_spec
+from benchmarks._timing import best_of, emit_gate_table
+from repro.obs.bench import run_spec
 from repro.serve.pool import ShardedWorkerPool, serve_worker
 from repro.serve.service import SimulationService
 from repro.serve.shard import DEFAULT_WARM_SHAPES
 
 QUICK_SHAPES: Tuple[Tuple[int, int], ...] = DEFAULT_WARM_SHAPES
-N_REQUESTS = 32
 N_SHARDS = 2
 CYCLES = 200
 MIN_SPEEDUP = 2.0
@@ -72,6 +67,14 @@ MIN_BATCH_SPEEDUP = 2.0
 #: requests run the observed per-slot reference path.
 MIN_STACKED_RATIO = 1.0
 
+#: Round-trip gate: distinct unpinned cfm specs of one warm shape
+#: (``n_procs`` 4, ``bank_cycle`` 4), about 100-150 ms of compute in all.
+#: The ceiling is set midway between ten clean runs (0.99-1.14) and ten
+#: with ``serve_worker_batch`` slowed 2x (1.99-2.46) on a 2-vCPU Xeon.
+ROUND_TRIP_SHAPE = (4, 4)
+ROUND_TRIP_CYCLES = tuple(range(1000, 1800, 100))
+MAX_ROUND_TRIP_RATIO = 1.56
+
 
 def _payloads(n_requests: int,
               shapes: Tuple[Tuple[int, int], ...] = QUICK_SHAPES,
@@ -88,20 +91,27 @@ def _payloads(n_requests: int,
     return out
 
 
-def _assert_identical_to_serial(results: List[Dict[str, object]],
-                                payloads: List[Dict[str, object]]) -> None:
-    seen = set()
-    for result, payload in zip(results, payloads):
+def _reports(results: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """The reports of served results (or responses), each asserted ok."""
+    for result in results:
         assert result["ok"], result.get("error")
-        key = json.dumps(payload, sort_keys=True)
+    return [result["report"] for result in results]
+
+
+def _assert_identical_to_serial(reports: List[Dict[str, object]],
+                                requests: List[Dict[str, object]]) -> None:
+    seen = set()
+    for report, request in zip(reports, requests):
+        spec = {"system": request["system"],
+                "params": dict(request["params"])}
+        key = json.dumps(spec, sort_keys=True)
         if key in seen:
             continue
         seen.add(key)
-        serial = run_spec({"system": payload["system"],
-                           "params": dict(payload["params"])})
-        served = json.loads(json.dumps(result["report"], sort_keys=True))
-        assert served == json.loads(json.dumps(serial, sort_keys=True)), (
-            f"served report diverged from serial run_spec for {payload}"
+        served = json.loads(json.dumps(report, sort_keys=True))
+        assert served == json.loads(json.dumps(run_spec(spec),
+                                               sort_keys=True)), (
+            f"served report diverged from serial run_spec for {request}"
         )
 
 
@@ -117,31 +127,29 @@ def _cold_caches() -> None:
     tables.shift_permutations.cache_clear()
 
 
-def measure_warm(payloads: List[Dict[str, object]],
-                 n_shards: int = N_SHARDS) -> Tuple[float, List[Dict[str, object]]]:
-    """Steady-state seconds to serve ``payloads`` through one warm pool."""
-    with ShardedWorkerPool(n_shards=n_shards) as pool:
-        t0 = time.perf_counter()
-        futures = []
-        for p in payloads:
-            shard = pool.shard_of(p["system"], p["params"])
-            futures.append(pool.submit([dict(p)], shard))
-        results = [f.result()[0] for f in futures]
-        elapsed = time.perf_counter() - t0
-    return elapsed, results
+def measure_warm(pool: ShardedWorkerPool, payloads: List[Dict[str, object]]
+                 ) -> Tuple[float, List[Dict[str, object]]]:
+    """Seconds + reports to serve ``payloads`` through a warm pool."""
+    t0 = time.perf_counter()
+    futures = []
+    for p in payloads:
+        shard = pool.shard_of(p["system"], p["params"])
+        futures.append(pool.submit([dict(p)], shard))
+    results = [f.result()[0] for f in futures]
+    return time.perf_counter() - t0, _reports(results)
 
 
-def measure_fresh(payloads: List[Dict[str, object]]) -> Tuple[float, List[Dict[str, object]]]:
-    """Seconds to serve ``payloads`` standing up one cold executor per
-    request."""
+def measure_fresh(payloads: List[Dict[str, object]]
+                  ) -> Tuple[float, List[Dict[str, object]]]:
+    """Seconds + reports to serve ``payloads`` standing up one cold
+    executor per request."""
     results = []
     t0 = time.perf_counter()
     for payload in payloads:
         with ProcessPoolExecutor(1, initializer=_cold_caches) as executor:
             results.append(executor.submit(serve_worker,
                                            dict(payload)).result())
-    elapsed = time.perf_counter() - t0
-    return elapsed, results
+    return time.perf_counter() - t0, _reports(results)
 
 
 def _batch_requests(n_requests: int = N_CONCURRENT) -> List[Dict[str, object]]:
@@ -159,195 +167,89 @@ def _batch_requests(n_requests: int = N_CONCURRENT) -> List[Dict[str, object]]:
     return out
 
 
-def _assert_responses_identical_to_serial(
-        responses: List[Dict[str, object]],
-        requests: List[Dict[str, object]]) -> None:
-    seen = set()
-    for response, request in zip(responses, requests):
-        assert response["ok"], response.get("error")
-        key = json.dumps(request["params"], sort_keys=True)
-        if key in seen:
-            continue
-        seen.add(key)
-        serial = run_spec({"system": request["system"],
-                           "params": dict(request["params"])})
-        served = json.loads(json.dumps(response["report"], sort_keys=True))
-        assert served == json.loads(json.dumps(serial, sort_keys=True)), (
-            f"served report diverged from serial run_spec for {request}"
-        )
+def serve_round(pool: ShardedWorkerPool, requests: List[Dict[str, object]],
+                max_batch: int, cache_size: int
+                ) -> Tuple[float, List[Dict[str, object]]]:
+    """Seconds + reports for ``requests`` submitted all at once to a new
+    service on ``pool``.  With a cache, the timed pass runs against the
+    cache an untimed pass populated — the steady state repeated traffic
+    sees — and every response must come from it."""
+    async def one_pass(service: SimulationService):
+        t0 = time.perf_counter()
+        responses = await asyncio.gather(
+            *(service.process(dict(r)) for r in requests))
+        return time.perf_counter() - t0, list(responses)
 
+    async def go():
+        service = SimulationService(pool=pool, max_inflight=len(requests),
+                                    max_batch=max_batch,
+                                    cache_size=cache_size)
+        if cache_size:
+            await one_pass(service)
+        seconds, responses = await one_pass(service)
+        if cache_size:
+            assert all(r.get("cached") for r in responses), (
+                "warm-cache pass expected every response from the cache")
+        return seconds, _reports(responses)
 
-async def _serve_concurrently(service: SimulationService,
-                              requests: List[Dict[str, object]]
-                              ) -> Tuple[float, List[Dict[str, object]]]:
-    """Seconds + responses for ``requests`` submitted all-at-once."""
-    t0 = time.perf_counter()
-    responses = await asyncio.gather(
-        *(service.process(dict(r)) for r in requests))
-    return time.perf_counter() - t0, list(responses)
+    return asyncio.run(go())
 
 
 def measure_batching(pool: ShardedWorkerPool,
-                     requests: List[Dict[str, object]],
-                     repeats: int = 2) -> Dict[str, Dict[str, object]]:
-    """Per-request vs micro-batched vs cached service throughput.
-
-    All three modes run the full service path on the same warm pool; the
-    only differences are the knobs under test (``max_batch``,
-    ``cache_size``).  The cached pass is timed against a pre-populated
-    cache — the steady state repeated traffic actually sees."""
-    async def one_round() -> Dict[str, Dict[str, object]]:
-        out: Dict[str, Dict[str, object]] = {}
-        # PR 7 dispatch: one pool task per request, no caching.
-        per_request = SimulationService(pool=pool, max_inflight=len(requests),
-                                        max_batch=1, cache_size=0)
-        seconds, responses = await _serve_concurrently(per_request, requests)
-        _assert_responses_identical_to_serial(responses, requests)
-        out["per_request"] = {"wall_time_s": seconds}
-        # Micro-batched dispatch, caching still off (isolate batching).
-        batched = SimulationService(pool=pool, max_inflight=len(requests),
-                                    max_batch=MAX_BATCH, cache_size=0)
-        seconds, responses = await _serve_concurrently(batched, requests)
-        _assert_responses_identical_to_serial(responses, requests)
-        snap = batched.metrics_snapshot()
-        out["batched"] = {
-            "wall_time_s": seconds,
-            "batches": snap["service"]["serve.batch"]["counts"]["batches"],
-            "mean_batch_size": snap["service"]["serve.batch.size"]["mean"],
-        }
-        # Identical traffic pinned to the stacked engine (caching off).
-        # Identity is asserted against serial run_spec of the same
-        # engine-pinned specs before timing counts.
-        stacked_requests = [
-            {**r, "params": {**r["params"], "engine": "stacked"}}
-            for r in requests
-        ]
-        stacked = SimulationService(pool=pool, max_inflight=len(requests),
-                                    max_batch=MAX_BATCH, cache_size=0)
-        seconds, responses = await _serve_concurrently(stacked,
-                                                       stacked_requests)
-        _assert_responses_identical_to_serial(responses, stacked_requests)
-        out["stacked"] = {"wall_time_s": seconds}
-        # Content-addressed steady state: identical traffic, warm cache.
-        cached = SimulationService(pool=pool, max_inflight=len(requests),
-                                   max_batch=MAX_BATCH, cache_size=1024)
-        await _serve_concurrently(cached, requests)  # populate, untimed
-        seconds, responses = await _serve_concurrently(cached, requests)
-        _assert_responses_identical_to_serial(responses, requests)
-        assert all(r.get("cached") for r in responses), (
-            "warm-cache pass expected every response from the result cache"
-        )
-        out["cached"] = {
-            "wall_time_s": seconds,
-            "hits": cached.cache.hits,
-        }
-        return out
-
-    best: Dict[str, Dict[str, object]] = {}
-    for _ in range(repeats):
-        round_out = asyncio.run(one_round())
-        for mode, stats in round_out.items():
-            if (mode not in best
-                    or stats["wall_time_s"] < best[mode]["wall_time_s"]):
-                best[mode] = stats
-    for stats in best.values():
-        stats["requests_per_sec"] = len(requests) / stats["wall_time_s"]
-    return best
+                     requests: List[Dict[str, object]]) -> Dict[str, float]:
+    """Seconds per mode: per-request, micro-batched, engine-pinned
+    (stacked) and cached, all through the full service path on ``pool``;
+    the only differences are the knobs under test."""
+    stacked = [{**r, "params": {**r["params"], "engine": "stacked"}}
+               for r in requests]
+    modes = (("per_request", requests, 1, 0),
+             ("batched", requests, MAX_BATCH, 0),
+             ("stacked", stacked, MAX_BATCH, 0),
+             ("cached", requests, MAX_BATCH, 1024))
+    timed = best_of(*(partial(serve_round, pool, reqs, max_batch, cache_size)
+                      for _, reqs, max_batch, cache_size in modes))
+    seconds: Dict[str, float] = {}
+    for (mode, reqs, _, _), (t, reports) in zip(modes, timed):
+        _assert_identical_to_serial(reports, reqs)
+        seconds[mode] = t
+    return seconds
 
 
-def run_bench(n_requests: int = N_REQUESTS, n_shards: int = N_SHARDS,
-              repeats: int = 2,
-              n_concurrent: int = N_CONCURRENT) -> Dict[str, object]:
-    """The full measurement → one ``repro-bench/1`` document."""
-    payloads = _payloads(n_requests)
-    t_warm = t_fresh = float("inf")
-    for _ in range(repeats):
-        warm_s, warm_results = measure_warm(payloads, n_shards=n_shards)
-        fresh_s, fresh_results = measure_fresh(payloads)
-        _assert_identical_to_serial(warm_results, payloads)
-        _assert_identical_to_serial(fresh_results, payloads)
-        t_warm = min(t_warm, warm_s)
-        t_fresh = min(t_fresh, fresh_s)
-    speedup = t_fresh / t_warm if t_warm > 0 else float("inf")
-    warm_fresh_run = {
-        "system": "serve",
-        "params": {
-            "n_requests": n_requests,
-            "n_shards": n_shards,
-            "repeats": repeats,
-            "cycles": CYCLES,
-            "shapes": [list(s) for s in QUICK_SHAPES],
-        },
-        "warm": {
-            "wall_time_s": t_warm,
-            "requests_per_sec": n_requests / t_warm,
-        },
-        "fresh": {
-            "wall_time_s": t_fresh,
-            "requests_per_sec": n_requests / t_fresh,
-        },
-        "speedup": speedup,
-        "min_speedup": MIN_SPEEDUP,
-        "identical_to_serial": True,
-    }
-    requests = _batch_requests(n_concurrent)
-    with ShardedWorkerPool(n_shards=n_shards) as pool:
-        modes = measure_batching(pool, requests, repeats=repeats)
-    batch_speedup = (modes["batched"]["requests_per_sec"]
-                     / modes["per_request"]["requests_per_sec"])
-    batching_run = {
-        "system": "serve_batching",
-        "params": {
-            "n_concurrent": n_concurrent,
-            "n_shards": n_shards,
-            "repeats": repeats,
-            "max_batch": MAX_BATCH,
-            "shape": list(BATCH_SHAPE),
-            "cycle_choices": list(BATCH_CYCLE_CHOICES),
-        },
-        "per_request": modes["per_request"],
-        "batched": modes["batched"],
-        "stacked": modes["stacked"],
-        "cached": modes["cached"],
-        "speedup": batch_speedup,
-        "min_speedup": MIN_BATCH_SPEEDUP,
-        "stacked_ratio": (modes["stacked"]["requests_per_sec"]
-                          / modes["batched"]["requests_per_sec"]),
-        "min_stacked_ratio": MIN_STACKED_RATIO,
-        "identical_to_serial": True,
-    }
-    return {
-        "bench": "serve",
-        "schema": SCHEMA,
-        "quick": True,
-        "runs": [warm_fresh_run, batching_run],
-        "timing": {
-            "requests_per_sec": {
-                "fresh": warm_fresh_run["fresh"]["requests_per_sec"],
-                "warm": warm_fresh_run["warm"]["requests_per_sec"],
-                "per_request": modes["per_request"]["requests_per_sec"],
-                "batched": modes["batched"]["requests_per_sec"],
-                "stacked": modes["stacked"]["requests_per_sec"],
-                "cached": modes["cached"]["requests_per_sec"],
-            },
-        },
-    }
+def _round_trip_specs() -> List[Dict[str, object]]:
+    n_procs, bank_cycle = ROUND_TRIP_SHAPE
+    return [{"system": "cfm",
+             "params": {"n_procs": n_procs, "bank_cycle": bank_cycle,
+                        "cycles": cycles}}
+            for cycles in ROUND_TRIP_CYCLES]
+
+
+def measure_round_trip(pool: ShardedWorkerPool,
+                       specs: List[Dict[str, object]]
+                       ) -> Tuple[float, List[Dict[str, object]]]:
+    """Seconds + reports for ``specs`` as one batch to shard 0."""
+    t0 = time.perf_counter()
+    results = pool.submit([dict(s) for s in specs], 0).result()
+    return time.perf_counter() - t0, _reports(results)
+
+
+def measure_in_process(specs: List[Dict[str, object]]
+                       ) -> Tuple[float, List[Dict[str, object]]]:
+    """Seconds + reports for ``specs`` run here, one after another."""
+    t0 = time.perf_counter()
+    reports = [run_spec(dict(s)) for s in specs]
+    return time.perf_counter() - t0, reports
 
 
 def test_warm_sharded_pool_speedup():
-    from benchmarks._report import emit_table
-
     payloads = _payloads(16)
-    t_warm = t_fresh = float("inf")
-    for _ in range(2):
-        warm_s, warm_results = measure_warm(payloads)
-        fresh_s, fresh_results = measure_fresh(payloads)
-        _assert_identical_to_serial(warm_results, payloads)
-        _assert_identical_to_serial(fresh_results, payloads)
-        t_warm = min(t_warm, warm_s)
-        t_fresh = min(t_fresh, fresh_s)
+    with ShardedWorkerPool(n_shards=N_SHARDS) as pool:
+        (t_warm, warm), (t_fresh, fresh) = best_of(
+            partial(measure_warm, pool, payloads),
+            partial(measure_fresh, payloads))
+    _assert_identical_to_serial(warm, payloads)
+    _assert_identical_to_serial(fresh, payloads)
     speedup = t_fresh / t_warm if t_warm > 0 else float("inf")
-    emit_table(
+    emit_gate_table(
         "Serving: warm sharded pool vs fresh pool per request",
         ["path", "wall (s)", "req/s"],
         [("warm", f"{t_warm:.3f}", f"{len(payloads) / t_warm:.1f}"),
@@ -361,79 +263,48 @@ def test_warm_sharded_pool_speedup():
 
 
 def test_micro_batched_dispatch_speedup():
-    from benchmarks._report import emit_table
-
     requests = _batch_requests(N_CONCURRENT)
     with ShardedWorkerPool(n_shards=N_SHARDS) as pool:
-        modes = measure_batching(pool, requests, repeats=2)
-    speedup = (modes["batched"]["requests_per_sec"]
-               / modes["per_request"]["requests_per_sec"])
-    emit_table(
+        seconds = measure_batching(pool, requests)
+    speedup = seconds["per_request"] / seconds["batched"]
+    emit_gate_table(
         f"Serving: micro-batched vs per-request dispatch "
         f"({N_CONCURRENT} concurrent same-shape requests)",
         ["mode", "wall (s)", "req/s"],
-        [("per_request", f"{modes['per_request']['wall_time_s']:.3f}",
-          f"{modes['per_request']['requests_per_sec']:.1f}"),
-         ("batched", f"{modes['batched']['wall_time_s']:.3f}",
-          f"{modes['batched']['requests_per_sec']:.1f}"),
-         ("stacked", f"{modes['stacked']['wall_time_s']:.3f}",
-          f"{modes['stacked']['requests_per_sec']:.1f}"),
-         ("cached", f"{modes['cached']['wall_time_s']:.3f}",
-          f"{modes['cached']['requests_per_sec']:.1f}"),
-         ("speedup", f"{speedup:.1f}x", f">= {MIN_BATCH_SPEEDUP}x")],
+        [(mode, f"{s:.3f}", f"{len(requests) / s:.1f}")
+         for mode, s in seconds.items()]
+        + [("speedup", f"{speedup:.1f}x", f">= {MIN_BATCH_SPEEDUP}x")],
     )
     assert speedup >= MIN_BATCH_SPEEDUP, (
         f"micro-batched dispatch only {speedup:.1f}x over per-request "
         f"dispatch, need >= {MIN_BATCH_SPEEDUP}x"
     )
-    assert (modes["stacked"]["requests_per_sec"]
-            >= MIN_STACKED_RATIO * modes["batched"]["requests_per_sec"]), (
+    assert seconds["batched"] >= MIN_STACKED_RATIO * seconds["stacked"], (
         "stacked-engine traffic slower than unpinned micro-batched "
         "dispatch — an engine pin must never cost throughput"
     )
-    assert (modes["cached"]["requests_per_sec"]
-            >= modes["batched"]["requests_per_sec"]), (
+    assert seconds["batched"] >= seconds["cached"], (
         "cache hits slower than batched dispatch — the cache is not "
         "serving from memory"
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=".",
-                        help="directory for BENCH_serve.json")
-    parser.add_argument("--requests", type=int, default=N_REQUESTS)
-    parser.add_argument("--concurrent", type=int, default=N_CONCURRENT)
-    parser.add_argument("--shards", type=int, default=N_SHARDS)
-    parser.add_argument("--repeats", type=int, default=2)
-    args = parser.parse_args(argv)
-    doc = run_bench(n_requests=args.requests, n_shards=args.shards,
-                    repeats=args.repeats, n_concurrent=args.concurrent)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "BENCH_serve.json")
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    warm_fresh, batching = doc["runs"]
-    print(f"warm        {warm_fresh['warm']['wall_time_s']:7.3f}s  "
-          f"{warm_fresh['warm']['requests_per_sec']:8.1f} req/s")
-    print(f"fresh       {warm_fresh['fresh']['wall_time_s']:7.3f}s  "
-          f"{warm_fresh['fresh']['requests_per_sec']:8.1f} req/s")
-    print(f"warm/fresh speedup {warm_fresh['speedup']:.1f}x "
-          f"(gate >= {MIN_SPEEDUP}x)")
-    for mode in ("per_request", "batched", "stacked", "cached"):
-        print(f"{mode:<11} {batching[mode]['wall_time_s']:7.3f}s  "
-              f"{batching[mode]['requests_per_sec']:8.1f} req/s")
-    print(f"batched/per_request speedup {batching['speedup']:.1f}x "
-          f"(gate >= {MIN_BATCH_SPEEDUP}x)")
-    print(f"stacked/batched ratio {batching['stacked_ratio']:.1f}x "
-          f"(gate >= {MIN_STACKED_RATIO}x)")
-    print(f"wrote {path}")
-    ok = (warm_fresh["speedup"] >= MIN_SPEEDUP
-          and batching["speedup"] >= MIN_BATCH_SPEEDUP
-          and batching["stacked_ratio"] >= MIN_STACKED_RATIO)
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def test_pool_round_trip_matches_in_process():
+    specs = _round_trip_specs()
+    with ShardedWorkerPool(n_shards=1) as pool:
+        (t_pool, served), (t_local, _) = best_of(
+            partial(measure_round_trip, pool, specs),
+            partial(measure_in_process, specs))
+    _assert_identical_to_serial(served, specs)
+    ratio = t_pool / t_local
+    emit_gate_table(
+        f"Serving: one-shard pool round trip vs in process "
+        f"({len(specs)} specs, one batch)",
+        ["path", "wall (s)"],
+        [("pool", f"{t_pool:.3f}"), ("in process", f"{t_local:.3f}"),
+         ("ratio", f"{ratio:.2f}x <= {MAX_ROUND_TRIP_RATIO}x")],
+    )
+    assert ratio <= MAX_ROUND_TRIP_RATIO, (
+        f"pool round trip {ratio:.2f}x the in-process run, need "
+        f"<= {MAX_ROUND_TRIP_RATIO}x"
+    )

@@ -30,6 +30,7 @@ import argparse
 import sys
 from typing import Callable, Dict
 
+from repro.fastpath.engine import ENGINES
 from repro.report import emit_series, emit_table
 
 
@@ -402,10 +403,10 @@ def _cmd_bench(args) -> int:
                               profile=args.profile, engine=args.engine)
             doc = sweep(
                 specs, jobs=args.parallel, name=name,
-                quick=args.quick or name == "quick", timing=args.timing,
+                quick=args.quick or name == "quick", timing=False,
             )
         else:
-            doc = run_benchmark(name, quick=args.quick, timing=args.timing,
+            doc = run_benchmark(name, quick=args.quick,
                                 profile=args.profile, engine=args.engine)
         path = write_document(doc, name, out_dir=args.out)
         print(f"wrote {path}")
@@ -554,10 +555,6 @@ def main(argv=None) -> int:
         "serial; default: 1)",
     )
     p_bench.add_argument(
-        "--timing", action="store_true",
-        help="add a wall-time/ops-per-sec 'timing' section to each document",
-    )
-    p_bench.add_argument(
         "--profile", action="store_true",
         help="attach the hot-path profiler to runs that support it and "
         "add a deterministic 'hotpath' section (counters + occupancy)",
@@ -574,8 +571,7 @@ def main(argv=None) -> int:
         "deadline-miss SLA accounting)",
     )
     p_bench.add_argument(
-        "--engine", choices=["reference", "batch", "vectorized", "stacked"],
-        default=None, metavar="ENGINE",
+        "--engine", choices=ENGINES, default=None, metavar="ENGINE",
         help="engine strategy for runs that sit behind the engine seam "
         "(cfm/cache/hierarchy): reference (per-slot tick) or batch; "
         "vectorized and stacked are aliases of batch (stacked is "

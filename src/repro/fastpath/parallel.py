@@ -9,8 +9,8 @@ to a serial run of the same specs (asserted for jobs ∈ {1, 2}).
 
 Worker functions are module-level so they pickle under any start
 method; per-spec wall times ride back alongside
-the report and are merged into the document's opt-in ``timing`` section,
-never into ``runs``.  Every spec is its own task: runs share no work, so
+the report and are merged into the document's ``timing`` section, never
+into ``runs``.  Every spec is its own task: runs share no work, so
 there is nothing to gain from grouping them (same-shape CFM specs can
 still be run as a batch through :func:`repro.fastpath.stack.run_specs_stacked`).
 
@@ -99,10 +99,11 @@ def sweep(
 ) -> Dict[str, object]:
     """Run a spec list (optionally in parallel) into one bench document.
 
-    The document matches :func:`repro.obs.bench.run_benchmark` output:
-    ``runs`` holds the deterministic reports in spec order; wall-clock data
-    goes to the ``timing`` section only (dropped with ``timing=False`` so
-    documents can be compared across machines).  Specs that raised are
+    ``runs`` holds the deterministic reports in spec order, as in
+    :func:`repro.obs.bench.run_benchmark` output; wall-clock data goes to
+    the ``timing`` section only (``benchmarks/sweep.py`` prints it).
+    ``repro bench --parallel`` passes ``timing=False``, so its documents
+    equal the serial ones.  Specs that raised are
     dropped from ``runs``/``timing`` and reported — spec and error string —
     in a ``failures`` section, so one bad spec costs its own report, not
     the sweep's.
@@ -142,11 +143,7 @@ def sweep(
         if err is not None
     ]
     if failures:
-        # A document missing runs is not a valid comparison target: mark it
-        # so downstream consumers (check_perf.py) refuse to treat it as a
-        # complete sweep or bake it into a baseline.
         doc["failures"] = failures
-        doc["partial"] = True
     if timing:
         doc["timing"] = {
             "wall_time_s": wall,

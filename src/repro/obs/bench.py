@@ -807,17 +807,14 @@ BENCHMARKS: Dict[str, Callable[[bool], List[Dict[str, object]]]] = {
 
 
 def run_benchmark(name: str, quick: bool = False,
-                  timing: bool = False,
                   profile: bool = False,
                   engine: Optional[str] = None) -> Dict[str, object]:
     """Run one registered benchmark and return its JSON document.
 
-    With ``timing=True`` the document gains a ``"timing"`` section — wall
-    time and completed-ops/sec per run plus totals.  Timing is opt-in and
-    lives outside ``runs`` so the default document stays deterministic
-    (two runs of the same benchmark compare equal).  With ``profile=True``
-    every run whose system supports it gains a ``"hotpath"`` section —
-    batch/tick/fallback counters, also deterministic.  With ``engine``
+    The document is deterministic: two runs of the same benchmark compare
+    equal.  With ``profile=True`` every run whose system supports it gains
+    a ``"hotpath"`` section — batch/tick/fallback counters, also
+    deterministic.  With ``engine``
     set, every run whose system sits behind the engine-strategy seam
     (:data:`ENGINE_SYSTEMS`) *and supports the engine* dispatches through
     that strategy; results are bit-identical across engines (invariants
@@ -831,43 +828,18 @@ def run_benchmark(name: str, quick: bool = False,
         engine = resolve_engine(engine)  # fail fast on unknown names
     specs = pin_specs(benchmark_specs(name, quick=quick), profile=profile,
                       engine=engine)
-    doc: Dict[str, object] = {
+    return {
         "bench": name, "schema": SCHEMA,
         "quick": bool(quick or name == "quick"),
+        "runs": [run_spec(s) for s in specs],
     }
-    if not timing:
-        doc["runs"] = [run_spec(s) for s in specs]
-        return doc
-    import time as _time
-
-    runs: List[Dict[str, object]] = []
-    per_run: List[Dict[str, object]] = []
-    t_total = _time.perf_counter()
-    for spec in specs:
-        t0 = _time.perf_counter()
-        report = run_spec(spec)
-        elapsed = _time.perf_counter() - t0
-        runs.append(report)
-        per_run.append({
-            "system": report["system"],
-            "wall_time_s": elapsed,
-            "ops_per_sec": ops_per_sec(report, elapsed),
-        })
-    doc["runs"] = runs
-    doc["timing"] = {
-        "wall_time_s": _time.perf_counter() - t_total,
-        "runs": per_run,
-    }
-    return doc
 
 
 def write_benchmark(name: str, out_dir: Union[str, Path] = ".",
-                    quick: bool = False, timing: bool = False,
-                    profile: bool = False,
+                    quick: bool = False, profile: bool = False,
                     engine: Optional[str] = None) -> Path:
     """Run a benchmark and write ``BENCH_<name>.json``; returns the path."""
-    doc = run_benchmark(name, quick=quick, timing=timing, profile=profile,
-                        engine=engine)
+    doc = run_benchmark(name, quick=quick, profile=profile, engine=engine)
     return write_document(doc, name, out_dir=out_dir)
 
 

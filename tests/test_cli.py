@@ -97,6 +97,18 @@ class TestBenchCommand:
         assert len(banks) == cfm["params"]["n_banks"]
         assert cfm["conflicts"] == 0
 
+    def test_parallel_bench_writes_the_serial_document(self, tmp_path):
+        import json
+
+        pooled, serial = tmp_path / "A", tmp_path / "B"
+        assert main(["bench", "quick", "--quick", "--parallel", "2",
+                     "--out", str(pooled)]) == 0
+        assert main(["bench", "quick", "--quick",
+                     "--out", str(serial)]) == 0
+        doc = json.loads((pooled / "BENCH_quick.json").read_text())
+        assert "timing" not in doc
+        assert doc == json.loads((serial / "BENCH_quick.json").read_text())
+
 
 class TestVerify:
     def test_verify_reports_full_reproduction(self, capsys):

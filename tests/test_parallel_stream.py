@@ -92,7 +92,6 @@ class TestSweepProgress:
         assert "no_such_system" in events[0]["error"]
         assert "\n" not in events[0]["error"]  # first line only, not a traceback
         assert events[1]["error"] is None
-        assert doc["partial"] is True
         assert len(doc["failures"]) == 1
 
     def test_progress_is_observational_only(self):
