@@ -20,7 +20,11 @@ on the large shapes (>= :data:`MIN_ENGINE_SPEEDUP`): ``batch``,
 16 same-shape specs through :func:`repro.fastpath.stack.run_specs_stacked`
 must equal per-spec serial ``run_spec``.  A fifth holds the reference
 itself to a host-normalised floor: its (16, 4) full-load slots/s per
-calibration loop/s of ``perfbench/hostspeed.py``.
+calibration loop/s of ``perfbench/hostspeed.py``.  A sixth holds an
+observed run (``run_spec`` with no engine pin, a metrics registry
+attached) within :data:`MAX_OBSERVED_OVERHEAD` of the same spec pinned to
+``batch``: metrics ride the batch driver instead of pinning the per-slot
+tick.
 
 Every timing is :func:`benchmarks._timing.best_of`; the two paths'
 results are asserted bit-identical before any ratio is gated.  Run the
@@ -78,6 +82,12 @@ ENGINE_SHAPES = [((64, 16), 4 * 64 * 16), ((128, 32), 3 * 128 * 32)]
 #: Set midway between ten clean runs (lowest cell 45-62x) and ten with
 #: ``CFMemory._advance_span`` slowed 2x (21-31x) on a 2-vCPU Xeon.
 MIN_ENGINE_SPEEDUP = 38.0
+
+#: Observed overhead: unpinned ``run_spec`` (metrics attached) over the
+#: same spec pinned to ``batch``, at OBSERVED_SHAPE for OBSERVED_CYCLES.
+OBSERVED_SHAPE = (64, 16)
+OBSERVED_CYCLES = 20_000
+MAX_OBSERVED_OVERHEAD = 3.0
 
 #: Stacked specs: STACK_WIDTH identical STACK_SHAPE bench specs.
 STACK_SHAPE = (64, 16)
@@ -176,6 +186,44 @@ def test_reference_floor():
     assert per_loop >= MIN_REFERENCE_SLOTS_PER_LOOP, (
         f"reference only {per_loop:.0f} slots per calibration loop on "
         f"{FLOOR_SHAPE}, need >= {MIN_REFERENCE_SLOTS_PER_LOOP:.0f}"
+    )
+
+
+def _run_spec_once(spec):
+    from repro.obs.bench import run_spec
+
+    gc.collect()
+    gc.disable()
+    t0 = time.perf_counter()
+    report = run_spec(spec)
+    elapsed = time.perf_counter() - t0
+    gc.enable()
+    return elapsed, report
+
+
+def test_observed_overhead():
+    """An observed CFM run costs at most MAX_OBSERVED_OVERHEAD times the
+    unobserved batch run of the same spec."""
+    n_procs, bank_cycle = OBSERVED_SHAPE
+    params = {"n_procs": n_procs, "bank_cycle": bank_cycle,
+              "cycles": OBSERVED_CYCLES}
+    (t_obs, observed), (t_fast, fast) = best_of(
+        partial(_run_spec_once, {"system": "cfm", "params": params}),
+        partial(_run_spec_once, {"system": "cfm",
+                                 "params": {**params, "engine": "batch"}}))
+    assert observed["cycles"] == fast["cycles"] == OBSERVED_CYCLES
+    assert observed["completed"] > 0 and observed["metrics"]
+    ratio = t_obs / t_fast
+    emit_gate_table(
+        f"CFM full-load: observed run_spec vs engine=batch "
+        f"({OBSERVED_CYCLES} cycles)",
+        ["shape (n, c)", "observed (s)", "batch (s)", "overhead"],
+        [(f"({n_procs}, {bank_cycle})", f"{t_obs:.4f}", f"{t_fast:.4f}",
+          f"{ratio:.2f}x")],
+    )
+    assert ratio <= MAX_OBSERVED_OVERHEAD, (
+        f"observed run {ratio:.2f}x the batch run on {OBSERVED_SHAPE}, "
+        f"need <= {MAX_OBSERVED_OVERHEAD}x"
     )
 
 

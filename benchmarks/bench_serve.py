@@ -12,9 +12,9 @@ Three same-run gates on ``repro.serve``:
    path — coalescing queue, one pool task per batch, intra-batch dedup —
    serves >= 2x the requests/sec of one-pool-task-per-request dispatch
    (``max_batch=1`` through the identical code path).  A stacked pass pins
-   every request to ``engine="stacked"`` — the fast CFM driver, where the
-   unpinned requests run the observed per-slot reference path — and must
-   be at least as fast as batched (an engine pin must never cost
+   every request to ``engine="stacked"`` — the fast CFM driver without a
+   metrics registry, where the unpinned requests run it observed — and
+   must be at least as fast as batched (an engine pin must never cost
    throughput); a cached pass of steady-state content-addressed hits must
    be at least as fast as batched too.
 3. **pool round trip vs in process**: one 8-spec batch through a one-shard
@@ -64,11 +64,11 @@ MIN_BATCH_SPEEDUP = 2.0
 #: Engine-pin gate: the same concurrent traffic with every request pinned
 #: to ``engine="stacked"`` (the fast CFM driver) must serve at least as
 #: many requests/sec as the unpinned micro-batched dispatch, whose cfm
-#: requests run the observed per-slot reference path.
+#: requests run the same driver with a metrics registry attached.
 MIN_STACKED_RATIO = 1.0
 
 #: Round-trip gate: distinct unpinned cfm specs of one warm shape
-#: (``n_procs`` 4, ``bank_cycle`` 4), about 100-150 ms of compute in all.
+#: (``n_procs`` 4, ``bank_cycle`` 4), about 30-40 ms of compute in all.
 #: The ceiling is set midway between ten clean runs (0.99-1.14) and ten
 #: with ``serve_worker_batch`` slowed 2x (1.99-2.46) on a 2-vCPU Xeon.
 ROUND_TRIP_SHAPE = (4, 4)

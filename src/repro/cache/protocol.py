@@ -49,7 +49,7 @@ from repro.core.config import CFMConfig
 from repro.cache.directory import CacheDirectory, CacheLine
 from repro.cache.state import CacheLineState
 from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import SimulationTimeout, all_settled
 from repro.tracking.att import AddressTrackingTable
 
 #: Sentinel "no upcoming event" slot for the batch classifiers.
@@ -500,7 +500,7 @@ class CacheSystem:
         return self.slot - start
 
     def run_ops(self, ops: List[CpuOp], max_slots: int = 200_000) -> None:
-        self.run_until(lambda: all(op.done for op in ops), max_slots)
+        self.run_until(all_settled(ops), max_slots)
 
     def _raise_timeout(self, max_slots: int) -> None:
         stuck: List[str] = []
@@ -565,12 +565,11 @@ class CacheSystem:
         hp = self.hotpath
         token = hp.claim("cache") if hp is not None else None
         try:
-            remaining = [op for op in ops if not op.done]
-            while remaining:
+            done = all_settled(ops)
+            while not done():
                 if self.slot - start >= max_slots:
                     self._raise_timeout(max_slots)
                 self._batch_step(limit)
-                remaining = [op for op in remaining if not op.done]
         finally:
             if hp is not None:
                 hp.release(token)
@@ -597,14 +596,11 @@ class CacheSystem:
                 hp.count("cache", "tick.degraded")
             self.tick()
             return
-        if (
-            self.probe is not None
-            or self.metrics is not None
-            or self.mem.probe is not None
-            or self.mem.metrics is not None
-        ):
-            # Observers define per-slot event streams: stay on the
+        if self.probe is not None or self.mem.probe is not None:
+            # A probe's event stream is defined per slot: stay on the
             # reference path (same rule as CFMemory._fast_eligible).
+            # Metrics ride the span: op counters fire at completion and
+            # the span walk accounts bank occupancy.
             if hp is not None:
                 hp.count("cache", "tick.observed")
             self.tick()

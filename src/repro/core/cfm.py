@@ -32,6 +32,8 @@ from __future__ import annotations
 import enum
 from bisect import insort
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 from typing import Callable, Dict, List, Optional
 
 from repro.core.block import Block, Word
@@ -259,10 +261,14 @@ class CFMemory:
         self.engine = resolve_engine(engine, layer="cfm")
         self.slot = 0
         self._next_id = 0
-        # Monotone write counter: bumped on every write_word so run_batch
-        # can detect stores made behind its back (ticks, finish callbacks
-        # poking blocks) and drop its memoized reads.
+        # Monotone write counter: bumped on every write_word so the span
+        # walk can detect stores made behind its back (ticks, finish
+        # callbacks poking blocks) and drop its memoized reads.
         self._write_stamp = 0
+        # offset -> result dict of a read that collected the whole block in
+        # one span (see _advance_span); valid while _memo_stamp matches.
+        self._read_memo: Dict[int, Dict[int, Word]] = {}
+        self._memo_stamp = 0
         # The whole AT-space schedule, precomputed once per (b, c) shape:
         # _table[slot % b][proc] is the bank proc addresses at that slot,
         # _orders[first] the wrap-around visit sequence from bank `first`.
@@ -301,11 +307,13 @@ class CFMemory:
         self.qos_counts = {"granted": 0, "queued": 0, "contended": 0}
         # Observability (both observational only — attaching them can never
         # change a simulation result, and `is None` is the whole cost when off).
+        # A probe pins the per-slot path (its event stream is defined per
+        # slot); metrics ride the span walk (see _fast_eligible).
         self.probe = probe
         self.metrics = metrics
-        #: Optional :class:`repro.obs.HotpathProfiler`.  Unlike probe and
-        #: metrics this does *not* pin the per-slot path: it only counts
-        #: how run_batch() advanced time, never what the simulation did.
+        #: Optional :class:`repro.obs.HotpathProfiler`.  It only counts how
+        #: run_batch() advanced time, never what the simulation did, so
+        #: (like metrics, unlike a probe) it does *not* pin the per-slot path.
         self.hotpath = None
         #: Optional :class:`repro.faults.FaultInjector`.  An attached
         #: injector with a zero plan is a strict no-op (and keeps the batch
@@ -737,13 +745,16 @@ class CFMemory:
     def _fast_eligible(self) -> bool:
         """May the batch engine stand in for tick()?
 
-        Requires: no observers (probes/metrics are defined per-slot, so
-        they pin the reference path), no live fault injection (fault
-        windows and the degraded schedule are defined per-slot too), and a
+        Requires: no probe (its event stream is defined per-slot, so it
+        pins the reference path), no live fault injection (fault windows
+        and the degraded schedule are defined per-slot too), and a
         controller that overrides none of the hooks — i.e. the
-        access-control layer is provably inert.
+        access-control layer is provably inert.  A metrics registry rides
+        along: the span walk accounts bank occupancy per span
+        (:meth:`_span_util`) and every other instrument fires in
+        :meth:`_finish`.
         """
-        if self.probe is not None or self.metrics is not None:
+        if self.probe is not None:
             return False
         if self._dead_bank is not None:
             return False
@@ -791,8 +802,8 @@ class CFMemory:
           at their slot-accurate times, in processor order, so chained
           re-issues land on the same slots as under :meth:`tick`.
 
-        Whole-block reads share one result dict per offset (the memo
-        below) for as long as no store has touched the offset.
+        Whole-block reads share one result dict per offset (the span
+        walk's memo) for as long as no store has touched the offset.
         """
         if slots < 0:
             raise ValueError(f"slots must be >= 0, got {slots}")
@@ -805,12 +816,6 @@ class CFMemory:
         # those points rather than per round.
         eligible = self._fast_eligible()
         hazard = self._batch_hazard()
-        # offset -> result dict of a read that collected the whole block in
-        # one epoch.  Span writes pop their offset; any store through
-        # write_word (a tick, a finish callback's poke_block) bumps
-        # _write_stamp, and the whole memo is dropped before the next epoch.
-        memo: Dict[int, Dict[int, Word]] = {}
-        stamp = self._write_stamp
         hp = self.hotpath
         # Claim the shared profiler: while this driver advances time, inner
         # or sibling layers' slot counters are suppressed, so each slot is
@@ -828,6 +833,8 @@ class CFMemory:
                 if not active:
                     if hp is not None:
                         hp.count("cfm", "skipped_slots", end - self.slot)
+                    if self.metrics is not None:
+                        self._span_util(self.slot, end - 1, ())
                     self.slot = end  # idle-slot skip
                     break
                 if hazard:
@@ -837,9 +844,6 @@ class CFMemory:
                     eligible = self._fast_eligible()
                     hazard = self._batch_hazard()
                     continue
-                if self._write_stamp != stamp:
-                    memo.clear()
-                    stamp = self._write_stamp
                 slot = self.slot
                 # Earliest slot at which some access performs its last word.
                 target = min(
@@ -847,7 +851,7 @@ class CFMemory:
                 )
                 if target >= end:
                     target = end - 1
-                if self._advance_span(target, memo):
+                if self._advance_span(target):
                     eligible = self._fast_eligible()
                     hazard = self._batch_hazard()
                 if hp is not None:
@@ -856,36 +860,41 @@ class CFMemory:
             if hp is not None:
                 hp.release(token)
 
-    def _advance_span(self, target: int,
-                      memo: Optional[Dict[int, Dict[int, Word]]] = None) -> int:
+    def _advance_span(self, target: int) -> int:
         """Run every in-flight access forward through slot ``target``.
 
         The word movement of one epoch, shared by :meth:`run_batch` and the
         cache and hierarchy batchers.  The caller has proven the span
-        interaction-free (no observer, no fault plan, no degraded bank, no
+        interaction-free (no probe, no fault plan, no degraded bank, no
         same-offset write interleaving) and ``target`` no later than the
         earliest finish, so each access is a straight walk along its
         precomputed bank order.  Completions all land at ``target`` and
         fire in processor order with ``slot`` set the way :meth:`tick`
         would; returns the number fired.
 
-        ``memo`` is :meth:`run_batch`'s whole-block read memo.  A memoized
-        dict is never mutated after it is built and is only handed to
-        accesses completing this epoch, so readers share it rather than
-        copy it.
+        Whole-block reads share one result dict per offset through
+        ``_read_memo``.  Span writes pop their offset; any store through
+        :meth:`write_word` (a tick, a finish callback's poke_block) bumps
+        ``_write_stamp``, and the whole memo is dropped before the next
+        span.  A memoized dict is never mutated after it is built, so
+        readers share it rather than copy it.
         """
         slot = self.slot
         active = self.active
+        n_banks = self.cfg.banks_per_module
+        row = self._table[slot % n_banks]
+        span = target - slot + 1
+        if self.metrics is not None:
+            self._span_util(slot, target, [acc.proc for acc in active])
         if not active:
             self.slot = target + 1
             return 0
-        if memo is None:
-            memo = {}
-        n_banks = self.cfg.banks_per_module
+        memo = self._read_memo
+        if self._memo_stamp != self._write_stamp:
+            memo.clear()
+            self._memo_stamp = self._write_stamp
         orders = self._orders
         banks = self.banks
-        row = self._table[slot % n_banks]
-        span = target - slot + 1
         finishers: List[BlockAccess] = []
         # active cannot mutate inside this loop (callbacks only fire from
         # _finish below), so no snapshot copy is needed.
@@ -947,6 +956,65 @@ class CFMemory:
                 self._finish(acc, AccessState.COMPLETED, target, unlink=False)
         self.slot = target + 1
         return len(finishers)
+
+    def _span_util(self, start: int, target: int, procs) -> None:
+        """Add slots ``start..target`` to every ``cfm.bank[k].util``.
+
+        The same counts :meth:`tick` produces slot by slot, computed from
+        the schedule.  ``procs`` are the processors whose accesses walk
+        the whole span (the span walk's precondition: no access finishes
+        before ``target``); proc p visits bank ``(t + c·p) mod b`` at
+        slot t.  Each visit holds its bank for c slots, and visits to one
+        bank are at least c slots apart (every table row is injective and
+        b = n·c), so holds never overlap and a bank's busy count is a
+        plain sum: c per visit, clipped at ``target`` for the visits of
+        the span's last c - 1 slots.  Their remainder, like any hold that
+        reaches into the span from before it, carries through
+        ``_bank_busy_until``.
+        """
+        span = target - start + 1
+        n_banks = self.cfg.n_banks
+        cycle = self.cfg.bank_cycle
+        hold = cycle - 1
+        tail = hold if hold < span else span  # clipped visits per access
+        full = span - tail
+        # Work in a rotated frame, index i = bank (i + shift) mod b, where
+        # proc p's clipped visits sit at [c·p, c·p + tail) and its full
+        # holds at [c·p - full, c·p): ring ranges, never split by a wrap.
+        shift = (target + 1 - tail) % n_banks
+        until = self._bank_busy_until
+        until = until[shift:] + until[:shift]
+        base = start - 1
+        adds = [0 if last < start else span if last >= target
+                else last - base for last in until]
+        ring = [0] * n_banks  # difference array of the full holds
+        clips = [0] * n_banks  # clipped holds: one per bank at most
+        clipped = list(range(tail, 0, -1))
+        first_until = target + 1 + hold - tail
+        untils = list(range(first_until, first_until + tail))
+        for p in procs:
+            i = cycle * p
+            lo = i - full
+            if full == n_banks:
+                ring[0] += cycle
+            elif lo >= 0:
+                ring[lo] += cycle
+                ring[i] -= cycle
+            elif full:
+                ring[lo + n_banks] += cycle
+                ring[0] += cycle
+                ring[i] -= cycle
+            if tail:
+                hi = i + tail
+                clips[i:hi] = clipped
+                until[i:hi] = untils
+        back = n_banks - shift
+        self._bank_busy_until[:] = until[back:] + until[:back]
+        utils = self._bank_util
+        for u, busy in zip(utils[shift:] + utils[:shift],
+                           map(add, map(add, accumulate(ring), adds), clips)):
+            u.busy += busy
+            u.total += span
 
     def run_engine(self, slots: int, engine: Optional[str] = None) -> None:
         """Advance ``slots`` slots under the selected engine strategy.

@@ -25,6 +25,7 @@ from repro.core.cfm import (
     ControlAction,
 )
 from repro.faults.errors import RetryExhaustedError
+from repro.sim.engine import all_settled
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def run_with_recovery(driver, ops: Sequence[RecoveringOp],
     for op in ops:
         op.start()
     driver.run_until(
-        lambda: all(op.done or op.error is not None for op in ops),
+        all_settled(ops, lambda op: op.done or op.error is not None),
         max_slots=max_slots,
     )
     for op in ops:

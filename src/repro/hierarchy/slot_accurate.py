@@ -49,7 +49,7 @@ from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
 from repro.hierarchy.controller import EventType, NetworkController
 from repro.hierarchy.hierarchical import IllegalStateCombination, _LEGAL
 from repro.sim.criticality import parse_tier
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import SimulationTimeout, all_settled
 
 #: Sentinel "no upcoming event" slot (matches repro.cache.protocol._FAR).
 _FAR = 1 << 60
@@ -594,7 +594,7 @@ class SlotAccurateHierarchy:
         return self.slot - start
 
     def run_ops(self, ops: List[HierOp], max_slots: int = 300_000) -> None:
-        self.run_until(lambda: all(op.done for op in ops), max_slots)
+        self.run_until(all_settled(ops), max_slots)
 
     def _raise_timeout(self, max_slots: int) -> None:
         stuck: List[str] = []
@@ -658,12 +658,11 @@ class SlotAccurateHierarchy:
         hp = self.hotpath
         token = hp.claim("hier") if hp is not None else None
         try:
-            remaining = [op for op in ops if not op.done]
-            while remaining:
+            done = all_settled(ops)
+            while not done():
                 if self.slot - start >= max_slots:
                     self._raise_timeout(max_slots)
                 self._batch_step(limit)
-                remaining = [op for op in remaining if not op.done]
         finally:
             if hp is not None:
                 hp.release(token)
@@ -705,10 +704,9 @@ class SlotAccurateHierarchy:
             nxt = self._parked_next - 1  # span must stop before the wakeup
         cache = self._span_cache
         for c, cs in enumerate(self.clusters):
-            if (
-                cs.probe is not None or cs.metrics is not None
-                or cs.mem.probe is not None or cs.mem.metrics is not None
-            ):
+            if cs.probe is not None or cs.mem.probe is not None:
+                # Probes pin the per-slot path; metrics ride the span (the
+                # same rule as CacheSystem._batch_step).
                 if hp is not None:
                     hp.count("hier", "tick.observed")
                 self.tick()

@@ -89,11 +89,13 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
     outstanding block read.  Conflict checking stays on — a ConflictError
     here would falsify the paper's theorem, so it is allowed to propagate.
 
-    With ``engine`` set the run dispatches through
-    :meth:`CFMemory.run_engine` instead of the per-slot issue loop, and
-    runs *unobserved* (no metrics registry — observers pin the reference
-    path, which would make an engine comparison vacuous); reissues are
-    callback-driven, so the workload is identical across engines.
+    Unpinned, the run is observed (a metrics registry, which rides the
+    batch driver) and advances one epoch per :meth:`CFMemory.run_batch`
+    call: idle processors issue at the slot after their previous access
+    finished, then the module runs through the earliest completion.  With
+    ``engine`` set the run dispatches through :meth:`CFMemory.run_engine`
+    instead, unobserved; reissues are callback-driven, so the workload is
+    identical across engines.
     """
     from repro.core.cfm import AccessKind, AccessState, CFMemory
     from repro.core.config import CFMConfig
@@ -142,12 +144,17 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
         else:
             summary.retries += acc.restarts or 1
 
-    for _ in range(cycles):
+    n_banks = cfg.n_banks
+    active = mem.active
+    while mem.slot < cycles:
         for p in range(n_procs):
             if not outstanding[p]:
                 mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=finished)
                 outstanding[p] = True
-        mem.tick()
+        # No processor frees up before the earliest completion, so the
+        # next issue is due the slot after it.
+        done = max(acc.words_done for acc in active)
+        mem.run_batch(min(n_banks - done, cycles - mem.slot))
     summary.cycles = cycles
     return _run_report("cfm", params, summary, metrics, "cfm.bank")
 
@@ -281,8 +288,8 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     bit-identical to the per-slot reference either way; ``profile=True``
     additionally attaches a :class:`HotpathProfiler` and exports its
     counters under ``"hotpath"``.  With ``engine`` set the op stream runs
-    through :meth:`CacheSystem.run_ops_engine` *unobserved* (no metrics —
-    they would pin the reference path and make the comparison vacuous).
+    through :meth:`CacheSystem.run_ops_engine` *unobserved* (no metrics
+    registry), the shape every engine-pinned report has.
     """
     from repro.cache.protocol import CacheSystem
     from repro.obs.hotpath import HotpathProfiler
@@ -291,9 +298,8 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
 
     if workload not in ("mix", "private"):
         raise ValueError(f"unknown cache workload {workload!r}")
-    # Metrics pin every slot to the per-slot reference path (tick.observed)
-    # — with the profiler attached the registry stays off, so the batch
-    # path actually runs and there is something to profile.
+    # Profiled and engine-pinned runs leave the registry off: their
+    # reports carry no metrics or utilization.
     metrics = MetricsRegistry()
     hotpath = HotpathProfiler() if profile else None
     sys_ = CacheSystem(n_procs, probe=probe,

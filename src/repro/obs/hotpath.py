@@ -11,7 +11,7 @@ The batch drivers (``CFMemory.run_batch``, ``CacheSystem.run_ops_batch``,
 :class:`HotpathProfiler` counts those choices per layer so a bench run can
 report *which* layer re-entered the slow path and *why* — without touching
 results: the profiler is pure integer counters, attached via a dedicated
-``hotpath`` slot that (unlike probes and metrics) does **not** disable
+``hotpath`` slot that (like metrics, unlike probes) does **not** disable
 batch eligibility.  Attaching one never changes any simulated outcome,
 only records how it was computed; the differential tests pin this.
 
@@ -23,8 +23,8 @@ Counter naming convention, within a layer:
     Expected per-slot work: ``tick.cpu`` (a processor-side event — issue,
     local hit, write-back queue — is due this slot), ``tick.nc`` (a
     hierarchy network controller is mid-transaction), ``tick.observed``
-    (a probe or metrics registry pins the per-slot path), ``tick.sync``
-    (generic per-slot step).
+    (a probe pins the per-slot path), ``tick.sync`` (generic per-slot
+    step).
 ``fallback.<reason>``
     Slow-path *fallbacks* — slots the classifier wanted to batch but
     could not prove safe: ``fallback.hazard`` (cross-op coherence overlap:

@@ -3,13 +3,11 @@
 :class:`SlaTracker` aggregates completed-work latencies into one
 :class:`repro.sim.stats.Histogram` per criticality tier and counts
 deadline hits/misses, then snapshots the lot — mean, p50, p99, p99.9,
-min/max, and the miss counters — as one JSON-able dict.  It is
-deliberately *not* a :class:`repro.obs.MetricsRegistry` instrument:
-attaching a registry to a simulation pins the per-slot reference path
-(observability is defined per slot), while SLA accounting happens at
-completion time and is fed by ``on_finish`` callbacks — so the QoS
-bench can run engine-pinned, unobserved simulations and still report
-exact tail percentiles.
+min/max, and the miss counters — as one JSON-able dict.  It is not a
+:class:`repro.obs.MetricsRegistry` instrument: SLA accounting happens at
+completion time and is fed by ``on_finish`` callbacks, so the QoS bench
+reports exact tail percentiles from engine-pinned, unobserved
+simulations.
 
 Latencies arrive in whatever unit the layer measures (slots for the
 simulators, milliseconds for the serving layer); non-integer units are

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class SimulationTimeout(RuntimeError):
@@ -48,6 +50,26 @@ class SimulationTimeout(RuntimeError):
         self.slot = slot
         self.max_slots = max_slots
         self.stuck = list(stuck or [])
+
+
+def all_settled(ops: Sequence[T],
+                settled: Callable[[T], bool] = lambda op: op.done
+                ) -> Callable[[], bool]:
+    """A driver's ``done()`` test for ``ops``, O(1) amortised per call.
+
+    Settling is one-way (an op never becomes unsettled again), so the
+    test keeps a pointer to the first unsettled op and never looks behind
+    it: over a whole run it inspects each op once, plus once per call.
+    """
+    first = 0
+
+    def done() -> bool:
+        nonlocal first
+        while first < len(ops) and settled(ops[first]):
+            first += 1
+        return first == len(ops)
+
+    return done
 
 
 class Event:

@@ -16,11 +16,12 @@ Proof obligations:
   reads (in-span writes, finish-callback pokes) invalidate it, matching
   the per-slot reference bit for bit;
 * **hazard fallback** — a lane that picks up a same-offset write
-  interleave (or carries an observer from the start) ticks per slot
-  while a clean lane stays batched, and both remain bit-identical to
-  their serial runs;
+  interleave (or carries a probe from the start) ticks per slot while a
+  clean lane stays batched, and both remain bit-identical to their
+  serial runs;
 * **metrics-snapshot identity** — observed lanes see the identical
-  event stream stacked or serial.
+  event stream stacked or serial; a metrics registry alone keeps its
+  lane batched.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.fastpath.engine import ENGINE_STACKED, ENGINES, engine_available
 from repro.fastpath.stack import run_specs_stacked, stack_shape, stackable_spec
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import RecordingProbe
 
 
 def _normalized(doc):
@@ -293,36 +295,67 @@ def test_hazard_lane_ejects_while_stackmates_stay_vectorized():
         assert _fingerprint(mem, log) == _fingerprint(serial_mem, serial_log)
 
 
+def _observed(cfg, probe=None):
+    """Full-load reads on a module with a metrics registry attached (and
+    ``probe``, if given)."""
+    reg = MetricsRegistry()
+    mem = CFMemory(cfg, metrics=reg, probe=probe)
+    done = []
+
+    def reissue(acc):
+        done.append((acc.proc, acc.complete_slot))
+        mem.issue(acc.proc, AccessKind.READ, offset=acc.proc % 3,
+                  on_finish=reissue)
+
+    for p in range(cfg.n_procs):
+        mem.issue(p, AccessKind.READ, offset=p % 3, on_finish=reissue)
+    return mem, done, reg
+
+
 def test_observed_lane_ejects_with_identical_metrics_snapshot():
-    """An observer (metrics registry) voids the static proof before the
-    first epoch: the lane ticks every slot and its registry sees the
-    identical event stream a serial run feeds it."""
+    """A probe voids the static proof before the first epoch: the lane
+    ticks every slot, and its probe and registry see the identical event
+    stream a serial run feeds them."""
     cfg = CFMConfig(n_procs=4, bank_cycle=1)
     slots = 40
 
-    def observed():
-        reg = MetricsRegistry()
-        mem = CFMemory(cfg, metrics=reg)
-        done = []
-        for p in range(cfg.n_procs):
-            mem.issue(p, AccessKind.READ, offset=p % 3,
-                      on_finish=lambda a: done.append((a.proc,
-                                                      a.complete_slot)))
-        return mem, done, reg
-
     hp = HotpathProfiler()
-    obs_mem, obs_done, obs_reg = observed()
+    obs_probe = RecordingProbe()
+    obs_mem, obs_done, obs_reg = _observed(cfg, obs_probe)
     obs_mem.hotpath = hp
     clean_mem, clean_log = _reads(cfg)
     _run_lanes([(obs_mem, obs_done), (clean_mem, clean_log)], [slots, slots])
     assert hp.snapshot()["cfm"] == {"tick.pinned": slots}
 
-    serial_mem, serial_done, serial_reg = observed()
+    serial_probe = RecordingProbe()
+    serial_mem, serial_done, serial_reg = _observed(cfg, serial_probe)
+    serial_mem.run(slots)
+    assert obs_done == serial_done
+    assert obs_mem.slot == serial_mem.slot == slots
+    assert obs_probe.events == serial_probe.events
+    assert obs_reg.snapshot() == serial_reg.snapshot()
+    assert obs_reg.snapshot()  # the registry really was fed
+
+
+def test_metrics_lane_rides_the_span_walk():
+    """A metrics registry alone keeps the lane batched: every slot is a
+    batched slot, and the snapshot equals the per-slot run's."""
+    cfg = CFMConfig(n_procs=4, bank_cycle=2)
+    slots = 10 * cfg.n_banks + 3
+
+    hp = HotpathProfiler()
+    obs_mem, obs_done, obs_reg = _observed(cfg)
+    obs_mem.hotpath = hp
+    clean_mem, clean_log = _reads(cfg)
+    _run_lanes([(obs_mem, obs_done), (clean_mem, clean_log)], [slots, slots])
+    assert hp.snapshot()["cfm"] == {"batched_slots": slots}
+
+    serial_mem, serial_done, serial_reg = _observed(cfg)
     serial_mem.run(slots)
     assert obs_done == serial_done
     assert obs_mem.slot == serial_mem.slot == slots
     assert obs_reg.snapshot() == serial_reg.snapshot()
-    assert obs_reg.snapshot()  # the registry really was fed
+    assert obs_reg.get("cfm.bank[0].util").total == slots
 
 
 # --------------------------------------------------------------------------
