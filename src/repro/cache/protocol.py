@@ -143,8 +143,8 @@ class _ProtocolController(AccessController):
     # -- engine hooks -------------------------------------------------------
 
     def on_slot(self, mem: CFMemory, slot: int) -> None:
-        for att in self.atts:
-            att.prune(slot)
+        # The ATTs are not pruned here: lookups age-filter, so expiry is
+        # pure GC, done per table where entries arrive (on_start).
         if len(self._entry_index) > self._index_sweep_at:
             self._sweep_entry_index(slot)
         if len(self._dead_ops) > 4096:
@@ -156,12 +156,11 @@ class _ProtocolController(AccessController):
 
     def on_start(self, mem: CFMemory, access: BlockAccess, slot: int) -> None:
         if access.kind in (AccessKind.READ_INVALIDATE, AccessKind.WRITE_BACK):
-            self.atts[access.first_bank].insert(
-                access.offset, access.access_id, access.kind, slot
-            )
-            capacity = self.atts[access.first_bank].capacity
+            att = self.atts[access.first_bank]
+            att.prune(slot)
+            att.insert(access.offset, access.access_id, access.kind, slot)
             self._entry_index.setdefault(access.offset, []).append(
-                (access.access_id, slot + capacity)
+                (access.access_id, slot + att.capacity)
             )
 
     def _sweep_entry_index(self, slot: int) -> None:
@@ -219,25 +218,22 @@ class _ProtocolController(AccessController):
     def _check_att(
         self, mem: CFMemory, access: BlockAccess, bank: int, slot: int
     ) -> Optional[ControlAction]:
-        att = self.atts[bank]
-        if access.kind is AccessKind.READ:
-            hits = att.lookup(access.offset, slot, exclude_op=access.access_id)
-        else:  # READ_INVALIDATE: first-issued wins, bank-0 anchored
+        hits = self.atts[bank].lookup(access.offset, slot,
+                                      exclude_op=access.access_id)
+        if not hits:
+            return None
+        if access.kind is not AccessKind.READ:
+            # READ_INVALIDATE: first-issued wins, bank-0 anchored.  Every
+            # write-back entry counts; a read-invalidate entry only from
+            # age min_age on.
             n = access.words_done
             min_age = n + 1 if access.visited_bank_zero() else max(1, n)
-            ri_hits = [
-                e
-                for e in att.lookup(
-                    access.offset, slot, min_age=min_age, exclude_op=access.access_id
-                )
-                if e.kind is AccessKind.READ_INVALIDATE
-            ]
-            wb_hits = [
-                e
-                for e in att.lookup(access.offset, slot, exclude_op=access.access_id)
+            hits = [
+                e for e in hits
                 if e.kind is AccessKind.WRITE_BACK
+                or (e.kind is AccessKind.READ_INVALIDATE
+                    and slot - e.insert_slot >= min_age)
             ]
-            hits = ri_hits + wb_hits
         # Processor-record refinement (§5.2.4): a read-invalidate entry
         # whose operation *aborted* is no competition — without this, stale
         # entries from a crowd of retrying read-invalidates livelock each

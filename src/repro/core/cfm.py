@@ -32,9 +32,10 @@ from __future__ import annotations
 import enum
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
-from operator import add
-from typing import Callable, Dict, List, Optional
+from operator import add, attrgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.block import Block, Word
 from repro.core.config import CFMConfig
@@ -101,12 +102,15 @@ class ConflictError(RuntimeError):
     """Two accesses addressed the same bank in the same slot."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BlockAccess:
     """One in-flight block access.
 
     ``slots=True``: these are allocated once per access and touched once
     per slot — the dominant record type of the slot-accurate simulators.
+    ``eq=False``: an access is one event, so two accesses are equal only
+    when they are the same object; ``active.remove`` compares identities
+    instead of building field tuples.
     """
 
     access_id: int
@@ -232,6 +236,25 @@ class AccessController:
 
 class PermissiveController(AccessController):
     """No access control at all — exhibits the Fig 4.1 inconsistency."""
+
+
+@cache
+def _overrides(cls: type) -> Tuple[bool, bool, bool]:
+    """Which of ``on_slot``, ``on_start``, ``on_bank`` controller class
+    ``cls`` overrides.
+
+    A hook left at the :class:`AccessController` no-op is never called:
+    :meth:`CFMemory.tick` skips it, and a controller overriding none of
+    them lets :meth:`CFMemory.run_batch` take the span walk.  Hooks are
+    looked up on the class, so one test per class serves every slot.
+    """
+    return (cls.on_slot is not AccessController.on_slot,
+            cls.on_start is not AccessController.on_start,
+            cls.on_bank is not AccessController.on_bank)
+
+
+#: ``insort`` key of the proc-sorted ``CFMemory.active``.
+_BY_PROC = attrgetter("proc")
 
 
 class CFMemory:
@@ -383,27 +406,22 @@ class CFMemory:
             )
         if self._proc_busy[proc]:
             raise ValueError(f"processor {proc} already has an outstanding access")
-        if kind.is_write:
+        if kind in _WRITE_KINDS:
             if data is None:
                 raise ValueError("write access requires data")
             if len(data) != self.n_banks:
                 raise ValueError(
                     f"write data must have {self.n_banks} words, got {len(data)}"
                 )
+        access_id = self._next_id
         acc = BlockAccess(
-            access_id=self._next_id,
-            proc=proc,
-            kind=kind,
-            offset=offset,
-            issue_slot=self.slot,
-            data=data,
-            version=version if version is not None else f"w{self._next_id}",
-            tag=tag,
-            on_finish=on_finish,
+            access_id, proc, kind, offset, self.slot, data,
+            version if version is not None else f"w{access_id}", tag,
+            on_finish,
         )
-        self._next_id += 1
+        self._next_id = access_id + 1
         self._proc_busy[proc] = True
-        insort(self.active, acc, key=lambda a: a.proc)
+        insort(self.active, acc, key=_BY_PROC)
         if self.probe is not None:
             self.probe.emit(
                 "cfm", "issue", self.slot, access_id=acc.access_id,
@@ -515,42 +533,44 @@ class CFMemory:
                 unlink: bool = True) -> None:
         # ``unlink=False`` is _advance_span's bulk-unlink protocol: the
         # caller has already removed every finisher from ``active`` in one
-        # pass (list.remove is an O(n) scan through the dataclass __eq__ of
-        # each already-reissued access — the dominant cost of finishing
-        # under load).  Everything else here is unchanged, so completion
-        # order, complete_slot, observers, and callbacks stay bit-identical.
+        # pass instead of one O(n) list.remove per finisher.  Everything
+        # else here is unchanged, so completion order, complete_slot,
+        # observers, and callbacks stay bit-identical.
         acc.state = state
         if unlink:
-            self.active.remove(acc)
-        self._proc_busy[acc.proc] = False
-        if state is AccessState.COMPLETED:
+            self.active.remove(acc)  # identity compare (eq=False)
+        proc = acc.proc
+        self._proc_busy[proc] = False
+        completed = state is AccessState.COMPLETED
+        if completed:
             # fault_delay is the extra drain a slow-bank fault imposed; it
             # is 0 on every unfaulted access, keeping this line inert.
             acc.complete_slot = slot + self.cfg.bank_cycle - 1 + acc.fault_delay
             self.completed.append(acc)
         else:
             self.aborted.append(acc)
-        if self.metrics is not None:
-            if state is AccessState.COMPLETED:
+        metrics = self.metrics
+        if metrics is not None:
+            if completed:
                 self._counters.incr("completed")
                 self._latency_hist.add(acc.latency)
                 # Per-tier SLA accounting only for criticality-tagged
                 # accesses: untagged runs snapshot byte-identically.
-                if acc.criticality is not None:
-                    self.metrics.histogram(
-                        f"cfm.latency[{acc.criticality}]"
-                    ).add(acc.qos_latency)
+                tier = acc.criticality
+                if tier is not None:
+                    metrics.histogram(f"cfm.latency[{tier}]").add(
+                        acc.qos_latency)
                     if acc.deadline_slot is not None:
                         met = acc.complete_slot <= acc.deadline_slot
-                        self.metrics.counter("cfm.deadline").incr(
-                            f"{acc.criticality}.{'met' if met else 'missed'}"
+                        metrics.counter("cfm.deadline").incr(
+                            f"{tier}.{'met' if met else 'missed'}"
                         )
             else:
                 self._counters.incr("aborted")
                 if acc.final_action is ControlAction.RETRY:
                     self._counters.incr("retries")
         if self.probe is not None:
-            if state is AccessState.COMPLETED:
+            if completed:
                 self.probe.emit(
                     "cfm", "complete", slot, access_id=acc.access_id,
                     proc=acc.proc, kind=acc.kind.value, latency=acc.latency,
@@ -562,20 +582,34 @@ class CFMemory:
                     proc=acc.proc, kind=acc.kind.value,
                     action=acc.final_action.value if acc.final_action else None,
                 )
-        if acc.on_finish is not None:
-            acc.on_finish(acc)
+        on_finish = acc.on_finish
+        if on_finish is not None:
+            on_finish(acc)
         # QoS grant: the freed AT partition goes to one queued op.  After
         # the finish callback (which may itself have re-issued — legacy
         # callers keep their slot), and guarded by one integer check so
         # submission-free runs pay nothing.  Every engine calls _finish at
         # identical slots in identical order, so grants are engine-uniform.
         if (self._pending_total
-                and self._entry_queues[acc.proc]
-                and not self._proc_busy[acc.proc]):
-            self._grant_entry(acc.proc)
+                and self._entry_queues[proc]
+                and not self._proc_busy[proc]):
+            self._grant_entry(proc)
+
+    def _hooks(self):
+        """The current controller and whether its class overrides
+        ``on_start`` and ``on_bank`` (see :func:`_overrides`)."""
+        ctrl = self.controller
+        _, on_start, on_bank = _overrides(type(ctrl))
+        return ctrl, on_start, on_bank
 
     def tick(self) -> None:
-        """Advance one slot: every active access performs one word."""
+        """Advance one slot: every active access performs one word.
+
+        Controller hooks left at the base no-op are skipped.  The
+        controller is re-read whenever foreign code has run (a hook or a
+        finish callback), so one swapped mid-slot governs the accesses
+        that come after it in the slot's processor order.
+        """
         slot = self.slot
         faults = self.faults
         f_stuck = None
@@ -593,30 +627,44 @@ class CFMemory:
                         self.degrade_bank(dead)
             if not f_stuck:
                 f_stuck = None
-        self.controller.on_slot(self, slot)
+        ctrl = self.controller
+        if _overrides(type(ctrl))[0]:
+            ctrl.on_slot(self, slot)
+        check = self.check_conflicts
         banks_used: Dict[int, int] = {}
         visited: Optional[List[int]] = [] if self.metrics is not None else None
         # The precomputed AT-space row for this slot replaces per-visit
         # modular arithmetic (table lookups, no method dispatch).
         row = self._table[slot % len(self._table)]
+        banks = self.banks
+        n_banks = self.cfg.n_banks
+        # The degraded schedule cannot switch mid-slot: degrade_bank
+        # refuses while any access of this slot is still in flight.
+        dead = self._dead_bank
+        shadow = self._shadow_bank
+        write_kinds = _WRITE_KINDS
+        active_state = AccessState.ACTIVE
+        ctrl = None
         # Processor order is the deterministic arbitration order; with the
         # AT-space schedule it is provably irrelevant (no shared banks).
         # `self.active` is maintained proc-sorted, so the snapshot needs no
         # re-sort.
         for acc in list(self.active):
-            if acc.state is not AccessState.ACTIVE:
+            if acc.state is not active_state:
                 continue
-            bank = row[acc.proc]
+            if self.controller is not ctrl:
+                ctrl, on_start, on_bank = self._hooks()
+            proc = acc.proc
+            bank = row[proc]
             if visited is not None:
                 visited.append(bank)
-            if self.check_conflicts:
-                other = banks_used.get(bank)
-                if other is not None:
+            if check:
+                if bank in banks_used:
                     raise ConflictError(
-                        f"bank {bank} addressed by procs {other} and {acc.proc} "
-                        f"at slot {slot} — AT-space violated"
+                        f"bank {bank} addressed by procs {banks_used[bank]} "
+                        f"and {proc} at slot {slot} — AT-space violated"
                     )
-                banks_used[bank] = acc.proc
+                banks_used[bank] = proc
             if f_stuck is not None and bank in f_stuck:
                 # A stuck bank cannot accept the address: the access aborts
                 # for re-issue by its owner (the RETRY path the recovery
@@ -630,49 +678,63 @@ class CFMemory:
             if acc.words_done == 0:
                 acc.first_bank = bank
                 acc.start_slot = slot
-                self.controller.on_start(self, acc, slot)
-            action = self.controller.on_bank(self, acc, bank, slot)
-            if action is ControlAction.ABORT:
-                acc.final_action = ControlAction.ABORT
-                self._finish(acc, AccessState.ABORTED, slot)
-                continue
-            if action is ControlAction.RETRY:
-                acc.restarts += 1
-                acc.final_action = ControlAction.RETRY
-                self._finish(acc, AccessState.ABORTED, slot)
-                continue
-            if action is ControlAction.RESTART:
-                # Restart "from the current memory bank" (§4.1.2): discard
-                # the words collected so far; this bank becomes word 0.
-                acc.restarts += 1
-                acc.words_done = 0
-                acc.result_words.clear()
-                acc.banks_written.clear()
-                acc.first_bank = bank
-                acc.start_slot = slot
-                self.controller.on_start(self, acc, slot)
-            # Perform the word.
-            if acc.kind.is_write:
-                assert acc.data is not None
-                self.write_word(bank, acc.offset, Word(acc.data[bank].value, acc.version))
+                if on_start:
+                    ctrl.on_start(self, acc, slot)
+                    if self.controller is not ctrl:
+                        ctrl, on_start, on_bank = self._hooks()
+            if on_bank:
+                action = ctrl.on_bank(self, acc, bank, slot)
+                if self.controller is not ctrl:
+                    ctrl, on_start, on_bank = self._hooks()
+                if action is ControlAction.ABORT:
+                    acc.final_action = ControlAction.ABORT
+                    self._finish(acc, AccessState.ABORTED, slot)
+                    continue
+                if action is ControlAction.RETRY:
+                    acc.restarts += 1
+                    acc.final_action = ControlAction.RETRY
+                    self._finish(acc, AccessState.ABORTED, slot)
+                    continue
+                if action is ControlAction.RESTART:
+                    # Restart "from the current memory bank" (§4.1.2):
+                    # discard the words collected so far; this bank
+                    # becomes word 0.
+                    acc.restarts += 1
+                    acc.words_done = 0
+                    acc.result_words.clear()
+                    acc.banks_written.clear()
+                    acc.first_bank = bank
+                    acc.start_slot = slot
+                    if on_start:
+                        ctrl.on_start(self, acc, slot)
+                        if self.controller is not ctrl:
+                            ctrl, on_start, on_bank = self._hooks()
+            # Perform the word (write_word/read_word inlined; every store
+            # still bumps _write_stamp for the span walk's read memo).
+            offset = acc.offset
+            is_write = acc.kind in write_kinds
+            if is_write:
+                data = acc.data.words
+                self._write_stamp += 1
+                banks[bank][offset] = Word(data[bank].value, acc.version)
                 acc.banks_written.append(bank)
             else:
-                acc.result_words[bank] = self.read_word(bank, acc.offset)
-            acc.words_done += 1
-            if self._dead_bank is not None and bank == self._shadow_bank:
+                acc.result_words[bank] = banks[bank].get(offset, _INIT_WORD)
+            done = acc.words_done + 1
+            if bank == shadow:
                 # Degraded mode: the shadow bank serves the dead bank's
                 # word during its own visit, so block width stays b on a
                 # b-1 schedule.
-                dead = self._dead_bank
-                if acc.kind.is_write:
-                    self.write_word(
-                        dead, acc.offset, Word(acc.data[dead].value, acc.version)
-                    )
+                if is_write:
+                    self._write_stamp += 1
+                    banks[dead][offset] = Word(data[dead].value, acc.version)
                     acc.banks_written.append(dead)
                 else:
-                    acc.result_words[dead] = self.read_word(dead, acc.offset)
-                acc.words_done += 1
-            if acc.words_done == self.n_banks:
+                    acc.result_words[dead] = banks[dead].get(offset,
+                                                             _INIT_WORD)
+                done += 1
+            acc.words_done = done
+            if done == n_banks:
                 if faults is not None and faults.active:
                     extra = faults.completion_extra(slot)
                     if extra:
@@ -686,8 +748,10 @@ class CFMemory:
             for bank in visited:
                 if slot + hold > busy_until[bank]:
                     busy_until[bank] = slot + hold
-            for k in range(self.cfg.n_banks):
-                self._bank_util[k].tick(busy_until[k] >= slot)
+            for util, until in zip(self._bank_util, busy_until):
+                util.total += 1  # Utilization.tick, inlined
+                if until >= slot:
+                    util.busy += 1
         self.slot += 1
 
     def run(self, slots: int) -> None:
@@ -760,12 +824,7 @@ class CFMemory:
             return False
         if self.faults is not None and self.faults.active:
             return False
-        ctrl = type(self.controller)
-        return (
-            ctrl.on_slot is AccessController.on_slot
-            and ctrl.on_bank is AccessController.on_bank
-            and ctrl.on_start is AccessController.on_start
-        )
+        return not any(_overrides(type(self.controller)))
 
     def _batch_hazard(self) -> bool:
         """Do two active accesses share an offset with a write involved?

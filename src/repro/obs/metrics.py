@@ -28,6 +28,9 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Instrument] = {}
+        # Sorted names, kept until an instrument is added (the registry
+        # only grows), so one report's snapshot and fractions share a sort.
+        self._sorted: Optional[List[str]] = None
 
     # -- get-or-create accessors -------------------------------------------
 
@@ -38,6 +41,7 @@ class MetricsRegistry:
         if inst is None:
             inst = cls()
             self._instruments[name] = inst
+            self._sorted = None
         elif not isinstance(inst, cls):
             raise TypeError(
                 f"metric {name!r} already registered as "
@@ -63,7 +67,12 @@ class MetricsRegistry:
         return self._instruments.get(name)
 
     def names(self) -> List[str]:
-        return sorted(self._instruments)
+        return list(self._names())
+
+    def _names(self) -> List[str]:
+        if self._sorted is None:
+            self._sorted = sorted(self._instruments)
+        return self._sorted
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
@@ -78,6 +87,10 @@ class MetricsRegistry:
 
     @staticmethod
     def _summarize(inst: Instrument) -> Dict[str, object]:
+        # Utilization first: one per bank, the bulk of a CFM registry.
+        if isinstance(inst, Utilization):
+            return {"type": "utilization", "busy": inst.busy,
+                    "total": inst.total, "fraction": inst.fraction}
         if isinstance(inst, TallyCounter):
             return {"type": "counter", "counts": inst.as_dict(),
                     "total": inst.total()}
@@ -98,15 +111,12 @@ class MetricsRegistry:
                 "p50": inst.percentile(0.5), "p99": inst.percentile(0.99),
                 "min": inst.percentile(0.0), "max": inst.percentile(1.0),
             }
-        if isinstance(inst, Utilization):
-            return {"type": "utilization", "busy": inst.busy,
-                    "total": inst.total, "fraction": inst.fraction}
         raise TypeError(f"unknown instrument type {type(inst).__name__}")
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Flat ``{name: summary}`` dict, names sorted, JSON-serializable."""
-        return {name: self._summarize(self._instruments[name])
-                for name in self.names()}
+        instruments, summarize = self._instruments, self._summarize
+        return {name: summarize(instruments[name]) for name in self._names()}
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
@@ -114,9 +124,10 @@ class MetricsRegistry:
     def fractions(self, prefix: str) -> Dict[str, float]:
         """Utilization fractions of every instrument under ``prefix``."""
         out: Dict[str, float] = {}
-        for name in self.names():
+        instruments = self._instruments
+        for name in self._names():
             if name.startswith(prefix):
-                inst = self._instruments[name]
+                inst = instruments[name]
                 if isinstance(inst, Utilization):
                     out[name] = inst.fraction
         return out

@@ -1,5 +1,7 @@
 """Tests for the slot-accurate CFM memory engine (§3.1, Figs 3.2/3.5/3.6)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.block import Block
@@ -10,6 +12,7 @@ from repro.core.cfm import (
     ConflictError,
     ControlAction,
     AccessController,
+    BlockAccess,
 )
 from repro.core.config import CFMConfig
 
@@ -196,3 +199,156 @@ class TestControllerHooks:
         mem.issue(1, AccessKind.READ, 0)
         mem.drain()
         assert starts == [(3, 2)]  # bank (2 + 1) mod 4 at slot 2
+
+
+class _OnlyOnSlot(AccessController):
+    def __init__(self):
+        self.calls = []
+
+    def on_slot(self, mem, slot):
+        self.calls.append(slot)
+
+
+class _OnlyOnStart(AccessController):
+    def __init__(self):
+        self.calls = []
+
+    def on_start(self, mem, access, slot):
+        self.calls.append((access.proc, access.first_bank, slot))
+
+
+class _OnlyOnBank(AccessController):
+    def __init__(self):
+        self.calls = []
+
+    def on_bank(self, mem, access, bank, slot):
+        self.calls.append((access.proc, bank, slot))
+        return ControlAction.PROCEED
+
+
+class TestHookSkipping:
+    """The tick calls only the hooks a controller's class overrides; each
+    overridden hook still sees exactly the calls of the full schedule."""
+
+    N_PROCS, CYCLE, SLOTS = 4, 2, 41
+
+    def _drive(self, ctrl, runner):
+        n, c = self.N_PROCS, self.CYCLE
+        mem = make(n, c, controller=ctrl)
+        width = mem.n_banks
+
+        def issue(p):
+            if p % 2:
+                mem.issue(p, AccessKind.WRITE, offset=p,
+                          data=Block.of_values([p] * width), on_finish=again)
+            else:
+                mem.issue(p, AccessKind.READ, offset=p, on_finish=again)
+
+        def again(acc):
+            issue(acc.proc)
+
+        for p in range(n):  # proc p's first word lands at slot p
+            issue(p)
+            runner(mem, 1)
+        runner(mem, self.SLOTS - n)
+        assert mem.slot == self.SLOTS
+        return mem
+
+    def _expected(self):
+        """Every access walks b consecutive slots from its start; proc p
+        starts at p, p + b, p + 2b, ... and visits bank (t + c·p) mod b."""
+        n, c, slots = self.N_PROCS, self.CYCLE, self.SLOTS
+        b = n * c
+        starts, banks = [], []
+        for p in range(n):
+            for s in range(p, slots, b):
+                starts.append((s, p, (s + c * p) % b))
+                banks.extend((t, p, (t + c * p) % b)
+                             for t in range(s, min(s + b, slots)))
+        return ([(p, k, s) for s, p, k in sorted(starts)],
+                [(p, k, t) for t, p, k in sorted(banks)])
+
+    @pytest.mark.parametrize("runner", [
+        lambda mem, k: mem.run(k), lambda mem, k: mem.run_batch(k),
+    ], ids=["tick", "run_batch"])
+    def test_single_hook_controllers_see_every_call(self, runner):
+        starts, banks = self._expected()
+        for cls, expected in ((_OnlyOnSlot, list(range(self.SLOTS))),
+                              (_OnlyOnStart, starts),
+                              (_OnlyOnBank, banks)):
+            ctrl = cls()
+            self._drive(ctrl, runner)
+            assert ctrl.calls == expected, cls.__name__
+
+    def test_single_hook_runs_match_permissive(self):
+        def words(mem):
+            return ([(a.access_id, a.proc, a.complete_slot)
+                     for a in mem.completed],
+                    [sorted((k, o, w.value, w.version)
+                            for o, w in bank.items())
+                     for k, bank in enumerate(mem.banks)])
+
+        base = words(self._drive(None, lambda mem, k: mem.run(k)))
+        for cls in (_OnlyOnSlot, _OnlyOnStart, _OnlyOnBank):
+            assert words(self._drive(cls(), lambda mem, k: mem.run(k))) == base
+
+    def test_controller_swapped_in_a_finish_callback_mid_tick(self):
+        # b = 4, c = 1.  Proc 0 finishes at slot 3 and its callback swaps
+        # in a spy; procs 1 (mid-access) and 2 (first word) come later in
+        # slot 3's processor order, so the spy already sees their visits.
+        spy = _OnlyOnBank()
+        starts = _OnlyOnStart()
+        mem = make(4, 1)
+
+        def swap(acc):
+            mem.controller = spy
+
+        mem.issue(0, AccessKind.READ, 0, on_finish=swap)
+        mem.run(1)
+        mem.issue(1, AccessKind.READ, 1)
+        mem.run(2)
+        mem.issue(2, AccessKind.READ, 2)
+        mem.run(1)
+        assert spy.calls == [(1, 0, 3), (2, 1, 3)]
+        mem.controller = starts  # on_start only, swapped between ticks
+        mem.run(1)
+        assert starts.calls == []  # no access starts at slot 4
+        assert mem.slot == 5
+
+    def test_controller_swapped_away_mid_tick_stops_its_calls(self):
+        spy = _OnlyOnBank()
+        mem = make(4, 1, controller=spy)
+
+        def swap(acc):
+            mem.controller = AccessController()
+
+        mem.issue(0, AccessKind.READ, 0, on_finish=swap)
+        mem.run(1)
+        mem.issue(1, AccessKind.READ, 1)
+        mem.run(3)
+        # Slot 3: proc 0's last word is seen, then the swap, so proc 1's
+        # visit of the same slot is not.
+        assert spy.calls[-2:] == [(1, 3, 2), (0, 3, 3)]
+        mem.drain()
+        assert [a.proc for a in mem.completed] == [0, 1]
+
+
+class TestBlockAccessIdentity:
+    def test_equal_looking_accesses_are_distinct(self):
+        a = BlockAccess(0, 0, AccessKind.READ, 0, 0)
+        b = BlockAccess(0, 0, AccessKind.READ, 0, 0)
+        assert a == a and a != b
+        assert len({a, b}) == 2
+        accesses = [b, a]
+        accesses.remove(a)
+        assert accesses[0] is b
+
+    def test_finish_unlinks_the_access_itself(self):
+        mem = make(4, 1)
+        acc = mem.issue(0, AccessKind.READ, 0)
+        # A twin that matches every field acc has when _finish unlinks it.
+        twin = dataclasses.replace(acc, state=AccessState.COMPLETED)
+        mem.active.insert(0, twin)
+        mem._finish(acc, AccessState.COMPLETED, 3)
+        assert mem.active == [twin] and mem.active[0] is twin
+        assert mem.completed[0] is acc
