@@ -30,14 +30,15 @@ pinning the per-slot tick.
 
 Every timing is :func:`benchmarks._timing.best_of`; each fast path's
 result is asserted bit-identical to the reference's before any speed is
-gated.  Run the gates, with their timing tables, through pytest::
+gated.  Timed regions keep the garbage collector on, as ``sim_sweep`` and
+the serve workers do: the engine holds only in-flight accesses, so a run
+leaves the collector little to trace.  Run the gates, with their timing tables, through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fastpath.py -q -s
 """
 
 from __future__ import annotations
 
-import gc
 import random
 import time
 from functools import partial
@@ -118,18 +119,12 @@ def _run_one(n_procs: int, bank_cycle: int, slots: int, fast: bool):
     mem = CFMemory(CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle))
     log: List[Tuple[int, int, int]] = []
     _full_load(mem, log)
-    # The workload retains every completed access (~n·b Word entries per
-    # round); collector pauses landing inside one timed region but not the
-    # other would skew the ratio, so GC is parked during timing.
-    gc.collect()
-    gc.disable()
     t0 = time.perf_counter()
     if fast:
         mem.run_batch(slots)
     else:
         mem.run(slots)
     elapsed = time.perf_counter() - t0
-    gc.enable()
     return elapsed, (log, mem.slot)
 
 
@@ -217,12 +212,9 @@ def test_reference_floor():
 def _run_spec_once(spec):
     from repro.obs.bench import run_spec
 
-    gc.collect()
-    gc.disable()
     t0 = time.perf_counter()
     report = run_spec(spec)
     elapsed = time.perf_counter() - t0
-    gc.enable()
     return elapsed, report
 
 
@@ -291,8 +283,6 @@ def _run_cache_once(n_procs: int, bank_cycle: int, rounds: int, fast: bool):
     sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle)
     plan = _cache_plan(n_procs, rounds)
     all_ops = []
-    gc.collect()
-    gc.disable()
     t0 = time.perf_counter()
     for batch in plan:
         ops = [sys_.load(p, off) if kind == "load"
@@ -304,7 +294,6 @@ def _run_cache_once(n_procs: int, bank_cycle: int, rounds: int, fast: bool):
             sys_.run_ops(ops)
         all_ops.extend(ops)
     elapsed = time.perf_counter() - t0
-    gc.enable()
     return elapsed, _cache_fingerprint(sys_, all_ops)
 
 
@@ -397,8 +386,6 @@ def _run_hier_once(n_clusters: int, per: int, bank_cycle: int, rounds: int,
                 h.l2[c][off] = CacheLineState.DIRTY
     plan = _hier_plan(n_clusters, per, rounds)
     all_ops = []
-    gc.collect()
-    gc.disable()
     t0 = time.perf_counter()
     for batch in plan:
         ops = [h.load(g, off) if kind == "load" else h.store(g, off, words)
@@ -409,7 +396,6 @@ def _run_hier_once(n_clusters: int, per: int, bank_cycle: int, rounds: int,
             h.run_ops(ops)
         all_ops.extend(ops)
     elapsed = time.perf_counter() - t0
-    gc.enable()
     h.check_invariants()
     return elapsed, _hier_fingerprint(h, all_ops)
 
@@ -457,12 +443,9 @@ def _run_engine_once(n_procs: int, bank_cycle: int, slots: int, engine: str):
     mem = CFMemory(CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle))
     log: List[Tuple[int, int, int]] = []
     _full_load(mem, log)
-    gc.collect()
-    gc.disable()
     t0 = time.perf_counter()
     mem.run_engine(slots, engine=engine)
     elapsed = time.perf_counter() - t0
-    gc.enable()
     return elapsed, (log, mem.slot)
 
 

@@ -18,15 +18,16 @@ from repro.cache.state import CacheLineState
 
 @dataclass
 class CacheLine:
-    """One direct-mapped cache line: directory entry (state + tag) + data."""
+    """One direct-mapped cache line: directory entry (state + tag) + data.
+
+    ``tag`` is set exactly while ``state`` is not INVALID (``fill`` sets
+    both, ``invalidate`` clears both), so a tag match alone means the line
+    holds the block."""
 
     state: CacheLineState = CacheLineState.INVALID
     tag: Optional[int] = None  # the block offset cached here
     data: Optional[Block] = None
     wb_disabled: bool = False  # sync op in progress: refuse triggered WB
-
-    def holds(self, offset: int) -> bool:
-        return self.state is not CacheLineState.INVALID and self.tag == offset
 
 
 class CacheDirectory:
@@ -47,16 +48,21 @@ class CacheDirectory:
         return self.lines[self.line_index(offset)]
 
     def lookup(self, offset: int) -> Optional[CacheLine]:
-        """The line holding ``offset``, or None on a miss."""
-        line = self.line_for(offset)
-        return line if line.holds(offset) else None
+        """The line holding ``offset``, or None on a miss.
+
+        One index and a tag compare (see :class:`CacheLine`): the protocol
+        asks this at every coupled-bank visit and every processor step."""
+        line = self.lines[offset % self.n_lines]
+        return line if line.tag == offset else None
 
     def state_of(self, offset: int) -> CacheLineState:
-        line = self.lookup(offset)
-        return line.state if line is not None else CacheLineState.INVALID
+        line = self.lines[offset % self.n_lines]
+        return line.state if line.tag == offset else CacheLineState.INVALID
 
     def fill(self, offset: int, data: Block, state: CacheLineState) -> CacheLine:
         """Install a block (the caller handles any dirty victim first)."""
+        if state is CacheLineState.INVALID:
+            raise ValueError("fill installs a valid block; use invalidate")
         line = self.line_for(offset)
         line.state = state
         line.tag = offset

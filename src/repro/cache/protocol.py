@@ -128,6 +128,11 @@ class _ProtocolController(AccessController):
         self.atts = [
             AddressTrackingTable(max(1, n_banks - 1)) for _ in range(n_banks)
         ]
+        # Per bank: the offsets its ATT holds entries for (the table's own
+        # offset index, read in place), and the coupled processor.
+        # on_bank consults both at every visit, so neither is a call.
+        self._att_offsets = [att._by_offset for att in self.atts]
+        self._coupled = [system.coupled_proc(k) for k in range(n_banks)]
         self.retry_delay: Dict[int, int] = {}  # access_id -> chosen delay
         self._dead_ops: set = set()  # aborted ops: their entries are void
         self.triggered_writebacks = 0
@@ -200,9 +205,11 @@ class _ProtocolController(AccessController):
     ) -> ControlAction:
         if access.kind is AccessKind.WRITE_BACK:
             return ControlAction.PROCEED  # detects nothing (Table 5.2)
-        action = self._check_att(mem, access, bank, slot)
+        action = None
+        if access.offset in self._att_offsets[bank]:
+            action = self._check_att(mem, access, bank, slot)
         if action is None:
-            q = self.sys.coupled_proc(bank)
+            q = self._coupled[bank]
             if q is None or q == access.proc:
                 action = ControlAction.PROCEED
             else:
@@ -474,6 +481,15 @@ class CacheSystem:
         while dq and dq[0][0] <= slot:
             heapq.heappop(dq)[2]()
         for p, st in enumerate(self.procs):
+            # Skip the processors _advance_proc would provably leave
+            # alone: one waiting on its in-flight access with no local hit
+            # due, or one with no op and nothing queued.
+            if st.current_access is not None:
+                if st.local_done_at != slot:
+                    continue
+            elif (st.current_op is None and not st.cpu_queue
+                    and not st.wb_queue):
+                continue
             self._advance_proc(p, st, slot)
         self.mem.tick()
 

@@ -13,12 +13,14 @@ block mixing versions) is directly observable when access control is off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class Word:
-    """One bank-resident word: a value plus the version tag of its writer."""
+class Word(NamedTuple):
+    """One bank-resident word: a value plus the version tag of its writer.
+
+    An immutable named tuple: the engines build one per word stored, and a
+    tuple costs a fraction of a frozen dataclass to construct."""
 
     value: int = 0
     version: Optional[str] = None

@@ -306,8 +306,10 @@ class CFMemory:
         self.active: List[BlockAccess] = []
         # O(1) one-outstanding-access-per-processor enforcement.
         self._proc_busy = [False] * config.n_procs
-        self.completed: List[BlockAccess] = []
-        self.aborted: List[BlockAccess] = []
+        # No finished-access history: a processor owns one AT partition,
+        # so an access needs only its in-flight state.  Every finish is
+        # delivered through on_finish (and _finish, the seam every engine
+        # calls); whoever wants a history records it there.
         # QoS entry arbitration (invariant 12): ops submitted while their
         # processor's AT partition is occupied queue per processor; the
         # winner of a contended grant is picked at _finish time — a seam
@@ -406,6 +408,7 @@ class CFMemory:
             )
         if self._proc_busy[proc]:
             raise ValueError(f"processor {proc} already has an outstanding access")
+        access_id = self._next_id
         if kind in _WRITE_KINDS:
             if data is None:
                 raise ValueError("write access requires data")
@@ -413,10 +416,11 @@ class CFMemory:
                 raise ValueError(
                     f"write data must have {self.n_banks} words, got {len(data)}"
                 )
-        access_id = self._next_id
+            if version is None:
+                # Only stores stamp words, so only they need a tag.
+                version = f"w{access_id}"
         acc = BlockAccess(
-            access_id, proc, kind, offset, self.slot, data,
-            version if version is not None else f"w{access_id}", tag,
+            access_id, proc, kind, offset, self.slot, data, version, tag,
             on_finish,
         )
         self._next_id = access_id + 1
@@ -546,9 +550,6 @@ class CFMemory:
             # fault_delay is the extra drain a slow-bank fault imposed; it
             # is 0 on every unfaulted access, keeping this line inert.
             acc.complete_slot = slot + self.cfg.bank_cycle - 1 + acc.fault_delay
-            self.completed.append(acc)
-        else:
-            self.aborted.append(acc)
         metrics = self.metrics
         if metrics is not None:
             if completed:
@@ -826,23 +827,6 @@ class CFMemory:
             return False
         return not any(_overrides(type(self.controller)))
 
-    def _batch_hazard(self) -> bool:
-        """Do two active accesses share an offset with a write involved?
-
-        Writes interleave with same-offset accesses *through the banks*,
-        bank by bank, so only the slot-by-slot path reproduces their
-        ordering (the Fig 4.1 behaviour).  Disjoint offsets — or
-        read-only sharing — cannot interact and may be batched.
-        """
-        seen: Dict[int, bool] = {}
-        for acc in self.active:
-            has_write = seen.get(acc.offset)
-            is_write = acc.kind in _WRITE_KINDS
-            if has_write is not None and (has_write or is_write):
-                return True
-            seen[acc.offset] = is_write
-        return False
-
     def run_batch(self, slots: int) -> None:
         """Advance ``slots`` slots with results identical to :meth:`run`.
 
@@ -869,12 +853,11 @@ class CFMemory:
         end = self.slot + slots
         n_banks = self.cfg.banks_per_module
         active = self.active
-        # Eligibility and the hazard set can only change through finish
-        # callbacks (issue/probe/controller swaps all happen there) or
-        # controller hooks on the slow path — so both are re-derived after
-        # those points rather than per round.
+        write_kinds = _WRITE_KINDS
+        # Eligibility can only change through finish callbacks (issue/
+        # probe/controller swaps all happen there) or controller hooks on
+        # the slow path, so it is re-derived after those points only.
         eligible = self._fast_eligible()
-        hazard = self._batch_hazard()
         hp = self.hotpath
         # Claim the shared profiler: while this driver advances time, inner
         # or sibling layers' slot counters are suppressed, so each slot is
@@ -887,7 +870,6 @@ class CFMemory:
                         hp.count("cfm", "tick.pinned")
                     self.tick()
                     eligible = self._fast_eligible()
-                    hazard = self._batch_hazard()
                     continue
                 if not active:
                     if hp is not None:
@@ -896,23 +878,39 @@ class CFMemory:
                         self._span_util(self.slot, end - 1, ())
                     self.slot = end  # idle-slot skip
                     break
+                # One pass finds the batch hazard and the earliest finish.
+                # The hazard: two accesses share an offset with a write
+                # involved.  Writes interleave with same-offset accesses
+                # *through the banks*, bank by bank, so only the per-slot
+                # path reproduces their ordering (the Fig 4.1 behaviour);
+                # disjoint offsets or read-only sharing cannot interact.
+                seen: Dict[int, bool] = {}
+                most_done = 0
+                hazard = False
+                for acc in active:
+                    offset = acc.offset
+                    is_write = acc.kind in write_kinds
+                    has_write = seen.get(offset)
+                    if has_write is not None and (has_write or is_write):
+                        hazard = True
+                        break
+                    seen[offset] = is_write
+                    if acc.words_done > most_done:
+                        most_done = acc.words_done
                 if hazard:
                     if hp is not None:
                         hp.count("cfm", "fallback.hazard")
                     self.tick()
                     eligible = self._fast_eligible()
-                    hazard = self._batch_hazard()
                     continue
                 slot = self.slot
-                # Earliest slot at which some access performs its last word.
-                target = min(
-                    slot + n_banks - acc.words_done - 1 for acc in active
-                )
+                # The slot at which the furthest-along access performs its
+                # last word.
+                target = slot + n_banks - most_done - 1
                 if target >= end:
                     target = end - 1
                 if self._advance_span(target):
                     eligible = self._fast_eligible()
-                    hazard = self._batch_hazard()
                 if hp is not None:
                     hp.count("cfm", "batched_slots", target - slot + 1)
         finally:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.block import Block
-from repro.core.cfm import AccessKind, CFMemory, PermissiveController
+from repro.core.cfm import AccessKind, AccessState, BlockAccess, CFMemory
 from repro.core.config import CFMConfig
 from repro.faults.errors import FaultError, NetworkFaultError
 from repro.faults.inject import FaultInjector
@@ -43,16 +43,16 @@ SWEEP_SHAPES_FULL: Tuple[Tuple[int, int], ...] = ((4, 1), (8, 2), (16, 4))
 # State fingerprints (exhaustive, order-stable, hashable)
 
 
-def fingerprint_cfm(mem: CFMemory, results: List[object]) -> Tuple:
-    """Everything observable about a CFM run: completions, banks, clock."""
+def fingerprint_cfm(mem: CFMemory, results: List[object],
+                    completed: List[Tuple]) -> Tuple:
+    """Everything observable about a CFM run: completions, banks, clock.
+
+    ``completed`` is the driver's own record of every completion in
+    finish order (the engine keeps no history); see :func:`_drive_cfm`."""
     return (
         mem.slot,
         tuple(results),
-        tuple(
-            (a.access_id, a.proc, a.kind.value, a.offset,
-             a.issue_slot, a.complete_slot, a.restarts)
-            for a in mem.completed
-        ),
+        tuple(completed),
         tuple(
             tuple(sorted((off, w.value, w.version) for off, w in bank.items()))
             for bank in mem.banks
@@ -111,24 +111,34 @@ def fingerprint_hier(hier, ops) -> Tuple:
 
 
 def _drive_cfm(mem: CFMemory, engine: str) -> Tuple:
-    """A fixed write-then-read workload; returns the fingerprint."""
+    """A fixed write-then-read workload; returns the fingerprint.
+
+    Every access records its own completion, writes included, so the
+    fingerprint holds each one in finish order."""
     n = mem.cfg.n_procs
     b = mem.n_banks
     results: List[object] = []
+    completed: List[Tuple] = []
     span = b + mem.cfg.bank_cycle + 2
+
+    def record(a: BlockAccess) -> None:
+        if a.state is AccessState.COMPLETED:
+            completed.append((a.access_id, a.proc, a.kind.value, a.offset,
+                              a.issue_slot, a.complete_slot, a.restarts))
+
+    def read_done(a: BlockAccess) -> None:
+        record(a)
+        results.append((a.proc, tuple(w.value for w in a.result.words)))
+
     for p in range(n):
         mem.issue(p, AccessKind.WRITE, p % 3,
-                  data=Block.of_values([p * 100 + k for k in range(b)], f"v{p}"))
+                  data=Block.of_values([p * 100 + k for k in range(b)], f"v{p}"),
+                  on_finish=record)
     mem.run_engine(span, engine=engine)
     for p in range(n):
-        mem.issue(
-            p, AccessKind.READ, (p + 1) % 3,
-            on_finish=lambda a: results.append(
-                (a.proc, tuple(w.value for w in a.result.words))
-            ),
-        )
+        mem.issue(p, AccessKind.READ, (p + 1) % 3, on_finish=read_done)
     mem.run_engine(span, engine=engine)
-    return fingerprint_cfm(mem, results)
+    return fingerprint_cfm(mem, results, completed)
 
 
 def _cfm_fingerprint(n_procs: int, bank_cycle: int, engine: str,

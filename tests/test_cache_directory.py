@@ -54,6 +54,14 @@ class TestDirectory:
         d.fill(1, Block.of_values([2] * 4), S.VALID)
         assert d.lookup(1).wb_disabled is False
 
+    def test_fill_rejects_invalid_state(self):
+        # lookup trusts the tag alone, so no line may carry a tag while
+        # INVALID.
+        d = CacheDirectory(0, n_lines=8)
+        with pytest.raises(ValueError):
+            d.fill(5, Block.of_values([1] * 4), S.INVALID)
+        assert d.lookup(5) is None
+
     def test_invalid_line_count(self):
         with pytest.raises(ValueError):
             CacheDirectory(0, n_lines=0)

@@ -15,6 +15,7 @@ from repro.core.cfm import (
     BlockAccess,
 )
 from repro.core.config import CFMConfig
+from tests.history import record_finishes
 
 
 def make(n=4, c=1, **kw):
@@ -235,6 +236,7 @@ class TestHookSkipping:
     def _drive(self, ctrl, runner):
         n, c = self.N_PROCS, self.CYCLE
         mem = make(n, c, controller=ctrl)
+        finished = record_finishes(mem)
         width = mem.n_banks
 
         def issue(p):
@@ -252,7 +254,7 @@ class TestHookSkipping:
             runner(mem, 1)
         runner(mem, self.SLOTS - n)
         assert mem.slot == self.SLOTS
-        return mem
+        return mem, finished
 
     def _expected(self):
         """Every access walks b consecutive slots from its start; proc p
@@ -281,9 +283,10 @@ class TestHookSkipping:
             assert ctrl.calls == expected, cls.__name__
 
     def test_single_hook_runs_match_permissive(self):
-        def words(mem):
+        def words(driven):
+            mem, finished = driven
             return ([(a.access_id, a.proc, a.complete_slot)
-                     for a in mem.completed],
+                     for a in finished.completed],
                     [sorted((k, o, w.value, w.version)
                             for o, w in bank.items())
                      for k, bank in enumerate(mem.banks)])
@@ -318,6 +321,7 @@ class TestHookSkipping:
     def test_controller_swapped_away_mid_tick_stops_its_calls(self):
         spy = _OnlyOnBank()
         mem = make(4, 1, controller=spy)
+        finished = record_finishes(mem)
 
         def swap(acc):
             mem.controller = AccessController()
@@ -330,7 +334,7 @@ class TestHookSkipping:
         # visit of the same slot is not.
         assert spy.calls[-2:] == [(1, 3, 2), (0, 3, 3)]
         mem.drain()
-        assert [a.proc for a in mem.completed] == [0, 1]
+        assert [a.proc for a in finished.completed] == [0, 1]
 
 
 class TestBlockAccessIdentity:
@@ -349,6 +353,7 @@ class TestBlockAccessIdentity:
         # A twin that matches every field acc has when _finish unlinks it.
         twin = dataclasses.replace(acc, state=AccessState.COMPLETED)
         mem.active.insert(0, twin)
+        finished = record_finishes(mem)
         mem._finish(acc, AccessState.COMPLETED, 3)
         assert mem.active == [twin] and mem.active[0] is twin
-        assert mem.completed[0] is acc
+        assert finished.completed[0] is acc

@@ -29,6 +29,7 @@ from repro.fastpath.tables import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
 from repro.sim.engine import Engine, SlotClock
+from tests.history import record_finishes
 
 SHAPES = [(4, 1), (8, 2), (16, 4), (32, 8)]
 
@@ -105,13 +106,13 @@ def _full_load_workload(mem: CFMemory, log, write_every=0):
         mem.issue(p, AccessKind.READ, offset=p, on_finish=reissue)
 
 
-def _state_fingerprint(mem: CFMemory):
+def _state_fingerprint(mem: CFMemory, finished):
     return (
         mem.slot,
         [sorted(bank.items()) for bank in mem.banks],
         [(a.access_id, a.proc, a.words_done) for a in mem.active],
-        len(mem.completed),
-        len(mem.aborted),
+        len(finished.completed),
+        len(finished.aborted),
     )
 
 
@@ -128,13 +129,16 @@ class TestCFMBatchEquivalence:
         log_ref, log_fast = [], []
         ref = CFMemory(CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle))
         fast = CFMemory(CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle))
+        finished_ref = record_finishes(ref)
+        finished_fast = record_finishes(fast)
         _full_load_workload(ref, log_ref, write_every)
         _full_load_workload(fast, log_fast, write_every)
         ref.run(slots)
         fast.run_batch(slots)
         assert log_ref == log_fast
-        assert _state_fingerprint(ref) == _state_fingerprint(fast)
-        for a, b in zip(ref.completed, fast.completed):
+        assert (_state_fingerprint(ref, finished_ref)
+                == _state_fingerprint(fast, finished_fast))
+        for a, b in zip(finished_ref.completed, finished_fast.completed):
             if a.kind.is_read:
                 assert a.result == b.result
             assert (a.issue_slot, a.complete_slot, a.latency) == (
@@ -142,9 +146,10 @@ class TestCFMBatchEquivalence:
 
     def test_idle_slot_skip_lands_on_exact_slot(self):
         mem = CFMemory(CFMConfig(n_procs=8, bank_cycle=2))
+        finished = record_finishes(mem)
         mem.run_batch(1234)
         assert mem.slot == 1234
-        assert not mem.completed
+        assert not finished.completed
 
     def test_staggered_issue_from_callbacks(self):
         # Completions re-issue at their exact slot-accurate times, so the

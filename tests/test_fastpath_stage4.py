@@ -38,30 +38,33 @@ from repro.fastpath.stack import run_specs_stacked, stack_shape, stackable_spec
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
+from tests.history import record_finishes
 
 
 def _normalized(doc):
     return json.loads(json.dumps(doc, sort_keys=True))
 
 
-def _fingerprint(mem: CFMemory, log):
+def _fingerprint(mem: CFMemory, log, finished):
     return (
         mem.slot,
         [sorted(bank.items()) for bank in mem.banks],
         [(a.proc, a.words_done) for a in mem.active],
-        len(mem.completed),
+        len(finished.completed),
         list(log),
     )
 
 
 # --------------------------------------------------------------------------
-# Workload builders: each returns a primed module + its completion log.
-# Deterministic, so a fresh serial twin sees the identical issue stream.
+# Workload builders: each returns a primed module, its completion log and
+# a record of its finishes (tests/history.py).  Deterministic, so a fresh
+# serial twin sees the identical issue stream.
 
 
 def _reads(cfg: CFMConfig, stride: int = 1):
     """Full-load streaming reads; ``stride > 1`` leaves procs idle."""
     mem = CFMemory(cfg)
+    finished = record_finishes(mem)
     log = []
 
     def reissue(acc):
@@ -71,13 +74,14 @@ def _reads(cfg: CFMConfig, stride: int = 1):
 
     for p in range(0, cfg.n_procs, stride):
         mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=reissue)
-    return mem, log
+    return mem, log, finished
 
 
 def _private_writes(cfg: CFMConfig):
     """Every 2nd reissue of a proc writes a processor-private offset —
     hazard-free, exercising the span write path + memo invalidation."""
     mem = CFMemory(cfg)
+    finished = record_finishes(mem)
     log = []
     counts = [0] * cfg.n_procs
 
@@ -94,7 +98,7 @@ def _private_writes(cfg: CFMConfig):
 
     for p in range(cfg.n_procs):
         mem.issue(p, AccessKind.READ, offset=p, on_finish=reissue)
-    return mem, log
+    return mem, log, finished
 
 
 def _conflicting_writes(cfg: CFMConfig):
@@ -102,6 +106,7 @@ def _conflicting_writes(cfg: CFMConfig):
     both writes go in flight together, the write-interleave hazard breaks
     the static proof, and the lane must tick per slot mid-run."""
     mem = CFMemory(cfg)
+    finished = record_finishes(mem)
     log = []
     counts = [0] * cfg.n_procs
 
@@ -118,7 +123,7 @@ def _conflicting_writes(cfg: CFMConfig):
 
     for p in range(cfg.n_procs):
         mem.issue(p, AccessKind.READ, offset=p, on_finish=reissue)
-    return mem, log
+    return mem, log, finished
 
 
 WORKLOADS = [_reads, lambda cfg: _reads(cfg, stride=2), _private_writes,
@@ -130,7 +135,7 @@ WORKLOADS = [_reads, lambda cfg: _reads(cfg, stride=2), _private_writes,
 
 
 def _run_lanes(lanes, budgets):
-    for (mem, _), budget in zip(lanes, budgets):
+    for (mem, *_), budget in zip(lanes, budgets):
         mem.run_engine(budget, engine=ENGINE_STACKED)
 
 
@@ -140,10 +145,10 @@ def test_run_stack_mixed_workloads_match_serial(n_procs, bank_cycle):
     slots = 6 * cfg.n_banks
     stacked = [build(cfg) for build in WORKLOADS]
     _run_lanes(stacked, [slots] * len(stacked))
-    for build, (mem, log) in zip(WORKLOADS, stacked):
-        serial_mem, serial_log = build(cfg)
+    for build, lane in zip(WORKLOADS, stacked):
+        serial_mem, *serial = build(cfg)
         serial_mem.run(slots)
-        assert _fingerprint(mem, log) == _fingerprint(serial_mem, serial_log)
+        assert _fingerprint(*lane) == _fingerprint(serial_mem, *serial)
 
 
 def test_run_stack_mixed_budgets_match_serial():
@@ -151,10 +156,10 @@ def test_run_stack_mixed_budgets_match_serial():
     budgets = [2 * cfg.n_banks, 5 * cfg.n_banks, 0, 3 * cfg.n_banks + 7]
     stacked = [_reads(cfg) for _ in budgets]
     _run_lanes(stacked, budgets)
-    for budget, (mem, log) in zip(budgets, stacked):
-        serial_mem, serial_log = _reads(cfg)
+    for budget, lane in zip(budgets, stacked):
+        serial_mem, *serial = _reads(cfg)
         serial_mem.run(budget)
-        assert _fingerprint(mem, log) == _fingerprint(serial_mem, serial_log)
+        assert _fingerprint(*lane) == _fingerprint(serial_mem, *serial)
 
 
 # --------------------------------------------------------------------------
@@ -170,10 +175,12 @@ def _memo_differential(build, slots):
     """Run ``build``'s module per slot and through run_batch; the
     completion streams (read results included) and banks must agree."""
     ref, ref_log = build()
+    ref_finished = record_finishes(ref)
     ref.run(slots)
     fast, fast_log = build()
+    fast_finished = record_finishes(fast)
     fast.run_batch(slots)
-    assert _results(fast.completed) == _results(ref.completed)
+    assert _results(fast_finished.completed) == _results(ref_finished.completed)
     assert [sorted(b.items()) for b in fast.banks] == \
         [sorted(b.items()) for b in ref.banks]
     assert fast.slot == ref.slot
@@ -266,13 +273,12 @@ def test_memo_two_readers_of_one_offset_complete_in_one_epoch():
 def test_hazard_lane_ejects_while_stackmates_stay_vectorized():
     cfg = CFMConfig(n_procs=8, bank_cycle=2)
     slots = 8 * cfg.n_banks
-    clean_mem, clean_log = _reads(cfg)
-    hazard_mem, hazard_log = _conflicting_writes(cfg)
+    clean = _reads(cfg)
+    hazard = _conflicting_writes(cfg)
     clean_hp, hazard_hp = HotpathProfiler(), HotpathProfiler()
-    clean_mem.hotpath = clean_hp
-    hazard_mem.hotpath = hazard_hp
-    _run_lanes([(clean_mem, clean_log), (hazard_mem, hazard_log)],
-               [slots, slots])
+    clean[0].hotpath = clean_hp
+    hazard[0].hotpath = hazard_hp
+    _run_lanes([clean, hazard], [slots, slots])
 
     clean_events = clean_hp.snapshot()["cfm"]
     hazard_events = hazard_hp.snapshot()["cfm"]
@@ -288,11 +294,10 @@ def test_hazard_lane_ejects_while_stackmates_stay_vectorized():
     assert clean_hp.occupancy()["cfm"]["batched"] == slots
 
     # Both lanes remain bit-identical to their serial runs.
-    for build, mem, log in [(_reads, clean_mem, clean_log),
-                            (_conflicting_writes, hazard_mem, hazard_log)]:
-        serial_mem, serial_log = build(cfg)
+    for build, lane in [(_reads, clean), (_conflicting_writes, hazard)]:
+        serial_mem, *serial = build(cfg)
         serial_mem.run(slots)
-        assert _fingerprint(mem, log) == _fingerprint(serial_mem, serial_log)
+        assert _fingerprint(*lane) == _fingerprint(serial_mem, *serial)
 
 
 def _observed(cfg, probe=None):
@@ -323,8 +328,7 @@ def test_observed_lane_ejects_with_identical_metrics_snapshot():
     obs_probe = RecordingProbe()
     obs_mem, obs_done, obs_reg = _observed(cfg, obs_probe)
     obs_mem.hotpath = hp
-    clean_mem, clean_log = _reads(cfg)
-    _run_lanes([(obs_mem, obs_done), (clean_mem, clean_log)], [slots, slots])
+    _run_lanes([(obs_mem, obs_done), _reads(cfg)], [slots, slots])
     assert hp.snapshot()["cfm"] == {"tick.pinned": slots}
 
     serial_probe = RecordingProbe()
@@ -346,8 +350,7 @@ def test_metrics_lane_rides_the_span_walk():
     hp = HotpathProfiler()
     obs_mem, obs_done, obs_reg = _observed(cfg)
     obs_mem.hotpath = hp
-    clean_mem, clean_log = _reads(cfg)
-    _run_lanes([(obs_mem, obs_done), (clean_mem, clean_log)], [slots, slots])
+    _run_lanes([(obs_mem, obs_done), _reads(cfg)], [slots, slots])
     assert hp.snapshot()["cfm"] == {"batched_slots": slots}
 
     serial_mem, serial_done, serial_reg = _observed(cfg)
@@ -434,8 +437,8 @@ def test_stackable_spec_predicate():
 
 def test_width_one_stack_is_the_run_engine_stacked_path():
     assert engine_available(ENGINE_STACKED, "cfm")
-    serial_mem, serial_log = _reads(CFMConfig(n_procs=8, bank_cycle=2))
+    serial_mem, *serial = _reads(CFMConfig(n_procs=8, bank_cycle=2))
     serial_mem.run(160)
-    mem, log = _reads(CFMConfig(n_procs=8, bank_cycle=2))
+    mem, *lane = _reads(CFMConfig(n_procs=8, bank_cycle=2))
     mem.run_engine(160, engine=ENGINE_STACKED)
-    assert _fingerprint(mem, log) == _fingerprint(serial_mem, serial_log)
+    assert _fingerprint(mem, *lane) == _fingerprint(serial_mem, *serial)

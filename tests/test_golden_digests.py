@@ -25,6 +25,7 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.obs.bench import run_spec
+from tests.history import record_finishes
 
 CFM_SHAPES = [(4, 1), (8, 2), (16, 4), (32, 8), (64, 16)]
 
@@ -72,18 +73,19 @@ def _spin_lock_record() -> Dict[str, object]:
     from repro.tracking.locks import SpinLockSystem
 
     sys_ = SpinLockSystem(8, bank_cycle=2, cs_cycles=5)
-    acquisitions = sys_.run()
     mem, ctrl = sys_.mem, sys_.controller
+    finished = record_finishes(mem)
+    acquisitions = sys_.run()
     return {
         "acquisitions": [[a.proc, a.requested_slot, a.acquired_slot,
                           a.released_slot] for a in acquisitions],
         "unlock_latencies": sys_.unlock_latencies,
         "slot": mem.slot,
         "completed": [[a.access_id, a.proc, a.kind.value, a.complete_slot,
-                       a.restarts] for a in mem.completed],
+                       a.restarts] for a in finished.completed],
         "aborted": [[a.access_id, a.proc, a.kind.value,
                      a.final_action.value if a.final_action else None]
-                    for a in mem.aborted],
+                    for a in finished.aborted],
         "controller": [ctrl.aborts, ctrl.restarts, ctrl.retries],
         "lock": [w.value for w in mem.peek_block(sys_.lock_offset).words],
     }

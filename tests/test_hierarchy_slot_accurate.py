@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache.state import CacheLineState as S
 from repro.hierarchy.slot_accurate import HierOpKind, SlotAccurateHierarchy
+from tests.history import record_finishes
 
 
 def make(n_clusters=4, per=4):
@@ -96,12 +97,13 @@ class TestCoherenceAcrossClusters:
 
     def test_intra_cluster_sharing_never_goes_global(self):
         h = make()
+        fetches = record_finishes(h.global_mem)
         h.run_ops([h.load(0, 100)])
-        fetches_before = h.global_mem.completed.copy()
+        fetches_before = fetches.completed.copy()
         ops = [h.load(p, 100) for p in range(1, h.per)]
         h.run_ops(ops)
         # No additional global accesses for cluster-internal sharing.
-        assert len(h.global_mem.completed) == len(fetches_before)
+        assert len(fetches.completed) == len(fetches_before)
 
 
 class TestNCBehaviour:
@@ -109,11 +111,12 @@ class TestNCBehaviour:
         """Two processors of one cluster missing the same block share one
         global fetch."""
         h = make()
+        fetches = record_finishes(h.global_mem)
         a = h.load(0, 100)
         b = h.load(1, 100)
         h.run_ops([a, b])
         total_global_reads = sum(
-            1 for acc in h.global_mem.completed if acc.kind.is_read
+            1 for acc in fetches.completed if acc.kind.is_read
         )
         assert total_global_reads == 1
 

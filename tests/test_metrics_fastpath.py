@@ -32,20 +32,21 @@ from repro.core.config import CFMConfig
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.criticality import TIERS
+from tests.history import record_finishes
 
 #: (n_procs, bank_cycle): c in {1, 2, 4, 16}.
 SHAPES = [(4, 1), (3, 2), (4, 4), (2, 16)]
 
 
-def _log(mem):
+def _log(log):
     return [(a.access_id, a.proc, a.state.value, a.complete_slot,
              a.issue_slot, a.restarts,
              sorted((k, w.value, w.version) for k, w in a.result_words.items()))
-            for a in mem.completed + mem.aborted]
+            for a in log.completed + log.aborted]
 
 
-def _state(mem, reg):
-    return (mem.slot, _log(mem), [sorted(b.items()) for b in mem.banks],
+def _state(mem, reg, log):
+    return (mem.slot, _log(log), [sorted(b.items()) for b in mem.banks],
             reg.snapshot())
 
 
@@ -58,6 +59,7 @@ def _streaming(cfg, stride):
     processor; the others stay idle."""
     reg = MetricsRegistry()
     mem = CFMemory(cfg, metrics=reg)
+    log = record_finishes(mem)
 
     def reissue(acc):
         mem.issue(acc.proc, AccessKind.READ, offset=acc.proc % 3,
@@ -65,7 +67,7 @@ def _streaming(cfg, stride):
 
     for p in range(0, cfg.n_procs, stride):
         mem.issue(p, AccessKind.READ, offset=p % 3, on_finish=reissue)
-    return mem, reg
+    return mem, reg, log
 
 
 def _chunks(total, seed):
@@ -83,16 +85,16 @@ def _chunks(total, seed):
 def test_streaming_reads_in_odd_chunks(n_procs, bank_cycle, stride):
     cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
     slots = 7 * cfg.n_banks + 5
-    ref_mem, ref_reg = _streaming(cfg, stride)
+    ref_mem, ref_reg, ref_log = _streaming(cfg, stride)
     ref_mem.run(slots)
-    whole_mem, whole_reg = _streaming(cfg, stride)
+    whole_mem, whole_reg, whole_log = _streaming(cfg, stride)
     whole_mem.run_batch(slots)
-    chunked_mem, chunked_reg = _streaming(cfg, stride)
+    chunked_mem, chunked_reg, chunked_log = _streaming(cfg, stride)
     for k in _chunks(slots, seed=n_procs * 100 + bank_cycle):
         chunked_mem.run_batch(k)
-    expected = _state(ref_mem, ref_reg)
-    assert _state(whole_mem, whole_reg) == expected
-    assert _state(chunked_mem, chunked_reg) == expected
+    expected = _state(ref_mem, ref_reg, ref_log)
+    assert _state(whole_mem, whole_reg, whole_log) == expected
+    assert _state(chunked_mem, chunked_reg, chunked_log) == expected
     assert ref_reg.get("cfm.bank[0].util").total == slots
 
 
@@ -104,6 +106,7 @@ def _traffic(cfg, seed, advance, rounds=40):
     rng = random.Random(seed)
     reg = MetricsRegistry()
     mem = CFMemory(cfg, metrics=reg)
+    log = record_finishes(mem)
     n_banks = cfg.n_banks
     for r in range(rounds):
         if rng.random() < 0.7:
@@ -121,22 +124,24 @@ def _traffic(cfg, seed, advance, rounds=40):
                            deadline=deadline)
         advance(mem, rng.choice([1, 2, 3, 5, n_banks - 1, n_banks,
                                  n_banks + 3, 3 * n_banks]))
-    return mem, reg
+    return mem, reg, log
 
 
 @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_random_traffic_matches_per_slot(n_procs, bank_cycle, seed):
     cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
-    ref_mem, ref_reg = _traffic(cfg, seed, lambda mem, k: mem.run(k))
+    ref_mem, ref_reg, ref_log = _traffic(cfg, seed,
+                                         lambda mem, k: mem.run(k))
     hp = HotpathProfiler()
 
     def batched(mem, k):
         mem.hotpath = hp
         mem.run_batch(k)
 
-    fast_mem, fast_reg = _traffic(cfg, seed, batched)
-    assert _state(fast_mem, fast_reg) == _state(ref_mem, ref_reg)
+    fast_mem, fast_reg, fast_log = _traffic(cfg, seed, batched)
+    assert (_state(fast_mem, fast_reg, fast_log)
+            == _state(ref_mem, ref_reg, ref_log))
     counts = hp.snapshot()["cfm"]
     # The registry no longer pins the tick: spans and idle skips carry
     # most of the run, and the write hazards still tick.
@@ -157,6 +162,7 @@ def test_span_and_tick_interleave_on_a_write_hazard():
     def build():
         reg = MetricsRegistry()
         mem = CFMemory(cfg, metrics=reg)
+        log = record_finishes(mem)
         rounds = [0] * cfg.n_procs
 
         def again(acc):
@@ -173,17 +179,18 @@ def test_span_and_tick_interleave_on_a_write_hazard():
             data = (Block.of_values([p] * n_banks, "w")
                     if kind is AccessKind.WRITE else None)
             mem.issue(p, kind, offset=p + 1, data=data, on_finish=again)
-        return mem, reg
+        return mem, reg, log
 
     slots = 12 * n_banks + 7
-    ref_mem, ref_reg = build()
+    ref_mem, ref_reg, ref_log = build()
     ref_mem.run(slots)
     hp = HotpathProfiler()
-    fast_mem, fast_reg = build()
+    fast_mem, fast_reg, fast_log = build()
     fast_mem.hotpath = hp
     for k in _chunks(slots, seed=9):
         fast_mem.run_batch(k)
-    assert _state(fast_mem, fast_reg) == _state(ref_mem, ref_reg)
+    assert (_state(fast_mem, fast_reg, fast_log)
+            == _state(ref_mem, ref_reg, ref_log))
     counts = hp.snapshot()["cfm"]
     assert counts["fallback.hazard"] > 0 and counts["batched_slots"] > 0
 
@@ -204,6 +211,7 @@ def _pinned(cfg, pin):
             kind="bank_stuck", start=5, duration=3, target=0)]))
     if pin == "degraded":
         mem.degrade_bank(1)
+    log = record_finishes(mem)
 
     def reissue(acc):
         mem.issue(acc.proc, AccessKind.READ, offset=acc.proc % 3,
@@ -211,7 +219,7 @@ def _pinned(cfg, pin):
 
     for p in range(cfg.n_procs):
         mem.issue(p, AccessKind.READ, offset=p % 3, on_finish=reissue)
-    return mem, reg
+    return mem, reg, log
 
 
 @pytest.mark.parametrize("pin", ["probe", "controller", "faults",
@@ -221,14 +229,15 @@ def test_remaining_pins_still_pin_with_metrics(pin):
     still pin the per-slot tick when a registry is attached too."""
     cfg = CFMConfig(n_procs=4, bank_cycle=2)
     slots = 5 * cfg.n_banks
-    ref_mem, ref_reg = _pinned(cfg, pin)
+    ref_mem, ref_reg, ref_log = _pinned(cfg, pin)
     ref_mem.run(slots)
     hp = HotpathProfiler()
-    fast_mem, fast_reg = _pinned(cfg, pin)
+    fast_mem, fast_reg, fast_log = _pinned(cfg, pin)
     fast_mem.hotpath = hp
     fast_mem.run_batch(slots)
     assert hp.snapshot()["cfm"] == {"tick.pinned": slots}
-    assert _state(fast_mem, fast_reg) == _state(ref_mem, ref_reg)
+    assert (_state(fast_mem, fast_reg, fast_log)
+            == _state(ref_mem, ref_reg, ref_log))
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.network.omega import OmegaNetwork
 from repro.network.synchronous import SynchronousOmegaNetwork
 from repro.tracking.access_control import AddressTrackingController, PriorityMode
 from repro.tracking.atomic import CFMDriver, OpStatus, ReadOperation, WriteOperation
+from tests.history import record_finishes
 
 
 # -- strategy helpers --------------------------------------------------------
@@ -76,11 +77,12 @@ def test_concurrent_block_accesses_conflict_free(n, stagger_pattern):
     issue phases — the engine's ConflictError never fires."""
     cfg = CFMConfig(n_procs=n)
     mem = CFMemory(cfg, check_conflicts=True)
+    finished = record_finishes(mem)
     for p, delay in enumerate(stagger_pattern[:n]):
         mem.run(delay % 3)
         mem.issue(p, AccessKind.READ, p)
     mem.drain()
-    assert len(mem.completed) == min(len(stagger_pattern), n)
+    assert len(finished.completed) == min(len(stagger_pattern), n)
 
 
 # -- Invariant 3: synchronous omega networks ----------------------------------
