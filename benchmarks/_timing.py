@@ -5,9 +5,12 @@ through :func:`best_of`: an untimed warm-up call (first imports, table
 caches, a pool's warm-up task), then ``repeats`` samples of at least
 :data:`MIN_WALL_S` of timed work each, taken in turn with the timings it
 is compared with, and the best sample, the least-noise estimate of the
-true cost.  A gate compares timings taken in the same run, or one timing
-against the host's speed (:func:`host_speed`), so its verdict does not
-depend on which machine ran it.
+true cost.  A gate on the ratio of two paths' costs uses
+:func:`median_ratio` instead: the median of many back-to-back pairs, so
+a burst of host noise on one side moves it less than it moves the
+ratio of two separate minima.  A gate compares timings taken in the same
+run, or one timing against the host's speed (:func:`host_speed`), so its
+verdict does not depend on which machine ran it.
 :func:`emit_gate_table` prints a gate's table with the environment it ran
 in (:func:`fingerprint`).
 """
@@ -55,6 +58,32 @@ def best_of(*runs: Callable[[], Tuple[float, T]],
                 calls += 1
             best[i] = min(best[i], total / calls)
     return list(zip(best, firsts))
+
+
+def median_ratio(top: Callable[[], Tuple[float, T]],
+                 bottom: Callable[[], Tuple[float, T]],
+                 pairs: int = 15) -> Tuple[float, T, T]:
+    """Median over ``pairs`` back-to-back calls of ``top``'s seconds over
+    ``bottom``'s, with each one's warm-up result.
+
+    Each pair is timed within a few tens of milliseconds, so a drift in
+    the host's speed reaches both sides of a ratio alike, and the median
+    drops the pairs a burst of noise hit on one side only.  Every timed
+    call's result must equal its warm-up call's."""
+    first_top, first_bottom = top()[1], bottom()[1]
+    ratios = []
+    for i in range(pairs):
+        # Alternate which side goes first, so neither always runs on the
+        # caches the other left behind.
+        if i % 2:
+            (t_bottom, r_bottom), (t_top, r_top) = bottom(), top()
+        else:
+            (t_top, r_top), (t_bottom, r_bottom) = top(), bottom()
+        assert r_top == first_top and r_bottom == first_bottom, (
+            "a timed call diverged from its warm-up call")
+        ratios.append(t_top / t_bottom)
+    ratios.sort()
+    return ratios[pairs // 2], first_top, first_bottom
 
 
 def host_speed() -> float:

@@ -1,22 +1,20 @@
-"""Fast-path microbench: batch engines vs slot-by-slot reference.
-
-One differential-equivalence proof per batched layer, each with a speed
-gate:
+"""Fast-path microbench: speed floors per layer.
 
 * **core** — the CFM under full load (every processor always has an
   outstanding block read, reissued from the completion callback) across
-  the Table 3.3 shapes: :meth:`CFMemory.run_batch` vs :meth:`CFMemory.
-  run`, >= 5x on the larger shapes; and every fast engine name
-  (``batch``, ``vectorized``, ``stacked`` all run the one fast driver) on
-  the large shapes.  A stack of 16 same-shape specs through
+  the Table 3.3 shapes: :meth:`CFMemory.run_batch` equals :meth:`CFMemory.
+  run`; every fast engine name (``batch``, ``vectorized``, ``stacked``
+  all run the one fast driver) on the large shapes, and the reference
+  itself, hold speed floors.  A stack of 16 same-shape specs through
   :func:`repro.fastpath.stack.run_specs_stacked` must equal per-spec
   serial ``run_spec``.
 * **coherence** — the cache protocol under full load (proc-private
-  offsets, every processor streaming loads and stores):
-  :meth:`CacheSystem.run_ops_batch` vs :meth:`CacheSystem.run_ops`.
+  offsets, every processor streaming loads and stores) through its one
+  driver, :meth:`CacheSystem.run_ops`, which passes provably quiet
+  stretches in spans.
 * **hierarchy** — the two-level machine with all-local traffic (L2
-  seeded dirty): :meth:`SlotAccurateHierarchy.run_ops_batch` vs
-  :meth:`~SlotAccurateHierarchy.run_ops`.
+  seeded dirty) through :meth:`SlotAccurateHierarchy.run_ops`, whose
+  cluster memories span in lockstep.
 
 The engine-name, coherence and hierarchy gates, and the gate on the
 reference itself, are *floors*: simulated slots per calibration loop of
@@ -25,14 +23,17 @@ calibration loop timed in turn with the path).  A ratio over the reference would
 the reference got faster; a floor moves only with the path it times.  A
 last gate holds an observed run (``run_spec`` with no engine pin, a
 metrics registry attached) within :data:`MAX_OBSERVED_OVERHEAD` of the
-same spec pinned to ``batch``: metrics ride the batch driver instead of
-pinning the per-slot tick.
+same spec pinned to ``batch``, as the median of back-to-back pairs
+(:func:`benchmarks._timing.median_ratio`): metrics ride the batch driver
+instead of pinning the per-slot tick, and bank utilization is settled
+when read.
 
-Every timing is :func:`benchmarks._timing.best_of`; each fast path's
-result is asserted bit-identical to the reference's before any speed is
-gated.  Timed regions keep the garbage collector on, as ``sim_sweep`` and
-the serve workers do: the engine holds only in-flight accesses, so a run
-leaves the collector little to trace.  Run the gates, with their timing tables, through pytest::
+Every floor's timing is :func:`benchmarks._timing.best_of`; each fast
+engine's result is asserted bit-identical to the reference's before any
+speed is gated.  Timed regions keep the garbage collector on, as
+``sim_sweep`` and the serve workers do: the engine holds only in-flight
+accesses, so a run leaves the collector little to trace.  Run the gates,
+with their timing tables, through pytest::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_fastpath.py -q -s
 """
@@ -46,17 +47,12 @@ from typing import List, Tuple
 
 import pytest
 
-from benchmarks._timing import best_of, emit_gate_table, host_speed
+from benchmarks._timing import (best_of, emit_gate_table, host_speed,
+                                median_ratio)
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
 
 SHAPES = [(4, 1), (8, 2), (16, 4), (32, 8)]
-#: Shapes the >= 5x gate applies to.  Small shapes spend most of their
-#: time in completion callbacks (one completion every b slots), so their
-#: speedup is structurally lower; the gate targets the shapes where the
-#: per-slot scan dominates.
-GATED_SHAPES = [(16, 4), (32, 8)]
-MIN_SPEEDUP = 5.0
 
 #: Every ``MIN_*_SLOTS_PER_LOOP`` floor is simulated slots/s divided by
 #: the host's speed in calibration loops/s (``perfbench/hostspeed.py``,
@@ -71,15 +67,16 @@ FLOOR_SLOTS = 20_000
 MIN_REFERENCE_SLOTS_PER_LOOP = 763.0
 
 #: Coherence layer: (n_procs, bank_cycle) CacheSystem shapes; the floor
-#: applies to ``run_ops_batch`` on the last (largest) one.  Clean runs
-#: read 970-1247; ``CacheSystem._batch_step`` slowed 2x, 458-631.
+#: applies to ``run_ops`` on the last (largest) one.  Set on the batch
+#: driver ``run_ops`` has since absorbed: clean runs read 970-1247, its
+#: span step slowed 2x, 458-631.
 CACHE_SHAPES = [(8, 2), (16, 4)]
 MIN_CACHE_SLOTS_PER_LOOP = 800.0
 CACHE_ROUNDS = 60
 
-#: Hierarchy layer: (n_clusters, procs_per_cluster, bank_cycle).  Clean
-#: runs read 402-587; ``SlotAccurateHierarchy._batch_step`` slowed 2x,
-#: 228-329.
+#: Hierarchy layer: (n_clusters, procs_per_cluster, bank_cycle).  Set on
+#: the batch driver ``run_ops`` has since absorbed: clean runs read
+#: 402-587; its span step slowed 2x, 228-329.
 HIER_SHAPE = (4, 4, 8)
 MIN_HIER_SLOTS_PER_LOOP = 365.0
 HIER_ROUNDS = 40
@@ -94,10 +91,14 @@ ENGINE_SHAPES = [((64, 16), 4 * 64 * 16), ((128, 32), 3 * 128 * 32)]
 MIN_ENGINE_SLOTS_PER_LOOP = {(64, 16): 4507.0, (128, 32): 1534.0}
 
 #: Observed overhead: unpinned ``run_spec`` (metrics attached) over the
-#: same spec pinned to ``batch``, at OBSERVED_SHAPE for OBSERVED_CYCLES.
+#: same spec pinned to ``batch``, at OBSERVED_SHAPE for OBSERVED_CYCLES,
+#: the median of OBSERVED_PAIRS back-to-back pairs.  On a 2-vCPU Xeon ten
+#: runs read 1.14-1.40x; with bank utilization accounted per span instead
+#: of settled when read (CHANGES.md lists the runs), the gate fails.
 OBSERVED_SHAPE = (64, 16)
 OBSERVED_CYCLES = 20_000
-MAX_OBSERVED_OVERHEAD = 3.0
+OBSERVED_PAIRS = 21
+MAX_OBSERVED_OVERHEAD = 1.75
 
 #: Stacked specs: STACK_WIDTH identical STACK_SHAPE bench specs.
 STACK_SHAPE = (64, 16)
@@ -126,41 +127,6 @@ def _run_one(n_procs: int, bank_cycle: int, slots: int, fast: bool):
         mem.run(slots)
     elapsed = time.perf_counter() - t0
     return elapsed, (log, mem.slot)
-
-
-def measure(slots: int = 20_000, repeats: int = 3):
-    """(shape, slow seconds, fast seconds, speedup) per Table 3.3 shape.
-
-    Both paths are timed by :func:`best_of` ``repeats``; their completion
-    logs are asserted identical."""
-    rows = []
-    for n_procs, bank_cycle in SHAPES:
-        (t_slow, slow), (t_fast, fast) = best_of(
-            partial(_run_one, n_procs, bank_cycle, slots, fast=False),
-            partial(_run_one, n_procs, bank_cycle, slots, fast=True),
-            repeats=repeats)
-        assert slow == fast, "fast path diverged from reference"
-        assert slow[1] == slots
-        rows.append(((n_procs, bank_cycle), t_slow, t_fast,
-                     t_slow / t_fast if t_fast > 0 else float("inf")))
-    return rows
-
-
-def test_fastpath_speedup():
-    rows = measure()
-    emit_gate_table(
-        "CFM full-load: slot-by-slot vs batch engine (20k slots)",
-        ["shape (n, c)", "slow (s)", "fast (s)", "speedup"],
-        [(f"({n}, {c})", f"{ts:.3f}", f"{tf:.3f}", f"{sp:.1f}x")
-         for (n, c), ts, tf, sp in rows],
-    )
-    gated = {shape: sp for shape, _, _, sp in rows if shape in
-             [tuple(s) for s in GATED_SHAPES]}
-    for shape, speedup in gated.items():
-        assert speedup >= MIN_SPEEDUP, (
-            f"fast path only {speedup:.1f}x on {shape}, "
-            f"need >= {MIN_SPEEDUP}x"
-        )
 
 
 @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
@@ -224,19 +190,18 @@ def test_observed_overhead():
     n_procs, bank_cycle = OBSERVED_SHAPE
     params = {"n_procs": n_procs, "bank_cycle": bank_cycle,
               "cycles": OBSERVED_CYCLES}
-    (t_obs, observed), (t_fast, fast) = best_of(
+    ratio, observed, fast = median_ratio(
         partial(_run_spec_once, {"system": "cfm", "params": params}),
         partial(_run_spec_once, {"system": "cfm",
-                                 "params": {**params, "engine": "batch"}}))
+                                 "params": {**params, "engine": "batch"}}),
+        pairs=OBSERVED_PAIRS)
     assert observed["cycles"] == fast["cycles"] == OBSERVED_CYCLES
     assert observed["completed"] > 0 and observed["metrics"]
-    ratio = t_obs / t_fast
     emit_gate_table(
         f"CFM full-load: observed run_spec vs engine=batch "
-        f"({OBSERVED_CYCLES} cycles)",
-        ["shape (n, c)", "observed (s)", "batch (s)", "overhead"],
-        [(f"({n_procs}, {bank_cycle})", f"{t_obs:.4f}", f"{t_fast:.4f}",
-          f"{ratio:.2f}x")],
+        f"({OBSERVED_CYCLES} cycles, median of {OBSERVED_PAIRS} pairs)",
+        ["shape (n, c)", "overhead"],
+        [(f"({n_procs}, {bank_cycle})", f"{ratio:.2f}x")],
     )
     assert ratio <= MAX_OBSERVED_OVERHEAD, (
         f"observed run {ratio:.2f}x the batch run on {OBSERVED_SHAPE}, "
@@ -245,7 +210,7 @@ def test_observed_overhead():
 
 
 # --------------------------------------------------------------------------
-# Coherence layer: CacheSystem.run_ops_batch vs run_ops
+# Coherence layer: CacheSystem.run_ops, the one driver
 
 
 def _cache_plan(n_procs: int, rounds: int, seed: int = 1):
@@ -277,7 +242,7 @@ def _cache_fingerprint(sys_, ops):
     )
 
 
-def _run_cache_once(n_procs: int, bank_cycle: int, rounds: int, fast: bool):
+def _run_cache_once(n_procs: int, bank_cycle: int, rounds: int):
     from repro.cache.protocol import CacheSystem
 
     sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle)
@@ -288,35 +253,30 @@ def _run_cache_once(n_procs: int, bank_cycle: int, rounds: int, fast: bool):
         ops = [sys_.load(p, off) if kind == "load"
                else sys_.store(p, off, words)
                for p, kind, off, words in batch]
-        if fast:
-            sys_.run_ops_batch(ops)
-        else:
-            sys_.run_ops(ops)
+        sys_.run_ops(ops)
         all_ops.extend(ops)
     elapsed = time.perf_counter() - t0
     return elapsed, _cache_fingerprint(sys_, all_ops)
 
 
 def measure_cache(rounds: int = CACHE_ROUNDS, repeats: int = 3):
-    """(shape, slots, batch s, host speed) per :data:`CACHE_SHAPES` shape;
-    each batch fingerprint is asserted equal to the reference's."""
+    """(shape, slots, seconds, host speed) per :data:`CACHE_SHAPES`
+    shape."""
     rows = []
     for n_procs, bank_cycle in CACHE_SHAPES:
-        _, fp_slow = _run_cache_once(n_procs, bank_cycle, rounds, fast=False)
-        speed, [(t_fast, fp_fast)] = timed_at_host_speed(
-            partial(_run_cache_once, n_procs, bank_cycle, rounds, fast=True),
+        speed, [(t_run, fp)] = timed_at_host_speed(
+            partial(_run_cache_once, n_procs, bank_cycle, rounds),
             repeats=repeats)
-        assert fp_slow == fp_fast, "batched epochs diverged from reference"
-        rows.append(((n_procs, bank_cycle), fp_fast[1], t_fast, speed))
+        rows.append(((n_procs, bank_cycle), fp[1], t_run, speed))
     return rows
 
 
 def test_cache_batch_floor():
     rows = measure_cache()
     emit_gate_table(
-        f"Coherence full-load run_ops_batch, host-normalised "
+        f"Coherence full-load run_ops, host-normalised "
         f"({CACHE_ROUNDS} rounds)",
-        ["shape (n, c)", "slots", "batch (s)", "host loops/s",
+        ["shape (n, c)", "slots", "run (s)", "host loops/s",
          "slots per loop"],
         [(f"({n}, {c})", str(slots), f"{t:.3f}", f"{speed:.1f}",
           f"{slots / t / speed:.0f}")
@@ -325,20 +285,13 @@ def test_cache_batch_floor():
     shape, slots, t, speed = rows[-1]
     per_loop = slots / t / speed
     assert per_loop >= MIN_CACHE_SLOTS_PER_LOOP, (
-        f"batched epochs only {per_loop:.0f} slots per calibration loop "
+        f"coherence driver only {per_loop:.0f} slots per calibration loop "
         f"on {shape}, need >= {MIN_CACHE_SLOTS_PER_LOOP:.0f}"
     )
 
 
-@pytest.mark.parametrize("n_procs,bank_cycle", CACHE_SHAPES)
-def test_cache_batch_equivalence(n_procs, bank_cycle):
-    _, fp_slow = _run_cache_once(n_procs, bank_cycle, 12, fast=False)
-    _, fp_fast = _run_cache_once(n_procs, bank_cycle, 12, fast=True)
-    assert fp_slow == fp_fast
-
-
 # --------------------------------------------------------------------------
-# Hierarchy layer: SlotAccurateHierarchy.run_ops_batch vs run_ops
+# Hierarchy layer: SlotAccurateHierarchy.run_ops, the one driver
 
 
 def _hier_plan(n_clusters: int, per: int, rounds: int, seed: int = 1):
@@ -368,8 +321,7 @@ def _hier_fingerprint(h, ops):
     )
 
 
-def _run_hier_once(n_clusters: int, per: int, bank_cycle: int, rounds: int,
-                   fast: bool):
+def _run_hier_once(n_clusters: int, per: int, bank_cycle: int, rounds: int):
     from repro.cache.state import CacheLineState
     from repro.core.block import Block
     from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
@@ -390,10 +342,7 @@ def _run_hier_once(n_clusters: int, per: int, bank_cycle: int, rounds: int,
     for batch in plan:
         ops = [h.load(g, off) if kind == "load" else h.store(g, off, words)
                for g, kind, off, words in batch]
-        if fast:
-            h.run_ops_batch(ops)
-        else:
-            h.run_ops(ops)
+        h.run_ops(ops)
         all_ops.extend(ops)
     elapsed = time.perf_counter() - t0
     h.check_invariants()
@@ -401,38 +350,28 @@ def _run_hier_once(n_clusters: int, per: int, bank_cycle: int, rounds: int,
 
 
 def measure_hierarchy(rounds: int = HIER_ROUNDS, repeats: int = 3):
-    """(slots, batch s, host speed); the batch fingerprint is asserted
-    equal to the reference's."""
-    _, fp_slow = _run_hier_once(*HIER_SHAPE, rounds, fast=False)
-    speed, [(t_fast, fp_fast)] = timed_at_host_speed(
-        partial(_run_hier_once, *HIER_SHAPE, rounds, fast=True),
-        repeats=repeats)
-    assert fp_slow == fp_fast, "hierarchy batch diverged from reference"
-    return fp_fast[2], t_fast, speed
+    """(slots, seconds, host speed) at :data:`HIER_SHAPE`."""
+    speed, [(t_run, fp)] = timed_at_host_speed(
+        partial(_run_hier_once, *HIER_SHAPE, rounds), repeats=repeats)
+    return fp[2], t_run, speed
 
 
 def test_hierarchy_batch_floor():
-    slots, t_fast, speed = measure_hierarchy()
-    per_loop = slots / t_fast / speed
+    slots, t_run, speed = measure_hierarchy()
+    per_loop = slots / t_run / speed
     n_clusters, per, bank_cycle = HIER_SHAPE
     emit_gate_table(
-        f"Hierarchy all-local run_ops_batch, host-normalised "
+        f"Hierarchy all-local run_ops, host-normalised "
         f"({HIER_ROUNDS} rounds)",
-        ["shape (k, m, c)", "slots", "batch (s)", "host loops/s",
+        ["shape (k, m, c)", "slots", "run (s)", "host loops/s",
          "slots per loop"],
         [(f"({n_clusters}, {per}, {bank_cycle})", str(slots),
-          f"{t_fast:.3f}", f"{speed:.1f}", f"{per_loop:.0f}")],
+          f"{t_run:.3f}", f"{speed:.1f}", f"{per_loop:.0f}")],
     )
     assert per_loop >= MIN_HIER_SLOTS_PER_LOOP, (
-        f"hierarchy batch only {per_loop:.0f} slots per calibration loop "
+        f"hierarchy driver only {per_loop:.0f} slots per calibration loop "
         f"on {HIER_SHAPE}, need >= {MIN_HIER_SLOTS_PER_LOOP:.0f}"
     )
-
-
-def test_hierarchy_batch_equivalence():
-    _, fp_slow = _run_hier_once(2, 4, 2, 10, fast=False)
-    _, fp_fast = _run_hier_once(2, 4, 2, 10, fast=True)
-    assert fp_slow == fp_fast
 
 
 # --------------------------------------------------------------------------

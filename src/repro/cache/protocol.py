@@ -48,13 +48,13 @@ from repro.core.cfm import (
 from repro.core.config import CFMConfig
 from repro.cache.directory import CacheDirectory, CacheLine
 from repro.cache.state import CacheLineState
-from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
+from repro.fastpath.engine import resolve_engine
 from repro.sim.engine import SimulationTimeout, all_settled
 from repro.tracking.att import AddressTrackingTable
 
-#: Sentinel "no upcoming event" slot for the batch classifiers.
-_FAR = 1 << 60
-
+_NEVER = 1 << 62  # a wake slot no run reaches
+_PROCEED = ControlAction.PROCEED
+_WRITE_BACK = AccessKind.WRITE_BACK
 
 class CpuOpKind(enum.Enum):
     """Processor-level request kinds against the coherent memory."""
@@ -102,7 +102,7 @@ class CpuOp:
         return self.done_slot - self.issue_slot + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _ProcState:
     directory: CacheDirectory
     current_access: Optional[BlockAccess] = None
@@ -137,88 +137,76 @@ class _ProtocolController(AccessController):
         self._dead_ops: set = set()  # aborted ops: their entries are void
         self.triggered_writebacks = 0
         self.invalidations_sent = 0
-        # Cross-bank mirror of all live ATT entries, offset-keyed:
-        # offset -> [(op_id, last_visible_slot), ...].  Lets the batch
-        # classifier answer "any foreign entry for this offset, anywhere?"
-        # in O(1) instead of probing every bank's ATT.  Entries are
-        # age-filtered on read and garbage-collected lazily.
-        self._entry_index: Dict[int, List] = {}
-        self._index_sweep_at = 256
 
     # -- engine hooks -------------------------------------------------------
-
-    def on_slot(self, mem: CFMemory, slot: int) -> None:
-        # The ATTs are not pruned here: lookups age-filter, so expiry is
-        # pure GC, done per table where entries arrive (on_start).
-        if len(self._entry_index) > self._index_sweep_at:
-            self._sweep_entry_index(slot)
-        if len(self._dead_ops) > 4096:
-            # Dead-op ids only matter while their entries are in some ATT.
-            live_entries = {
-                e.op_id for att in self.atts for e in att.entries_at(slot)
-            }
-            self._dead_ops &= live_entries
 
     def on_start(self, mem: CFMemory, access: BlockAccess, slot: int) -> None:
         if access.kind in (AccessKind.READ_INVALIDATE, AccessKind.WRITE_BACK):
             att = self.atts[access.first_bank]
             att.prune(slot)
             att.insert(access.offset, access.access_id, access.kind, slot)
-            self._entry_index.setdefault(access.offset, []).append(
-                (access.access_id, slot + att.capacity)
-            )
-
-    def _sweep_entry_index(self, slot: int) -> None:
-        index = self._entry_index
-        for offset in list(index):
-            live = [t for t in index[offset] if t[1] >= slot]
-            if live:
-                index[offset] = live
-            else:
-                del index[offset]
-        self._index_sweep_at = max(256, 2 * len(index))
-
-    def has_foreign_entry(self, offset: int, access_id: int, slot: int) -> bool:
-        """Any live ATT entry for ``offset`` from a different access?
-
-        Conservative w.r.t. Table 5.2: age windows and dead-op filtering
-        are ignored (a dead or out-of-window entry reads as "foreign"),
-        which can only push the caller onto the slow path, never let it
-        batch past a real interaction.
-        """
-        row = self._entry_index.get(offset)
-        if row is None:
-            return False
-        live = [t for t in row if t[1] >= slot]
-        if not live:
-            del self._entry_index[offset]
-            return False
-        if len(live) != len(row):
-            self._entry_index[offset] = live
-        for op_id, _exp in live:
-            if op_id != access_id:
-                return True
-        return False
 
     def on_bank(
         self, mem: CFMemory, access: BlockAccess, bank: int, slot: int
     ) -> ControlAction:
-        if access.kind is AccessKind.WRITE_BACK:
-            return ControlAction.PROCEED  # detects nothing (Table 5.2)
+        if access.kind is _WRITE_BACK:
+            return _PROCEED  # detects nothing (Table 5.2)
         action = None
         if access.offset in self._att_offsets[bank]:
             action = self._check_att(mem, access, bank, slot)
         if action is None:
             q = self._coupled[bank]
             if q is None or q == access.proc:
-                action = ControlAction.PROCEED
-            else:
-                action = self._check_directory(access, q, slot)
+                return _PROCEED
+            action = self._check_directory(access, q, slot)
         if action is ControlAction.RETRY:
             # The access aborts: void its own ATT entry so survivors don't
             # keep deferring to a ghost.
-            self._dead_ops.add(access.access_id)
+            dead = self._dead_ops
+            dead.add(access.access_id)
+            if len(dead) > 4096:
+                # Dead-op ids only matter while their entries are in some
+                # ATT.  (No on_slot hook: the ATTs are not pruned per
+                # slot either; lookups age-filter, and expiry is GC done
+                # per table where entries arrive, in on_start.)
+                dead &= {e.op_id for att in self.atts
+                         for e in att.entries_at(slot)}
         return action
+
+    def inert(self, active: List[BlockAccess]) -> bool:
+        """Would every bank visit of the started accesses ``active`` pass
+        :meth:`on_bank` untouched until one of them finishes?
+
+        Sufficient, per access (Table 5.2 and the directory rules): its
+        offset is shared with no other in-flight access, unless both only
+        read, and no other directory holds the offset, or for a read holds
+        it dirty.  A write-back detects nothing itself.  No ATT entry can
+        interfere: an entry is seen for b - 1 slots after its access's
+        first word, an access takes b slots, and a span starts at least a
+        slot after any finish, so only in-flight accesses (covered by the
+        offset rule) and aborted ones (dead, so ignored) hold live
+        entries.  None of this changes before an access finishes or a
+        processor acts, the two events that end a span.
+        """
+        kinds: Dict[int, AccessKind] = {}
+        for acc in active:
+            prev = kinds.get(acc.offset)
+            if prev is not None and (prev is not AccessKind.READ
+                                     or acc.kind is not AccessKind.READ):
+                return False
+            kinds[acc.offset] = acc.kind
+        dirs = self.sys.dirs
+        for acc in active:
+            kind = acc.kind
+            if kind is _WRITE_BACK:
+                continue
+            for q, directory in enumerate(dirs):
+                line = directory.lookup(acc.offset)
+                if line is not None and q != acc.proc and (
+                        kind is AccessKind.READ_INVALIDATE
+                        or line.state is CacheLineState.DIRTY):
+                    return False
+        return True
 
     # -- Table 5.2 via ATTs ---------------------------------------------------
 
@@ -337,7 +325,6 @@ class CacheSystem:
         word_width: int = 32,
         probe=None,
         metrics=None,
-        hotpath=None,
         faults=None,
         engine: Optional[str] = None,
     ):
@@ -361,11 +348,6 @@ class CacheSystem:
         self.faults = faults
         if faults is not None:
             self.mem.faults = faults
-        # The profiler flows down too: the claim discipline (satellite of
-        # the exclusive-counting invariant) attributes each slot to the
-        # layer actually driving time.
-        if hotpath is not None:
-            self.mem.hotpath = hotpath
         # Delayed completion deliveries, keyed (due_slot, seq); drained at
         # the top of tick() so a delayed fill lands at a deterministic slot.
         self._delayed: List[Tuple[int, int, Callable[[], None]]] = []
@@ -374,12 +356,15 @@ class CacheSystem:
         self.procs = [_ProcState(directory=self.dirs[p]) for p in range(n_procs)]
         self.stats_local_hits = 0
         self.stats_memory_ops = 0
+        # The earliest slot at which some processor may act (see tick).
+        # Every event that changes a processor's state resets it to 0: a
+        # request, or a finished access (a triggered write-back aborts
+        # the access that triggers it, so it comes with one).
+        self._cpu_wake = 0
+        # _quiet_until's answer since the last processor scan, if any.
+        self._quiet: Optional[int] = None
         self.probe = probe
         self.metrics = metrics
-        #: Optional :class:`repro.obs.HotpathProfiler` counting how
-        #: :meth:`run_ops_batch` advanced time (layer ``"cache"``).  Purely
-        #: observational and — unlike probe/metrics — batch-compatible.
-        self.hotpath = hotpath
         if metrics is not None:
             self._op_latency = metrics.histogram("cache.op_latency")
             self._op_counters = metrics.counter("cache.ops")
@@ -406,6 +391,7 @@ class CacheSystem:
              on_done: Optional[Callable[[CpuOp], None]] = None) -> CpuOp:
         op = CpuOp(proc=proc, kind=CpuOpKind.LOAD, offset=offset, on_done=on_done)
         self.procs[proc].cpu_queue.append(op)
+        self._cpu_wake = 0
         return op
 
     def store(self, proc: int, offset: int, words: Dict[int, int],
@@ -415,6 +401,7 @@ class CacheSystem:
             store_words=dict(words), on_done=on_done,
         )
         self.procs[proc].cpu_queue.append(op)
+        self._cpu_wake = 0
         return op
 
     def acquire(self, proc: int, offset: int,
@@ -423,6 +410,7 @@ class CacheSystem:
         phase 1 of a synchronization operation (§5.3.1)."""
         op = CpuOp(proc=proc, kind=CpuOpKind.ACQUIRE, offset=offset, on_done=on_done)
         self.procs[proc].cpu_queue.append(op)
+        self._cpu_wake = 0
         return op
 
     def flush(self, proc: int, offset: int,
@@ -430,6 +418,7 @@ class CacheSystem:
         """Explicit write-back of an owned block — sync-op phase 3."""
         op = CpuOp(proc=proc, kind=CpuOpKind.WRITEBACK, offset=offset, on_done=on_done)
         self.procs[proc].cpu_queue.append(op)
+        self._cpu_wake = 0
         return op
 
     def modify_owned(self, proc: int, offset: int, words: Dict[int, int]) -> Block:
@@ -476,22 +465,32 @@ class CacheSystem:
     # -- engine ------------------------------------------------------------------
 
     def tick(self) -> None:
-        slot = self.slot
+        mem = self.mem
+        slot = mem.slot
         dq = self._delayed
         while dq and dq[0][0] <= slot:
             heapq.heappop(dq)[2]()
-        for p, st in enumerate(self.procs):
-            # Skip the processors _advance_proc would provably leave
-            # alone: one waiting on its in-flight access with no local hit
-            # due, or one with no op and nothing queued.
-            if st.current_access is not None:
-                if st.local_done_at != slot:
+        if self._cpu_wake <= slot:
+            # Run the processors' state machines.  A processor waiting on
+            # its in-flight access, or with nothing to do, would be left
+            # alone (a local hit is never due beside an access: it is
+            # finished, or falls back to the miss path, before its
+            # processor issues again), and it stays so until an event
+            # resets _cpu_wake: a request or a finished access, each
+            # caused by some scan or reaching it.  So once a scan has
+            # advanced no processor, the scans stop until the next event.
+            # A scan also drops _quiet_until's answer.
+            self._quiet = None
+            wake = _NEVER
+            for p, st in enumerate(self.procs):
+                if st.current_access is not None or (
+                        st.current_op is None and not st.cpu_queue
+                        and not st.wb_queue):
                     continue
-            elif (st.current_op is None and not st.cpu_queue
-                    and not st.wb_queue):
-                continue
-            self._advance_proc(p, st, slot)
-        self.mem.tick()
+                self._advance_proc(p, st, slot)
+                wake = slot + 1
+            self._cpu_wake = wake
+        mem.tick()
 
     def run(self, slots: int) -> None:
         for _ in range(slots):
@@ -512,7 +511,58 @@ class CacheSystem:
         return self.slot - start
 
     def run_ops(self, ops: List[CpuOp], max_slots: int = 200_000) -> None:
-        self.run_until(all_settled(ops), max_slots)
+        """:meth:`run_until` all ``ops`` are done, result-identical to
+        ticking every slot: where :meth:`_quiet_until` proves that the
+        next slots hold nothing but the memory's straight walk, they pass
+        in one :meth:`CFMemory._advance_span`."""
+        done = all_settled(ops)
+        mem = self.mem
+        limit = mem.slot + max_slots  # no span may reach it
+        while not done():
+            slot = mem.slot
+            if slot >= limit:
+                self._raise_timeout(max_slots)
+            if self._cpu_wake > slot + 1:
+                end = self._quiet_until(slot)
+                if end > slot:
+                    mem._advance_span(end if end < limit else limit - 1)
+                    continue
+            self.tick()
+
+    def _quiet_until(self, slot: int) -> int:
+        """The last slot, from ``slot`` on, through which only the
+        memory's straight walk happens: no processor acts (``_cpu_wake``),
+        no access finishes, and every bank visit passes the controller
+        untouched (:meth:`_ProtocolController.inert`).  Below ``slot``
+        when ``slot`` itself must be ticked.
+
+        Probes, live faults and the degraded schedule are defined per
+        slot, so each of those ticks.  Every in-flight access has started
+        (made its ATT insertion): accesses are issued only by a processor
+        scan, whose slot's memory tick starts them, and a scan that
+        advanced a processor is followed by another.  The answer holds
+        until the next event, and every event is followed by a processor
+        scan, so it is worked out once per scan.
+        """
+        if self._cpu_wake <= slot + 1:
+            return slot - 1
+        if self._quiet is not None:
+            return self._quiet
+        mem = self.mem
+        end = slot - 1
+        if not (self.probe is not None or mem.probe is not None
+                or mem._dead_bank is not None or self._delayed
+                or (self.faults is not None and self.faults.active)):
+            end = self._cpu_wake - 1
+            for acc in mem.active:
+                # The slot before this access performs its last word.
+                finish = slot + mem.cfg.n_banks - acc.words_done - 2
+                if finish < end:
+                    end = finish
+            if end > slot and not self.controller.inert(mem.active):
+                end = slot - 1
+        self._quiet = end
+        return end
 
     def _raise_timeout(self, max_slots: int) -> None:
         stuck: List[str] = []
@@ -535,232 +585,16 @@ class CacheSystem:
             slot=self.slot, max_slots=max_slots, stuck=stuck,
         )
 
-    # -- batched epochs (stage-2 fastpath) -----------------------------------
-
-    def run_ops_batch(self, ops: List[CpuOp], max_slots: int = 200_000) -> None:
-        """Drive ``ops`` to completion, result-identical to :meth:`run_ops`.
-
-        Groups execution into AT-period *epochs*: whenever every in-flight
-        access is provably free of coherence interactions (no shared
-        offsets, no live foreign ATT entries, no remote cached copies) and
-        no processor-side event is due, the whole stretch up to the next
-        event is serviced in one pass over the precomputed bank orders —
-        exactly the walk :meth:`CFMemory.run_batch` performs — with
-        completion callbacks fired at their slot-accurate times.  Any slot
-        with potential coherence action (invalidations, write-backs,
-        retries, sync ops) falls back to :meth:`tick`.
-
-        The differential tests in ``tests/test_fastpath_stage2.py`` pin
-        completion streams, directory/memory state, and stats to the
-        per-slot reference.
-        """
-        self._run_ops_fast(ops, max_slots)
-
     def run_ops_engine(self, ops: List[CpuOp], max_slots: int = 200_000,
                        engine: Optional[str] = None) -> None:
         """Drive ``ops`` under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only;
-        ``reference`` is the per-slot :meth:`run_ops`, ``batch`` and
-        ``vectorized`` are aliases of :meth:`run_ops_batch`.  All produce
-        bit-identical observable results (invariant 10).
+        ``engine`` overrides the instance default for this call only and
+        is validated like it; every name drives the one driver,
+        :meth:`run_ops` (invariant 10 holds trivially).
         """
-        name = resolve_engine(engine, default=self.engine, layer="cache")
-        if name == ENGINE_REFERENCE:
-            self.run_ops(ops, max_slots)
-        else:
-            self.run_ops_batch(ops, max_slots)
-
-    def _run_ops_fast(self, ops: List[CpuOp], max_slots: int) -> None:
-        start = self.slot
-        limit = start + max_slots  # strict bound: no epoch may reach it
-        hp = self.hotpath
-        token = hp.claim("cache") if hp is not None else None
-        try:
-            done = all_settled(ops)
-            while not done():
-                if self.slot - start >= max_slots:
-                    self._raise_timeout(max_slots)
-                self._batch_step(limit)
-        finally:
-            if hp is not None:
-                hp.release(token)
-
-    def _batch_step(self, limit: int = _FAR) -> None:
-        """Advance one epoch: a batch span, or one reference tick.
-
-        ``limit`` is the first slot the epoch must not reach (the caller's
-        timeout boundary)."""
-        hp = self.hotpath
-        if self.faults is not None and self.faults.active:
-            # Live fault injection is defined per-slot (fault windows,
-            # delayed deliveries): the whole run stays on the reference
-            # path.  A zero plan does not reach here.
-            if hp is not None:
-                hp.count("cache", "tick.faults")
-            self.tick()
-            return
-        if self.mem._dead_bank is not None:
-            # The degraded b-1 schedule is defined per-slot (reduced
-            # period, shadow-bank double words): the span walk would index
-            # the period-(b-1) table with a mod-b phase.  Reference path.
-            if hp is not None:
-                hp.count("cache", "tick.degraded")
-            self.tick()
-            return
-        if self.probe is not None or self.mem.probe is not None:
-            # A probe's event stream is defined per slot: stay on the
-            # reference path (same rule as CFMemory._fast_eligible).
-            # Metrics ride the span: op counters fire at completion and
-            # the span walk accounts bank occupancy.
-            if hp is not None:
-                hp.count("cache", "tick.observed")
-            self.tick()
-            return
-        slot = self.slot
-        cpu_next = self._cpu_next_slot(slot)
-        if cpu_next <= slot:
-            # A processor acts this very slot (issue, local-hit completion,
-            # write-back queue, reissue): expected per-slot work.
-            if hp is not None:
-                hp.count("cache", "tick.cpu")
-            self.tick()
-            return
-        mem_next = self._mem_next_finish(slot)
-        if mem_next < slot:
-            if hp is not None:
-                hp.count("cache", "tick.sync")
-            self.tick()
-            return
-        target = mem_next if mem_next < cpu_next - 1 else cpu_next - 1
-        if target >= _FAR - 1:
-            # No upcoming event at all: nothing can ever complete.  Tick so
-            # the slot counter moves and the timeout guard reports it.
-            if hp is not None:
-                hp.count("cache", "fallback.stall")
-            self.tick()
-            return
-        if target >= limit:
-            # Never let an epoch cross the caller's timeout boundary: the
-            # span ends at limit - 1 so the guard fires at the identical
-            # slot the reference loop would.
-            target = limit - 1
-        if self.mem.active:
-            if not self._batch_clean(slot):
-                if hp is not None:
-                    hp.count("cache", "fallback.hazard")
-                self.tick()
-                return
-            if hp is not None:
-                hp.count("cache", "batched_slots", target - slot + 1)
-        elif hp is not None:
-            hp.count("cache", "skipped_slots", target - slot + 1)
-        self.mem._advance_span(target)
-
-    def _cpu_next_slot(self, slot: int) -> int:
-        """Earliest slot at which some processor state machine acts.
-
-        Mirrors :meth:`_advance_proc` case by case; returns ``slot`` when
-        a processor acts *now* and ``_FAR`` when nothing is scheduled.
-        """
-        nxt = _FAR
-        for st in self.procs:
-            op = st.current_op
-            lda = st.local_done_at
-            if op is not None and lda >= slot:
-                if lda < nxt:
-                    nxt = lda
-            if st.current_access is not None:
-                continue  # woken by the access's completion, a memory event
-            if st.wb_queue:
-                return slot  # triggered write-backs issue immediately
-            if op is None:
-                if st.cpu_queue:
-                    return slot  # a queued op issues this slot
-                continue
-            if lda >= slot:
-                continue  # only the scheduled local completion remains
-            if op.phase is OpPhase.MEMORY or op.phase is OpPhase.VICTIM_WB:
-                ev = st.reissue_at
-                if ev <= slot:
-                    return slot
-                if ev < nxt:
-                    nxt = ev
-                continue
-            return slot  # unmodelled in-between state: defer to tick()
-        return nxt
-
-    def _mem_next_finish(self, slot: int) -> int:
-        """Earliest completion slot among in-flight accesses.
-
-        ``_FAR`` when nothing is in flight; ``slot - 1`` (i.e. "tick now")
-        if any access has not performed its first word yet — its ATT
-        insertion must go through the reference path.
-        """
-        active = self.mem.active
-        if not active:
-            return _FAR
-        n_banks = self.cfg.n_banks
-        most_done = 0
-        for acc in active:
-            done = acc.words_done
-            if done == 0:
-                return slot - 1
-            if done > most_done:
-                most_done = done
-        return slot + n_banks - most_done - 1
-
-    def _batch_clean(self, slot: int) -> bool:
-        """Is every in-flight access provably free of coherence actions?
-
-        Sufficient conditions per access, derived from
-        :meth:`_ProtocolController.on_bank` (Table 5.2 + directory rules):
-
-        * offsets pairwise distinct, except plain READ/READ sharing (the
-          only same-offset pair with no rule and no data interleaving);
-        * no live ATT entry for the offset from any other access
-          (conservative superset of the Table 5.2 age windows);
-        * no remote directory holds the offset — DIRTY triggers a
-          write-back for any kind, and for READ_INVALIDATE even a VALID
-          copy means an invalidation must be performed in passing;
-        * WRITE_BACK accesses detect nothing themselves (Table 5.2) —
-          their interactions are covered by the *other* accesses' checks.
-
-        Waiting (not in-flight) remote ops need no check: the span ends
-        strictly before any of them acts, and in-passing rules only read
-        ``current_access``, never queued state.
-        """
-        dirs = self.dirs
-        n_procs = self.cfg.n_procs
-        ctrl = self.controller
-        active = self.mem.active
-        kinds: Dict[int, AccessKind] = {}
-        for acc in active:
-            prev = kinds.get(acc.offset)
-            if prev is not None and (
-                prev is not AccessKind.READ or acc.kind is not AccessKind.READ
-            ):
-                return False
-            kinds[acc.offset] = acc.kind
-        for acc in active:
-            kind = acc.kind
-            if kind is AccessKind.WRITE_BACK:
-                continue
-            offset = acc.offset
-            if ctrl.has_foreign_entry(offset, acc.access_id, slot):
-                return False
-            proc = acc.proc
-            if kind is AccessKind.READ_INVALIDATE:
-                for q in range(n_procs):
-                    if q != proc and dirs[q].lookup(offset) is not None:
-                        return False
-            else:  # READ: only a remote dirty copy triggers an action
-                for q in range(n_procs):
-                    if q != proc and (
-                        dirs[q].state_of(offset) is CacheLineState.DIRTY
-                    ):
-                        return False
-        return True
+        resolve_engine(engine, default=self.engine, layer="cache")
+        self.run_ops(ops, max_slots)
 
     # -- per-processor state machine -------------------------------------------------
 
@@ -914,6 +748,7 @@ class CacheSystem:
     def _access_finished_now(self, p: int, op: CpuOp, acc: BlockAccess) -> None:
         st = self.procs[p]
         st.current_access = None
+        self._cpu_wake = 0
         if acc.state is AccessState.ABORTED:
             op.retries += 1
             delay = self.controller.retry_delay.pop(acc.access_id, 1)
@@ -946,6 +781,7 @@ class CacheSystem:
     def _writeback_finished(self, p: int, op: Optional[CpuOp], acc: BlockAccess) -> None:
         st = self.procs[p]
         st.current_access = None
+        self._cpu_wake = 0
         if acc.state is AccessState.ABORTED:
             # Only an injected bank fault can abort a write-back (it
             # detects nothing protocol-wise, Table 5.2): reissue it.

@@ -34,7 +34,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.block import Block, Word
@@ -144,8 +144,8 @@ class BlockAccess:
         """The collected block (bank-indexed).  Valid once COMPLETED."""
         if self.state is not AccessState.COMPLETED or not self.kind.is_read:
             raise ValueError("result only available on a completed read access")
-        n = len(self.result_words)
-        return Block(tuple(self.result_words[k] for k in range(n)))
+        words = self.result_words
+        return Block(tuple(map(words.__getitem__, range(len(words)))))
 
     @property
     def latency(self) -> int:
@@ -294,12 +294,13 @@ class CFMemory:
         self._memo_stamp = 0
         # The whole AT-space schedule, precomputed once per (b, c) shape:
         # _table[slot % b][proc] is the bank proc addresses at that slot,
-        # _orders[first] the wrap-around visit sequence from bank `first`.
-        # Building the table also statically proves the schedule
-        # conflict-free (every row injective), which is what lets
-        # run_batch() drop the per-visit conflict dictionary.
+        # _ring[first:first + k] the first k banks of the wrap-around
+        # visit sequence from bank `first`.  Building the table also
+        # statically proves the schedule conflict-free (every row
+        # injective), which is what lets run_batch() drop the per-visit
+        # conflict dictionary.
         self._table = slot_bank_table(config.banks_per_module, config.bank_cycle)
-        self._orders = bank_orders(config.banks_per_module)
+        self._ring = bank_orders(config.banks_per_module)
         self.banks: List[Dict[int, Word]] = [dict() for _ in range(config.n_banks)]
         #: Active accesses, kept sorted by processor — the deterministic
         #: arbitration order — so tick() never re-sorts.
@@ -350,14 +351,37 @@ class CFMemory:
         self._dead_bank: Optional[int] = None
         self._shadow_bank: Optional[int] = None
         if metrics is not None:
+            n_banks = config.n_banks
             self._bank_util = [
                 metrics.utilization(f"cfm.bank[{k}].util")
-                for k in range(config.n_banks)
+                for k in range(n_banks)
             ]
             self._latency_hist = metrics.histogram("cfm.latency")
             self._counters = metrics.counter("cfm.accesses")
-            # Banks hold each accepted address for c cycles (§3.1.3).
-            self._bank_busy_until = [-1] * config.n_banks
+            # Bank utilization is settled when the registry is read
+            # (_settle_util).  Banks hold each accepted address for c
+            # cycles (§3.1.3); a visit credits its whole hold at once, so
+            # only the slot each bank's latest hold ends at is needed to
+            # clip the holds that reach past the read.
+            self._bank_busy_until = [-1] * n_banks
+            self._util_busy = [0] * n_banks  # tick credits since the settle
+            # Difference array of span credits (c per visit over a ring
+            # range of banks); the extra cell takes a range's end at b.
+            self._util_ranges = [0] * (n_banks + 1)
+            self._util_clip = [0] * n_banks  # clip applied at the settle
+            self._util_slot = 0  # slot the instruments are settled to
+            # The last span's hold ends, kept until they matter (see
+            # _flush_util_tail): (end slots, count, ring ends per access).
+            self._util_tail: Optional[Tuple[range, int, List[int]]] = None
+            metrics.on_read(self._settle_util)
+
+    def __del__(self) -> None:
+        # The registry holds _settle_util weakly (MetricsRegistry.on_read):
+        # settle one last time, so a read after this module is freed still
+        # sees its last slots.  _util_tail is the last accumulator set up;
+        # credits accrue only with slots advanced since the last settle.
+        if hasattr(self, "_util_tail") and self._util_slot != self.slot:
+            self._settle_util()
 
     # -- memory content ----------------------------------------------------
 
@@ -549,12 +573,13 @@ class CFMemory:
         if completed:
             # fault_delay is the extra drain a slow-bank fault imposed; it
             # is 0 on every unfaulted access, keeping this line inert.
-            acc.complete_slot = slot + self.cfg.bank_cycle - 1 + acc.fault_delay
+            acc.complete_slot = complete = (slot + self.cfg.bank_cycle - 1
+                                            + acc.fault_delay)
         metrics = self.metrics
         if metrics is not None:
             if completed:
                 self._counters.incr("completed")
-                self._latency_hist.add(acc.latency)
+                self._latency_hist.add(complete - acc.issue_slot + 1)
                 # Per-tier SLA accounting only for criticality-tagged
                 # accesses: untagged runs snapshot byte-identically.
                 tier = acc.criticality
@@ -629,11 +654,30 @@ class CFMemory:
             if not f_stuck:
                 f_stuck = None
         ctrl = self.controller
-        if _overrides(type(ctrl))[0]:
+        on_slot, on_start, on_bank = _overrides(type(ctrl))
+        if on_slot:
             ctrl.on_slot(self, slot)
-        check = self.check_conflicts
-        banks_used: Dict[int, int] = {}
-        visited: Optional[List[int]] = [] if self.metrics is not None else None
+            if self.controller is not ctrl:
+                ctrl, on_start, on_bank = self._hooks()
+        active = self.active
+        if not active:
+            # Nothing visits a bank.  Utilization needs no work either:
+            # its totals are the slots advanced, settled when read.
+            self.slot = slot + 1
+            return
+        # Bank -> processor of this slot's visits; None when conflict
+        # checking is off.
+        banks_used: Optional[Dict[int, int]] = (
+            {} if self.check_conflicts else None)
+        if self.metrics is not None:
+            if self._util_tail is not None:
+                self._flush_util_tail()
+            util_busy = self._util_busy
+            busy_until = self._bank_busy_until
+            cycle = self.cfg.bank_cycle
+            hold_end = slot + cycle - 1
+        else:
+            util_busy = None
         # The precomputed AT-space row for this slot replaces per-visit
         # modular arithmetic (table lookups, no method dispatch).
         row = self._table[slot % len(self._table)]
@@ -642,30 +686,35 @@ class CFMemory:
         # The degraded schedule cannot switch mid-slot: degrade_bank
         # refuses while any access of this slot is still in flight.
         dead = self._dead_bank
-        shadow = self._shadow_bank
+        shadow = -1 if dead is None else self._shadow_bank
         write_kinds = _WRITE_KINDS
+        init = _INIT_WORD
         active_state = AccessState.ACTIVE
-        ctrl = None
+        proceed = ControlAction.PROCEED
         # Processor order is the deterministic arbitration order; with the
         # AT-space schedule it is provably irrelevant (no shared banks).
         # `self.active` is maintained proc-sorted, so the snapshot needs no
         # re-sort.
-        for acc in list(self.active):
+        for acc in list(active):
             if acc.state is not active_state:
                 continue
             if self.controller is not ctrl:
                 ctrl, on_start, on_bank = self._hooks()
-            proc = acc.proc
-            bank = row[proc]
-            if visited is not None:
-                visited.append(bank)
-            if check:
+            bank = row[acc.proc]
+            if util_busy is not None:
+                # Credit this visit's hold [slot, slot + c - 1] minus any
+                # overlap with the bank's previous hold (only the degraded
+                # schedule can revisit a bank within c slots).
+                fresh = hold_end - busy_until[bank]
+                util_busy[bank] += fresh if fresh < cycle else cycle
+                busy_until[bank] = hold_end
+            if banks_used is not None:
                 if bank in banks_used:
                     raise ConflictError(
                         f"bank {bank} addressed by procs {banks_used[bank]} "
-                        f"and {proc} at slot {slot} — AT-space violated"
+                        f"and {acc.proc} at slot {slot} — AT-space violated"
                     )
-                banks_used[bank] = proc
+                banks_used[bank] = acc.proc
             if f_stuck is not None and bank in f_stuck:
                 # A stuck bank cannot accept the address: the access aborts
                 # for re-issue by its owner (the RETRY path the recovery
@@ -676,7 +725,8 @@ class CFMemory:
                 acc.final_action = ControlAction.RETRY
                 self._finish(acc, AccessState.ABORTED, slot)
                 continue
-            if acc.words_done == 0:
+            done = acc.words_done
+            if done == 0:
                 acc.first_bank = bank
                 acc.start_slot = slot
                 if on_start:
@@ -687,53 +737,52 @@ class CFMemory:
                 action = ctrl.on_bank(self, acc, bank, slot)
                 if self.controller is not ctrl:
                     ctrl, on_start, on_bank = self._hooks()
-                if action is ControlAction.ABORT:
-                    acc.final_action = ControlAction.ABORT
-                    self._finish(acc, AccessState.ABORTED, slot)
-                    continue
-                if action is ControlAction.RETRY:
-                    acc.restarts += 1
-                    acc.final_action = ControlAction.RETRY
-                    self._finish(acc, AccessState.ABORTED, slot)
-                    continue
-                if action is ControlAction.RESTART:
-                    # Restart "from the current memory bank" (§4.1.2):
-                    # discard the words collected so far; this bank
-                    # becomes word 0.
-                    acc.restarts += 1
-                    acc.words_done = 0
-                    acc.result_words.clear()
-                    acc.banks_written.clear()
-                    acc.first_bank = bank
-                    acc.start_slot = slot
-                    if on_start:
-                        ctrl.on_start(self, acc, slot)
-                        if self.controller is not ctrl:
-                            ctrl, on_start, on_bank = self._hooks()
+                if action is not proceed:
+                    if action is ControlAction.ABORT:
+                        acc.final_action = ControlAction.ABORT
+                        self._finish(acc, AccessState.ABORTED, slot)
+                        continue
+                    if action is ControlAction.RETRY:
+                        acc.restarts += 1
+                        acc.final_action = ControlAction.RETRY
+                        self._finish(acc, AccessState.ABORTED, slot)
+                        continue
+                    if action is ControlAction.RESTART:
+                        # Restart "from the current memory bank" (§4.1.2):
+                        # discard the words collected so far; this bank
+                        # becomes word 0.
+                        acc.restarts += 1
+                        acc.words_done = done = 0
+                        acc.result_words.clear()
+                        acc.banks_written.clear()
+                        acc.first_bank = bank
+                        acc.start_slot = slot
+                        if on_start:
+                            ctrl.on_start(self, acc, slot)
+                            if self.controller is not ctrl:
+                                ctrl, on_start, on_bank = self._hooks()
             # Perform the word (write_word/read_word inlined; every store
             # still bumps _write_stamp for the span walk's read memo).
-            offset = acc.offset
-            is_write = acc.kind in write_kinds
-            if is_write:
+            done += 1
+            if acc.kind in write_kinds:
                 data = acc.data.words
                 self._write_stamp += 1
-                banks[bank][offset] = Word(data[bank].value, acc.version)
+                banks[bank][acc.offset] = Word(data[bank].value, acc.version)
                 acc.banks_written.append(bank)
-            else:
-                acc.result_words[bank] = banks[bank].get(offset, _INIT_WORD)
-            done = acc.words_done + 1
-            if bank == shadow:
-                # Degraded mode: the shadow bank serves the dead bank's
-                # word during its own visit, so block width stays b on a
-                # b-1 schedule.
-                if is_write:
+                if bank == shadow:
+                    # Degraded mode: the shadow bank serves the dead bank's
+                    # word during its own visit, so block width stays b on
+                    # a b-1 schedule.
                     self._write_stamp += 1
-                    banks[dead][offset] = Word(data[dead].value, acc.version)
+                    banks[dead][acc.offset] = Word(data[dead].value,
+                                                   acc.version)
                     acc.banks_written.append(dead)
-                else:
-                    acc.result_words[dead] = banks[dead].get(offset,
-                                                             _INIT_WORD)
-                done += 1
+                    done += 1
+            else:
+                acc.result_words[bank] = banks[bank].get(acc.offset, init)
+                if bank == shadow:
+                    acc.result_words[dead] = banks[dead].get(acc.offset, init)
+                    done += 1
             acc.words_done = done
             if done == n_banks:
                 if faults is not None and faults.active:
@@ -743,16 +792,6 @@ class CFMemory:
                         acc.fault_delay = extra
                         faults.count("bank.slow_drain", extra)
                 self._finish(acc, AccessState.COMPLETED, slot)
-        if visited is not None:
-            busy_until = self._bank_busy_until
-            hold = self.cfg.bank_cycle - 1
-            for bank in visited:
-                if slot + hold > busy_until[bank]:
-                    busy_until[bank] = slot + hold
-            for util, until in zip(self._bank_util, busy_until):
-                util.total += 1  # Utilization.tick, inlined
-                if until >= slot:
-                    util.busy += 1
         self.slot += 1
 
     def run(self, slots: int) -> None:
@@ -815,9 +854,9 @@ class CFMemory:
         and the degraded schedule are defined per-slot too), and a
         controller that overrides none of the hooks — i.e. the
         access-control layer is provably inert.  A metrics registry rides
-        along: the span walk accounts bank occupancy per span
-        (:meth:`_span_util`) and every other instrument fires in
-        :meth:`_finish`.
+        along: the span walk credits bank occupancy per access
+        (:meth:`_advance_span`, settled by :meth:`_settle_util`) and every
+        other instrument fires in :meth:`_finish`.
         """
         if self.probe is not None:
             return False
@@ -874,8 +913,6 @@ class CFMemory:
                 if not active:
                     if hp is not None:
                         hp.count("cfm", "skipped_slots", end - self.slot)
-                    if self.metrics is not None:
-                        self._span_util(self.slot, end - 1, ())
                     self.slot = end  # idle-slot skip
                     break
                 # One pass finds the batch hazard and the earliest finish.
@@ -920,12 +957,11 @@ class CFMemory:
     def _advance_span(self, target: int) -> int:
         """Run every in-flight access forward through slot ``target``.
 
-        The word movement of one epoch, shared by :meth:`run_batch` and the
-        cache and hierarchy batchers.  The caller has proven the span
-        interaction-free (no probe, no fault plan, no degraded bank, no
-        same-offset write interleaving) and ``target`` no later than the
-        earliest finish, so each access is a straight walk along its
-        precomputed bank order.  Completions all land at ``target`` and
+        The word movement of one :meth:`run_batch` epoch.  The caller has
+        proven the span interaction-free (no probe, no fault plan, no
+        degraded bank, no same-offset write interleaving) and ``target``
+        no later than the earliest finish, so each access is a straight
+        walk along the bank ring.  Completions all land at ``target`` and
         fire in processor order with ``slot`` set the way :meth:`tick`
         would; returns the number fired.
 
@@ -935,6 +971,15 @@ class CFMemory:
         ``_write_stamp``, and the whole memo is dropped before the next
         span.  A memoized dict is never mutated after it is built, so
         readers share it rather than copy it.
+
+        With a registry attached, each access credits its visits' holds
+        to ``cfm.bank[k].util`` in O(1) (see :meth:`_settle_util`): every
+        access walks the whole span along one ring range of banks, and
+        visits to one bank are at least c slots apart (every table row
+        is injective and b = n·c), so each visit holds its bank for c
+        slots of its own.  Only the visits of the span's last c slots
+        hold past the slot before ``target``, where finish callbacks read;
+        where their holds end is kept pending (:meth:`_flush_util_tail`).
         """
         slot = self.slot
         active = self.active
@@ -942,29 +987,33 @@ class CFMemory:
         row = self._table[slot % n_banks]
         span = target - slot + 1
         if self.metrics is not None:
-            self._span_util(slot, target, [acc.proc for acc in active])
-        if not active:
-            self.slot = target + 1
-            return 0
+            ranges = self._util_ranges
+            cycle = self.cfg.bank_cycle
+            if span < cycle:
+                # The last span's holds may outlast this one.
+                self._flush_util_tail()
+            tail = cycle if cycle < span else span
+            ends: List[int] = []
+        else:
+            ranges = None
         memo = self._read_memo
         if self._memo_stamp != self._write_stamp:
             memo.clear()
             self._memo_stamp = self._write_stamp
-        orders = self._orders
+        ring = self._ring
         banks = self.banks
         finishers: List[BlockAccess] = []
         # active cannot mutate inside this loop (callbacks only fire from
         # _finish below), so no snapshot copy is needed.
         for acc in active:
-            bank_now = row[acc.proc]
+            first = row[acc.proc]
             done = acc.words_done
             if not done:
-                acc.first_bank = bank_now
+                acc.first_bank = first
                 acc.start_slot = slot
                 # controller.on_start is the base no-op (the caller's
                 # eligibility proof), so it is not called.
             offset = acc.offset
-            order = orders[bank_now]
             steps = n_banks - done
             if span < steps:
                 steps = span
@@ -974,7 +1023,7 @@ class CFMemory:
                 words = data.words
                 version = acc.version
                 written = acc.banks_written
-                for bank in order if steps == n_banks else order[:steps]:
+                for bank in ring[first:first + steps]:
                     banks[bank][offset] = Word(words[bank].value, version)
                     written.append(bank)
                 memo.pop(offset, None)
@@ -986,16 +1035,28 @@ class CFMemory:
                 if cached is None:
                     cached = memo[offset] = {
                         bank: banks[bank].get(offset, _INIT_WORD)
-                        for bank in order
+                        for bank in ring[first:first + steps]
                     }
                 acc.result_words = cached
             else:
                 results = acc.result_words
-                for bank in order[:steps]:
+                for bank in ring[first:first + steps]:
                     results[bank] = banks[bank].get(offset, _INIT_WORD)
+            if ranges is not None:
+                # c busy slots on each bank of [first, first + steps).
+                ranges[first] += cycle
+                hi = first + steps
+                if hi > n_banks:
+                    ranges[0] += cycle
+                    hi -= n_banks
+                ranges[hi] -= cycle
+                ends.append(hi)
             acc.words_done = done + steps
             if done + steps == n_banks:
                 finishers.append(acc)
+        if ranges is not None:
+            self._util_tail = (range(target + cycle - tail, target + cycle),
+                               tail, ends)
         if finishers:
             # Unlink every finisher in one pass before any callback runs,
             # instead of one O(n) list.remove per finish.  Processor keys
@@ -1014,64 +1075,63 @@ class CFMemory:
         self.slot = target + 1
         return len(finishers)
 
-    def _span_util(self, start: int, target: int, procs) -> None:
-        """Add slots ``start..target`` to every ``cfm.bank[k].util``.
+    def _flush_util_tail(self) -> None:
+        """Record where the last span's final c visits' holds end.
 
-        The same counts :meth:`tick` produces slot by slot, computed from
-        the schedule.  ``procs`` are the processors whose accesses walk
-        the whole span (the span walk's precondition: no access finishes
-        before ``target``); proc p visits bank ``(t + c·p) mod b`` at
-        slot t.  Each visit holds its bank for c slots, and visits to one
-        bank are at least c slots apart (every table row is injective and
-        b = n·c), so holds never overlap and a bank's busy count is a
-        plain sum: c per visit, clipped at ``target`` for the visits of
-        the span's last c - 1 slots.  Their remainder, like any hold that
-        reaches into the span from before it, carries through
-        ``_bank_busy_until``.
+        Those holds reach past the span, so a read must clip them and a
+        degraded tick must see them.  A later span at least c slots long
+        outlasts all of them, so it drops them unwritten; a tick, a
+        shorter span or a read writes them first (in slot order, so a
+        newer hold end is never overwritten by an older one).
         """
-        span = target - start + 1
-        n_banks = self.cfg.n_banks
-        cycle = self.cfg.bank_cycle
-        hold = cycle - 1
-        tail = hold if hold < span else span  # clipped visits per access
-        full = span - tail
-        # Work in a rotated frame, index i = bank (i + shift) mod b, where
-        # proc p's clipped visits sit at [c·p, c·p + tail) and its full
-        # holds at [c·p - full, c·p): ring ranges, never split by a wrap.
-        shift = (target + 1 - tail) % n_banks
+        pending = self._util_tail
+        if pending is None:
+            return
+        self._util_tail = None
+        untils, tail, ends = pending
         until = self._bank_busy_until
-        until = until[shift:] + until[:shift]
-        base = start - 1
-        adds = [0 if last < start else span if last >= target
-                else last - base for last in until]
-        ring = [0] * n_banks  # difference array of the full holds
-        clips = [0] * n_banks  # clipped holds: one per bank at most
-        clipped = list(range(tail, 0, -1))
-        first_until = target + 1 + hold - tail
-        untils = list(range(first_until, first_until + tail))
-        for p in procs:
-            i = cycle * p
-            lo = i - full
-            if full == n_banks:
-                ring[0] += cycle
-            elif lo >= 0:
-                ring[lo] += cycle
-                ring[i] -= cycle
-            elif full:
-                ring[lo + n_banks] += cycle
-                ring[0] += cycle
-                ring[i] -= cycle
-            if tail:
-                hi = i + tail
-                clips[i:hi] = clipped
-                until[i:hi] = untils
-        back = n_banks - shift
-        self._bank_busy_until[:] = until[back:] + until[:back]
-        utils = self._bank_util
-        for u, busy in zip(utils[shift:] + utils[:shift],
-                           map(add, map(add, accumulate(ring), adds), clips)):
-            u.busy += busy
-            u.total += span
+        for hi in ends:
+            lo = hi - tail  # negative: the tail wraps past bank 0
+            if lo >= 0:
+                until[lo:hi] = untils
+            else:
+                until[lo:] = untils[:-lo]
+                until[:hi] = untils[-lo:]
+
+    def _settle_util(self) -> None:
+        """Bring every ``cfm.bank[k].util`` up to the current slot.
+
+        The registry calls this before it is read (``snapshot``,
+        ``fractions``, ``get``), so the instruments hold what a per-slot
+        account would: ``total`` gains the slots advanced since the last
+        settle, and a bank is busy in every slot one of its holds covers.
+        Visits credit their whole hold when they happen (ticks per bank,
+        spans through a difference array), so the part of each bank's
+        latest hold that reaches past the last advanced slot is taken
+        back here and given back by the next settle.  Adds deltas only,
+        so instruments shared with other writers keep their sums.
+        """
+        self._flush_util_tail()
+        slot = self.slot
+        last = slot - 1
+        advanced = slot - self._util_slot
+        self._util_slot = slot
+        busy = self._util_busy
+        ranges = self._util_ranges
+        clips = self._util_clip
+        new_clips = [until - last if until > last else 0
+                     for until in self._bank_busy_until]
+        # accumulate(ranges)[k]: the span credits of bank k.
+        for util, ticked, spanned, old, new in zip(
+                self._bank_util, busy, accumulate(ranges), clips, new_clips):
+            util.busy += ticked + spanned + old - new
+            util.total += advanced
+        # In place: a tick or span that a read interrupts (from a finish
+        # callback) keeps crediting the lists it holds.
+        clips[:] = new_clips
+        n_banks = len(busy)
+        busy[:] = [0] * n_banks
+        ranges[:] = [0] * (n_banks + 1)
 
     def run_engine(self, slots: int, engine: Optional[str] = None) -> None:
         """Advance ``slots`` slots under the selected engine strategy.

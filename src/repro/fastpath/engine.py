@@ -1,19 +1,22 @@
 """Engine-strategy registry: one seam for every slot-advancing layer.
 
-Each batched layer (:class:`repro.core.cfm.CFMemory`,
+Each layer behind the seam (:class:`repro.core.cfm.CFMemory`,
 :class:`repro.cache.protocol.CacheSystem`,
-:class:`repro.hierarchy.slot_accurate.SlotAccurateHierarchy`) advances
-time one of two ways, bit-identical on every observable result:
+:class:`repro.hierarchy.slot_accurate.SlotAccurateHierarchy`) accepts
+every engine name below, bit-identical on every observable result:
 
 ``reference``
     The per-slot tick loop — the paper's semantics, one slot at a time.
     Always correct, the differential oracle.
 ``batch`` (also ``vectorized``, ``stacked``)
-    The epoch batcher: prove a span interaction-free, replay it in one
-    pass over the precomputed bank orders, and tick per slot the moment
-    a hazard (same-offset write interleaving, an active fault plan, a
-    degraded bank, any observer) breaks the static proof.  ``vectorized``
-    and ``stacked`` are wire-level aliases kept so existing requests and
+    On :class:`CFMemory`, the epoch batcher: prove a span
+    interaction-free, replay it in one pass along the bank ring, and
+    tick per slot the moment a hazard (same-offset write interleaving,
+    an active fault plan, a degraded bank, a probe) breaks the static
+    proof.  The coherence layers have one driver each, ``run_ops``,
+    which ticks per slot and spans the stretches it proves quiet; every
+    name resolves to it.  ``vectorized`` and
+    ``stacked`` are wire-level aliases kept so existing requests and
     reports stay valid; ``stacked`` is CFM-only, and the other layers
     reject it with a typed error (below).
 
@@ -42,11 +45,11 @@ ENGINES: Tuple[str, ...] = (
     ENGINE_REFERENCE, ENGINE_BATCH, ENGINE_VECTORIZED, ENGINE_STACKED,
 )
 
-#: The engine layers use when none is configured — the epoch batcher,
-#: preserving the behaviour of every pre-existing ``run_ops_batch`` caller.
+#: The engine layers use when none is configured — the epoch batcher on
+#: :class:`CFMemory`.
 DEFAULT_ENGINE = ENGINE_BATCH
 
-#: Layer names of the engine seam (the three batched layers).
+#: Layer names of the engine seam.
 ENGINE_LAYERS: Tuple[str, ...] = ("cfm", "cache", "hierarchy")
 
 #: Which layers each engine supports.  Engines absent from this map run

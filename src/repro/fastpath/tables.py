@@ -14,10 +14,10 @@ Three tables cover every consumer:
 
 * :func:`slot_bank_table` — ``table[t mod b][p]`` is the bank processor
   *p* addresses at slot *t* (the generalized Table 3.1);
-* :func:`bank_orders` — ``orders[first]`` is the wrap-around bank
-  sequence ``first, first+1, …, first−1`` a block access visits, used by
-  the batch engine to run an access to completion without per-slot
-  re-derivation;
+* :func:`bank_orders` — the ring of ``2b`` banks whose slice
+  ``ring[first:first + b]`` is the wrap-around bank sequence ``first,
+  first+1, …, first−1`` a block access visits, used by the batch engine
+  to run an access forward without per-slot re-derivation;
 * :func:`shift_permutations` — ``perms[t mod N][i] = (t + i) mod N``, the
   uniform-shift permutation the synchronous omega network realizes each
   slot (Lawrie's conflict-free set).
@@ -86,19 +86,17 @@ def assert_conflict_free(n_banks: int, bank_cycle: int) -> None:
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def bank_orders(n_banks: int) -> Tuple[Tuple[int, ...], ...]:
-    """``orders[first]``: the wrap-around visit sequence starting at ``first``.
+def bank_orders(n_banks: int) -> Tuple[int, ...]:
+    """The bank ring ``0, 1, …, b−1`` laid out twice.
 
     A block access that performs its first word at bank ``first`` visits
-    ``orders[first][0], orders[first][1], …`` on consecutive slots
-    ("wrapping around all b banks", §3.1.1).
+    ``ring[first], ring[first + 1], …`` on consecutive slots ("wrapping
+    around all b banks", §3.1.1), so ``ring[first:first + k]`` is its
+    next k banks — one O(b) table serves every starting bank.
     """
     if n_banks <= 0:
         raise ValueError(f"n_banks must be positive, got {n_banks}")
-    return tuple(
-        tuple((first + i) % n_banks for i in range(n_banks))
-        for first in range(n_banks)
-    )
+    return tuple(range(n_banks)) * 2
 
 
 def warm_tables(shapes) -> int:

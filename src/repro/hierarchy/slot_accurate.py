@@ -45,15 +45,11 @@ from repro.core.cfm import (
     ControlAction,
 )
 from repro.core.config import CFMConfig
-from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
+from repro.fastpath.engine import resolve_engine
 from repro.hierarchy.controller import EventType, NetworkController
 from repro.hierarchy.hierarchical import IllegalStateCombination, _LEGAL
 from repro.sim.criticality import parse_tier
 from repro.sim.engine import SimulationTimeout, all_settled
-
-#: Sentinel "no upcoming event" slot (matches repro.cache.protocol._FAR).
-_FAR = 1 << 60
-
 
 class HierOpKind(enum.Enum):
     """Processor-level request kinds against the two-level machine."""
@@ -178,7 +174,7 @@ class SlotAccurateHierarchy:
     RETRY_DELAY = 2
 
     def __init__(self, n_clusters: int, procs_per_cluster: int,
-                 n_lines: int = 64, bank_cycle: int = 1, hotpath=None,
+                 n_lines: int = 64, bank_cycle: int = 1,
                  faults=None, engine: Optional[str] = None):
         if n_clusters < 2 or procs_per_cluster < 1:
             raise ValueError("need >= 2 clusters and >= 1 processor each")
@@ -189,20 +185,15 @@ class SlotAccurateHierarchy:
         self.n_clusters = n_clusters
         self.per = procs_per_cluster
         self.n_procs = n_clusters * procs_per_cluster
-        # The profiler is shared down the whole stack (clusters and the
-        # global module); the claim discipline keeps the slot attribution
-        # exclusive to whichever layer is driving.
         self.clusters = [
             CacheSystem(procs_per_cluster, bank_cycle=bank_cycle,
-                        n_lines=n_lines, hotpath=hotpath)
+                        n_lines=n_lines)
             for _ in range(n_clusters)
         ]
         self.global_controller = _GlobalController(self)
         self.global_mem = CFMemory(
             CFMConfig(n_procs=n_clusters), controller=self.global_controller
         )
-        if hotpath is not None:
-            self.global_mem.hotpath = hotpath
         #: Optional :class:`repro.faults.FaultInjector`: at this level it
         #: drives NC stalls; bank/completion faults belong to the cluster
         #: and module layers (attach the injector there via chaos harness).
@@ -219,13 +210,6 @@ class SlotAccurateHierarchy:
         # the global controller consults this the way the L1 controller
         # consults processor records (§5.2.4, one level up).
         self._cluster_inflight: Dict[Tuple[int, int], List[HierOp]] = {}
-        self.hotpath = hotpath  # optional HotpathProfiler; never alters results
-        # Batch classifier memo, one (cpu_next, mem_next) pair per cluster,
-        # recorded only for hazard-free clusters.  Both are absolute slots,
-        # invariant while the cluster only streams (hazards need a state
-        # change), so the memo survives spans and is dropped on any tick,
-        # new issue, or completion in that cluster.
-        self._span_cache: List[Optional[Tuple[int, int]]] = [None] * n_clusters
         self.slot = 0
 
     # -- topology -----------------------------------------------------------
@@ -338,7 +322,6 @@ class SlotAccurateHierarchy:
     def _issue_cluster_op(self, op: HierOp) -> None:
         op.phase = HierPhase.CLUSTER
         cluster = self.cluster_of(op.gproc)
-        self._span_cache[cluster] = None
         local = self.local_of(op.gproc)
         cs = self.clusters[cluster]
         if op.kind is HierOpKind.LOAD:
@@ -560,9 +543,6 @@ class SlotAccurateHierarchy:
     # -- engine ---------------------------------------------------------------------------
 
     def tick(self) -> None:
-        # A reference slot may do anything; drop every batch memo.
-        for c in range(self.n_clusters):
-            self._span_cache[c] = None
         # Wake parked discovery attempts (scanned only when the earliest
         # ready slot has actually arrived — the common tick skips this).
         if self._parked and self._parked_next <= self.slot:
@@ -573,8 +553,12 @@ class SlotAccurateHierarchy:
             )
             for op in due:
                 self._discovered(op)
-        for c in range(self.n_clusters):
-            self._nc_step(c)
+        # An idle network controller has nothing to step, unless a live
+        # fault plan must see (and count) its stall windows.
+        stalls = self.faults is not None and self.faults.active
+        for c, nc in enumerate(self.ncs):
+            if nc.current is not None or nc.queue._heap or stalls:
+                self._nc_step(c)
         for cs in self.clusters:
             cs.tick()
         self.global_mem.tick()
@@ -594,7 +578,51 @@ class SlotAccurateHierarchy:
         return self.slot - start
 
     def run_ops(self, ops: List[HierOp], max_slots: int = 300_000) -> None:
-        self.run_until(all_settled(ops), max_slots)
+        """:meth:`run_until` all ``ops`` are done, result-identical to
+        ticking every slot: while no network controller, parked request
+        or global access has work and every cluster is quiet
+        (:meth:`CacheSystem._quiet_until`), the clusters' memories walk
+        the span in lockstep."""
+        done = all_settled(ops)
+        limit = self.slot + max_slots  # no span may reach it
+        while not done():
+            slot = self.slot
+            if slot >= limit:
+                self._raise_timeout(max_slots)
+            end = self._quiet_until(slot, limit - 1)
+            if end > slot:
+                for cs in self.clusters:
+                    cs.mem._advance_span(end)
+                self.global_mem.slot = end + 1  # idle; no hook per slot
+                self.slot = end + 1
+            else:
+                self.tick()
+
+    def _quiet_until(self, slot: int, end: int) -> int:
+        """The last slot, from ``slot`` on and at most ``end``, that only
+        the clusters' memory walks fill; below ``slot`` when ``slot`` must
+        be ticked."""
+        for cs in self.clusters:
+            # Cheapest first: a processor acting next slot ends it
+            # (CacheSystem._quiet_until would say so too).
+            if cs._cpu_wake <= slot + 1:
+                return slot - 1
+        if self.faults is not None and self.faults.active:
+            return slot - 1
+        for nc in self.ncs:
+            # A controller with work, including a global access in flight
+            # (only controllers issue them), steps every slot.
+            if nc.current is not None or nc.queue._heap:
+                return slot - 1
+        if self._parked and self._parked_next <= end:
+            end = self._parked_next - 1
+        for cs in self.clusters:
+            quiet = cs._quiet_until(slot)
+            if quiet < end:
+                end = quiet
+                if end <= slot:
+                    break
+        return end
 
     def _raise_timeout(self, max_slots: int) -> None:
         stuck: List[str] = []
@@ -623,153 +651,16 @@ class SlotAccurateHierarchy:
             slot=self.slot, max_slots=max_slots, stuck=stuck,
         )
 
-    # -- batched epochs (fastpath stage 2) ------------------------------------
-
-    def run_ops_batch(self, ops: List[HierOp], max_slots: int = 300_000) -> None:
-        """Drive ``ops`` to completion, batching conflict-free local spans.
-
-        Bit-identical to :meth:`run_ops`: every slot with hierarchy-level
-        work (NC transactions, parked wakeups, global traffic) runs through
-        the reference :meth:`tick`; only spans where *all* activity is
-        provably conflict-free intra-cluster streaming are leapt, reusing
-        each cluster's AT tables via ``CFMemory._advance_span`` with the
-        three slot counters (hierarchy, clusters, global) kept in lockstep.
-        """
-        self._run_ops_fast(ops, max_slots)
-
     def run_ops_engine(self, ops: List[HierOp], max_slots: int = 300_000,
                        engine: Optional[str] = None) -> None:
         """Drive ``ops`` under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only;
-        ``reference`` is the per-slot :meth:`run_ops`, ``batch`` and
-        ``vectorized`` are aliases of :meth:`run_ops_batch`.  All produce
-        bit-identical observable results (invariant 10).
+        ``engine`` overrides the instance default for this call only and
+        is validated like it; every name drives the one driver,
+        :meth:`run_ops` (invariant 10 holds trivially).
         """
-        name = resolve_engine(engine, default=self.engine, layer="hierarchy")
-        if name == ENGINE_REFERENCE:
-            self.run_ops(ops, max_slots)
-        else:
-            self.run_ops_batch(ops, max_slots)
-
-    def _run_ops_fast(self, ops: List[HierOp], max_slots: int) -> None:
-        start = self.slot
-        limit = start + max_slots  # strict bound: no leap may reach it
-        hp = self.hotpath
-        token = hp.claim("hier") if hp is not None else None
-        try:
-            done = all_settled(ops)
-            while not done():
-                if self.slot - start >= max_slots:
-                    self._raise_timeout(max_slots)
-                self._batch_step(limit)
-        finally:
-            if hp is not None:
-                hp.release(token)
-
-    def _batch_step(self, limit: int = _FAR) -> None:
-        hp = self.hotpath
-        slot = self.slot
-        if self.faults is not None and self.faults.active:
-            # Live fault windows are per-slot definitions: reference path.
-            if hp is not None:
-                hp.count("hier", "tick.faults")
-            self.tick()
-            return
-        if self._parked and self._parked_next <= slot:
-            if hp is not None:
-                hp.count("hier", "tick.cpu")
-            self.tick()
-            return
-        for nc in self.ncs:
-            if (
-                nc.current is not None
-                or len(nc.queue)
-                or nc.flushing_op is not None
-                or nc.global_access is not None
-            ):
-                if hp is not None:
-                    hp.count("hier", "tick.nc")
-                self.tick()
-                return
-        if self.global_mem.active:
-            # Inter-cluster traffic in flight: the global controller reads
-            # L2 directories and cluster inflight records every bank slot.
-            if hp is not None:
-                hp.count("hier", "fallback.global")
-            self.tick()
-            return
-        nxt = _FAR
-        if self._parked:
-            nxt = self._parked_next - 1  # span must stop before the wakeup
-        cache = self._span_cache
-        for c, cs in enumerate(self.clusters):
-            if cs.probe is not None or cs.mem.probe is not None:
-                # Probes pin the per-slot path; metrics ride the span (the
-                # same rule as CacheSystem._batch_step).
-                if hp is not None:
-                    hp.count("hier", "tick.observed")
-                self.tick()
-                return
-            if cs.mem._dead_bank is not None:
-                # A degraded cluster runs a per-slot b-1 schedule (reduced
-                # period, shadow-bank double words): reference path only.
-                if hp is not None:
-                    hp.count("hier", "tick.degraded")
-                self.tick()
-                return
-            memo = cache[c]
-            if memo is None:
-                c_cpu = cs._cpu_next_slot(slot)
-                c_mem = cs._mem_next_finish(slot)
-                if c_mem < slot:
-                    if hp is not None:
-                        hp.count("hier", "tick.sync")
-                    self.tick()
-                    return
-                if c_cpu > slot:
-                    if cs.mem.active and not cs._batch_clean(slot):
-                        if hp is not None:
-                            hp.count("hier", "fallback.hazard")
-                        self.tick()
-                        return
-                    cache[c] = (c_cpu, c_mem)
-            else:
-                c_cpu, c_mem = memo
-            if c_cpu <= slot:
-                # The cluster's processor-side event is due this very slot
-                # (cached events are absolute, so this also catches a span
-                # that just landed on one).
-                if hp is not None:
-                    hp.count("hier", "tick.cpu")
-                self.tick()
-                return
-            if c_cpu - 1 < nxt:
-                nxt = c_cpu - 1
-            if c_mem < nxt:
-                nxt = c_mem
-        if nxt >= _FAR - 1:
-            if hp is not None:
-                hp.count("hier", "fallback.stall")
-            self.tick()
-            return
-        target = nxt
-        if target >= limit:
-            # Never let a leap cross the caller's timeout boundary: the
-            # span ends at limit - 1 so the guard fires at the identical
-            # slot the reference loop would.
-            target = limit - 1
-        # Lockstep leap: the hierarchy slot must equal ``target`` while the
-        # cluster spans fire their finishers, so _cluster_done records the
-        # same done_slot the reference path would.
-        self.slot = target
-        for c, cs in enumerate(self.clusters):
-            if cs.mem._advance_span(target):
-                cache[c] = None  # completions changed directory state
-        self.global_mem.slot = target + 1  # its on_slot is the base no-op
-        self.slot = target + 1
-        if hp is not None:
-            hp.count("hier", "batched_slots", target - slot + 1)
+        resolve_engine(engine, default=self.engine, layer="hierarchy")
+        self.run_ops(ops, max_slots)
 
     # -- invariants ---------------------------------------------------------------------------
 

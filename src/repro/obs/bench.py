@@ -60,21 +60,22 @@ def ops_per_sec(report: Dict[str, object],
 # Run-report assembly
 
 
-def _utilization_block(metrics: MetricsRegistry, prefix: str) -> Dict[str, float]:
-    fractions = metrics.fractions(prefix)
-    block: Dict[str, float] = dict(fractions)
-    if fractions:
-        block["mean"] = sum(fractions.values()) / len(fractions)
-    return block
-
-
 def _run_report(system: str, params: Dict[str, object], summary,
                 metrics: MetricsRegistry,
                 util_prefix: str) -> Dict[str, object]:
     report: Dict[str, object] = {"system": system, "params": params}
     report.update(summary.as_dict())
-    report["utilization"] = _utilization_block(metrics, util_prefix)
-    report["metrics"] = metrics.snapshot()
+    # One read of the registry (one settle, one pass) serves both the
+    # snapshot and the utilization fractions under ``util_prefix``.
+    snapshot = metrics.snapshot()
+    block: Dict[str, float] = {
+        name: entry["fraction"] for name, entry in snapshot.items()
+        if entry["type"] == "utilization" and name.startswith(util_prefix)
+    }
+    if block:
+        block["mean"] = sum(block.values()) / len(block)
+    report["utilization"] = block
+    report["metrics"] = snapshot
     return report
 
 
@@ -134,10 +135,12 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
                            "cfm.bank")
     metrics = MetricsRegistry()
     mem = CFMemory(cfg, probe=probe, metrics=metrics)
-    outstanding = [False] * n_procs
+    # Processors whose access finished, in processor order (finishes of
+    # one slot fire in that order, and every epoch ends at one).
+    idle = list(range(n_procs))
 
     def finished(acc) -> None:
-        outstanding[acc.proc] = False
+        idle.append(acc.proc)
         if acc.state is AccessState.COMPLETED:
             summary.completed += 1
             summary.latencies.add(acc.latency)
@@ -147,10 +150,9 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
     n_banks = cfg.n_banks
     active = mem.active
     while mem.slot < cycles:
-        for p in range(n_procs):
-            if not outstanding[p]:
-                mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=finished)
-                outstanding[p] = True
+        for p in idle:
+            mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=finished)
+        idle.clear()
         # No processor frees up before the earliest completion, so the
         # next issue is due the slot after it.
         done = max(acc.words_done for acc in active)
@@ -280,32 +282,28 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
                workload: str = "mix", profile: bool = False,
                probe: Optional[Probe] = None,
                engine: Optional[str] = None) -> Dict[str, object]:
-    """Coherent-cache op stream, dispatched through the batched epochs.
+    """Coherent-cache op stream through the protocol's one driver.
 
     ``workload="mix"`` is the original loads+stores over a small shared
-    set; ``"private"`` gives every processor its own offsets (conflict-free
-    — the regime where the batch path must never fall back).  Results are
-    bit-identical to the per-slot reference either way; ``profile=True``
-    additionally attaches a :class:`HotpathProfiler` and exports its
-    counters under ``"hotpath"``.  With ``engine`` set the op stream runs
+    set; ``"private"`` gives every processor its own offsets.  Unpinned,
+    the run is observed (a metrics registry; bank utilization is settled
+    when the report reads it).  With ``engine`` set the op stream runs
     through :meth:`CacheSystem.run_ops_engine` *unobserved* (no metrics
-    registry), the shape every engine-pinned report has.
+    registry), the shape every engine-pinned report has.  ``profile=True``
+    adds an empty ``"hotpath"`` section: the coherence layer counts
+    nothing into the profiler.
     """
     from repro.cache.protocol import CacheSystem
-    from repro.obs.hotpath import HotpathProfiler
     from repro.sim.rng import derive_rng
     from repro.sim.stats import RunSummary
 
     if workload not in ("mix", "private"):
         raise ValueError(f"unknown cache workload {workload!r}")
-    # Profiled and engine-pinned runs leave the registry off: their
-    # reports carry no metrics or utilization.
+    # Engine-pinned runs leave the registry off: their reports carry no
+    # metrics or utilization.
     metrics = MetricsRegistry()
-    hotpath = HotpathProfiler() if profile else None
     sys_ = CacheSystem(n_procs, probe=probe,
-                       metrics=None if (profile or engine is not None)
-                       else metrics,
-                       hotpath=hotpath)
+                       metrics=None if engine is not None else metrics)
     rng = derive_rng(seed, "bench.cache", n_procs, rounds)
     summary = RunSummary()
     ops = []
@@ -323,7 +321,7 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     if engine is not None:
         sys_.run_ops_engine(ops, engine=engine)
     else:
-        sys_.run_ops_batch(ops)
+        sys_.run_ops(ops)
     summary.cycles = sys_.slot - start
     summary.completed = len(ops)
     for op in ops:
@@ -338,11 +336,8 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     if engine is not None:
         params["engine"] = engine
     report = _run_report("cache", params, summary, metrics, "cfm.bank")
-    if hotpath is not None:
-        report["hotpath"] = {
-            "counters": hotpath.snapshot(),
-            "occupancy": hotpath.occupancy(),
-        }
+    if profile:
+        report["hotpath"] = {"counters": {}, "occupancy": {}}
     return report
 
 
@@ -351,30 +346,26 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
                    workload: str = "local", profile: bool = False,
                    probe: Optional[Probe] = None,
                    engine: Optional[str] = None) -> Dict[str, object]:
-    """Two-level hierarchy op stream through the batched epochs.
+    """Two-level hierarchy op stream through its one driver.
 
     ``workload="local"`` seeds every processor's private offsets DIRTY in
-    its cluster's L2, so all traffic stays intra-cluster (conflict-free:
-    zero fallbacks expected); ``"global"`` shares unseeded offsets across
-    clusters, exercising the NC fetch/write-back chains (mostly slow
-    path, by construction).  ``probe`` is accepted for signature parity
+    its cluster's L2, so all traffic stays intra-cluster; ``"global"``
+    shares unseeded offsets across clusters, exercising the NC
+    fetch/write-back chains.  ``probe`` is accepted for signature parity
     but unused — the hierarchy's clusters are internal.  With ``engine``
     set the rounds run through :meth:`SlotAccurateHierarchy.run_ops_engine`.
+    ``profile=True`` adds an empty ``"hotpath"`` section, as for the cache.
     """
     from repro.cache.state import CacheLineState
     from repro.core.block import Block
     from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
-    from repro.obs.hotpath import HotpathProfiler
     from repro.sim.rng import derive_rng
     from repro.sim.stats import RunSummary
 
     if workload not in ("local", "global"):
         raise ValueError(f"unknown hierarchy workload {workload!r}")
-    hotpath = HotpathProfiler() if profile else None
-    hier = SlotAccurateHierarchy(
-        n_clusters, procs_per_cluster, bank_cycle=bank_cycle,
-        hotpath=hotpath,
-    )
+    hier = SlotAccurateHierarchy(n_clusters, procs_per_cluster,
+                                 bank_cycle=bank_cycle)
     if workload == "local":
         width = hier._cluster_width()
         for c in range(n_clusters):
@@ -405,7 +396,7 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
         if engine is not None:
             hier.run_ops_engine(round_ops, engine=engine)
         else:
-            hier.run_ops_batch(round_ops)
+            hier.run_ops(round_ops)
         ops.extend(round_ops)
     summary.cycles = hier.slot
     summary.completed = len(ops)
@@ -424,7 +415,7 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
     report = _run_report("hierarchy", params, summary, metrics, "cfm.bank")
     # A block access occupies every bank of its cluster CFM for exactly
     # one slot, so memory-op counts ARE per-bank busy slots — utilization
-    # without attaching a registry (which would pin the per-slot path).
+    # without attaching a registry.
     util: Dict[str, float] = {}
     if hier.slot:
         for c, cs in enumerate(hier.clusters):
@@ -432,11 +423,8 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
     if util:
         util["mean"] = sum(util.values()) / len(util)
     report["utilization"] = util
-    if hotpath is not None:
-        report["hotpath"] = {
-            "counters": hotpath.snapshot(),
-            "occupancy": hotpath.occupancy(),
-        }
+    if profile:
+        report["hotpath"] = {"counters": {}, "occupancy": {}}
     return report
 
 
@@ -608,7 +596,7 @@ SYSTEMS: Dict[str, Callable[..., Dict[str, object]]] = {
 PROFILABLE_SYSTEMS = frozenset({"cache", "hierarchy"})
 
 #: Systems whose runners accept ``engine=`` (``repro bench --engine``):
-#: the three batched layers behind the engine-strategy seam, plus the
+#: the three layers behind the engine-strategy seam, plus the
 #: QoS runner (which drives a CFM underneath).
 ENGINE_SYSTEMS = frozenset({"cfm", "cache", "hierarchy", "qos"})
 
@@ -663,7 +651,7 @@ def _spec(system: str, **params: object) -> Dict[str, object]:
 
 def specs_quick(quick: bool = True) -> List[Dict[str, object]]:
     """The smoke trajectory: CFM + interleaved baseline + one run through
-    each batched layer (cache protocol, two-level hierarchy), plus an
+    each coherence layer (cache protocol, two-level hierarchy), plus an
     ``engine="stacked"`` CFM run."""
     cycles = 2_000 if quick else 20_000
     rounds = 4 if quick else 20
@@ -730,18 +718,6 @@ def specs_hierarchy(quick: bool = False) -> List[Dict[str, object]]:
     ]
 
 
-def specs_hotpath(quick: bool = False) -> List[Dict[str, object]]:
-    """Conflict-free workloads with the profiler attached: every
-    ``fallback.*`` counter must stay zero (CI's bench-profile gate)."""
-    rounds = 6 if quick else 30
-    return [
-        _spec("cache", n_procs=8, rounds=rounds, workload="private",
-              profile=True),
-        _spec("hierarchy", n_clusters=2, procs_per_cluster=4, rounds=rounds,
-              bank_cycle=2, workload="local", profile=True),
-    ]
-
-
 def specs_qos(quick: bool = False) -> List[Dict[str, object]]:
     """Mixed-criticality matrix: priority arbitration vs the FIFO
     baseline on each shape, plus a degraded-mode pair — the bench_qos
@@ -783,7 +759,6 @@ BENCH_SPECS: Dict[str, Callable[[bool], List[Dict[str, object]]]] = {
     "network": specs_network,
     "cache": specs_cache,
     "hierarchy": specs_hierarchy,
-    "hotpath": specs_hotpath,
     "qos": specs_qos,
     "faults": specs_faults,
 }
@@ -819,8 +794,8 @@ def run_benchmark(name: str, quick: bool = False,
 
     The document is deterministic: two runs of the same benchmark compare
     equal.  With ``profile=True`` every run whose system supports it gains
-    a ``"hotpath"`` section — batch/tick/fallback counters, also
-    deterministic.  With ``engine``
+    a ``"hotpath"`` section — empty since the coherence layers run per
+    slot.  With ``engine``
     set, every run whose system sits behind the engine-strategy seam
     (:data:`ENGINE_SYSTEMS`) *and supports the engine* dispatches through
     that strategy; results are bit-identical across engines (invariants

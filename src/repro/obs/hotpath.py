@@ -1,38 +1,31 @@
-"""Cross-layer hot-path profiler for the fastpath.
+"""Hot-path profiler for the CFM batch driver.
 
-The batch drivers (``CFMemory.run_batch``, ``CacheSystem.run_ops_batch``,
-``SlotAccurateHierarchy.run_ops_batch``) — every engine name but
-``reference`` — constantly choose between three ways of advancing time:
+The batch driver (``CFMemory.run_batch``) — every CFM engine name but
+``reference`` — constantly chooses between three ways of advancing time:
 
 * **batch** — leap a whole span of slots in one classified pass,
 * **tick** — fall back to the per-slot reference path for one slot,
 * **skip** — jump over provably idle slots.
 
-:class:`HotpathProfiler` counts those choices per layer so a bench run can
-report *which* layer re-entered the slow path and *why* — without touching
-results: the profiler is pure integer counters, attached via a dedicated
-``hotpath`` slot that (like metrics, unlike probes) does **not** disable
-batch eligibility.  Attaching one never changes any simulated outcome,
-only records how it was computed; the differential tests pin this.
+:class:`HotpathProfiler` counts those choices per layer so a run can
+report *why* it re-entered the slow path — without touching results: the
+profiler is pure integer counters, attached via a dedicated ``hotpath``
+slot that (like metrics, unlike probes) does **not** disable batch
+eligibility.  Attaching one never changes any simulated outcome, only
+records how it was computed; the differential tests pin this.  The
+coherence layers count nothing.
 
 Counter naming convention, within a layer:
 
 ``batched_slots`` / ``skipped_slots``
     Slots advanced via a batch span / idle leap.
 ``tick.<reason>``
-    Expected per-slot work: ``tick.cpu`` (a processor-side event — issue,
-    local hit, write-back queue — is due this slot), ``tick.nc`` (a
-    hierarchy network controller is mid-transaction), ``tick.observed``
-    (a probe pins the per-slot path), ``tick.sync`` (generic per-slot
-    step).
+    Expected per-slot work: ``tick.pinned`` (a probe, a live fault plan,
+    the degraded schedule or a controller hook pins the per-slot path).
 ``fallback.<reason>``
-    Slow-path *fallbacks* — slots the classifier wanted to batch but
-    could not prove safe: ``fallback.hazard`` (cross-op coherence overlap:
-    shared offsets, live foreign ATT entries, remote directory copies),
-    ``fallback.global`` (inter-cluster traffic in flight), ``fallback.
-    stall`` (nothing can ever happen; the timeout guard's territory).
-    A conflict-free workload must keep every ``fallback.*`` counter at
-    zero — CI's bench-profile job asserts exactly that.
+    Slow-path *fallbacks* — slots the driver wanted to batch but could
+    not prove safe: ``fallback.hazard`` (a same-offset write interleaves
+    with another access).
 """
 
 from __future__ import annotations
@@ -43,15 +36,14 @@ from typing import Dict, Optional
 class HotpathProfiler:
     """Deterministic per-layer counters of batch/tick/fallback decisions.
 
-    **Exclusive counting.**  One profiler may be shared down a layer stack
-    (hierarchy → clusters → their CFMemory engines): each batch driver
-    claims the profiler for the duration of its run (:meth:`claim` /
-    :meth:`release`), and while claimed, :meth:`count` drops events from
-    every *other* layer.  A slot is therefore attributed to exactly one
-    layer — the one actually driving time — and per-layer counter sums
-    equal the slots that layer advanced, never more (the invariant
-    ``tests/test_fastpath_stage2.py`` asserts).  :meth:`note` bypasses the
-    claim for auxiliary, non-slot counters (e.g. fault-injection tallies).
+    **Exclusive counting.**  A batch driver claims the profiler for the
+    duration of its run (:meth:`claim` / :meth:`release`), and while
+    claimed, :meth:`count` drops events from every *other* layer.  A slot
+    is therefore attributed to exactly one layer — the one actually
+    driving time — and per-layer counter sums equal the slots that layer
+    advanced, never more (the invariant ``tests/test_fastpath_stage2.py``
+    asserts).  :meth:`note` bypasses the claim for auxiliary, non-slot
+    counters (e.g. fault-injection tallies).
     """
 
     __slots__ = ("_counts", "_owner")

@@ -16,7 +16,8 @@ loop.  Components treat an absent registry (``metrics is None``) as
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Union
+import weakref
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.sim.stats import Histogram, RunningStats, TallyCounter, Utilization
 
@@ -31,6 +32,27 @@ class MetricsRegistry:
         # Sorted names, kept until an instrument is added (the registry
         # only grows), so one report's snapshot and fractions share a sort.
         self._sorted: Optional[List[str]] = None
+        self._settlers: List[weakref.WeakMethod] = []
+
+    def on_read(self, settle: Callable[[], None]) -> None:
+        """Call the bound method ``settle`` before every read (``get``,
+        ``snapshot``, ``fractions``).
+
+        For writers that account lazily: a component that would otherwise
+        update its instruments every cycle keeps cheaper accumulators and
+        brings the instruments up to date only when someone looks.  The
+        registry holds ``settle`` weakly, so it keeps no writer alive and
+        forms no reference cycle with one; a writer settles itself one
+        last time when it is freed."""
+        self._settlers.append(weakref.WeakMethod(settle))
+
+    def _settle(self) -> None:
+        for ref in list(self._settlers):
+            settle = ref()
+            if settle is None:
+                self._settlers.remove(ref)
+            else:
+                settle()
 
     # -- get-or-create accessors -------------------------------------------
 
@@ -64,6 +86,7 @@ class MetricsRegistry:
     # -- inspection ---------------------------------------------------------
 
     def get(self, name: str) -> Optional[Instrument]:
+        self._settle()
         return self._instruments.get(name)
 
     def names(self) -> List[str]:
@@ -115,6 +138,7 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Flat ``{name: summary}`` dict, names sorted, JSON-serializable."""
+        self._settle()
         instruments, summarize = self._instruments, self._summarize
         return {name: summarize(instruments[name]) for name in self._names()}
 
@@ -123,6 +147,7 @@ class MetricsRegistry:
 
     def fractions(self, prefix: str) -> Dict[str, float]:
         """Utilization fractions of every instrument under ``prefix``."""
+        self._settle()
         out: Dict[str, float] = {}
         instruments = self._instruments
         for name in self._names():

@@ -142,7 +142,7 @@ class Histogram:
         return sorted(self._counts.items())
 
 
-@dataclass
+@dataclass(slots=True)
 class Utilization:
     """Busy/total cycle tracking for a resource (bank, port, switch)."""
 

@@ -60,9 +60,10 @@ class TestTables:
         assert shift_permutations(8) is shift_permutations(8)
 
     def test_bank_orders_wrap(self):
-        orders = bank_orders(4)
-        assert orders[0] == (0, 1, 2, 3)
-        assert orders[3] == (3, 0, 1, 2)
+        ring = bank_orders(4)
+        assert len(ring) == 8  # O(b): one ring serves every first bank
+        assert ring[0:4] == (0, 1, 2, 3)
+        assert ring[3:7] == (3, 0, 1, 2)
 
     def test_shift_permutations(self):
         perms = shift_permutations(8)

@@ -1,16 +1,20 @@
-"""Stage-2 fastpath: batched protocol epochs must be bit-identical.
+"""One driver per coherence layer, against ticking every slot.
 
-:meth:`CacheSystem.run_ops_batch` and
-:meth:`SlotAccurateHierarchy.run_ops_batch` reuse the precomputed AT
-tables to leap conflict-free spans, falling back to the per-slot
-reference ``tick()`` whenever the classifier cannot prove a span clean.
-Everything here is differential: the same workload runs once through the
-reference and once through the batch path, and *every* observable —
-op streams with issue/done slots, hit/retry/access counts, directory
-states, bank contents with versions, controller counters, the final slot
-— must match exactly.  The profiler rides along on some runs to pin that
-attaching it never changes results, and that conflict-free workloads
-never touch a ``fallback.*`` counter.
+:meth:`CacheSystem.run_ops` and :meth:`SlotAccurateHierarchy.run_ops`
+pass stretches that hold nothing but the memories' straight walk in one
+span (every engine name runs them).  Everything here is differential:
+the same workload runs once through ``run_ops``, observed the way
+unpinned bench runs are, and once bare through ``run_until``, which
+ticks every slot; *every* observable — op streams with issue/done slots,
+hit/retry/access counts, directory states, bank contents with versions,
+controller counters, the final slot — must match exactly.  The observed
+runs' settled ``cfm.bank[k].util`` must equal
+:func:`tests.history.bank_util_oracle`, replayed from access lifetimes
+under the protocol's aborts and retries.  Span coverage is counted on
+``CFMemory._advance_span``, so no differential here passes vacuously.
+
+The hot-path profiler counts only the CFM batch driver; its
+determinism, result-neutrality and exclusive claim are pinned here too.
 """
 
 import random
@@ -20,11 +24,14 @@ import pytest
 from repro.cache.protocol import CacheSystem
 from repro.cache.state import CacheLineState
 from repro.core.block import Block
+from repro.core.cfm import AccessKind, CFMemory
+from repro.core.config import CFMConfig
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import SimulationTimeout, all_settled
+from tests.history import bank_util_oracle, record_finishes, settled_util
 
 SHAPES = [(4, 1), (8, 2), (16, 4)]
 
@@ -50,7 +57,7 @@ def _plan_shared(n_procs, rounds, seed):
 
 
 def _plan_private(n_procs, rounds, seed):
-    """Proc-private offsets: conflict-free, the batch path's home turf."""
+    """Proc-private offsets: no coherence action after the first fills."""
     rng = random.Random(seed)
     plan = []
     for _ in range(rounds):
@@ -83,7 +90,7 @@ def _plan_hit_heavy(n_procs, rounds, seed):
 
 def _plan_sync(n_procs, rounds, seed):
     """Acquire -> flush pairs over a shared lock line plus background
-    loads — the sync-op path (wb_disabled lines) through the batcher.
+    loads — the sync-op path (wb_disabled lines).
     Every acquire is immediately paired with its flush: an unmatched
     acquire pins the line and livelocks every other op, by design."""
     rng = random.Random(seed)
@@ -99,9 +106,14 @@ def _plan_sync(n_procs, rounds, seed):
 
 
 def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
-                    metrics=None, hotpath=None):
+                    metrics=None):
+    """Run ``plan`` round by round through ``run_ops`` (``batch``, under
+    that engine name) or by ticking every slot; with ``metrics``, the
+    settled bank utilization is checked against the oracle after every
+    round."""
     sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle, probe=probe,
-                       metrics=metrics, hotpath=hotpath)
+                       metrics=metrics)
+    log = record_finishes(sys_.mem)
     all_ops = []
     for round_ops in plan:
         ops = []
@@ -115,10 +127,14 @@ def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
             else:
                 ops.append(sys_.flush(p, off))
         if batch:
-            sys_.run_ops_batch(ops)
+            sys_.run_ops_engine(ops, engine="batch")
         else:
-            sys_.run_ops(ops)
+            sys_.run_until(all_settled(ops))
         all_ops.extend(ops)
+        if metrics is not None:
+            assert settled_util(metrics.snapshot()) == bank_util_oracle(
+                log, sys_.mem.active, sys_.cfg.n_banks, bank_cycle,
+                sys_.slot)
     sys_.check_coherence_invariant()
     return sys_, all_ops
 
@@ -159,15 +175,17 @@ PLANS = {
 @pytest.mark.parametrize("workload", sorted(PLANS))
 @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
 def test_cache_batch_bit_identical(workload, n_procs, bank_cycle):
+    """``run_ops``, observed, against bare ticks."""
     plan = PLANS[workload](n_procs, rounds=6, seed=n_procs * 10 + bank_cycle)
     ref_sys, ref_ops = _run_cache_plan(n_procs, bank_cycle, plan, batch=False)
-    bat_sys, bat_ops = _run_cache_plan(n_procs, bank_cycle, plan, batch=True)
+    bat_sys, bat_ops = _run_cache_plan(n_procs, bank_cycle, plan, batch=True,
+                                       metrics=MetricsRegistry())
     assert _fingerprint(ref_sys, ref_ops) == _fingerprint(bat_sys, bat_ops)
 
 
 def test_cache_batch_with_probe_matches_unprobed():
-    """Observers pin the per-slot path — results must still be identical,
-    and the probe must see the same event stream as a reference run."""
+    """A probe pins ``run_ops`` to ticks: it sees the same event stream
+    as under bare ticks, and attaching one changes no result."""
     plan = _plan_shared(4, rounds=4, seed=3)
     ref_probe = RecordingProbe()
     ref_sys, ref_ops = _run_cache_plan(4, 1, plan, batch=False,
@@ -195,7 +213,7 @@ def test_cache_batch_timeout_names_stuck_op():
     sys_.run_ops([op])
     blocked = sys_.store(1, 0, {0: 9})
     with pytest.raises(SimulationTimeout) as exc:
-        sys_.run_ops_batch([blocked], max_slots=500)
+        sys_.run_ops_engine([blocked], max_slots=500, engine="batch")
     assert "proc 1" in str(exc.value)
     assert exc.value.max_slots == 500
     assert any("proc 1" in s for s in exc.value.stuck)
@@ -246,8 +264,8 @@ def _hier_plan(n_clusters, per, rounds, seed, local):
     return plan
 
 
-def _run_hier_plan(n_clusters, per, plan, batch, local, hotpath=None):
-    hier = SlotAccurateHierarchy(n_clusters, per, hotpath=hotpath)
+def _run_hier_plan(n_clusters, per, plan, batch, local, bank_cycle=1):
+    hier = SlotAccurateHierarchy(n_clusters, per, bank_cycle=bank_cycle)
     if local:
         _seed_local(hier, n_clusters, per)
     all_ops = []
@@ -256,9 +274,9 @@ def _run_hier_plan(n_clusters, per, plan, batch, local, hotpath=None):
                else hier.store(g, off, words)
                for g, kind, off, words in round_ops]
         if batch:
-            hier.run_ops_batch(ops)
+            hier.run_ops_engine(ops, engine="batch")
         else:
-            hier.run_ops(ops)
+            hier.run_until(all_settled(ops))
         all_ops.extend(ops)
     hier.check_invariants()
     return hier, all_ops
@@ -291,6 +309,152 @@ def test_hierarchy_batch_bit_identical(local, n_clusters, per):
     assert _hier_fingerprint(*ref) == _hier_fingerprint(*bat)
 
 
+@pytest.mark.parametrize("local", [True, False],
+                         ids=["local_seeded", "global_shared"])
+@pytest.mark.parametrize("n_clusters,per,bank_cycle",
+                         [(2, 2, 4), (4, 2, 2), (4, 4, 8)])
+def test_hierarchy_spans_bit_identical(local, n_clusters, per, bank_cycle):
+    """Clusters with c > 1, where the lockstep spans are long."""
+    plan = _hier_plan(n_clusters, per, rounds=6,
+                      seed=n_clusters * 10 + per + bank_cycle, local=local)
+    ref = _run_hier_plan(n_clusters, per, plan, batch=False, local=local,
+                         bank_cycle=bank_cycle)
+    bat = _run_hier_plan(n_clusters, per, plan, batch=True, local=local,
+                         bank_cycle=bank_cycle)
+    assert _hier_fingerprint(*ref) == _hier_fingerprint(*bat)
+
+
+# --------------------------------------------------------------------------
+# Spans: how much they cover, and what ends them
+
+
+def _count_spans(monkeypatch):
+    """Slots passed by ``CFMemory._advance_span`` from now on."""
+    spanned = [0]
+    advance = CFMemory._advance_span
+
+    def counting(mem, target):
+        spanned[0] += target - mem.slot + 1
+        return advance(mem, target)
+
+    monkeypatch.setattr(CFMemory, "_advance_span", counting)
+    return spanned
+
+
+@pytest.mark.parametrize("n_procs,bank_cycle", [(8, 2), (16, 4)])
+def test_private_streams_ride_spans(monkeypatch, n_procs, bank_cycle):
+    """Proc-private streams at c > 1: most slots pass in spans."""
+    plan = _plan_private(n_procs, rounds=12, seed=4)
+    spanned = _count_spans(monkeypatch)
+    sys_, _ = _run_cache_plan(n_procs, bank_cycle, plan, batch=True,
+                              metrics=MetricsRegistry())
+    assert spanned[0] > sys_.slot // 2
+
+
+def test_hierarchy_local_streams_ride_spans(monkeypatch):
+    plan = _hier_plan(4, 4, rounds=8, seed=2, local=True)
+    spanned = _count_spans(monkeypatch)
+    hier, _ = _run_hier_plan(4, 4, plan, batch=True, local=True,
+                             bank_cycle=8)
+    # Four cluster memories walk each spanned slot in lockstep.
+    assert spanned[0] > 4 * hier.slot // 2
+
+
+def test_shared_writes_end_spans(monkeypatch):
+    """Stores to one shared offset: read-invalidates must meet each other
+    and the remote copies at every coupled bank, so they tick."""
+    sys_ = CacheSystem(4, bank_cycle=4)
+    spanned = _count_spans(monkeypatch)
+    sys_.run_ops([sys_.store(p, 0, {0: p}) for p in range(4)])
+    assert spanned[0] == 0
+
+
+def test_every_request_kind_wakes_an_idle_system():
+    """Once every processor sleeps, each kind of request alone wakes the
+    processor scan."""
+    sys_ = CacheSystem(4, bank_cycle=2)
+    sys_.run_ops([sys_.store(0, 0, {0: 1})])
+    for make in (lambda: sys_.acquire(1, 0), lambda: sys_.flush(1, 0),
+                 lambda: sys_.load(2, 1), lambda: sys_.store(3, 2, {0: 3})):
+        sys_.run(2)  # a scan finds nothing to do: every processor sleeps
+        op = make()
+        sys_.run_ops([op], max_slots=1000)
+        assert op.done
+
+
+def _closed_loop_cache(n_procs, bank_cycle, batch, rounds=6):
+    """Every finished op issues its processor's next one from ``on_done``,
+    half of them to offsets another processor last touched."""
+    sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle)
+    rng = random.Random(n_procs * 100 + bank_cycle)
+    ops = []
+    left = [rounds] * n_procs
+
+    def next_op(p):
+        if not left[p]:
+            return
+        left[p] -= 1
+        shared = rng.random() < 0.5
+        off = rng.randrange(4) if shared else 4 * (p + 1) + rng.randrange(4)
+        if rng.random() < 0.5:
+            op = sys_.store(p, off, {0: p + 1}, on_done=lambda o: next_op(p))
+        else:
+            op = sys_.load(p, off, on_done=lambda o: next_op(p))
+        ops.append(op)
+
+    for p in range(n_procs):
+        next_op(p)
+    if batch:
+        sys_.run_ops(ops)
+    else:
+        sys_.run_until(all_settled(ops))
+    sys_.check_coherence_invariant()
+    return sys_, ops
+
+
+@pytest.mark.parametrize("n_procs,bank_cycle", [(4, 1), (4, 4), (8, 2)])
+def test_cache_closed_loop_bit_identical(n_procs, bank_cycle):
+    """Ops issued from completion callbacks land on the same slots."""
+    ref = _closed_loop_cache(n_procs, bank_cycle, batch=False)
+    bat = _closed_loop_cache(n_procs, bank_cycle, batch=True)
+    assert len(bat[1]) == n_procs * 6
+    assert _fingerprint(*ref) == _fingerprint(*bat)
+
+
+def _closed_loop_hier(batch):
+    """Each finished op issues the next op of a processor in the *other*
+    cluster, whose memory the lockstep span also walks."""
+    hier = SlotAccurateHierarchy(2, 2, bank_cycle=4)
+    _seed_local(hier, 2, 2)
+    rng = random.Random(11)
+    ops = []
+    left = [5]
+
+    def next_op(g):
+        if not left[0]:
+            return
+        left[0] -= 1
+        other = (g + 2) % 4
+        off = other * 4 + rng.randrange(4)
+        ops.append(hier.load(other, off, on_done=lambda o: next_op(other)))
+
+    for g in range(4):
+        ops.append(hier.load(g, g * 4, on_done=lambda o, g=g: next_op(g)))
+    if batch:
+        hier.run_ops(ops)
+    else:
+        hier.run_until(all_settled(ops))
+    hier.check_invariants()
+    return hier, ops
+
+
+def test_hierarchy_cross_cluster_callbacks_bit_identical():
+    ref = _closed_loop_hier(batch=False)
+    bat = _closed_loop_hier(batch=True)
+    assert len(bat[1]) == 9
+    assert _hier_fingerprint(*ref) == _hier_fingerprint(*bat)
+
+
 def test_hierarchy_timeout_is_simulation_timeout():
     hier = SlotAccurateHierarchy(2, 2)
     op = hier.load(0, 0)
@@ -301,89 +465,100 @@ def test_hierarchy_timeout_is_simulation_timeout():
 
 
 # --------------------------------------------------------------------------
-# Hot-path profiler semantics
+# Hot-path profiler semantics (the CFM batch driver)
+
+
+def _streaming_cfm(n_procs, bank_cycle, hotpath=None, stride=1):
+    """Full-load reads on private offsets, re-issued from the finish
+    callback by every ``stride``-th processor."""
+    mem = CFMemory(CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle))
+    mem.hotpath = hotpath
+    log = record_finishes(mem)
+
+    def reissue(acc):
+        mem.issue(acc.proc, AccessKind.READ, offset=acc.proc,
+                  on_finish=reissue)
+
+    for p in range(0, n_procs, stride):
+        mem.issue(p, AccessKind.READ, offset=p, on_finish=reissue)
+    return mem, log
+
+
+def _cfm_fingerprint(mem, log):
+    return (mem.slot,
+            [(a.proc, a.issue_slot, a.complete_slot,
+              sorted((k, w.value) for k, w in a.result_words.items()))
+             for a in log.completed])
 
 
 def test_profiler_never_changes_results():
-    plan = _plan_shared(8, rounds=5, seed=11)
-    bare = _run_cache_plan(8, 2, plan, batch=True)
+    bare = _streaming_cfm(8, 2, stride=3)
+    bare[0].run_batch(300)
     hp = HotpathProfiler()
-    profiled = _run_cache_plan(8, 2, plan, batch=True, hotpath=hp)
-    assert _fingerprint(*bare) == _fingerprint(*profiled)
+    profiled = _streaming_cfm(8, 2, hotpath=hp, stride=3)
+    profiled[0].run_batch(300)
+    assert _cfm_fingerprint(*bare) == _cfm_fingerprint(*profiled)
     assert sum(sum(ev.values()) for ev in hp.snapshot().values()) > 0
 
 
 def test_profiler_counters_deterministic():
-    plan = _plan_private(8, rounds=5, seed=13)
     snaps = []
     for _ in range(2):
         hp = HotpathProfiler()
-        _run_cache_plan(8, 2, plan, batch=True, hotpath=hp)
+        mem, _ = _streaming_cfm(8, 2, hotpath=hp, stride=2)
+        for k in (7, 50, 3, 120):
+            mem.run_batch(k)
         snaps.append(hp.snapshot())
     assert snaps[0] == snaps[1]
 
 
 def test_conflict_free_workloads_never_fall_back():
-    """The CI bench-profile gate, as a unit test: private cache traffic
-    and seeded-local hierarchy traffic must keep fallback.* at zero."""
+    """Private-offset CFM traffic never falls back, and the coherence
+    layers count nothing: their profiled reports carry an empty section
+    and the same statistics as unprofiled ones."""
+    from repro.obs.bench import run_spec
+
     hp = HotpathProfiler()
-    plan = _plan_private(8, rounds=6, seed=17)
-    _run_cache_plan(8, 2, plan, batch=True, hotpath=hp)
-    hplan = _hier_plan(2, 4, rounds=6, seed=19, local=True)
-    _run_hier_plan(2, 4, hplan, batch=True, local=True, hotpath=hp)
-    assert hp.fallbacks() == {"cache": 0, "hier": 0}
-    assert hp.get("cache", "batched_slots") > 0
-    assert hp.get("hier", "batched_slots") > 0
+    mem, _ = _streaming_cfm(8, 2, hotpath=hp)
+    mem.run_batch(500)
+    assert hp.fallbacks() == {"cfm": 0}
+    assert hp.get("cfm", "batched_slots") > 0
+    for spec in ({"system": "cache", "params": {
+                     "n_procs": 8, "rounds": 6, "workload": "private"}},
+                 {"system": "hierarchy", "params": {
+                     "n_clusters": 2, "procs_per_cluster": 4, "rounds": 6,
+                     "bank_cycle": 2, "workload": "local"}}):
+        plain = run_spec(spec)
+        profiled = run_spec({"system": spec["system"],
+                             "params": {**spec["params"], "profile": True}})
+        assert profiled.pop("hotpath") == {"counters": {}, "occupancy": {}}
+        assert profiled == plain
 
 
 def test_profiler_occupancy_shape():
     hp = HotpathProfiler()
-    hp.count("cache", "batched_slots", 90)
-    hp.count("cache", "tick.cpu", 10)
-    occ = hp.occupancy()["cache"]
+    hp.count("cfm", "batched_slots", 90)
+    hp.count("cfm", "tick.pinned", 10)
+    occ = hp.occupancy()["cfm"]
     assert occ["batched"] == 90 and occ["ticked"] == 10
     assert occ["batched_frac"] == pytest.approx(0.9)
 
 
-def test_profiler_counter_sum_equals_cache_slots():
-    """Exclusive counting, invariant form: the cache layer's counter sum
-    (batched + skipped + ticked) equals exactly the slots it advanced —
-    the inner CFM engine, sharing the profiler, contributes nothing."""
-    hp = HotpathProfiler()
-    plan = _plan_shared(8, rounds=5, seed=23)
-    sys_, _ = _run_cache_plan(8, 2, plan, batch=True, hotpath=hp)
-    occ = hp.occupancy()["cache"]
-    assert occ["batched"] + occ["skipped"] + occ["ticked"] == sys_.slot
-    assert "cfm" not in hp.snapshot()
-
-
-def test_profiler_counter_sum_equals_hier_slots():
-    hp = HotpathProfiler()
-    hplan = _hier_plan(2, 4, rounds=6, seed=19, local=False)
-    hier, _ = _run_hier_plan(2, 4, hplan, batch=True, local=False,
-                             hotpath=hp)
-    occ = hp.occupancy()["hier"]
-    assert occ["batched"] + occ["skipped"] + occ["ticked"] == hier.slot
-    for inner in ("cache", "cfm"):
-        assert inner not in hp.snapshot()
-
-
 def test_shared_profiler_attributes_each_slot_to_one_layer():
-    """One profiler shared down the stack: slots driven by the cache batch
-    engine land under "cache"; a subsequent direct CFM batch run on the
-    same profiler lands under "cfm" — each exactly covering the slots that
-    layer advanced while driving."""
+    """While another layer holds the claim, a CFM batch run counts
+    nothing; once released, its counters cover exactly the slots it
+    advanced."""
     hp = HotpathProfiler()
-    plan = _plan_private(8, rounds=4, seed=31)
-    sys_, _ = _run_cache_plan(8, 2, plan, batch=True, hotpath=hp)
-    cache_slots = sys_.slot
-    assert "cfm" not in hp.snapshot()
-
-    before = sys_.mem.slot
-    sys_.mem.run_batch(40)  # now the CFM engine drives time itself
+    mem, _ = _streaming_cfm(8, 2, hotpath=hp)
+    token = hp.claim("outer")
+    mem.run_batch(40)
+    assert hp.snapshot() == {}
+    hp.count("outer", "tick.pinned", 40)
+    hp.release(token)
+    before = mem.slot
+    mem.run_batch(40)
     occ = hp.occupancy()
-    cache = occ["cache"]
-    assert cache["batched"] + cache["skipped"] + cache["ticked"] == cache_slots
+    assert occ["outer"]["ticked"] == 40
     cfm = occ["cfm"]
     assert cfm["batched"] + cfm["skipped"] + cfm["ticked"] \
-        == sys_.mem.slot - before == 40
+        == mem.slot - before == 40

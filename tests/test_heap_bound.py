@@ -11,7 +11,12 @@ every module in the system.
 from __future__ import annotations
 
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,8 +48,8 @@ def test_full_load_cfm_keeps_only_in_flight_accesses(engine):
     assert _live_accesses() <= mem.cfg.n_procs
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["batch", "reference"])
-def test_cache_mix_keeps_only_in_flight_accesses(fast):
+@pytest.mark.parametrize("engine", ["batch", "reference"])
+def test_cache_mix_keeps_only_in_flight_accesses(engine):
     """Loads and stores over four shared offsets: retries, invalidations
     and triggered write-backs all fire."""
     rng = random.Random(7)
@@ -57,16 +62,13 @@ def test_cache_mix_keeps_only_in_flight_accesses(fast):
                 ops.append(sys_.store(p, offset, {0: p + 1}))
             else:
                 ops.append(sys_.load(p, offset))
-    if fast:
-        sys_.run_ops_batch(ops)
-    else:
-        sys_.run_ops(ops)
+    sys_.run_ops_engine(ops, engine=engine)
     assert sys_.stats_memory_ops > 100
     assert _live_accesses() <= sys_.cfg.n_procs
 
 
-@pytest.mark.parametrize("fast", [True, False], ids=["batch", "reference"])
-def test_hierarchy_global_keeps_only_in_flight_accesses(fast):
+@pytest.mark.parametrize("engine", ["batch", "reference"])
+def test_hierarchy_global_keeps_only_in_flight_accesses(engine):
     """Offsets shared across clusters: NC fetches and L2 write-back chains
     run through the global module as well as the cluster modules."""
     rng = random.Random(7)
@@ -79,9 +81,36 @@ def test_hierarchy_global_keeps_only_in_flight_accesses(fast):
                 ops.append(h.store(g, offset, {rng.randrange(2): g + 1}))
             else:
                 ops.append(h.load(g, offset))
-        if fast:
-            h.run_ops_batch(ops)
-        else:
-            h.run_ops(ops)
+        h.run_ops_engine(ops, engine=engine)
     assert sum(cs.stats_memory_ops for cs in h.clusters) > 100
     assert _live_accesses() <= h.n_procs + h.n_clusters
+
+
+#: Measures, in a fresh interpreter, how far one (128, 32) run_spec
+#: raises the process's peak RSS (MB) over what the imports left.
+_RSS_PROBE = """
+import json, resource, sys
+from repro.obs.bench import run_spec
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+before = peak_mb()
+run_spec(json.loads(sys.argv[1]))
+print(peak_mb() - before)
+"""
+
+
+def test_large_shape_memory_grows_with_b_not_b_squared():
+    """b = 4096 banks: the shape's tables hold the b x (b/c) schedule and
+    one bank ring of 2b entries, about 30 MB with the run's bank dicts.
+    Tables of b bank orders of b entries each took ~600 MB and stayed
+    for the life of the process.  At most 24 KB per bank may remain."""
+    spec = {"system": "cfm", "params": {"n_procs": 128, "bank_cycle": 32,
+                                        "cycles": 10_000, "engine": "batch"}}
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, json.dumps(spec)],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    grown_mb = float(out.stdout.strip().splitlines()[-1])
+    n_banks = 128 * 32
+    assert grown_mb * 1024 / n_banks <= 24, f"peak RSS grew {grown_mb:.0f} MB"

@@ -1,17 +1,18 @@
 """Metrics ride the fast path: observed batch runs equal per-slot runs.
 
 A :class:`MetricsRegistry` does not pin the per-slot tick.  The span walk
-accounts ``cfm.bank[k].util`` per span (``CFMemory._span_util``) and
-every other instrument fires at completion, so each differential below
-drives one workload per slot and through a batch driver and requires the
-identical registry snapshot and completion log:
+credits ``cfm.bank[k].util`` per access (settled when the registry is
+read) and every other instrument fires at completion, so each
+differential below drives one workload per slot and through a batch
+driver and requires the identical registry snapshot and completion log:
 
 * **CFM** — ``run_batch`` against ``run`` for c in {1, 2, 4, 16}, with
   idle processors, odd chunk sizes (spans that end mid-walk), idle gaps,
   same-offset write hazards (tick and span interleaved) and ``submit``
   traffic with tiers and deadlines;
-* **cache** — ``run_ops_batch`` against ``run_ops`` on the bench's
-  ``mix`` and ``private`` streams;
+* **cache** — ``run_ops`` (with its spans) against ticking every slot
+  on the bench's ``mix`` and ``private`` streams, settled utilization
+  against the test-side oracle;
 * **runner** — the unpinned ``_run_cfm`` report against a per-slot
   issue-and-tick loop kept here;
 * **pins** — probes, controller hooks, live faults and the degraded
@@ -32,7 +33,8 @@ from repro.core.config import CFMConfig
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.criticality import TIERS
-from tests.history import record_finishes
+from repro.sim.engine import all_settled
+from tests.history import bank_util_oracle, record_finishes, settled_util
 
 #: (n_procs, bank_cycle): c in {1, 2, 4, 16}.
 SHAPES = [(4, 1), (3, 2), (4, 4), (2, 16)]
@@ -241,15 +243,16 @@ def test_remaining_pins_still_pin_with_metrics(pin):
 
 
 # --------------------------------------------------------------------------
-# Cache: run_ops_batch vs run_ops, metrics attached
+# Cache: run_ops vs ticking every slot, metrics attached
 
 
-def _cache_stream(n_procs, workload, driver):
+def _cache_stream(n_procs, workload, engine):
+    """The stream through ``run_ops_engine`` under ``engine``, or by
+    ticking every slot when ``engine`` is ``"reference"``."""
     rng = random.Random(f"{n_procs}.{workload}")
     reg = MetricsRegistry()
     sys_ = CacheSystem(n_procs, metrics=reg)
-    hp = HotpathProfiler()
-    sys_.hotpath = hp
+    log = record_finishes(sys_.mem)
     ops = []
     for _ in range(12):
         for p in range(n_procs):
@@ -259,7 +262,10 @@ def _cache_stream(n_procs, workload, driver):
                 ops.append(sys_.store(p, offset, {0: p + 1}))
             else:
                 ops.append(sys_.load(p, offset))
-    getattr(sys_, driver)(ops)
+    if engine == "reference":
+        sys_.run_until(all_settled(ops))
+    else:
+        sys_.run_ops_engine(ops, engine=engine)
     fingerprint = (
         sys_.slot,
         [(op.proc, op.kind.value, op.offset, op.issue_slot, op.done_slot,
@@ -268,23 +274,22 @@ def _cache_stream(n_procs, workload, driver):
          for op in ops],
         sys_.stats_local_hits, sys_.stats_memory_ops,
     )
-    return fingerprint, reg.snapshot(), hp.snapshot().get("cache", {})
+    snap = reg.snapshot()
+    assert settled_util(snap) == bank_util_oracle(
+        log, sys_.mem.active, sys_.cfg.n_banks, 1, sys_.slot)
+    return fingerprint, snap
 
 
 @pytest.mark.parametrize("n_procs", [2, 4, 8])
 @pytest.mark.parametrize("workload", ["mix", "private"])
 def test_cache_metrics_snapshot_batch_equals_reference(n_procs, workload):
-    ref_fp, ref_snap, _ = _cache_stream(n_procs, workload, "run_ops")
-    fast_fp, fast_snap, counts = _cache_stream(n_procs, workload,
-                                               "run_ops_batch")
+    ref_fp, ref_snap = _cache_stream(n_procs, workload, "reference")
+    fast_fp, fast_snap = _cache_stream(n_procs, workload, "batch")
     assert fast_fp == ref_fp
     assert fast_snap == ref_snap
     ops = ref_snap["cache.ops"]["counts"]
     assert ops.get("load", 0) + ops.get("store", 0) == 12 * n_procs
     assert "cfm.bank[0].util" in ref_snap
-    # Metrics no longer pin the coherence seam to the tick.
-    assert "tick.observed" not in counts
-    assert counts.get("batched_slots", 0) + counts.get("skipped_slots", 0) > 0
 
 
 # --------------------------------------------------------------------------
