@@ -271,7 +271,7 @@ def measure_cache(rounds: int = CACHE_ROUNDS, repeats: int = 3):
     return rows
 
 
-def test_cache_batch_floor():
+def test_cache_floor():
     rows = measure_cache()
     emit_gate_table(
         f"Coherence full-load run_ops, host-normalised "
@@ -356,7 +356,7 @@ def measure_hierarchy(rounds: int = HIER_ROUNDS, repeats: int = 3):
     return fp[2], t_run, speed
 
 
-def test_hierarchy_batch_floor():
+def test_hierarchy_floor():
     slots, t_run, speed = measure_hierarchy()
     per_loop = slots / t_run / speed
     n_clusters, per, bank_cycle = HIER_SHAPE

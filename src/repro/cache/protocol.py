@@ -48,7 +48,6 @@ from repro.core.cfm import (
 from repro.core.config import CFMConfig
 from repro.cache.directory import CacheDirectory, CacheLine
 from repro.cache.state import CacheLineState
-from repro.fastpath.engine import resolve_engine
 from repro.sim.engine import SimulationTimeout, all_settled
 from repro.tracking.att import AddressTrackingTable
 
@@ -326,15 +325,10 @@ class CacheSystem:
         probe=None,
         metrics=None,
         faults=None,
-        engine: Optional[str] = None,
     ):
         self.cfg = CFMConfig(
             n_procs=n_procs, bank_cycle=bank_cycle, word_width=word_width
         )
-        #: Engine strategy used by :meth:`run_ops_engine` when none is
-        #: passed per call; validated here so a bad name fails early —
-        #: including engines this layer cannot drive (``stacked``).
-        self.engine = resolve_engine(engine, layer="cache")
         self.controller = _ProtocolController(self)
         # The shared probe/metrics flow down into the block-access engine,
         # so one registry sees both protocol ops and bank utilization.
@@ -584,17 +578,6 @@ class CacheSystem:
             f"(now at slot {self.slot}); stuck: {detail}",
             slot=self.slot, max_slots=max_slots, stuck=stuck,
         )
-
-    def run_ops_engine(self, ops: List[CpuOp], max_slots: int = 200_000,
-                       engine: Optional[str] = None) -> None:
-        """Drive ``ops`` under the selected engine strategy.
-
-        ``engine`` overrides the instance default for this call only and
-        is validated like it; every name drives the one driver,
-        :meth:`run_ops` (invariant 10 holds trivially).
-        """
-        resolve_engine(engine, default=self.engine, layer="cache")
-        self.run_ops(ops, max_slots)
 
     # -- per-processor state machine -------------------------------------------------
 

@@ -359,24 +359,6 @@ def _fail_unknown(kind: str, bad_id: str, valid) -> int:
     return 2
 
 
-def _print_hotpath(doc) -> None:
-    """One occupancy line per profiled run of a bench document."""
-    for run in doc.get("runs", []):
-        hp = run.get("hotpath")
-        if not hp:
-            continue
-        for layer, occ in hp.get("occupancy", {}).items():
-            fallbacks = sum(
-                n for event, n in hp["counters"].get(layer, {}).items()
-                if event.startswith("fallback.")
-            )
-            print(f"  hotpath {run['system']}/{layer}: "
-                  f"batched={occ['batched']} skipped={occ['skipped']} "
-                  f"ticked={occ['ticked']} "
-                  f"({occ['batched_frac']:.0%} off the slow path), "
-                  f"fallbacks={fallbacks}")
-
-
 def _cmd_bench(args) -> int:
     from repro.obs.bench import (
         BENCHMARKS, benchmark_specs, pin_specs, run_benchmark,
@@ -400,14 +382,13 @@ def _cmd_bench(args) -> int:
             from repro.fastpath.parallel import sweep
 
             specs = pin_specs(benchmark_specs(name, quick=args.quick),
-                              profile=args.profile, engine=args.engine)
+                              engine=args.engine)
             doc = sweep(
                 specs, jobs=args.parallel, name=name,
                 quick=args.quick or name == "quick", timing=False,
             )
         else:
-            doc = run_benchmark(name, quick=args.quick,
-                                profile=args.profile, engine=args.engine)
+            doc = run_benchmark(name, quick=args.quick, engine=args.engine)
         path = write_document(doc, name, out_dir=args.out)
         print(f"wrote {path}")
         # Partial failure: the document (with every surviving run) is
@@ -421,8 +402,6 @@ def _cmd_bench(args) -> int:
                 file=sys.stderr,
             )
             status = 1
-        if args.profile:
-            _print_hotpath(doc)
     return status
 
 
@@ -553,11 +532,6 @@ def main(argv=None) -> int:
         "--parallel", type=int, default=1, metavar="N",
         help="fan runs across N worker processes (results identical to "
         "serial; default: 1)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="attach the hot-path profiler to runs that support it and "
-        "add a deterministic 'hotpath' section (counters + occupancy)",
     )
     p_bench.add_argument(
         "--faults", action="store_true",

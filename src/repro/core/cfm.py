@@ -337,10 +337,6 @@ class CFMemory:
         # slot); metrics ride the span walk (see _fast_eligible).
         self.probe = probe
         self.metrics = metrics
-        #: Optional :class:`repro.obs.HotpathProfiler`.  It only counts how
-        #: run_batch() advanced time, never what the simulation did, so
-        #: (like metrics, unlike a probe) it does *not* pin the per-slot path.
-        self.hotpath = None
         #: Optional :class:`repro.faults.FaultInjector`.  An attached
         #: injector with a zero plan is a strict no-op (and keeps the batch
         #: path); an active one pins the per-slot path and drives the tick
@@ -897,62 +893,44 @@ class CFMemory:
         # probe/controller swaps all happen there) or controller hooks on
         # the slow path, so it is re-derived after those points only.
         eligible = self._fast_eligible()
-        hp = self.hotpath
-        # Claim the shared profiler: while this driver advances time, inner
-        # or sibling layers' slot counters are suppressed, so each slot is
-        # attributed to exactly one layer.
-        token = hp.claim("cfm") if hp is not None else None
-        try:
-            while self.slot < end:
-                if not eligible:
-                    if hp is not None:
-                        hp.count("cfm", "tick.pinned")
-                    self.tick()
-                    eligible = self._fast_eligible()
-                    continue
-                if not active:
-                    if hp is not None:
-                        hp.count("cfm", "skipped_slots", end - self.slot)
-                    self.slot = end  # idle-slot skip
+        while self.slot < end:
+            if not eligible:
+                self.tick()
+                eligible = self._fast_eligible()
+                continue
+            if not active:
+                self.slot = end  # idle-slot skip
+                break
+            # One pass finds the batch hazard and the earliest finish.
+            # The hazard: two accesses share an offset with a write
+            # involved.  Writes interleave with same-offset accesses
+            # *through the banks*, bank by bank, so only the per-slot
+            # path reproduces their ordering (the Fig 4.1 behaviour);
+            # disjoint offsets or read-only sharing cannot interact.
+            seen: Dict[int, bool] = {}
+            most_done = 0
+            hazard = False
+            for acc in active:
+                offset = acc.offset
+                is_write = acc.kind in write_kinds
+                has_write = seen.get(offset)
+                if has_write is not None and (has_write or is_write):
+                    hazard = True
                     break
-                # One pass finds the batch hazard and the earliest finish.
-                # The hazard: two accesses share an offset with a write
-                # involved.  Writes interleave with same-offset accesses
-                # *through the banks*, bank by bank, so only the per-slot
-                # path reproduces their ordering (the Fig 4.1 behaviour);
-                # disjoint offsets or read-only sharing cannot interact.
-                seen: Dict[int, bool] = {}
-                most_done = 0
-                hazard = False
-                for acc in active:
-                    offset = acc.offset
-                    is_write = acc.kind in write_kinds
-                    has_write = seen.get(offset)
-                    if has_write is not None and (has_write or is_write):
-                        hazard = True
-                        break
-                    seen[offset] = is_write
-                    if acc.words_done > most_done:
-                        most_done = acc.words_done
-                if hazard:
-                    if hp is not None:
-                        hp.count("cfm", "fallback.hazard")
-                    self.tick()
-                    eligible = self._fast_eligible()
-                    continue
-                slot = self.slot
-                # The slot at which the furthest-along access performs its
-                # last word.
-                target = slot + n_banks - most_done - 1
-                if target >= end:
-                    target = end - 1
-                if self._advance_span(target):
-                    eligible = self._fast_eligible()
-                if hp is not None:
-                    hp.count("cfm", "batched_slots", target - slot + 1)
-        finally:
-            if hp is not None:
-                hp.release(token)
+                seen[offset] = is_write
+                if acc.words_done > most_done:
+                    most_done = acc.words_done
+            if hazard:
+                self.tick()
+                eligible = self._fast_eligible()
+                continue
+            # The slot at which the furthest-along access performs its
+            # last word.
+            target = self.slot + n_banks - most_done - 1
+            if target >= end:
+                target = end - 1
+            if self._advance_span(target):
+                eligible = self._fast_eligible()
 
     def _advance_span(self, target: int) -> int:
         """Run every in-flight access forward through slot ``target``.

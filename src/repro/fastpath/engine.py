@@ -1,6 +1,6 @@
 """Engine-strategy registry: one seam for every slot-advancing layer.
 
-Each layer behind the seam (:class:`repro.core.cfm.CFMemory`,
+Every layer behind the seam (:class:`repro.core.cfm.CFMemory`,
 :class:`repro.cache.protocol.CacheSystem`,
 :class:`repro.hierarchy.slot_accurate.SlotAccurateHierarchy`) accepts
 every engine name below, bit-identical on every observable result:
@@ -13,21 +13,23 @@ every engine name below, bit-identical on every observable result:
     interaction-free, replay it in one pass along the bank ring, and
     tick per slot the moment a hazard (same-offset write interleaving,
     an active fault plan, a degraded bank, a probe) breaks the static
-    proof.  The coherence layers have one driver each, ``run_ops``,
-    which ticks per slot and spans the stretches it proves quiet; every
-    name resolves to it.  ``vectorized`` and
-    ``stacked`` are wire-level aliases kept so existing requests and
-    reports stay valid; ``stacked`` is CFM-only, and the other layers
-    reject it with a typed error (below).
+    proof.  ``vectorized`` and ``stacked`` are wire-level aliases kept
+    so existing requests and reports stay valid; ``stacked`` is
+    CFM-only, and the other layers reject it with a typed error (below).
 
-Layers accept an ``engine=`` constructor argument and expose a
-``run_*_engine`` dispatcher; ``repro bench --engine=`` threads the choice
-through the bench harness.  Not every engine name supports every layer:
-:func:`resolve_engine` takes the resolving layer's name and raises a
-typed ``ValueError`` naming exactly which layers do support the engine —
-at construction or dispatch, never deep inside an engine loop.  This
-module is deliberately dependency-free (no ``repro.*`` imports) so the
-registry can be consulted from any layer without import cycles.
+Only :class:`CFMemory` has a choice to make: it takes an ``engine=``
+constructor argument, and :meth:`CFMemory.run_engine` is the one
+dispatcher.  The coherence layers have one driver each, ``run_ops``,
+which ticks per slot and spans the stretches it proves quiet; their
+bench runners (``repro.obs.bench._run_cache``/``_run_hierarchy``) only
+validate the name and record it in ``params.engine``.
+``repro bench --engine=`` threads the choice through the bench harness.
+Not every engine name supports every layer: :func:`resolve_engine` takes
+the resolving layer's name and raises a typed ``ValueError`` naming
+exactly which layers do support the engine — at construction, request
+validation or dispatch, never deep inside an engine loop.  This module
+is deliberately dependency-free (no ``repro.*`` imports) so the registry
+can be consulted from any layer without import cycles.
 """
 
 from __future__ import annotations

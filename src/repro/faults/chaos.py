@@ -164,14 +164,14 @@ def _build_cache_ops(sys_, n_procs: int, rounds: int, seed: int):
     return ops
 
 
-def _cache_fingerprint(n_procs: int, rounds: int, seed: int, engine: str,
+def _cache_fingerprint(n_procs: int, rounds: int, seed: int,
                        attach_zero: bool) -> Tuple:
     from repro.cache.protocol import CacheSystem
 
     inj = FaultInjector(FaultPlan.zero()) if attach_zero else None
     sys_ = CacheSystem(n_procs, faults=inj)
     ops = _build_cache_ops(sys_, n_procs, rounds, seed)
-    sys_.run_ops_engine(ops, engine=engine)
+    sys_.run_ops(ops)
     return fingerprint_cache(sys_, ops)
 
 
@@ -191,54 +191,46 @@ def _build_hier_ops(hier, rounds: int, seed: int):
 
 
 def _hier_fingerprint(n_clusters: int, per: int, rounds: int, seed: int,
-                      engine: str, attach_zero: bool) -> Tuple:
+                      attach_zero: bool) -> Tuple:
     from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
 
     inj = FaultInjector(FaultPlan.zero()) if attach_zero else None
     hier = SlotAccurateHierarchy(n_clusters, per, faults=inj)
     ops = _build_hier_ops(hier, rounds, seed)
-    hier.run_ops_engine(ops, engine=engine)
+    hier.run_ops(ops)
     return fingerprint_hier(hier, ops)
 
 
-def _engines(layer: str = "cfm") -> Tuple[str, ...]:
-    """Every engine name runnable on ``layer``.
-
-    Filters the registry through :func:`engine_available`: ``stacked``
-    only ever appears for the CFM layer."""
+def _engines() -> Tuple[str, ...]:
+    """Every engine name runnable on the CFM layer."""
     from repro.fastpath.engine import ENGINES, engine_available
 
-    return tuple(e for e in ENGINES if engine_available(e, layer))
+    return tuple(e for e in ENGINES if engine_available(e, "cfm"))
 
 
 def differential_zero_fault(seed: int = 0) -> Dict[str, bool]:
-    """Assert zero-plan bit-identity on every layer, across every engine.
+    """Assert zero-plan bit-identity on every layer.
 
-    Three-way check (reference / batch / vectorized) × (bare / zero-plan
-    injector attached): every combination must produce the identical full
-    state fingerprint.  Returns ``{"cfm": True, "cache": True,
+    On the CFM, every engine name × (bare / zero-plan injector attached)
+    must produce the identical full state fingerprint.  The cache and the
+    hierarchy have one driver each, so each runs once bare and once with
+    a zero plan attached.  Returns ``{"cfm": True, "cache": True,
     "hierarchy": True}`` on success; raises ``AssertionError`` naming the
     diverging layer otherwise.
     """
     out: Dict[str, bool] = {}
     cfm = [
         _cfm_fingerprint(8, 2, engine, zero)
-        for engine in _engines("cfm") for zero in (False, True)
+        for engine in _engines() for zero in (False, True)
     ]
     assert all(f == cfm[0] for f in cfm), "cfm zero-fault differential diverged"
     out["cfm"] = True
-    cache = [
-        _cache_fingerprint(4, 3, seed, engine, zero)
-        for engine in _engines("cache") for zero in (False, True)
-    ]
-    assert all(f == cache[0] for f in cache), \
+    assert _cache_fingerprint(4, 3, seed, False) \
+        == _cache_fingerprint(4, 3, seed, True), \
         "cache zero-fault differential diverged"
     out["cache"] = True
-    hier = [
-        _hier_fingerprint(2, 2, 2, seed, engine, zero)
-        for engine in _engines("hierarchy") for zero in (False, True)
-    ]
-    assert all(f == hier[0] for f in hier), \
+    assert _hier_fingerprint(2, 2, 2, seed, False) \
+        == _hier_fingerprint(2, 2, 2, seed, True), \
         "hierarchy zero-fault differential diverged"
     out["hierarchy"] = True
     return out

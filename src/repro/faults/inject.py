@@ -7,7 +7,7 @@ and is attached to the engines via their ``faults`` slots
 ``PartiallySynchronousOmega``).  The engines ask cheap point queries
 ("is bank k stuck at slot t?"); the injector answers from the plan and
 tallies every consumed fault, so a run's fault exposure is visible in its
-metrics/hotpath snapshot.
+metrics snapshot.
 
 The contract that keeps the differential harness honest:
 
@@ -31,11 +31,10 @@ CompletionFate = Union[None, Tuple[str, int], str]
 class FaultInjector:
     """Runtime fault oracle + counters for one :class:`FaultPlan`."""
 
-    def __init__(self, plan: FaultPlan, metrics=None, hotpath=None):
+    def __init__(self, plan: FaultPlan, metrics=None):
         self.plan = plan
         self.counters: Dict[str, int] = {}
         self.metrics = metrics
-        self.hotpath = hotpath
         self._by_kind: Dict[str, Tuple[FaultEvent, ...]] = {}
         for ev in plan.events:
             self._by_kind.setdefault(ev.kind, ())
@@ -51,14 +50,10 @@ class FaultInjector:
     # -- counters ----------------------------------------------------------
 
     def count(self, event: str, n: int = 1) -> None:
-        """Tally a consumed fault (mirrored into metrics/hotpath if attached)."""
+        """Tally a consumed fault (mirrored into metrics if attached)."""
         self.counters[event] = self.counters.get(event, 0) + n
         if self._fault_counter is not None:
             self._fault_counter.incr(event, n)
-        if self.hotpath is not None:
-            # note(), not count(): fault tallies are auxiliary and must not
-            # be dropped by another layer's driving claim.
-            self.hotpath.note("faults", event, n)
 
     def snapshot(self) -> Dict[str, int]:
         return dict(sorted(self.counters.items()))

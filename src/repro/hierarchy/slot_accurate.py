@@ -45,7 +45,6 @@ from repro.core.cfm import (
     ControlAction,
 )
 from repro.core.config import CFMConfig
-from repro.fastpath.engine import resolve_engine
 from repro.hierarchy.controller import EventType, NetworkController
 from repro.hierarchy.hierarchical import IllegalStateCombination, _LEGAL
 from repro.sim.criticality import parse_tier
@@ -175,13 +174,9 @@ class SlotAccurateHierarchy:
 
     def __init__(self, n_clusters: int, procs_per_cluster: int,
                  n_lines: int = 64, bank_cycle: int = 1,
-                 faults=None, engine: Optional[str] = None):
+                 faults=None):
         if n_clusters < 2 or procs_per_cluster < 1:
             raise ValueError("need >= 2 clusters and >= 1 processor each")
-        #: Engine strategy used by :meth:`run_ops_engine` when none is
-        #: passed per call; validated here so a bad name fails early —
-        #: including engines this layer cannot drive (``stacked``).
-        self.engine = resolve_engine(engine, layer="hierarchy")
         self.n_clusters = n_clusters
         self.per = procs_per_cluster
         self.n_procs = n_clusters * procs_per_cluster
@@ -650,17 +645,6 @@ class SlotAccurateHierarchy:
             f"(slot {self.slot}): " + ("; ".join(stuck) or "no pending work"),
             slot=self.slot, max_slots=max_slots, stuck=stuck,
         )
-
-    def run_ops_engine(self, ops: List[HierOp], max_slots: int = 300_000,
-                       engine: Optional[str] = None) -> None:
-        """Drive ``ops`` under the selected engine strategy.
-
-        ``engine`` overrides the instance default for this call only and
-        is validated like it; every name drives the one driver,
-        :meth:`run_ops` (invariant 10 holds trivially).
-        """
-        resolve_engine(engine, default=self.engine, layer="hierarchy")
-        self.run_ops(ops, max_slots)
 
     # -- invariants ---------------------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Observability: metrics aggregation, event-trace probes, bench harness.
 
-Three layers, all off by default and zero-cost when disabled:
+Four modules, all off by default and zero-cost when disabled:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, hierarchical names
   over the :mod:`repro.sim.stats` primitives with JSON snapshot export.
@@ -10,9 +10,6 @@ Three layers, all off by default and zero-cost when disabled:
 * :mod:`repro.obs.bench` — the unified benchmark registry behind
   ``python -m repro bench``, writing ``BENCH_<name>.json`` trajectories.
   (Imported lazily: ``from repro.obs import bench``.)
-* :mod:`repro.obs.hotpath` — :class:`HotpathProfiler`, deterministic
-  batch/tick/fallback counters for the stage-2 fastpath layers; unlike
-  probes it never forces the per-slot path (``repro bench --profile``).
 * :mod:`repro.obs.sla` — :class:`SlaTracker`, per-criticality-tier
   latency histograms (p50/p99/p99.9) and deadline-miss counters, fed at
   completion time so engine-pinned unobserved runs keep exact tails.
@@ -22,7 +19,6 @@ reporting layer prints into structured records (see ``REPRO_BENCH_JSONL``).
 """
 
 from repro.obs.artifacts import artifacts, drain_artifacts, record_artifact
-from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry, TenantMetrics
 from repro.obs.sla import SlaTracker
 from repro.obs.probe import (
@@ -36,7 +32,6 @@ from repro.obs.probe import (
 )
 
 __all__ = [
-    "HotpathProfiler",
     "MetricsRegistry",
     "TenantMetrics",
     "SlaTracker",

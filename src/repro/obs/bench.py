@@ -287,18 +287,21 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     ``workload="mix"`` is the original loads+stores over a small shared
     set; ``"private"`` gives every processor its own offsets.  Unpinned,
     the run is observed (a metrics registry; bank utilization is settled
-    when the report reads it).  With ``engine`` set the op stream runs
-    through :meth:`CacheSystem.run_ops_engine` *unobserved* (no metrics
-    registry), the shape every engine-pinned report has.  ``profile=True``
-    adds an empty ``"hotpath"`` section: the coherence layer counts
-    nothing into the profiler.
+    when the report reads it).  Every engine name runs the same driver,
+    so ``engine`` is only validated and recorded in ``params.engine``;
+    an engine-pinned run stays *unobserved* (no metrics registry), the
+    shape every engine-pinned report has.  ``profile=True`` adds an
+    empty ``"hotpath"`` section, kept for callers that still send it.
     """
     from repro.cache.protocol import CacheSystem
+    from repro.fastpath.engine import resolve_engine
     from repro.sim.rng import derive_rng
     from repro.sim.stats import RunSummary
 
     if workload not in ("mix", "private"):
         raise ValueError(f"unknown cache workload {workload!r}")
+    if engine is not None:
+        resolve_engine(engine, layer="cache")  # fail fast, typed
     # Engine-pinned runs leave the registry off: their reports carry no
     # metrics or utilization.
     metrics = MetricsRegistry()
@@ -318,10 +321,7 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
             else:
                 ops.append(sys_.load(p, offset))
     start = sys_.slot
-    if engine is not None:
-        sys_.run_ops_engine(ops, engine=engine)
-    else:
-        sys_.run_ops(ops)
+    sys_.run_ops(ops)
     summary.cycles = sys_.slot - start
     summary.completed = len(ops)
     for op in ops:
@@ -352,18 +352,21 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
     its cluster's L2, so all traffic stays intra-cluster; ``"global"``
     shares unseeded offsets across clusters, exercising the NC
     fetch/write-back chains.  ``probe`` is accepted for signature parity
-    but unused — the hierarchy's clusters are internal.  With ``engine``
-    set the rounds run through :meth:`SlotAccurateHierarchy.run_ops_engine`.
-    ``profile=True`` adds an empty ``"hotpath"`` section, as for the cache.
+    but unused — the hierarchy's clusters are internal.  ``engine`` is
+    validated and recorded, as for the cache; ``profile=True`` adds an
+    empty ``"hotpath"`` section, as for the cache.
     """
     from repro.cache.state import CacheLineState
     from repro.core.block import Block
+    from repro.fastpath.engine import resolve_engine
     from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
     from repro.sim.rng import derive_rng
     from repro.sim.stats import RunSummary
 
     if workload not in ("local", "global"):
         raise ValueError(f"unknown hierarchy workload {workload!r}")
+    if engine is not None:
+        resolve_engine(engine, layer="hierarchy")  # fail fast, typed
     hier = SlotAccurateHierarchy(n_clusters, procs_per_cluster,
                                  bank_cycle=bank_cycle)
     if workload == "local":
@@ -393,10 +396,7 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
                                 g + 1}))
             else:
                 round_ops.append(hier.load(g, offset))
-        if engine is not None:
-            hier.run_ops_engine(round_ops, engine=engine)
-        else:
-            hier.run_ops(round_ops)
+        hier.run_ops(round_ops)
         ops.extend(round_ops)
     summary.cycles = hier.slot
     summary.completed = len(ops)
@@ -592,9 +592,6 @@ SYSTEMS: Dict[str, Callable[..., Dict[str, object]]] = {
     "faults_chaos": _run_faults,
 }
 
-#: Systems whose runners accept ``profile=True`` (``repro bench --profile``).
-PROFILABLE_SYSTEMS = frozenset({"cache", "hierarchy"})
-
 #: Systems whose runners accept ``engine=`` (``repro bench --engine``):
 #: the three layers behind the engine-strategy seam, plus the
 #: QoS runner (which drives a CFM underneath).
@@ -606,12 +603,11 @@ ENGINE_SYSTEMS = frozenset({"cfm", "cache", "hierarchy", "qos"})
 SYSTEM_ENGINE_LAYER = {"qos": "cfm"}
 
 
-def pin_specs(specs: List[Dict[str, object]], profile: bool = False,
+def pin_specs(specs: List[Dict[str, object]],
               engine: Optional[str] = None) -> List[Dict[str, object]]:
-    """Apply ``repro bench``'s ``--profile``/``--engine`` pins in place.
+    """Apply ``repro bench``'s ``--engine`` pin in place.
 
-    ``profile`` marks every run of :data:`PROFILABLE_SYSTEMS`.  ``engine``
-    pins every run of :data:`ENGINE_SYSTEMS` whose seam layer
+    ``engine`` pins every run of :data:`ENGINE_SYSTEMS` whose seam layer
     (:data:`SYSTEM_ENGINE_LAYER`) the engine can drive, so ``stacked``
     reaches ``cfm`` and ``qos`` and leaves the other seam systems on their
     default engine.  The one pinning rule of :func:`run_benchmark` and the
@@ -621,8 +617,6 @@ def pin_specs(specs: List[Dict[str, object]], profile: bool = False,
     for spec in specs:
         system = str(spec["system"])
         params = spec["params"]
-        if profile and system in PROFILABLE_SYSTEMS:
-            params["profile"] = True  # type: ignore[index]
         if (engine is not None and system in ENGINE_SYSTEMS
                 and engine_available(
                     engine, SYSTEM_ENGINE_LAYER.get(system, system))):
@@ -788,27 +782,22 @@ BENCHMARKS: Dict[str, Callable[[bool], List[Dict[str, object]]]] = {
 
 
 def run_benchmark(name: str, quick: bool = False,
-                  profile: bool = False,
                   engine: Optional[str] = None) -> Dict[str, object]:
     """Run one registered benchmark and return its JSON document.
 
     The document is deterministic: two runs of the same benchmark compare
-    equal.  With ``profile=True`` every run whose system supports it gains
-    a ``"hotpath"`` section — empty since the coherence layers run per
-    slot.  With ``engine``
-    set, every run whose system sits behind the engine-strategy seam
-    (:data:`ENGINE_SYSTEMS`) *and supports the engine* dispatches through
-    that strategy; results are bit-identical across engines (invariants
-    10–11), so such documents differ from the default only in
-    ``params.engine`` and observer-dependent sections.  Engines with a
+    equal.  With ``engine`` set, every run whose system sits behind the
+    engine-strategy seam (:data:`ENGINE_SYSTEMS`) *and supports the
+    engine* is pinned to it; results are bit-identical across engines
+    (invariants 10–11), so such documents differ from the default only
+    in ``params.engine`` and observer-dependent sections.  Engines with a
     restricted layer set (``stacked`` is CFM-only) leave the other seam
     systems on their default engine rather than failing the document."""
     from repro.fastpath.engine import resolve_engine
 
     if engine is not None:
         engine = resolve_engine(engine)  # fail fast on unknown names
-    specs = pin_specs(benchmark_specs(name, quick=quick), profile=profile,
-                      engine=engine)
+    specs = pin_specs(benchmark_specs(name, quick=quick), engine=engine)
     return {
         "bench": name, "schema": SCHEMA,
         "quick": bool(quick or name == "quick"),
@@ -817,10 +806,10 @@ def run_benchmark(name: str, quick: bool = False,
 
 
 def write_benchmark(name: str, out_dir: Union[str, Path] = ".",
-                    quick: bool = False, profile: bool = False,
+                    quick: bool = False,
                     engine: Optional[str] = None) -> Path:
     """Run a benchmark and write ``BENCH_<name>.json``; returns the path."""
-    doc = run_benchmark(name, quick=quick, profile=profile, engine=engine)
+    doc = run_benchmark(name, quick=quick, engine=engine)
     return write_document(doc, name, out_dir=out_dir)
 
 

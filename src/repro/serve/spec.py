@@ -147,8 +147,17 @@ def _check_runnable(system: str, params: Dict[str, object]) -> None:
             raise RequestError(str(exc)) from None
 
 
+def _int_field(obj: Dict[str, object], key: str, default: int) -> int:
+    """``obj[key]`` (or ``default``) as a true int: bools and floats are
+    refused rather than coerced."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RequestError(f"inject {key} must be an int, got {value!r}")
+    return value
+
+
 def _validate_inject(system: str, inject: object) -> Dict[str, object]:
-    from repro.faults.plan import FAULT_KINDS
+    from repro.faults.plan import FAULT_KINDS, FaultEvent
 
     if system != "cfm":
         raise RequestError(
@@ -167,19 +176,18 @@ def _validate_inject(system: str, inject: object) -> Dict[str, object]:
         for ev in events:
             if not isinstance(ev, dict):
                 raise RequestError(f"inject event must be an object, got {ev!r}")
-            kind = ev.get("kind")
-            if kind not in FAULT_KINDS:
-                raise RequestError(
-                    f"unknown fault kind {kind!r} "
-                    f"(valid: {' '.join(sorted(FAULT_KINDS))})"
-                )
-            validated.append({
-                "kind": kind,
-                "target": int(ev.get("target", 0)),
-                "start": int(ev.get("start", 0)),
-                "duration": int(ev.get("duration", 1)),
-                "extra": int(ev.get("extra", 0)),
-            })
+            fields = {
+                "kind": ev.get("kind"),
+                "target": _int_field(ev, "target", 0),
+                "start": _int_field(ev, "start", 0),
+                "duration": _int_field(ev, "duration", 1),
+                "extra": _int_field(ev, "extra", 0),
+            }
+            try:
+                FaultEvent(**fields)  # its own kind and window checks
+            except ValueError as exc:
+                raise RequestError(str(exc)) from None
+            validated.append(fields)
         out["events"] = validated
     else:
         kinds = inject.get("kinds", ("bank_stuck", "bank_slow"))
@@ -191,16 +199,13 @@ def _validate_inject(system: str, inject: object) -> Dict[str, object]:
             )
         out["kinds"] = list(kinds)
         for key, default in (("n_events", 3), ("horizon", 256)):
-            value = inject.get(key, default)
-            if not isinstance(value, int) or value < 1:
+            value = _int_field(inject, key, default)
+            if value < 1:
                 raise RequestError(f"inject.{key} must be a positive int")
             out[key] = value
-    seed = inject.get("seed", 0)
-    if not isinstance(seed, int):
-        raise RequestError("inject.seed must be an int")
-    out["seed"] = seed
-    rounds = inject.get("rounds", 2)
-    if not isinstance(rounds, int) or not 1 <= rounds <= 16:
+    out["seed"] = _int_field(inject, "seed", 0)
+    rounds = _int_field(inject, "rounds", 2)
+    if not 1 <= rounds <= 16:
         raise RequestError("inject.rounds must be an int in [1, 16]")
     out["rounds"] = rounds
     return out

@@ -8,6 +8,10 @@ span walk both call, so the record holds every finish in engine order.
 The record also keeps each access's lifetime, the slots it addressed a
 bank in, from which :func:`bank_util_oracle` rebuilds the
 ``cfm.bank[k].util`` instruments without calling the engine.
+
+:func:`count_spans` and :func:`count_ticks` say how a module advanced
+time: slots passed by the span walk, and slots ticked one at a time.
+Under ``run_batch`` every slot is one or the other, or an idle leap.
 """
 
 from __future__ import annotations
@@ -86,3 +90,46 @@ def settled_util(snapshot: Dict[str, Dict[str, object]]
     return {name: (entry["busy"], entry["total"])
             for name, entry in snapshot.items()
             if name.startswith("cfm.bank[")}
+
+
+class SlotCounter:
+    """Slots counted per :class:`CFMemory` module, and over all modules."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self._by_module: Dict[int, int] = {}
+
+    def add(self, mem: CFMemory, slots: int) -> None:
+        self.total += slots
+        self._by_module[id(mem)] = self._by_module.get(id(mem), 0) + slots
+
+    def __getitem__(self, mem: CFMemory) -> int:
+        return self._by_module.get(id(mem), 0)
+
+
+def count_spans(monkeypatch) -> SlotCounter:
+    """Slots every module passes by ``CFMemory._advance_span`` from now
+    on (``monkeypatch`` is pytest's fixture, which undoes the patch)."""
+    spanned = SlotCounter()
+    advance = CFMemory._advance_span
+
+    def counting(mem: CFMemory, target: int) -> int:
+        spanned.add(mem, target - mem.slot + 1)
+        return advance(mem, target)
+
+    monkeypatch.setattr(CFMemory, "_advance_span", counting)
+    return spanned
+
+
+def count_ticks(monkeypatch) -> SlotCounter:
+    """``CFMemory.tick`` calls, one slot each, of every module from now
+    on."""
+    ticked = SlotCounter()
+    tick = CFMemory.tick
+
+    def counting(mem: CFMemory) -> None:
+        ticked.add(mem, 1)
+        tick(mem)
+
+    monkeypatch.setattr(CFMemory, "tick", counting)
+    return ticked

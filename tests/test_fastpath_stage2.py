@@ -11,10 +11,8 @@ controller counters, the final slot — must match exactly.  The observed
 runs' settled ``cfm.bank[k].util`` must equal
 :func:`tests.history.bank_util_oracle`, replayed from access lifetimes
 under the protocol's aborts and retries.  Span coverage is counted on
-``CFMemory._advance_span``, so no differential here passes vacuously.
-
-The hot-path profiler counts only the CFM batch driver; its
-determinism, result-neutrality and exclusive claim are pinned here too.
+``CFMemory._advance_span`` (:func:`tests.history.count_spans`), so no
+differential here passes vacuously.
 """
 
 import random
@@ -27,11 +25,16 @@ from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
-from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
 from repro.sim.engine import SimulationTimeout, all_settled
-from tests.history import bank_util_oracle, record_finishes, settled_util
+from tests.history import (
+    bank_util_oracle,
+    count_spans,
+    count_ticks,
+    record_finishes,
+    settled_util,
+)
 
 SHAPES = [(4, 1), (8, 2), (16, 4)]
 
@@ -105,12 +108,12 @@ def _plan_sync(n_procs, rounds, seed):
     return plan
 
 
-def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
+def _run_cache_plan(n_procs, bank_cycle, plan, run_ops, probe=None,
                     metrics=None):
-    """Run ``plan`` round by round through ``run_ops`` (``batch``, under
-    that engine name) or by ticking every slot; with ``metrics``, the
-    settled bank utilization is checked against the oracle after every
-    round."""
+    """Run ``plan`` round by round through ``run_ops`` (``run_ops=True``)
+    or through ``run_until``, which ticks every slot; with ``metrics``,
+    the settled bank utilization is checked against the oracle after
+    every round."""
     sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle, probe=probe,
                        metrics=metrics)
     log = record_finishes(sys_.mem)
@@ -126,8 +129,8 @@ def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
                 ops.append(sys_.acquire(p, off))
             else:
                 ops.append(sys_.flush(p, off))
-        if batch:
-            sys_.run_ops_engine(ops, engine="batch")
+        if run_ops:
+            sys_.run_ops(ops)
         else:
             sys_.run_until(all_settled(ops))
         all_ops.extend(ops)
@@ -174,46 +177,49 @@ PLANS = {
 
 @pytest.mark.parametrize("workload", sorted(PLANS))
 @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
-def test_cache_batch_bit_identical(workload, n_procs, bank_cycle):
+def test_cache_run_ops_bit_identical(workload, n_procs, bank_cycle):
     """``run_ops``, observed, against bare ticks."""
     plan = PLANS[workload](n_procs, rounds=6, seed=n_procs * 10 + bank_cycle)
-    ref_sys, ref_ops = _run_cache_plan(n_procs, bank_cycle, plan, batch=False)
-    bat_sys, bat_ops = _run_cache_plan(n_procs, bank_cycle, plan, batch=True,
+    ref_sys, ref_ops = _run_cache_plan(n_procs, bank_cycle, plan,
+                                       run_ops=False)
+    obs_sys, obs_ops = _run_cache_plan(n_procs, bank_cycle, plan,
+                                       run_ops=True,
                                        metrics=MetricsRegistry())
-    assert _fingerprint(ref_sys, ref_ops) == _fingerprint(bat_sys, bat_ops)
+    assert _fingerprint(ref_sys, ref_ops) == _fingerprint(obs_sys, obs_ops)
 
 
-def test_cache_batch_with_probe_matches_unprobed():
+def test_cache_run_ops_with_probe_matches_ticks():
     """A probe pins ``run_ops`` to ticks: it sees the same event stream
     as under bare ticks, and attaching one changes no result."""
     plan = _plan_shared(4, rounds=4, seed=3)
     ref_probe = RecordingProbe()
-    ref_sys, ref_ops = _run_cache_plan(4, 1, plan, batch=False,
+    ref_sys, ref_ops = _run_cache_plan(4, 1, plan, run_ops=False,
                                        probe=ref_probe)
-    bat_probe = RecordingProbe()
-    bat_sys, bat_ops = _run_cache_plan(4, 1, plan, batch=True,
-                                       probe=bat_probe)
-    assert _fingerprint(ref_sys, ref_ops) == _fingerprint(bat_sys, bat_ops)
+    ops_probe = RecordingProbe()
+    ops_sys, ops_ops = _run_cache_plan(4, 1, plan, run_ops=True,
+                                       probe=ops_probe)
+    assert _fingerprint(ref_sys, ref_ops) == _fingerprint(ops_sys, ops_ops)
     assert [(e.source, e.event, e.t) for e in ref_probe.events] == \
-           [(e.source, e.event, e.t) for e in bat_probe.events]
+           [(e.source, e.event, e.t) for e in ops_probe.events]
 
 
-def test_cache_batch_with_metrics_matches_bare():
+def test_cache_run_ops_with_metrics_matches_bare():
     plan = _plan_private(4, rounds=4, seed=5)
-    bare_sys, bare_ops = _run_cache_plan(4, 1, plan, batch=True)
+    bare_sys, bare_ops = _run_cache_plan(4, 1, plan, run_ops=True)
     reg = MetricsRegistry()
-    obs_sys, obs_ops = _run_cache_plan(4, 1, plan, batch=True, metrics=reg)
+    obs_sys, obs_ops = _run_cache_plan(4, 1, plan, run_ops=True,
+                                       metrics=reg)
     assert _fingerprint(bare_sys, bare_ops) == _fingerprint(obs_sys, obs_ops)
     assert reg.snapshot()  # the registry really was fed
 
 
-def test_cache_batch_timeout_names_stuck_op():
+def test_cache_run_ops_timeout_names_stuck_op():
     sys_ = CacheSystem(4)
     op = sys_.acquire(0, 0)  # unmatched acquire: others can never finish
     sys_.run_ops([op])
     blocked = sys_.store(1, 0, {0: 9})
     with pytest.raises(SimulationTimeout) as exc:
-        sys_.run_ops_engine([blocked], max_slots=500, engine="batch")
+        sys_.run_ops([blocked], max_slots=500)
     assert "proc 1" in str(exc.value)
     assert exc.value.max_slots == 500
     assert any("proc 1" in s for s in exc.value.stuck)
@@ -264,7 +270,9 @@ def _hier_plan(n_clusters, per, rounds, seed, local):
     return plan
 
 
-def _run_hier_plan(n_clusters, per, plan, batch, local, bank_cycle=1):
+def _run_hier_plan(n_clusters, per, plan, run_ops, local, bank_cycle=1):
+    """Run ``plan`` round by round through ``run_ops`` (``run_ops=True``)
+    or through ``run_until``, which ticks every slot."""
     hier = SlotAccurateHierarchy(n_clusters, per, bank_cycle=bank_cycle)
     if local:
         _seed_local(hier, n_clusters, per)
@@ -273,8 +281,8 @@ def _run_hier_plan(n_clusters, per, plan, batch, local, bank_cycle=1):
         ops = [hier.load(g, off) if kind == "load"
                else hier.store(g, off, words)
                for g, kind, off, words in round_ops]
-        if batch:
-            hier.run_ops_engine(ops, engine="batch")
+        if run_ops:
+            hier.run_ops(ops)
         else:
             hier.run_until(all_settled(ops))
         all_ops.extend(ops)
@@ -302,11 +310,12 @@ def _hier_fingerprint(hier, ops):
                          ids=["local_seeded", "global_shared"])
 @pytest.mark.parametrize("n_clusters,per", [(2, 2), (4, 2), (2, 4)])
 def test_hierarchy_batch_bit_identical(local, n_clusters, per):
+    """``run_ops`` against ticks every slot, at c = 1."""
     plan = _hier_plan(n_clusters, per, rounds=6,
                       seed=n_clusters * 10 + per, local=local)
-    ref = _run_hier_plan(n_clusters, per, plan, batch=False, local=local)
-    bat = _run_hier_plan(n_clusters, per, plan, batch=True, local=local)
-    assert _hier_fingerprint(*ref) == _hier_fingerprint(*bat)
+    ref = _run_hier_plan(n_clusters, per, plan, run_ops=False, local=local)
+    run = _run_hier_plan(n_clusters, per, plan, run_ops=True, local=local)
+    assert _hier_fingerprint(*ref) == _hier_fingerprint(*run)
 
 
 @pytest.mark.parametrize("local", [True, False],
@@ -317,56 +326,43 @@ def test_hierarchy_spans_bit_identical(local, n_clusters, per, bank_cycle):
     """Clusters with c > 1, where the lockstep spans are long."""
     plan = _hier_plan(n_clusters, per, rounds=6,
                       seed=n_clusters * 10 + per + bank_cycle, local=local)
-    ref = _run_hier_plan(n_clusters, per, plan, batch=False, local=local,
+    ref = _run_hier_plan(n_clusters, per, plan, run_ops=False, local=local,
                          bank_cycle=bank_cycle)
-    bat = _run_hier_plan(n_clusters, per, plan, batch=True, local=local,
+    run = _run_hier_plan(n_clusters, per, plan, run_ops=True, local=local,
                          bank_cycle=bank_cycle)
-    assert _hier_fingerprint(*ref) == _hier_fingerprint(*bat)
+    assert _hier_fingerprint(*ref) == _hier_fingerprint(*run)
 
 
 # --------------------------------------------------------------------------
 # Spans: how much they cover, and what ends them
 
 
-def _count_spans(monkeypatch):
-    """Slots passed by ``CFMemory._advance_span`` from now on."""
-    spanned = [0]
-    advance = CFMemory._advance_span
-
-    def counting(mem, target):
-        spanned[0] += target - mem.slot + 1
-        return advance(mem, target)
-
-    monkeypatch.setattr(CFMemory, "_advance_span", counting)
-    return spanned
-
-
 @pytest.mark.parametrize("n_procs,bank_cycle", [(8, 2), (16, 4)])
 def test_private_streams_ride_spans(monkeypatch, n_procs, bank_cycle):
     """Proc-private streams at c > 1: most slots pass in spans."""
     plan = _plan_private(n_procs, rounds=12, seed=4)
-    spanned = _count_spans(monkeypatch)
-    sys_, _ = _run_cache_plan(n_procs, bank_cycle, plan, batch=True,
+    spanned = count_spans(monkeypatch)
+    sys_, _ = _run_cache_plan(n_procs, bank_cycle, plan, run_ops=True,
                               metrics=MetricsRegistry())
-    assert spanned[0] > sys_.slot // 2
+    assert spanned.total > sys_.slot // 2
 
 
 def test_hierarchy_local_streams_ride_spans(monkeypatch):
     plan = _hier_plan(4, 4, rounds=8, seed=2, local=True)
-    spanned = _count_spans(monkeypatch)
-    hier, _ = _run_hier_plan(4, 4, plan, batch=True, local=True,
+    spanned = count_spans(monkeypatch)
+    hier, _ = _run_hier_plan(4, 4, plan, run_ops=True, local=True,
                              bank_cycle=8)
     # Four cluster memories walk each spanned slot in lockstep.
-    assert spanned[0] > 4 * hier.slot // 2
+    assert spanned.total > 4 * hier.slot // 2
 
 
 def test_shared_writes_end_spans(monkeypatch):
     """Stores to one shared offset: read-invalidates must meet each other
     and the remote copies at every coupled bank, so they tick."""
     sys_ = CacheSystem(4, bank_cycle=4)
-    spanned = _count_spans(monkeypatch)
+    spanned = count_spans(monkeypatch)
     sys_.run_ops([sys_.store(p, 0, {0: p}) for p in range(4)])
-    assert spanned[0] == 0
+    assert spanned.total == 0
 
 
 def test_every_request_kind_wakes_an_idle_system():
@@ -382,7 +378,7 @@ def test_every_request_kind_wakes_an_idle_system():
         assert op.done
 
 
-def _closed_loop_cache(n_procs, bank_cycle, batch, rounds=6):
+def _closed_loop_cache(n_procs, bank_cycle, run_ops, rounds=6):
     """Every finished op issues its processor's next one from ``on_done``,
     half of them to offsets another processor last touched."""
     sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle)
@@ -404,7 +400,7 @@ def _closed_loop_cache(n_procs, bank_cycle, batch, rounds=6):
 
     for p in range(n_procs):
         next_op(p)
-    if batch:
+    if run_ops:
         sys_.run_ops(ops)
     else:
         sys_.run_until(all_settled(ops))
@@ -415,13 +411,13 @@ def _closed_loop_cache(n_procs, bank_cycle, batch, rounds=6):
 @pytest.mark.parametrize("n_procs,bank_cycle", [(4, 1), (4, 4), (8, 2)])
 def test_cache_closed_loop_bit_identical(n_procs, bank_cycle):
     """Ops issued from completion callbacks land on the same slots."""
-    ref = _closed_loop_cache(n_procs, bank_cycle, batch=False)
-    bat = _closed_loop_cache(n_procs, bank_cycle, batch=True)
-    assert len(bat[1]) == n_procs * 6
-    assert _fingerprint(*ref) == _fingerprint(*bat)
+    ref = _closed_loop_cache(n_procs, bank_cycle, run_ops=False)
+    run = _closed_loop_cache(n_procs, bank_cycle, run_ops=True)
+    assert len(run[1]) == n_procs * 6
+    assert _fingerprint(*ref) == _fingerprint(*run)
 
 
-def _closed_loop_hier(batch):
+def _closed_loop_hier(run_ops):
     """Each finished op issues the next op of a processor in the *other*
     cluster, whose memory the lockstep span also walks."""
     hier = SlotAccurateHierarchy(2, 2, bank_cycle=4)
@@ -440,7 +436,7 @@ def _closed_loop_hier(batch):
 
     for g in range(4):
         ops.append(hier.load(g, g * 4, on_done=lambda o, g=g: next_op(g)))
-    if batch:
+    if run_ops:
         hier.run_ops(ops)
     else:
         hier.run_until(all_settled(ops))
@@ -449,10 +445,10 @@ def _closed_loop_hier(batch):
 
 
 def test_hierarchy_cross_cluster_callbacks_bit_identical():
-    ref = _closed_loop_hier(batch=False)
-    bat = _closed_loop_hier(batch=True)
-    assert len(bat[1]) == 9
-    assert _hier_fingerprint(*ref) == _hier_fingerprint(*bat)
+    ref = _closed_loop_hier(run_ops=False)
+    run = _closed_loop_hier(run_ops=True)
+    assert len(run[1]) == 9
+    assert _hier_fingerprint(*ref) == _hier_fingerprint(*run)
 
 
 def test_hierarchy_timeout_is_simulation_timeout():
@@ -465,64 +461,40 @@ def test_hierarchy_timeout_is_simulation_timeout():
 
 
 # --------------------------------------------------------------------------
-# Hot-path profiler semantics (the CFM batch driver)
+# How the CFM batch driver advances time, and the profiled-report contract
 
 
-def _streaming_cfm(n_procs, bank_cycle, hotpath=None, stride=1):
+def _streaming_cfm(n_procs, bank_cycle):
     """Full-load reads on private offsets, re-issued from the finish
-    callback by every ``stride``-th processor."""
+    callback."""
     mem = CFMemory(CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle))
-    mem.hotpath = hotpath
-    log = record_finishes(mem)
 
     def reissue(acc):
         mem.issue(acc.proc, AccessKind.READ, offset=acc.proc,
                   on_finish=reissue)
 
-    for p in range(0, n_procs, stride):
+    for p in range(n_procs):
         mem.issue(p, AccessKind.READ, offset=p, on_finish=reissue)
-    return mem, log
+    return mem
 
 
-def _cfm_fingerprint(mem, log):
-    return (mem.slot,
-            [(a.proc, a.issue_slot, a.complete_slot,
-              sorted((k, w.value) for k, w in a.result_words.items()))
-             for a in log.completed])
+def test_conflict_free_workloads_never_fall_back(monkeypatch):
+    """Private-offset CFM traffic never falls back to a tick: the batch
+    driver spans every slot."""
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
+    mem = _streaming_cfm(8, 2)
+    mem.run_batch(500)
+    assert ticked[mem] == 0
+    assert spanned[mem] == mem.slot == 500
 
 
-def test_profiler_never_changes_results():
-    bare = _streaming_cfm(8, 2, stride=3)
-    bare[0].run_batch(300)
-    hp = HotpathProfiler()
-    profiled = _streaming_cfm(8, 2, hotpath=hp, stride=3)
-    profiled[0].run_batch(300)
-    assert _cfm_fingerprint(*bare) == _cfm_fingerprint(*profiled)
-    assert sum(sum(ev.values()) for ev in hp.snapshot().values()) > 0
-
-
-def test_profiler_counters_deterministic():
-    snaps = []
-    for _ in range(2):
-        hp = HotpathProfiler()
-        mem, _ = _streaming_cfm(8, 2, hotpath=hp, stride=2)
-        for k in (7, 50, 3, 120):
-            mem.run_batch(k)
-        snaps.append(hp.snapshot())
-    assert snaps[0] == snaps[1]
-
-
-def test_conflict_free_workloads_never_fall_back():
-    """Private-offset CFM traffic never falls back, and the coherence
-    layers count nothing: their profiled reports carry an empty section
-    and the same statistics as unprofiled ones."""
+def test_profiled_coherence_reports_add_only_an_empty_section():
+    """``profile=True`` on a cache or hierarchy spec (which
+    ``perfbench/sim_sweep.py`` sends) adds an empty ``hotpath`` section
+    and leaves the rest of the report equal to the unprofiled one."""
     from repro.obs.bench import run_spec
 
-    hp = HotpathProfiler()
-    mem, _ = _streaming_cfm(8, 2, hotpath=hp)
-    mem.run_batch(500)
-    assert hp.fallbacks() == {"cfm": 0}
-    assert hp.get("cfm", "batched_slots") > 0
     for spec in ({"system": "cache", "params": {
                      "n_procs": 8, "rounds": 6, "workload": "private"}},
                  {"system": "hierarchy", "params": {
@@ -533,32 +505,3 @@ def test_conflict_free_workloads_never_fall_back():
                              "params": {**spec["params"], "profile": True}})
         assert profiled.pop("hotpath") == {"counters": {}, "occupancy": {}}
         assert profiled == plain
-
-
-def test_profiler_occupancy_shape():
-    hp = HotpathProfiler()
-    hp.count("cfm", "batched_slots", 90)
-    hp.count("cfm", "tick.pinned", 10)
-    occ = hp.occupancy()["cfm"]
-    assert occ["batched"] == 90 and occ["ticked"] == 10
-    assert occ["batched_frac"] == pytest.approx(0.9)
-
-
-def test_shared_profiler_attributes_each_slot_to_one_layer():
-    """While another layer holds the claim, a CFM batch run counts
-    nothing; once released, its counters cover exactly the slots it
-    advanced."""
-    hp = HotpathProfiler()
-    mem, _ = _streaming_cfm(8, 2, hotpath=hp)
-    token = hp.claim("outer")
-    mem.run_batch(40)
-    assert hp.snapshot() == {}
-    hp.count("outer", "tick.pinned", 40)
-    hp.release(token)
-    before = mem.slot
-    mem.run_batch(40)
-    occ = hp.occupancy()
-    assert occ["outer"]["ticked"] == 40
-    cfm = occ["cfm"]
-    assert cfm["batched"] + cfm["skipped"] + cfm["ticked"] \
-        == mem.slot - before == 40

@@ -2,19 +2,20 @@
 
 Three proof obligations:
 
-* **engine seam** — ``resolve_engine`` and the per-layer ``engine=``
-  constructor/dispatch surface behave identically everywhere.
-* **engine-name differential** — every engine name a layer accepts
+* **engine seam** — ``resolve_engine``, the CFM's ``engine=``
+  constructor argument and the coherence bench runners, which only
+  validate and record the name, reject the same names the same way.
+* **engine-name differential** — every engine name the CFM accepts
   (``reference`` and the fast driver's ``batch``/``vectorized``/
   ``stacked`` aliases) produces bit-identical full-state fingerprints,
   across shapes from (4, 1) to (128, 32), with and without a zero-fault
-  plan attached, and under a degraded bank (the CFM batch driver must
-  detect degraded mode and tick per slot).  On the coherence layers
-  every name drives the one per-slot driver; these cases pin that each
-  name still dispatches there.
-* **observability** — HotpathProfiler counter sums equal the slots the
-  CFM batch driver advanced, and every engine raises
-  :class:`SimulationTimeout` at the identical strict boundary slot.
+  plan attached.  The coherence layers have one driver each, so there
+  ``run_ops`` is held to ticking every slot: bare, with a zero-fault
+  plan, and under a degraded bank (the CFM underneath must detect
+  degraded mode and tick per slot).
+* **observability** — the slots the CFM batch driver spans and ticks
+  sum to the slots it advanced, and a cache run times out at the strict
+  boundary slot under every engine name a cache spec accepts.
 
 Also covered: bounded table caches + degraded-table aliasing, the
 partial bench-document contract, and the ``--engine`` CLI surface.
@@ -38,6 +39,8 @@ from repro.faults.chaos import (
     fingerprint_cache,
     fingerprint_hier,
 )
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.fastpath.engine import (
     DEFAULT_ENGINE,
     ENGINE_REFERENCE,
@@ -53,15 +56,24 @@ from repro.fastpath.tables import (
     slot_bank_table,
 )
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
-from repro.obs.hotpath import HotpathProfiler
+from repro.obs.bench import run_spec
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import SimulationTimeout, all_settled
+from tests.history import count_spans, count_ticks
 
-#: Engines each layer can drive (``stacked`` is CFM-only; the other names
-#: run everywhere).
+#: Engines the CFM can drive (all of them; ``stacked`` is CFM-only).
 CFM_ENGINES = tuple(e for e in ENGINES if "cfm" in supported_layers(e))
+#: Engine names a cache spec accepts and records (``stacked`` is not one).
 CACHE_ENGINES = tuple(e for e in ENGINES if "cache" in supported_layers(e))
-HIER_ENGINES = tuple(e for e in ENGINES if "hierarchy" in supported_layers(e))
+
+
+def _drive(system, ops, run_ops):
+    """Run a coherence layer's ``ops`` with its one driver, ``run_ops``,
+    or tick every slot through ``run_until``."""
+    if run_ops:
+        system.run_ops(ops)
+    else:
+        system.run_until(all_settled(ops))
 
 
 # --------------------------------------------------------------------------
@@ -82,28 +94,41 @@ def test_resolve_engine_rejects_unknown():
 
 @pytest.mark.parametrize("engine", [None, *ENGINES])
 def test_layer_constructors_accept_engine(engine):
-    expect = resolve_engine(engine)
+    """The CFM is the one layer whose constructor takes an engine."""
     assert CFMemory(CFMConfig(n_procs=4, bank_cycle=1), engine=engine).engine \
-        == expect
-    if engine is None or "cache" in supported_layers(engine):
-        assert CacheSystem(4, engine=engine).engine == expect
-        assert SlotAccurateHierarchy(2, 2, engine=engine).engine == expect
-    else:
-        # Layer-restricted engines fail at construction with a typed
-        # error naming the layers that do support them.
-        with pytest.raises(ValueError, match="supported layers"):
-            CacheSystem(4, engine=engine)
-        with pytest.raises(ValueError, match="supported layers"):
-            SlotAccurateHierarchy(2, 2, engine=engine)
+        == resolve_engine(engine)
 
 
 def test_layer_constructors_reject_unknown_engine():
     with pytest.raises(ValueError):
         CFMemory(CFMConfig(n_procs=4, bank_cycle=1), engine="turbo")
-    with pytest.raises(ValueError):
-        CacheSystem(4, engine="turbo")
-    with pytest.raises(ValueError):
-        SlotAccurateHierarchy(2, 2, engine="turbo")
+
+
+COHERENCE_SPECS = {
+    "cache": {"n_procs": 4, "rounds": 2},
+    "hierarchy": {"n_clusters": 2, "procs_per_cluster": 2, "rounds": 2},
+}
+
+
+@pytest.mark.parametrize("system", sorted(COHERENCE_SPECS))
+def test_coherence_runners_validate_and_record_engine(system):
+    """The cache and hierarchy runners run one driver whatever the name:
+    they reject unknown names and the CFM-only ``stacked`` with typed
+    errors, and a pinned report's statistics equal the unpinned one's,
+    with the name recorded in ``params.engine``."""
+    params = COHERENCE_SPECS[system]
+    with pytest.raises(ValueError, match="unknown engine 'turbo'"):
+        run_spec({"system": system, "params": {**params, "engine": "turbo"}})
+    with pytest.raises(ValueError, match="supported layers: cfm"):
+        run_spec({"system": system,
+                  "params": {**params, "engine": "stacked"}})
+    plain = run_spec({"system": system, "params": dict(params)})
+    for engine in (e for e in ENGINES if system in supported_layers(e)):
+        pinned = run_spec({"system": system,
+                           "params": {**params, "engine": engine}})
+        assert pinned["params"].pop("engine") == engine
+        for key in ("cycles", "completed", "latency", "params"):
+            assert pinned[key] == plain[key], (engine, key)
 
 
 # --------------------------------------------------------------------------
@@ -127,53 +152,70 @@ def test_cfm_three_way_bit_identical(n_procs, bank_cycle):
             n_procs, bank_cycle, attach_zero)
 
 
+def _cache_print(run_ops, attach_zero):
+    inj = FaultInjector(FaultPlan.zero()) if attach_zero else None
+    sys_ = CacheSystem(4, faults=inj)
+    ops = _build_cache_ops(sys_, 4, rounds=4, seed=5)
+    _drive(sys_, ops, run_ops)
+    return fingerprint_cache(sys_, ops)
+
+
+def _hier_print(run_ops, attach_zero):
+    inj = FaultInjector(FaultPlan.zero()) if attach_zero else None
+    hier = SlotAccurateHierarchy(2, 2, faults=inj)
+    ops = _build_hier_ops(hier, rounds=3, seed=7)
+    _drive(hier, ops, run_ops)
+    return fingerprint_hier(hier, ops)
+
+
 @pytest.mark.parametrize("attach_zero", [False, True])
 def test_cache_three_way_bit_identical(attach_zero):
-    prints = [
-        _cache_fingerprint(4, rounds=4, seed=5, engine=engine,
-                           attach_zero=attach_zero)
-        for engine in CACHE_ENGINES
-    ]
+    """``run_ops`` and ticking every slot, each bare and (when
+    ``attach_zero``) with a zero-fault plan attached, agree bit for bit;
+    the chaos differential's own fingerprint agrees too."""
+    prints = [_cache_print(run_ops, zero) for run_ops in (True, False)
+              for zero in sorted({False, attach_zero})]
+    prints.append(_cache_fingerprint(4, rounds=4, seed=5,
+                                     attach_zero=attach_zero))
     assert all(p == prints[0] for p in prints)
 
 
 @pytest.mark.parametrize("attach_zero", [False, True])
 def test_hierarchy_three_way_bit_identical(attach_zero):
-    prints = [
-        _hier_fingerprint(2, 2, rounds=3, seed=7, engine=engine,
-                          attach_zero=attach_zero)
-        for engine in HIER_ENGINES
-    ]
+    prints = [_hier_print(run_ops, zero) for run_ops in (True, False)
+              for zero in sorted({False, attach_zero})]
+    prints.append(_hier_fingerprint(2, 2, rounds=3, seed=7,
+                                    attach_zero=attach_zero))
     assert all(p == prints[0] for p in prints)
 
 
-def _degraded_cache_fingerprint(engine):
+def _degraded_cache_fingerprint(run_ops):
     sys_ = CacheSystem(4, bank_cycle=2)
     sys_.mem.degrade_bank(3)
     ops = _build_cache_ops(sys_, 4, rounds=5, seed=9)
-    sys_.run_ops_engine(ops, engine=engine)
+    _drive(sys_, ops, run_ops)
     return fingerprint_cache(sys_, ops)
 
 
-def test_cache_degraded_three_way_bit_identical():
-    """A degraded cluster module under every engine name matches the
-    reference bit for bit (the deleted batch classifier once replayed
-    spans on the healthy period-b table here)."""
-    prints = [_degraded_cache_fingerprint(engine) for engine in CACHE_ENGINES]
-    assert all(p == prints[0] for p in prints)
+def test_cache_degraded_run_ops_matches_ticks():
+    """A degraded cluster module under ``run_ops`` matches ticking every
+    slot bit for bit (a deleted batch classifier once replayed spans on
+    the healthy period-b table here)."""
+    assert _degraded_cache_fingerprint(run_ops=True) \
+        == _degraded_cache_fingerprint(run_ops=False)
 
 
-def _degraded_hier_fingerprint(engine):
+def _degraded_hier_fingerprint(run_ops):
     hier = SlotAccurateHierarchy(2, 2, bank_cycle=2)
     hier.clusters[0].mem.degrade_bank(2)
     ops = _build_hier_ops(hier, rounds=3, seed=11)
-    hier.run_ops_engine(ops, engine=engine)
+    _drive(hier, ops, run_ops)
     return fingerprint_hier(hier, ops)
 
 
-def test_hierarchy_degraded_three_way_bit_identical():
-    prints = [_degraded_hier_fingerprint(engine) for engine in HIER_ENGINES]
-    assert all(p == prints[0] for p in prints)
+def test_hierarchy_degraded_run_ops_matches_ticks():
+    assert _degraded_hier_fingerprint(run_ops=True) \
+        == _degraded_hier_fingerprint(run_ops=False)
 
 
 # --------------------------------------------------------------------------
@@ -200,18 +242,15 @@ def test_cfm_metrics_snapshot_identical_across_engines():
 
 
 # --------------------------------------------------------------------------
-# Profiler counter sums (satellite 4)
+# Spanned plus ticked slots
 
 
-def _slot_sum(events):
-    """Sum of the (all slot-denominated) counters."""
-    return sum(events.values())
-
-
-def test_vector_counter_sum_equals_cfm_slots():
-    hp = HotpathProfiler()
+def test_vector_counter_sum_equals_cfm_slots(monkeypatch):
+    """Under ``vectorized`` the batch driver spans or ticks every slot of
+    a busy module (it never idles), and spans some."""
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
     mem = CFMemory(CFMConfig(n_procs=8, bank_cycle=2))
-    mem.hotpath = hp
 
     def reissue(acc):
         mem.issue(acc.proc, AccessKind.READ, offset=acc.proc % 4,
@@ -220,23 +259,28 @@ def test_vector_counter_sum_equals_cfm_slots():
     for p in range(8):
         mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=reissue)
     mem.run_engine(500, engine=ENGINE_VECTORIZED)
-    events = hp.snapshot()["cfm"]
-    assert events.get("batched_slots", 0) > 0
-    assert _slot_sum(events) == mem.slot == 500
+    assert spanned[mem] > 0
+    assert spanned[mem] + ticked[mem] == mem.slot == 500
 
 
 # --------------------------------------------------------------------------
-# Strict timeout boundary, identical across engines (satellite 1)
+# Strict timeout boundary
 
 
 @pytest.mark.parametrize("engine", CACHE_ENGINES)
 def test_cache_timeout_identical_slot_across_engines(engine):
+    """Every name a cache spec accepts runs ``run_ops``, except that
+    ``reference`` ticks every slot; both raise at the strict boundary."""
+    assert resolve_engine(engine, layer="cache") == engine
     sys_ = CacheSystem(4)
     sys_.run_ops([sys_.acquire(0, 0)])  # unmatched acquire wedges proc 1
     start = sys_.slot
     blocked = sys_.store(1, 0, {0: 9})
     with pytest.raises(SimulationTimeout) as exc:
-        sys_.run_ops_engine([blocked], max_slots=300, engine=engine)
+        if engine == ENGINE_REFERENCE:
+            sys_.run_until(all_settled([blocked]), max_slots=300)
+        else:
+            sys_.run_ops([blocked], max_slots=300)
     assert exc.value.slot == start + 300
     assert exc.value.max_slots == 300
     assert sys_.slot == start + 300
@@ -347,3 +391,12 @@ def test_cli_bench_rejects_unknown_engine(capsys):
 
     with pytest.raises(SystemExit):
         main(["bench", "--quick", "--engine", "turbo"])
+
+
+def test_cli_bench_has_no_profile_flag(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--quick", "--profile"])
+    assert exc.value.code == 2
+    assert "--profile" in capsys.readouterr().err

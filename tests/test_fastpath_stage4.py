@@ -35,10 +35,9 @@ from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
 from repro.fastpath.engine import ENGINE_STACKED, ENGINES, engine_available
 from repro.fastpath.stack import run_specs_stacked, stack_shape, stackable_spec
-from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
-from tests.history import record_finishes
+from tests.history import count_spans, count_ticks, record_finishes
 
 
 def _normalized(doc):
@@ -270,28 +269,23 @@ def test_memo_two_readers_of_one_offset_complete_in_one_epoch():
 # Hazard fallback inside a lane
 
 
-def test_hazard_lane_ejects_while_stackmates_stay_vectorized():
+def test_hazard_lane_ejects_while_stackmates_stay_vectorized(monkeypatch):
     cfg = CFMConfig(n_procs=8, bank_cycle=2)
     slots = 8 * cfg.n_banks
     clean = _reads(cfg)
     hazard = _conflicting_writes(cfg)
-    clean_hp, hazard_hp = HotpathProfiler(), HotpathProfiler()
-    clean[0].hotpath = clean_hp
-    hazard[0].hotpath = hazard_hp
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
     _run_lanes([clean, hazard], [slots, slots])
 
-    clean_events = clean_hp.snapshot()["cfm"]
-    hazard_events = hazard_hp.snapshot()["cfm"]
-    # The clean lane never left the batched path...
-    assert "fallback.hazard" not in clean_events
-    assert clean_events["batched_slots"] == slots
-    # ...the hazard lane batched some epochs, ticked through its write
+    # The clean lane never left the span walk...
+    assert spanned[clean[0]] == slots
+    assert ticked[clean[0]] == 0
+    # ...the hazard lane spanned some epochs, ticked through its write
     # interleaves, and every one of its slots is accounted for once.
-    assert hazard_events["fallback.hazard"] > 0
-    assert 0 < hazard_events.get("batched_slots", 0) < slots
-    assert sum(hazard_events.values()) == slots
-    assert clean_hp.occupancy()["cfm"]["batched_frac"] == 1.0
-    assert clean_hp.occupancy()["cfm"]["batched"] == slots
+    assert spanned[hazard[0]] > 0
+    assert ticked[hazard[0]] > 0
+    assert spanned[hazard[0]] + ticked[hazard[0]] == slots
 
     # Both lanes remain bit-identical to their serial runs.
     for build, lane in [(_reads, clean), (_conflicting_writes, hazard)]:
@@ -317,19 +311,20 @@ def _observed(cfg, probe=None):
     return mem, done, reg
 
 
-def test_observed_lane_ejects_with_identical_metrics_snapshot():
+def test_observed_lane_ejects_with_identical_metrics_snapshot(monkeypatch):
     """A probe voids the static proof before the first epoch: the lane
     ticks every slot, and its probe and registry see the identical event
     stream a serial run feeds them."""
     cfg = CFMConfig(n_procs=4, bank_cycle=1)
     slots = 40
 
-    hp = HotpathProfiler()
     obs_probe = RecordingProbe()
     obs_mem, obs_done, obs_reg = _observed(cfg, obs_probe)
-    obs_mem.hotpath = hp
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
     _run_lanes([(obs_mem, obs_done), _reads(cfg)], [slots, slots])
-    assert hp.snapshot()["cfm"] == {"tick.pinned": slots}
+    assert spanned[obs_mem] == 0
+    assert ticked[obs_mem] == slots
 
     serial_probe = RecordingProbe()
     serial_mem, serial_done, serial_reg = _observed(cfg, serial_probe)
@@ -341,17 +336,18 @@ def test_observed_lane_ejects_with_identical_metrics_snapshot():
     assert obs_reg.snapshot()  # the registry really was fed
 
 
-def test_metrics_lane_rides_the_span_walk():
+def test_metrics_lane_rides_the_span_walk(monkeypatch):
     """A metrics registry alone keeps the lane batched: every slot is a
-    batched slot, and the snapshot equals the per-slot run's."""
+    spanned slot, and the snapshot equals the per-slot run's."""
     cfg = CFMConfig(n_procs=4, bank_cycle=2)
     slots = 10 * cfg.n_banks + 3
 
-    hp = HotpathProfiler()
     obs_mem, obs_done, obs_reg = _observed(cfg)
-    obs_mem.hotpath = hp
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
     _run_lanes([(obs_mem, obs_done), _reads(cfg)], [slots, slots])
-    assert hp.snapshot()["cfm"] == {"batched_slots": slots}
+    assert spanned[obs_mem] == slots
+    assert ticked[obs_mem] == 0
 
     serial_mem, serial_done, serial_reg = _observed(cfg)
     serial_mem.run(slots)

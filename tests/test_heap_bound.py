@@ -24,11 +24,21 @@ from repro.cache.protocol import CacheSystem
 from repro.core.cfm import AccessKind, BlockAccess, CFMemory
 from repro.core.config import CFMConfig
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
+from repro.sim.engine import all_settled
 
 
 def _live_accesses() -> int:
     gc.collect()
     return sum(1 for obj in gc.get_objects() if type(obj) is BlockAccess)
+
+
+def _drive(system, ops, engine: str) -> None:
+    """A coherence layer has one driver, ``run_ops``; ``reference`` ticks
+    every slot through ``run_until`` instead."""
+    if engine == "reference":
+        system.run_until(all_settled(ops))
+    else:
+        system.run_ops(ops)
 
 
 @pytest.mark.parametrize("engine", ["batch", "reference"])
@@ -62,7 +72,7 @@ def test_cache_mix_keeps_only_in_flight_accesses(engine):
                 ops.append(sys_.store(p, offset, {0: p + 1}))
             else:
                 ops.append(sys_.load(p, offset))
-    sys_.run_ops_engine(ops, engine=engine)
+    _drive(sys_, ops, engine)
     assert sys_.stats_memory_ops > 100
     assert _live_accesses() <= sys_.cfg.n_procs
 
@@ -81,7 +91,7 @@ def test_hierarchy_global_keeps_only_in_flight_accesses(engine):
                 ops.append(h.store(g, offset, {rng.randrange(2): g + 1}))
             else:
                 ops.append(h.load(g, offset))
-        h.run_ops_engine(ops, engine=engine)
+        _drive(h, ops, engine)
     assert sum(cs.stats_memory_ops for cs in h.clusters) > 100
     assert _live_accesses() <= h.n_procs + h.n_clusters
 

@@ -30,11 +30,16 @@ from repro.cache.protocol import CacheSystem
 from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
-from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.criticality import TIERS
 from repro.sim.engine import all_settled
-from tests.history import bank_util_oracle, record_finishes, settled_util
+from tests.history import (
+    bank_util_oracle,
+    count_spans,
+    count_ticks,
+    record_finishes,
+    settled_util,
+)
 
 #: (n_procs, bank_cycle): c in {1, 2, 4, 16}.
 SHAPES = [(4, 1), (3, 2), (4, 4), (2, 16)]
@@ -131,31 +136,28 @@ def _traffic(cfg, seed, advance, rounds=40):
 
 @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_random_traffic_matches_per_slot(n_procs, bank_cycle, seed):
+def test_random_traffic_matches_per_slot(monkeypatch, n_procs, bank_cycle,
+                                        seed):
     cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
     ref_mem, ref_reg, ref_log = _traffic(cfg, seed,
                                          lambda mem, k: mem.run(k))
-    hp = HotpathProfiler()
-
-    def batched(mem, k):
-        mem.hotpath = hp
-        mem.run_batch(k)
-
-    fast_mem, fast_reg, fast_log = _traffic(cfg, seed, batched)
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
+    fast_mem, fast_reg, fast_log = _traffic(
+        cfg, seed, lambda mem, k: mem.run_batch(k))
     assert (_state(fast_mem, fast_reg, fast_log)
             == _state(ref_mem, ref_reg, ref_log))
-    counts = hp.snapshot()["cfm"]
-    # The registry no longer pins the tick: spans and idle skips carry
-    # most of the run, and the write hazards still tick.
-    assert "tick.pinned" not in counts
-    assert counts.get("batched_slots", 0) > 0
-    assert counts.get("skipped_slots", 0) > 0
+    # The registry does not pin the tick: spans and idle skips carry part
+    # of the run (only the write hazards tick).
+    assert fast_mem._fast_eligible()
+    assert spanned[fast_mem] > 0
+    assert fast_mem.slot - spanned[fast_mem] - ticked[fast_mem] > 0
     snap = ref_reg.snapshot()
     assert any(name.startswith("cfm.latency[") for name in snap)
     assert "cfm.deadline" in snap
 
 
-def test_span_and_tick_interleave_on_a_write_hazard():
+def test_span_and_tick_interleave_on_a_write_hazard(monkeypatch):
     """Two writers on one offset force ticks between spans; the holds a
     span leaves open carry into the ticks and back."""
     cfg = CFMConfig(n_procs=4, bank_cycle=4)
@@ -186,15 +188,14 @@ def test_span_and_tick_interleave_on_a_write_hazard():
     slots = 12 * n_banks + 7
     ref_mem, ref_reg, ref_log = build()
     ref_mem.run(slots)
-    hp = HotpathProfiler()
     fast_mem, fast_reg, fast_log = build()
-    fast_mem.hotpath = hp
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
     for k in _chunks(slots, seed=9):
         fast_mem.run_batch(k)
     assert (_state(fast_mem, fast_reg, fast_log)
             == _state(ref_mem, ref_reg, ref_log))
-    counts = hp.snapshot()["cfm"]
-    assert counts["fallback.hazard"] > 0 and counts["batched_slots"] > 0
+    assert ticked[fast_mem] > 0 and spanned[fast_mem] > 0
 
 
 def _pinned(cfg, pin):
@@ -226,18 +227,19 @@ def _pinned(cfg, pin):
 
 @pytest.mark.parametrize("pin", ["probe", "controller", "faults",
                                  "degraded"])
-def test_remaining_pins_still_pin_with_metrics(pin):
+def test_remaining_pins_still_pin_with_metrics(monkeypatch, pin):
     """Probes, controller hooks, live faults and the degraded schedule
     still pin the per-slot tick when a registry is attached too."""
     cfg = CFMConfig(n_procs=4, bank_cycle=2)
     slots = 5 * cfg.n_banks
     ref_mem, ref_reg, ref_log = _pinned(cfg, pin)
     ref_mem.run(slots)
-    hp = HotpathProfiler()
     fast_mem, fast_reg, fast_log = _pinned(cfg, pin)
-    fast_mem.hotpath = hp
+    spanned = count_spans(monkeypatch)
+    ticked = count_ticks(monkeypatch)
     fast_mem.run_batch(slots)
-    assert hp.snapshot()["cfm"] == {"tick.pinned": slots}
+    assert spanned[fast_mem] == 0
+    assert ticked[fast_mem] == slots
     assert (_state(fast_mem, fast_reg, fast_log)
             == _state(ref_mem, ref_reg, ref_log))
 
@@ -246,9 +248,9 @@ def test_remaining_pins_still_pin_with_metrics(pin):
 # Cache: run_ops vs ticking every slot, metrics attached
 
 
-def _cache_stream(n_procs, workload, engine):
-    """The stream through ``run_ops_engine`` under ``engine``, or by
-    ticking every slot when ``engine`` is ``"reference"``."""
+def _cache_stream(n_procs, workload, run_ops):
+    """The stream through ``run_ops`` (``run_ops=True``), or through
+    ``run_until``, which ticks every slot."""
     rng = random.Random(f"{n_procs}.{workload}")
     reg = MetricsRegistry()
     sys_ = CacheSystem(n_procs, metrics=reg)
@@ -262,10 +264,10 @@ def _cache_stream(n_procs, workload, engine):
                 ops.append(sys_.store(p, offset, {0: p + 1}))
             else:
                 ops.append(sys_.load(p, offset))
-    if engine == "reference":
-        sys_.run_until(all_settled(ops))
+    if run_ops:
+        sys_.run_ops(ops)
     else:
-        sys_.run_ops_engine(ops, engine=engine)
+        sys_.run_until(all_settled(ops))
     fingerprint = (
         sys_.slot,
         [(op.proc, op.kind.value, op.offset, op.issue_slot, op.done_slot,
@@ -282,11 +284,11 @@ def _cache_stream(n_procs, workload, engine):
 
 @pytest.mark.parametrize("n_procs", [2, 4, 8])
 @pytest.mark.parametrize("workload", ["mix", "private"])
-def test_cache_metrics_snapshot_batch_equals_reference(n_procs, workload):
-    ref_fp, ref_snap = _cache_stream(n_procs, workload, "reference")
-    fast_fp, fast_snap = _cache_stream(n_procs, workload, "batch")
-    assert fast_fp == ref_fp
-    assert fast_snap == ref_snap
+def test_cache_metrics_snapshot_run_ops_equals_ticks(n_procs, workload):
+    ref_fp, ref_snap = _cache_stream(n_procs, workload, run_ops=False)
+    run_fp, run_snap = _cache_stream(n_procs, workload, run_ops=True)
+    assert run_fp == ref_fp
+    assert run_snap == ref_snap
     ops = ref_snap["cache.ops"]["counts"]
     assert ops.get("load", 0) + ops.get("store", 0) == 12 * n_procs
     assert "cfm.bank[0].util" in ref_snap

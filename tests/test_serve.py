@@ -79,6 +79,30 @@ class TestValidateRequest:
           "inject": {"kinds": ["not_a_kind"]}}, "inject.kinds"),
         ({"id": "x", "system": "cfm",
           "inject": {"events": [{"kind": "bad_kind"}]}}, "unknown fault kind"),
+        # Event fields are true ints: no str, list, float or bool coercion.
+        ({"id": "x", "system": "cfm", "inject": {"events": [
+            {"kind": "bank_stuck", "target": "x"}]}}, "target must be an int"),
+        ({"id": "x", "system": "cfm", "inject": {"events": [
+            {"kind": "bank_stuck", "target": [1]}]}}, "target must be an int"),
+        ({"id": "x", "system": "cfm", "inject": {"events": [
+            {"kind": "bank_slow", "start": 1.5}]}}, "start must be an int"),
+        ({"id": "x", "system": "cfm", "inject": {"events": [
+            {"kind": "bank_slow", "duration": True}]}},
+         "duration must be an int"),
+        ({"id": "x", "system": "cfm", "inject": {"events": [
+            {"kind": "bank_slow", "extra": "2"}]}}, "extra must be an int"),
+        ({"id": "x", "system": "cfm", "inject": {
+            "events": [{"kind": "bank_stuck"}], "seed": True}},
+         "seed must be an int"),
+        ({"id": "x", "system": "cfm", "inject": {"rounds": True}},
+         "rounds must be an int"),
+        ({"id": "x", "system": "cfm", "inject": {"n_events": True}},
+         "n_events must be an int"),
+        # The fault window is checked where a worker would check it.
+        ({"id": "x", "system": "cfm", "inject": {"events": [
+            {"kind": "bank_stuck", "start": -1}]}}, "fault window"),
+        ({"id": "x", "system": "cfm", "inject": {"events": [
+            {"kind": "bank_stuck", "duration": 0}]}}, "fault window"),
         ("just a string", "JSON object"),
     ])
     def test_rejects_malformed(self, bad, fragment):
@@ -355,6 +379,24 @@ class TestSimulationService:
             bad_op["error"]["message"])
         assert bad_json["ok"] is False
         assert "not valid JSON" in bad_json["error"]["message"]
+
+    def test_malformed_inject_event_is_a_typed_response(self, pool):
+        """A bad inject event is answered with a typed error and counted as
+        rejected, never raised out of ``handle_line``."""
+        line = json.dumps({"id": "bad-ev", "system": "cfm",
+                           "params": dict(CFM_PARAMS),
+                           "inject": {"events": [{"kind": "bank_stuck",
+                                                  "target": "x"}]}})
+        before = list(pool.dispatched)
+        service = SimulationService(pool=pool)
+        resp = asyncio.run(service.handle_line(line))
+        assert resp["ok"] is False and resp["id"] == "bad-ev"
+        assert resp["error"]["type"] == "RequestError"
+        assert resp["error"]["typed"]
+        counts = service.metrics_snapshot()["service"]["serve.requests"][
+            "counts"]
+        assert counts["rejected"] == 1
+        assert list(pool.dispatched) == before
 
 
 # --------------------------------------------------------------------------
