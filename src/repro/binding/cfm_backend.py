@@ -29,6 +29,7 @@ from repro.binding.region import DimRange, Region
 from repro.cache.protocol import CacheSystem, CpuOp
 from repro.cache.sync_ops import MultipleTestAndSet
 from repro.core.block import Block
+from repro.sim.engine import run_until
 
 
 def region_to_pattern(region: Region, n_components: int,
@@ -221,14 +222,22 @@ class CFMBindingSystem:
         self.add_program(proc, steps)
 
     def run(self, max_slots: int = 400_000) -> List[BindRecord]:
-        start = self.cache.slot
-        while any(c.phase is not _Phase.DONE for c in self._clients):
-            if self.cache.slot - start >= max_slots:
-                raise RuntimeError("binding clients did not finish")
-            for c in self._clients:
-                c.step_machine()
-            self.cache.tick()
+        run_until(self._step, self._all_done, lambda: self.cache.mem.slot,
+                  max_slots, "binding clients", self._stuck)
         return self.records
+
+    def _step(self) -> None:
+        for c in self._clients:
+            c.step_machine()
+        self.cache.tick()
+
+    def _all_done(self) -> bool:
+        return all(c.phase is _Phase.DONE for c in self._clients)
+
+    def _stuck(self) -> List[str]:
+        return [f"proc {c.proc} step {c.idx} {c.phase.value}"
+                for c in self._clients
+                if c.phase is not _Phase.DONE] + self.cache._stuck()
 
     def exclusion_held(self) -> bool:
         """No two overlapping-pattern holds may overlap in time."""

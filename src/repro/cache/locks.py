@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.block import Block
 from repro.cache.protocol import CacheSystem, CpuOp
 from repro.cache.sync_ops import MultipleTestAndSet, ReadModifyWrite
+from repro.sim.engine import run_until
 
 
 class _Phase(enum.Enum):
@@ -171,6 +172,26 @@ class _Client:
             self.phase = _Phase.DONE
 
 
+def _run_clients(cache: CacheSystem, clients: Sequence[_Client],
+                 max_slots: int, what: str) -> None:
+    """Start every client, then step them all and tick ``cache`` once per
+    slot until each is done; strict timeout at ``start + max_slots``."""
+    for c in clients:
+        c.start()
+
+    def step() -> None:
+        for c in clients:
+            c.step()
+        cache.tick()
+
+    def stuck() -> List[str]:
+        return [f"proc {c.proc} {c.phase.value}"
+                for c in clients if c.phase is not _Phase.DONE] + cache._stuck()
+
+    run_until(step, lambda: all(c.phase is _Phase.DONE for c in clients),
+              lambda: cache.mem.slot, max_slots, what, stuck)
+
+
 class CacheLockSystem:
     """N processors contending for one simple lock on the cache protocol."""
 
@@ -185,15 +206,7 @@ class CacheLockSystem:
         self.acquisitions: List[LockAcquisition] = []
 
     def run(self, max_slots: int = 400_000) -> List[LockAcquisition]:
-        for c in self.clients:
-            c.start()
-        start = self.cache.slot
-        while any(c.phase is not _Phase.DONE for c in self.clients):
-            if self.cache.slot - start >= max_slots:
-                raise RuntimeError("lock clients did not finish")
-            for c in self.clients:
-                c.step()
-            self.cache.tick()
+        _run_clients(self.cache, self.clients, max_slots, "lock clients")
         return self.acquisitions
 
     @property
@@ -217,15 +230,7 @@ class MultiLockSystem:
         self.acquisitions: List[LockAcquisition] = []
 
     def run(self, max_slots: int = 400_000) -> List[LockAcquisition]:
-        for c in self.clients:
-            c.start()
-        start = self.cache.slot
-        while any(c.phase is not _Phase.DONE for c in self.clients):
-            if self.cache.slot - start >= max_slots:
-                raise RuntimeError("multi-lock clients did not finish")
-            for c in self.clients:
-                c.step()
-            self.cache.tick()
+        _run_clients(self.cache, self.clients, max_slots, "multi-lock clients")
         return self.acquisitions
 
     def overlapping_exclusion_held(self) -> bool:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.cache.protocol import CacheSystem, CpuOp
+from repro.sim.engine import run_until
 
 
 class _Phase(enum.Enum):
@@ -125,11 +126,13 @@ def run_stream(
     client = PrefetchingClient(
         sys_, proc, list(range(1, length + 1)), compute_gap, distance
     )
-    guard = 0
-    while not client.done:
+
+    def step() -> None:
         client.step()
         sys_.tick()
-        guard += 1
-        if guard > 200_000:
-            raise RuntimeError("prefetch stream did not finish")
+
+    run_until(step, lambda: client.done, lambda: sys_.mem.slot, 200_000,
+              "prefetch stream",
+              lambda: [f"proc {proc} {client.phase.value} at stream "
+                       f"index {client.idx}"] + sys_._stuck())
     return client.stats

@@ -48,7 +48,7 @@ from repro.core.cfm import (
 from repro.core.config import CFMConfig
 from repro.cache.directory import CacheDirectory, CacheLine
 from repro.cache.state import CacheLineState
-from repro.sim.engine import SimulationTimeout, all_settled
+from repro.sim.engine import all_settled, raise_timeout, run_until
 from repro.tracking.att import AddressTrackingTable
 
 _NEVER = 1 << 62  # a wake slot no run reaches
@@ -491,18 +491,12 @@ class CacheSystem:
             self.tick()
 
     def run_until(self, done: Callable[[], bool], max_slots: int = 200_000) -> int:
-        """Tick until ``done()``; strict timeout at ``start + max_slots``.
-
-        The guard fires the moment ``max_slots`` slots have elapsed — the
-        repo-wide boundary every reference and batch driver shares, so all
-        engines raise :class:`SimulationTimeout` at the identical slot.
+        """Tick until ``done()``; strict timeout at ``start + max_slots``
+        (:func:`repro.sim.engine.run_until`), the boundary :meth:`run_ops`
+        shares, so both raise :class:`SimulationTimeout` at the same slot.
         """
-        start = self.slot
-        while not done():
-            if self.slot - start >= max_slots:
-                self._raise_timeout(max_slots)
-            self.tick()
-        return self.slot - start
+        return run_until(self.tick, done, lambda: self.mem.slot, max_slots,
+                         "cache ops", self._stuck)
 
     def run_ops(self, ops: List[CpuOp], max_slots: int = 200_000) -> None:
         """:meth:`run_until` all ``ops`` are done, result-identical to
@@ -515,7 +509,7 @@ class CacheSystem:
         while not done():
             slot = mem.slot
             if slot >= limit:
-                self._raise_timeout(max_slots)
+                raise_timeout("cache ops", slot, max_slots, self._stuck())
             if self._cpu_wake > slot + 1:
                 end = self._quiet_until(slot)
                 if end > slot:
@@ -558,7 +552,8 @@ class CacheSystem:
         self._quiet = end
         return end
 
-    def _raise_timeout(self, max_slots: int) -> None:
+    def _stuck(self) -> List[str]:
+        """Timeout forensics: each processor's op in flight and queues."""
         stuck: List[str] = []
         for p, st in enumerate(self.procs):
             op = st.current_op
@@ -572,12 +567,7 @@ class CacheSystem:
                 stuck.append(f"proc {p} wb_queue={list(st.wb_queue)}")
             if st.cpu_queue:
                 stuck.append(f"proc {p} {len(st.cpu_queue)} ops queued")
-        detail = "; ".join(stuck) if stuck else "no op in flight"
-        raise SimulationTimeout(
-            f"cache ops did not finish within {max_slots} slots "
-            f"(now at slot {self.slot}); stuck: {detail}",
-            slot=self.slot, max_slots=max_slots, stuck=stuck,
-        )
+        return stuck
 
     # -- per-processor state machine -------------------------------------------------
 

@@ -44,7 +44,7 @@ from repro.fastpath.tables import bank_orders, slot_bank_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
 from repro.sim.criticality import parse_tier, rank_of
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import run_until
 
 #: The value an untouched bank location reads as; shared so the hot read
 #: path allocates nothing on a miss (Word is frozen, so sharing is safe).
@@ -167,12 +167,16 @@ class BlockAccess:
 
     @property
     def deadline_met(self) -> Optional[bool]:
-        """Did the access make its SLA deadline?  ``None`` when it has none."""
+        """Did the access make its SLA deadline?  ``None`` when it has none.
+
+        A D-slot budget is met iff :attr:`qos_latency` ``<= D``; with
+        ``deadline_slot = submit_slot + D`` that is ``complete_slot <
+        deadline_slot`` (the submission slot counts as the first slot)."""
         if self.deadline_slot is None:
             return None
         if self.complete_slot is None:
             return False
-        return self.complete_slot <= self.deadline_slot
+        return self.complete_slot < self.deadline_slot
 
     def visited_bank_zero(self) -> bool:
         """Has this access already updated/visited physical bank 0?
@@ -267,7 +271,6 @@ class CFMemory:
         check_conflicts: bool = True,
         probe: Optional[Probe] = None,
         metrics: Optional[MetricsRegistry] = None,
-        engine: Optional[str] = None,
         arbitration: str = "priority",
     ) -> None:
         if config.n_modules != 1:
@@ -279,9 +282,6 @@ class CFMemory:
         self.cfg = config
         self.controller = controller or PermissiveController()
         self.check_conflicts = check_conflicts
-        #: Engine strategy used by :meth:`run_engine` when none is passed
-        #: per call; validated here so a bad name fails at construction.
-        self.engine = resolve_engine(engine, layer="cfm")
         self.slot = 0
         self._next_id = 0
         # Monotone write counter: bumped on every write_word so the span
@@ -583,7 +583,7 @@ class CFMemory:
                     metrics.histogram(f"cfm.latency[{tier}]").add(
                         acc.qos_latency)
                     if acc.deadline_slot is not None:
-                        met = acc.complete_slot <= acc.deadline_slot
+                        met = acc.deadline_met
                         metrics.counter("cfm.deadline").incr(
                             f"{tier}.{'met' if met else 'missed'}"
                         )
@@ -1114,12 +1114,12 @@ class CFMemory:
     def run_engine(self, slots: int, engine: Optional[str] = None) -> None:
         """Advance ``slots`` slots under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only.
+        ``None`` selects :data:`repro.fastpath.engine.DEFAULT_ENGINE`.
         ``reference`` is the per-slot :meth:`run`; every other name is an
         alias of :meth:`run_batch`.  All produce bit-identical observable
         results (invariants 10 and 11).
         """
-        name = resolve_engine(engine, default=self.engine, layer="cfm")
+        name = resolve_engine(engine, layer="cfm")
         if name == ENGINE_REFERENCE:
             self.run(slots)
         else:
@@ -1128,27 +1128,21 @@ class CFMemory:
     def run_until_idle(self, max_slots: int = 100_000) -> int:
         """Tick until no access is active; returns slots elapsed.
 
-        Raises :class:`SimulationTimeout` the moment ``max_slots`` slots
-        have elapsed with accesses still active — strict semantics: the
-        loop may tick slots ``start .. start + max_slots - 1`` and the
-        timeout fires at slot ``start + max_slots``, the same boundary
-        every driver loop in the repo uses.
+        Strict timeout at ``start + max_slots``
+        (:func:`repro.sim.engine.run_until`): the :class:`SimulationTimeout`
+        names every access still in flight.
         """
-        start = self.slot
-        while self.active:
-            if self.slot - start >= max_slots:
-                stuck = [
-                    f"proc {a.proc} {a.kind.value}@{a.offset} "
-                    f"words_done={a.words_done}"
-                    for a in self.active
-                ]
-                raise SimulationTimeout(
-                    f"accesses still active after {max_slots} slots: "
-                    + "; ".join(stuck),
-                    slot=self.slot, max_slots=max_slots, stuck=stuck,
-                )
-            self.tick()
-        return self.slot - start
+        return run_until(self.tick, lambda: not self.active,
+                         lambda: self.slot, max_slots, "accesses",
+                         self._stuck)
+
+    def _stuck(self) -> List[str]:
+        """Timeout forensics: every access still in flight."""
+        return [
+            f"proc {a.proc} {a.kind.value}@{a.offset} "
+            f"words_done={a.words_done}"
+            for a in self.active
+        ]
 
     def drain(self, extra: int = 0) -> None:
         """Run until idle plus the pipeline-drain cycles."""

@@ -21,6 +21,7 @@ from collections import deque
 from repro.core.block import Block
 from repro.core.cfm import AccessKind, BlockAccess, CFMemory
 from repro.core.config import CFMConfig
+from repro.sim.engine import run_until
 
 
 @dataclass
@@ -216,8 +217,27 @@ class ClusterSystem:
             self.tick()
 
     def run_until_done(self, n_requests: int, max_slots: int = 100_000) -> None:
-        start = self.slot
-        while len(self.completed) < n_requests:
-            if self.slot - start >= max_slots:
-                raise RuntimeError("remote requests did not complete")
-            self.tick()
+        """Tick until ``n_requests`` remote requests have completed; strict
+        timeout at ``start + max_slots``."""
+        run_until(self.tick, lambda: len(self.completed) >= n_requests,
+                  lambda: self.slot, max_slots, "remote requests",
+                  self._stuck)
+
+    def _stuck(self) -> List[str]:
+        """Timeout forensics: where each unfinished remote request is."""
+        stuck: List[str] = []
+        for dst, req, is_reply in self._link_queue:
+            what = "reply" if is_reply else "request"
+            stuck.append(f"req {req.req_id} {what} for cluster {dst} "
+                         f"queued on the link")
+        for deliver, dst, req, is_reply in self._in_flight:
+            what = "reply" if is_reply else "request"
+            stuck.append(f"req {req.req_id} {what} for cluster {dst} "
+                         f"arriving at slot {deliver}")
+        for cl in self.clusters:
+            for req in cl.pending_remote:
+                stuck.append(f"req {req.req_id} waiting for a free "
+                             f"partition in cluster {cl.cluster_id}")
+            stuck += [f"cluster {cl.cluster_id} {entry}"
+                      for entry in cl.memory._stuck()]
+        return stuck

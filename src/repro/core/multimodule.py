@@ -24,6 +24,7 @@ from repro.core.block import Block
 from repro.core.cfm import AccessKind, BlockAccess, CFMemory
 from repro.core.config import CFMConfig
 from repro.network.partial import PartialCFSystem
+from repro.sim.engine import run_until
 from repro.sim.rng import SeedLike, derive_rng
 from repro.sim.stats import RunSummary
 
@@ -100,11 +101,16 @@ class MultiModuleCFM:
         self.slot += 1
 
     def run_until_idle(self, max_slots: int = 100_000) -> None:
-        start = self.slot
-        while any(m.active for m in self.modules):
-            if self.slot - start >= max_slots:
-                raise RuntimeError("multi-module accesses did not finish")
-            self.tick()
+        """Tick until no module has an access in flight; strict timeout at
+        ``start + max_slots``."""
+        run_until(self.tick, lambda: not any(m.active for m in self.modules),
+                  lambda: self.slot, max_slots, "multi-module accesses",
+                  self._stuck)
+
+    def _stuck(self) -> List[str]:
+        """Timeout forensics: every access in flight, by module."""
+        return [f"module {k} {entry}"
+                for k, m in enumerate(self.modules) for entry in m._stuck()]
 
 
 @dataclass

@@ -5,20 +5,21 @@ determined* (at slot *t* processor *p* touches bank ``(t + c·p) mod b``,
 §3.1, Table 3.1) — means every per-slot modular computation the simulators
 perform can be replaced by a table lookup computed once per ``(b, c)``
 shape.  This package holds those tables plus the parallel bench runner;
-the slot-skipping and batch dispatch fast paths live on the components
-themselves (:meth:`repro.core.cfm.CFMemory.run_batch`,
-:meth:`repro.sim.engine.SlotClock.advance_until`,
-:meth:`repro.sim.engine.Engine.run_batch`).
+the slot-skipping fast paths live on the components themselves
+(:meth:`repro.core.cfm.CFMemory.run_batch` and the ``run_ops`` span loops
+of :class:`repro.cache.protocol.CacheSystem` and
+:class:`repro.hierarchy.slot_accurate.SlotAccurateHierarchy`).
 
-:mod:`repro.fastpath.engine` is the engine-strategy seam every batched
-layer dispatches through.  ``reference`` is the per-slot tick.  ``batch``
-is the one epoch driver, :meth:`repro.core.cfm.CFMemory.run_batch`, and
-``vectorized`` and ``stacked`` are wire-level aliases of it.  The cache
-and hierarchy batchers share its per-epoch word movement,
-``CFMemory._advance_span``.  :mod:`repro.fastpath.stack` validates a list
-of same-shape CFM run specs and runs them one by one: runs are pure
-functions of their spec and share no work, so the sweep runner and the
-serving layer run ``engine="stacked"`` specs like any other.
+:mod:`repro.fastpath.engine` is the engine-strategy seam.  ``reference``
+is the per-slot tick.  ``batch`` is the one epoch driver,
+:meth:`repro.core.cfm.CFMemory.run_batch`, and ``vectorized`` and
+``stacked`` are wire-level aliases of it.  The cache and hierarchy
+``run_ops`` loops take no engine; their spans share its per-epoch word
+movement, ``CFMemory._advance_span``.  :mod:`repro.fastpath.stack`
+validates a list of same-shape CFM run specs and runs them one by one:
+runs are pure functions of their spec and share no work, so the sweep
+runner and the serving layer run ``engine="stacked"`` specs like any
+other.
 
 Every fast path is differentially tested against the slot-by-slot
 reference path for bit-identical traces, metrics, and bench payloads

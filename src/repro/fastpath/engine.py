@@ -17,17 +17,18 @@ every engine name below, bit-identical on every observable result:
     so existing requests and reports stay valid; ``stacked`` is
     CFM-only, and the other layers reject it with a typed error (below).
 
-Only :class:`CFMemory` has a choice to make: it takes an ``engine=``
-constructor argument, and :meth:`CFMemory.run_engine` is the one
-dispatcher.  The coherence layers have one driver each, ``run_ops``,
-which ticks per slot and spans the stretches it proves quiet; their
-bench runners (``repro.obs.bench._run_cache``/``_run_hierarchy``) only
-validate the name and record it in ``params.engine``.
+Only :class:`CFMemory` has a choice to make, and
+:meth:`CFMemory.run_engine` is the one dispatcher: it takes the name per
+call, and ``None`` selects :data:`DEFAULT_ENGINE`.  The coherence layers
+have one driver each, ``run_ops``, which ticks per slot and spans the
+stretches it proves quiet; their bench runners
+(``repro.obs.bench._run_cache``/``_run_hierarchy``) only validate the
+name and record it in ``params.engine``.
 ``repro bench --engine=`` threads the choice through the bench harness.
 Not every engine name supports every layer: :func:`resolve_engine` takes
 the resolving layer's name and raises a typed ``ValueError`` naming
-exactly which layers do support the engine — at construction, request
-validation or dispatch, never deep inside an engine loop.  This module
+exactly which layers do support the engine — at request validation or
+dispatch, never deep inside an engine loop.  This module
 is deliberately dependency-free (no ``repro.*`` imports) so the registry
 can be consulted from any layer without import cycles.
 """

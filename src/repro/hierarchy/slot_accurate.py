@@ -48,7 +48,7 @@ from repro.core.config import CFMConfig
 from repro.hierarchy.controller import EventType, NetworkController
 from repro.hierarchy.hierarchical import IllegalStateCombination, _LEGAL
 from repro.sim.criticality import parse_tier
-from repro.sim.engine import SimulationTimeout, all_settled
+from repro.sim.engine import all_settled, raise_timeout, run_until
 
 class HierOpKind(enum.Enum):
     """Processor-level request kinds against the two-level machine."""
@@ -560,17 +560,12 @@ class SlotAccurateHierarchy:
         self.slot += 1
 
     def run_until(self, done: Callable[[], bool], max_slots: int = 300_000) -> int:
-        """Tick until ``done()``; strict timeout at ``start + max_slots``.
-
-        Same boundary as every other driver loop in the repo, so all
-        engines raise :class:`SimulationTimeout` at the identical slot.
+        """Tick until ``done()``; strict timeout at ``start + max_slots``
+        (:func:`repro.sim.engine.run_until`), the boundary :meth:`run_ops`
+        shares, so both raise :class:`SimulationTimeout` at the same slot.
         """
-        start = self.slot
-        while not done():
-            if self.slot - start >= max_slots:
-                self._raise_timeout(max_slots)
-            self.tick()
-        return self.slot - start
+        return run_until(self.tick, done, lambda: self.slot, max_slots,
+                         "hierarchical ops", self._stuck)
 
     def run_ops(self, ops: List[HierOp], max_slots: int = 300_000) -> None:
         """:meth:`run_until` all ``ops`` are done, result-identical to
@@ -583,7 +578,8 @@ class SlotAccurateHierarchy:
         while not done():
             slot = self.slot
             if slot >= limit:
-                self._raise_timeout(max_slots)
+                raise_timeout("hierarchical ops", slot, max_slots,
+                              self._stuck())
             end = self._quiet_until(slot, limit - 1)
             if end > slot:
                 for cs in self.clusters:
@@ -619,7 +615,8 @@ class SlotAccurateHierarchy:
                     break
         return end
 
-    def _raise_timeout(self, max_slots: int) -> None:
+    def _stuck(self) -> List[str]:
+        """Timeout forensics: parked ops, controller work, global ops."""
         stuck: List[str] = []
         for ready, op in self._parked:
             stuck.append(
@@ -640,11 +637,7 @@ class SlotAccurateHierarchy:
                     f"gproc {op.gproc} {op.kind.value}@{offset} "
                     f"in flight in cluster {cluster}"
                 )
-        raise SimulationTimeout(
-            f"hierarchical ops did not finish within {max_slots} slots "
-            f"(slot {self.slot}): " + ("; ".join(stuck) or "no pending work"),
-            slot=self.slot, max_slots=max_slots, stuck=stuck,
-        )
+        return stuck
 
     # -- invariants ---------------------------------------------------------------------------
 

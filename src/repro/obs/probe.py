@@ -1,9 +1,8 @@
 """Structured event-trace probes.
 
-Instrumented components (:class:`repro.sim.engine.SlotClock`,
-:class:`repro.sim.engine.Engine`, :class:`repro.core.cfm.CFMemory`, the
-interconnect models, the cache protocol) hold an optional ``probe``
-reference and emit structured events into it:
+Instrumented components (:class:`repro.core.cfm.CFMemory`, the
+interleaved simulator, the interconnect models, the cache protocol) hold
+an optional ``probe`` reference and emit structured events into it:
 
     if self.probe is not None:
         self.probe.emit("cfm", "complete", slot, proc=0, latency=17)

@@ -1,9 +1,11 @@
-"""Simulation kernel: cycle/event engines, cooperative processes, RNG, stats.
+"""Simulation kernel: the slot loop, cooperative processes, RNG, stats.
 
 This subpackage is the substrate every simulator in the reproduction runs on:
 
-* :mod:`repro.sim.engine` — a deterministic discrete-event engine and a
-  slot-stepped clock (one slot = one CPU cycle, the granularity of the paper).
+* :mod:`repro.sim.engine` — :func:`~repro.sim.engine.run_until`, the one
+  bounded "tick until done" loop every slot driver runs (one slot = one CPU
+  cycle, the granularity of the paper), and its typed
+  :class:`~repro.sim.engine.SimulationTimeout`.
 * :mod:`repro.sim.procs` — cooperative generator-based processes with a
   deterministic round-robin scheduler; used by the lock simulations and the
   resource-binding runtime (Chapter 6).
@@ -15,7 +17,7 @@ This subpackage is the substrate every simulator in the reproduction runs on:
   the paper's assumed access patterns (uniform rate *r*, hot-spot, locality λ).
 """
 
-from repro.sim.engine import Engine, Event, SimulationTimeout, SlotClock
+from repro.sim.engine import SimulationTimeout
 from repro.sim.procs import Delay, Halt, Process, Scheduler, SchedulerDeadlock
 from repro.sim.rng import derive_rng, make_rng
 from repro.sim.stats import (
@@ -33,10 +35,7 @@ from repro.sim.workload import (
 )
 
 __all__ = [
-    "Engine",
-    "Event",
     "SimulationTimeout",
-    "SlotClock",
     "Process",
     "Scheduler",
     "SchedulerDeadlock",

@@ -33,7 +33,7 @@ read from the current bank; RETRY aborts for re-issue by the owner (the
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.cfm import (
     AccessController,
@@ -91,16 +91,6 @@ class AddressTrackingController(AccessController):
     def on_slot(self, mem: CFMemory, slot: int) -> None:
         for att in self.atts:
             att.prune(slot)
-
-    def next_interesting(self, slot: int) -> Optional[int]:
-        """Earliest upcoming slot at which any ATT would expire an entry.
-
-        ``SlotClock.advance_until``-compatible hint: per-slot maintenance
-        is pure GC before that slot, so a clock may leap straight to it.
-        """
-        upcoming = [att.next_interesting(slot) for att in self.atts]
-        live = [u for u in upcoming if u is not None]
-        return min(live) if live else None
 
     def on_start(self, mem: CFMemory, access: BlockAccess, slot: int) -> None:
         if access.kind.is_write:

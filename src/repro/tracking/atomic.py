@@ -35,7 +35,7 @@ from repro.core.cfm import (
     CFMemory,
     ControlAction,
 )
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import run_until
 
 
 class OpStatus(enum.Enum):
@@ -91,8 +91,9 @@ class CFMDriver:
 
         Requires no in-flight accesses, no observers pinning the per-slot
         event stream, and a controller whose ``on_slot`` is either the base
-        no-op or declared GC-only (``ON_SLOT_IS_GC``) — matching the
-        contract :meth:`SlotClock.advance_until` hints carry.
+        no-op or declared GC-only (``ON_SLOT_IS_GC``): ATT lookups
+        age-filter, so a prune that runs late removes nothing a lookup in
+        between could have seen.
         """
         mem = self.mem
         if mem.active or mem.probe is not None or mem.metrics is not None:
@@ -111,11 +112,7 @@ class CFMDriver:
         is what turns "3 deferred" into an actionable report when a run
         times out with everything parked.
         """
-        stuck = [
-            f"proc {a.proc} {a.kind.value}@{a.offset} "
-            f"words_done={a.words_done}"
-            for a in self.mem.active
-        ]
+        stuck = self.mem._stuck()
         for due, _seq, fn in sorted(self._deferred):
             target = getattr(fn, "__self__", None)
             proc = getattr(target, "proc", None)
@@ -132,26 +129,24 @@ class CFMDriver:
         return stuck
 
     def run_until(self, done: Callable[[], bool], max_slots: int = 100_000) -> int:
-        start = self.mem.slot
-        while not done():
-            if self.mem.slot - start >= max_slots:
-                stuck = self._stuck_report()
-                detail = f": {'; '.join(stuck)}" if stuck else ""
-                raise SimulationTimeout(
-                    f"operations did not finish in {max_slots} slots "
-                    f"(slot {self.mem.slot}, {len(self._deferred)} deferred, "
-                    f"{len(self.mem.active)} in flight)" + detail,
-                    slot=self.mem.slot, max_slots=max_slots, stuck=stuck,
-                )
-            # Idle leap: with nothing in flight, the next event is the next
-            # deferred re-issue — jump straight to it instead of ticking
-            # through provably empty slots.
+        """Tick until ``done()``; strict timeout at ``start + max_slots``,
+        naming in-flight and parked ops.
+
+        With nothing in flight the next event is the next deferred
+        re-issue, so each step leaps straight to it (no further than the
+        timeout boundary) instead of ticking through provably empty slots.
+        """
+        limit = self.mem.slot + max_slots
+
+        def step() -> None:
             if self._deferred and self._leap_safe():
-                nxt = self._deferred[0][0]
+                nxt = min(self._deferred[0][0], limit)
                 if nxt > self.mem.slot + 1:
                     self.mem.slot = nxt - 1
             self.tick()
-        return self.mem.slot - start
+
+        return run_until(step, done, lambda: self.mem.slot, max_slots,
+                         "operations", self._stuck_report)
 
 
 class _Operation:

@@ -165,18 +165,6 @@ class AddressTrackingTable:
         live = [e for e in self._entries if 0 <= e.age(slot) <= self.capacity]
         return sorted(live, key=lambda e: e.age(slot))
 
-    def next_interesting(self, slot: int) -> Optional[int]:
-        """Next slot at which :meth:`prune` would remove something.
-
-        A ``SlotClock``-style hint: between ``slot`` and the returned
-        value, per-slot maintenance of this table is a provable no-op
-        (lookups age-filter, so expiry only matters at GC time).  ``None``
-        when the table is empty.
-        """
-        if not self._entries:
-            return None
-        return max(slot + 1, self._entries[0].insert_slot + self.capacity + 1)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -236,12 +224,6 @@ class AssociativeScanATT:
     def entries_at(self, slot: int) -> List[ATTEntry]:
         live = [e for e in self._entries if 0 <= e.age(slot) <= self.capacity]
         return sorted(live, key=lambda e: e.age(slot))
-
-    def next_interesting(self, slot: int) -> Optional[int]:
-        if not self._entries:
-            return None
-        oldest = min(e.insert_slot for e in self._entries)
-        return max(slot + 1, oldest + self.capacity + 1)
 
     def __len__(self) -> int:
         return len(self._entries)

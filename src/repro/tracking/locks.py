@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import run_until
 from repro.tracking.access_control import AddressTrackingController, PriorityMode
 from repro.tracking.atomic import CFMDriver, OpStatus, ReadOperation, SwapOperation, WriteOperation
 
@@ -157,22 +157,21 @@ class SpinLockSystem:
         """Everyone locks once; returns acquisitions in release order."""
         for c in self.clients:
             c.start()
-        start = self.driver.slot
-        while any(c.state is not _ClientState.DONE for c in self.clients):
-            if self.driver.slot - start >= max_slots:
-                stuck = [
-                    f"proc {c.proc} {c.state.value}"
-                    for c in self.clients if c.state is not _ClientState.DONE
-                ]
-                raise SimulationTimeout(
-                    f"lock clients did not all finish in {max_slots} slots: "
-                    + ", ".join(stuck),
-                    slot=self.driver.slot, max_slots=max_slots, stuck=stuck,
-                )
-            for c in self.clients:
-                c.step()
-            self.driver.tick()
+        run_until(self._step, self._all_done, lambda: self.driver.slot,
+                  max_slots, "lock clients", self._stuck)
         return self.acquisitions
+
+    def _step(self) -> None:
+        for c in self.clients:
+            c.step()
+        self.driver.tick()
+
+    def _all_done(self) -> bool:
+        return all(c.state is _ClientState.DONE for c in self.clients)
+
+    def _stuck(self) -> List[str]:
+        return [f"proc {c.proc} {c.state.value}"
+                for c in self.clients if c.state is not _ClientState.DONE]
 
     @property
     def mutual_exclusion_held(self) -> bool:

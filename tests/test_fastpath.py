@@ -28,7 +28,6 @@ from repro.fastpath.tables import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
-from repro.sim.engine import Engine, SlotClock
 from tests.history import record_finishes
 
 SHAPES = [(4, 1), (8, 2), (16, 4), (32, 8)]
@@ -250,146 +249,6 @@ class TestCFMBatchEquivalence:
             return ctrl.visits
 
         assert run(lambda m: m.run(12)) == run(lambda m: m.run_batch(12))
-
-
-# --------------------------------------------------------------------------
-# SlotClock: advance_until ≡ advance
-
-
-class _TickRecorder:
-    """A subscriber with events at known slots + an honest hint."""
-
-    def __init__(self, schedule):
-        self.schedule = sorted(schedule)
-        self.fired = []
-
-    def tick(self, slot):
-        if slot in self.schedule:
-            self.fired.append(slot)
-
-    def next_interesting(self, slot):
-        for s in self.schedule:
-            if s > slot:
-                return s
-        return None
-
-
-class TestSlotClockAdvanceUntil:
-    def _pair(self, schedules, period=None):
-        clocks = []
-        for _ in range(2):
-            clk = SlotClock(period=period)
-            recs = [_TickRecorder(s) for s in schedules]
-            for r in recs:
-                clk.subscribe(r.tick, next_interesting=r.next_interesting)
-            clocks.append((clk, recs))
-        return clocks
-
-    def test_equivalent_fire_pattern(self):
-        (ref, ref_recs), (fast, fast_recs) = self._pair(
-            [[3, 7, 50], [7, 8, 120], []])
-        ref.advance(200)
-        fast.advance_until(200)
-        assert fast.slot == ref.slot == 200
-        for a, b in zip(ref_recs, fast_recs):
-            assert a.fired == b.fired
-
-    def test_hintless_subscriber_degrades_to_per_slot(self):
-        clk = SlotClock()
-        seen = []
-        clk.subscribe(seen.append)  # no hint: every slot is interesting
-        clk.advance_until(25)
-        assert seen == list(range(1, 26))
-
-    def test_probe_pins_per_slot_stream(self):
-        def run(until_fn):
-            clk = SlotClock(period=8)
-            clk.probe = RecordingProbe()
-            rec = _TickRecorder([5, 40])
-            clk.subscribe(rec.tick, next_interesting=rec.next_interesting)
-            until_fn(clk)
-            return [e.as_dict() for e in clk.probe.events], rec.fired
-
-        ev_ref, fired_ref = run(lambda c: c.advance(60))
-        ev_fast, fired_fast = run(lambda c: c.advance_until(60))
-        assert ev_ref == ev_fast  # every slot's tick event, phases included
-        assert fired_ref == fired_fast
-
-    def test_rewind_raises(self):
-        clk = SlotClock()
-        clk.advance(5)
-        with pytest.raises(ValueError):
-            clk.advance_until(3)
-
-    def test_silent_leap_when_nothing_upcoming(self):
-        clk = SlotClock()
-        rec = _TickRecorder([])
-        clk.subscribe(rec.tick, next_interesting=rec.next_interesting)
-        clk.advance_until(10_000)
-        assert clk.slot == 10_000 and rec.fired == []
-
-
-# --------------------------------------------------------------------------
-# Engine: O(1) pending, idempotent cancel, batch dispatch
-
-
-class TestEngineFastPath:
-    def test_pending_tracks_schedule_dispatch_cancel(self):
-        eng = Engine()
-        events = [eng.schedule(i, lambda: None) for i in range(10)]
-        assert eng.pending() == 10
-        events[3].cancel()
-        events[3].cancel()  # idempotent: released exactly once
-        assert eng.pending() == 9
-        eng.run(until=4)
-        assert eng.pending() == 5  # 0,1,2,4 dispatched; 3 cancelled
-        eng.run()
-        assert eng.pending() == 0
-
-    def test_cancelled_event_never_fires(self):
-        eng = Engine()
-        out = []
-        ev = eng.schedule(2, lambda: out.append("dead"))
-        eng.schedule(2, lambda: out.append("live"))
-        ev.cancel()
-        eng.run()
-        assert out == ["live"]
-
-    def test_run_batch_equals_step_loop(self):
-        def build(eng, log):
-            def chain(depth):
-                log.append((eng.now, depth))
-                if depth < 5:
-                    eng.schedule(3, lambda: chain(depth + 1))
-            for i in range(4):
-                eng.schedule(i, lambda i=i: chain(0))
-
-        ref_eng, ref_log = Engine(), []
-        build(ref_eng, ref_log)
-        while ref_eng.step():
-            pass
-        fast_eng, fast_log = Engine(), []
-        build(fast_eng, fast_log)
-        n = fast_eng.run_batch()
-        assert ref_log == fast_log
-        assert n == len(fast_log)
-        assert ref_eng.now == fast_eng.now
-
-    def test_run_until_sets_now_even_when_drained(self):
-        eng = Engine()
-        eng.schedule(3, lambda: None)
-        eng.run(until=100)
-        assert eng.now == 100
-
-    def test_max_events_caps_dispatch(self):
-        eng = Engine()
-        fired = []
-        for i in range(6):
-            eng.schedule(i, lambda i=i: fired.append(i))
-        assert eng.run_batch(max_events=4) == 4
-        assert fired == [0, 1, 2, 3]
-        eng.run()
-        assert fired == [0, 1, 2, 3, 4, 5]
 
 
 # --------------------------------------------------------------------------

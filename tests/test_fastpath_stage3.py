@@ -28,6 +28,7 @@ import json
 import pytest
 
 from repro.cache.protocol import CacheSystem
+from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
 from repro.faults.chaos import (
@@ -94,14 +95,25 @@ def test_resolve_engine_rejects_unknown():
 
 @pytest.mark.parametrize("engine", [None, *ENGINES])
 def test_layer_constructors_accept_engine(engine):
-    """The CFM is the one layer whose constructor takes an engine."""
-    assert CFMemory(CFMConfig(n_procs=4, bank_cycle=1), engine=engine).engine \
-        == resolve_engine(engine)
+    """No constructor takes an engine: ``CFMemory.run_engine`` is the one
+    dispatcher, and it runs every name (``None`` is the default engine)
+    to the same result."""
+    mems = []
+    for name in (engine, ENGINE_REFERENCE):
+        mem = CFMemory(CFMConfig(n_procs=4, bank_cycle=1))
+        mem.issue(0, AccessKind.WRITE, offset=0, data=Block.of_values([5, 6, 7, 8]))
+        mem.issue(1, AccessKind.READ, offset=0)
+        mem.run_engine(12, engine=name)
+        mems.append(mem)
+    assert mems[0].slot == mems[1].slot == 12
+    assert mems[0].banks == mems[1].banks
 
 
 def test_layer_constructors_reject_unknown_engine():
-    with pytest.raises(ValueError):
-        CFMemory(CFMConfig(n_procs=4, bank_cycle=1), engine="turbo")
+    mem = CFMemory(CFMConfig(n_procs=4, bank_cycle=1))
+    with pytest.raises(ValueError, match="unknown engine 'turbo'"):
+        mem.run_engine(4, engine="turbo")
+    assert mem.slot == 0
 
 
 COHERENCE_SPECS = {

@@ -176,6 +176,31 @@ class TestSubmitArbitration:
         # Immediate issue: the QoS clock equals the plain latency clock.
         assert ok.access.qos_latency == ok.access.latency
 
+    @pytest.mark.parametrize("slack", [-1, 0])
+    def test_deadline_boundary_agrees_with_sla_tracker(self, slack):
+        """A D-slot budget is met iff qos_latency <= D, on the access, in
+        the ``cfm.deadline`` counter and in :class:`SlaTracker` alike: at
+        (4, 1) an idle read takes beta = 4 slots, so D = 3 misses and
+        D = 4 meets."""
+        metrics = MetricsRegistry()
+        mem = _mem(metrics=metrics)
+        beta = mem.cfg.block_access_time
+        budget = beta + slack
+        pend = mem.submit(0, AccessKind.READ, offset=0,
+                          criticality=LATENCY_CRITICAL, deadline=budget)
+        _drain(mem)
+        acc = pend.access
+        assert acc.deadline_slot == acc.submit_slot + budget
+        assert acc.qos_latency == beta
+        met = slack == 0
+        assert acc.deadline_met is met
+        outcome = "met" if met else "missed"
+        assert metrics.counter("cfm.deadline")[
+            f"{LATENCY_CRITICAL}.{outcome}"] == 1
+        sla = SlaTracker(unit="slots")
+        sla.record(LATENCY_CRITICAL, acc.qos_latency, deadline=budget)
+        assert sla.missed(LATENCY_CRITICAL) == (0 if met else 1)
+
     def test_queueing_counts_against_qos_latency(self):
         mem = _mem()
         mem.submit(0, AccessKind.READ, offset=0)

@@ -17,7 +17,6 @@ import pytest
 from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
-from repro.sim.engine import SlotClock
 from repro.tracking.access_control import (
     AddressTrackingController,
     PriorityMode,
@@ -100,18 +99,6 @@ def test_ring_rejects_decreasing_insert_slots():
     att.insert(0, 1, AccessKind.WRITE, 10)
     with pytest.raises(ValueError):
         att.insert(0, 2, AccessKind.WRITE, 9)
-
-
-def test_next_interesting_tracks_oldest_entry():
-    att = AddressTrackingTable(4)
-    assert att.next_interesting(0) is None
-    att.insert(0, 1, AccessKind.WRITE, 10)
-    att.insert(1, 2, AccessKind.WRITE, 12)
-    # The oldest entry (slot 10, capacity 4) leaves the visible window
-    # after slot 14; GC before that is a no-op.
-    assert att.next_interesting(11) == 15
-    att.prune(15)
-    assert att.next_interesting(15) == 17
 
 
 # --------------------------------------------------------------------------
@@ -245,38 +232,6 @@ def test_lock_acquisition_sequence_identical(n_procs, bank_cycle):
     assert ring == scan
     # and the lock really was exclusive, serially granted
     assert len(ring[0]) == n_procs
-
-
-# --------------------------------------------------------------------------
-# The next_interesting hint: controller -> SlotClock.advance_until wiring
-
-
-def test_controller_hint_leaps_idle_tracking_slots():
-    ctl = AddressTrackingController(4, PriorityMode.FIRST_WINS)
-    ctl.atts[0].insert(0, 1, AccessKind.WRITE, 5)
-    clock = SlotClock()
-    pruned_at = []
-
-    def tick(slot):
-        before = len(ctl.atts[0])
-        for att in ctl.atts:
-            att.prune(slot)
-        if len(ctl.atts[0]) != before:
-            pruned_at.append(slot)
-
-    clock.slot = 6
-    clock.subscribe(tick, next_interesting=ctl.next_interesting)
-    end = clock.advance_until(40)
-    # capacity is 3 (n_banks - 1): the slot-5 entry ages out after 5+3;
-    # the clock must leap straight to the hinted slot, tick there, and
-    # then leap to the end with nothing further scheduled.
-    assert end == 40
-    assert pruned_at == [9]
-
-
-def test_controller_hint_none_when_tables_empty():
-    ctl = AddressTrackingController(4)
-    assert ctl.next_interesting(0) is None
 
 
 # --------------------------------------------------------------------------
