@@ -21,7 +21,8 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional, Tuple
 from collections import deque
 
 from repro.binding.region import AccessType, Region, regions_conflict
-from repro.sim.procs import Process, Scheduler, Syscall
+from repro.sim.engine import raise_timeout
+from repro.sim.procs import Process, Scheduler, SchedulerDeadlock, Syscall
 
 
 @dataclass
@@ -134,6 +135,13 @@ class DistributedBindingRuntime:
         return self.sched.spawn(gen, name)
 
     def run(self, max_cycles: Optional[int] = None) -> int:
+        """Run every process to completion; returns the final cycle.
+
+        Raises :class:`~repro.sim.procs.SchedulerDeadlock` when every live
+        process is blocked with no grant in flight, and
+        :class:`~repro.sim.engine.SimulationTimeout` at exactly
+        ``start + max_cycles``, naming each live process and what it
+        waits on."""
         limit = max_cycles if max_cycles is not None else self.sched.max_cycles
         start = self.sched.cycle
         while True:
@@ -142,11 +150,10 @@ class DistributedBindingRuntime:
             if not live:
                 return self.sched.cycle
             if all(p.ready_at is None for p in live) and not self._pending_grants:
-                from repro.sim.procs import SchedulerDeadlock
-
                 raise SchedulerDeadlock([p for p in live if p.blocked])
             if self.sched.cycle - start >= limit:
-                raise RuntimeError("distributed runtime exceeded cycle budget")
+                raise_timeout("distributed binding runtime", self.sched.cycle,
+                              limit, self.sched.stuck())
             self.sched.step()
 
     def _deliver_grants(self) -> None:

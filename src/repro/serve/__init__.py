@@ -15,8 +15,9 @@ Layers (one module each):
 * :mod:`repro.serve.shard`   — deterministic shape→shard routing on the
   sweep's crc32 seed derivation, plus per-shard warm-shape ownership;
 * :mod:`repro.serve.cache`   — content-addressed LRU result cache:
-  canonical spec hash → completed report, hits byte-identical to a fresh
-  run, fault-injected/failed runs never cached;
+  canonical spec hash → completed report's wire text (encoded once, on
+  the miss), hits spliced into their line byte-identical to a fresh run,
+  fault-injected/failed runs never cached;
 * :mod:`repro.serve.batch`   — continuous micro-batching: per-shard
   coalescing by ``(system, shape)``, count/drain-driven flushes (never
   wall-clock), one pool task per batch;

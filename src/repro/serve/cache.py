@@ -11,10 +11,14 @@ round-trip.
 Canonical addressing: :func:`canonical_payload` serializes the validated
 worker payload with sorted keys and no whitespace — the same bytes for the
 same spec regardless of request field order — and :func:`payload_key` hashes
-that with sha256.  The cache stores the *serialized* report (``json.dumps``
-with sorted keys) and deserializes on every hit, which guarantees a hit is
-byte-identical on the wire to a fresh run's JSON round-trip and that no
-caller can mutate a cached entry in place.
+that with sha256.  The cache stores each report's *wire text* — the one
+``json.dumps(report, sort_keys=True)`` the service makes when the report
+arrives from a worker, the same text that miss's response carries.  A hit
+hands that text back and the service splices it into the response line
+(:func:`repro.serve.service.encode_response`): no JSON decode or encode of
+the report, a hit byte-identical on the wire to the miss that filled the
+entry, and no caller able to mutate a cached entry in place (a ``str`` is
+immutable).
 
 What is never cached (:func:`cacheable`):
 
@@ -65,7 +69,7 @@ def cacheable(payload: Dict[str, object]) -> bool:
 
 
 class ResultCache:
-    """Bounded LRU: canonical spec hash → serialized completed report.
+    """Bounded LRU: canonical spec hash → a completed report's wire text.
 
     ``max_entries == 0`` disables the cache (every ``get`` misses, ``put``
     is a no-op) so one code path serves both configurations.
@@ -88,8 +92,8 @@ class ResultCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        """The cached report for ``key``, deserialized fresh, or ``None``.
+    def get(self, key: str) -> Optional[str]:
+        """The stored wire text of ``key``'s report, or ``None``.
 
         A hit refreshes the entry's recency; every call counts as exactly
         one hit or one miss."""
@@ -99,15 +103,15 @@ class ResultCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return json.loads(entry)
+        return entry
 
-    def put(self, key: str, report: Dict[str, object]) -> int:
-        """Store ``report`` under ``key``; returns how many entries were
-        evicted to make room (0 or 1 — also 0 when the cache is disabled)."""
+    def put(self, key: str, text: str) -> int:
+        """Store a report's wire text under ``key``; returns how many
+        entries were evicted to make room (0 or 1 — also 0 when the cache
+        is disabled)."""
         if self.max_entries == 0:
             return 0
-        self._entries[key] = json.dumps(report, sort_keys=True,
-                                        separators=(",", ":"))
+        self._entries[key] = text
         self._entries.move_to_end(key)
         evicted = 0
         while len(self._entries) > self.max_entries:

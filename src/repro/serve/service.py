@@ -11,6 +11,12 @@ Architecture (one request's life)::
   canonical spec hash (:mod:`repro.serve.cache`) already has a completed
   report is answered from the LRU result cache, byte-identical to a fresh
   run; fault-injected and failed runs never populate it.
+* **Each report encoded once** — a worker's report is JSON-encoded once,
+  on its miss; that text is what the cache stores and what every response
+  carrying the report splices into its line (:func:`encode_response`), so
+  a hit does no JSON work on the report at all.  In-process callers
+  (:meth:`SimulationService.process`, :meth:`~SimulationService.handle_line`)
+  get the report decoded, equal to ``json.loads`` of the wire line.
 * **Continuous micro-batching behind the cache** — misses coalesce per
   shard by ``(system, shape)`` (:mod:`repro.serve.batch`) and cross the
   process boundary as one pool task per batch, flushed by request count or
@@ -21,7 +27,9 @@ Architecture (one request's life)::
 * **Bounded in-flight depth** — the connection reader acquires the service
   semaphore *before* reading on, so at ``max_inflight`` outstanding
   requests the front-end simply stops consuming bytes and TCP backpressure
-  propagates to the client.  No unbounded task or queue growth anywhere.
+  propagates to the client.  A connection keeps only its pending response
+  tasks (a finished one drops out at once), so its memory stays flat over
+  any number of requests.  No unbounded task or queue growth anywhere.
 * **Failures are responses** — validation problems
   (:class:`repro.serve.spec.RequestError`), typed faults from the fault
   layer, a killed worker (typed ``BrokenProcessPool``) and unexpected
@@ -45,7 +53,7 @@ import itertools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Optional, Sequence, TextIO
+from typing import Dict, Optional, Sequence, Set, TextIO
 
 from repro.obs.metrics import MetricsRegistry, TenantMetrics
 from repro.obs.sla import SlaTracker
@@ -99,7 +107,7 @@ class SimulationService:
     async def process(self, obj: object) -> Dict[str, object]:
         """One decoded request → one response dict, depth-gated."""
         async with self._gate:
-            return await self._process_ungated(obj)
+            return _decoded(await self._process_ungated(obj))
 
     async def _process_ungated(self, obj: object) -> Dict[str, object]:
         if isinstance(obj, dict) and obj.get("op") is not None:
@@ -124,7 +132,7 @@ class SimulationService:
         cache_counter = self.metrics.counter("serve.cache")
         if key is not None:
             report = self.cache.get(key)
-            if report is not None:
+            if report is not None:  # the stored wire text of the report
                 cache_counter.incr("hits")
                 result = {"ok": True, "report": report, "wall_ms": 0.0}
                 self._account(request, shard, result, cached=True)
@@ -159,11 +167,15 @@ class SimulationService:
             }, "wall_ms": 0.0}
         finally:
             self._inflight -= 1
-        if (key is not None and result.get("ok")
-                and result.get("report") is not None):
-            evicted = self.cache.put(key, result["report"])
-            if evicted:
-                cache_counter.incr("evictions", evicted)
+        report = result.get("report") if result.get("ok") else None
+        if report is not None:
+            # The one encoding of this report: the cache stores this text
+            # and every response carrying the report splices it in.
+            report = json.dumps(report, sort_keys=True)
+            if key is not None:
+                evicted = self.cache.put(key, report)
+                if evicted:
+                    cache_counter.incr("evictions", evicted)
         self._account(request, shard, result, cached=False)
         response: Dict[str, object] = {
             "id": request.id,
@@ -173,7 +185,7 @@ class SimulationService:
             "wall_ms": result.get("wall_ms"),
         }
         if result.get("ok"):
-            response["report"] = result.get("report")
+            response["report"] = report
         else:
             response["error"] = result.get("error")
         worker: Dict[str, object] = {}
@@ -263,7 +275,7 @@ class SimulationService:
     async def handle_line(self, line: str) -> Dict[str, object]:
         """One JSONL input line → one response dict (never raises)."""
         async with self._gate:
-            return await self._process_line_ungated(line)
+            return _decoded(await self._process_line_ungated(line))
 
     # -- TCP server ----------------------------------------------------------
 
@@ -328,7 +340,7 @@ class SimulationService:
                            reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         lock = asyncio.Lock()
-        tasks = []
+        pending: Set[asyncio.Future] = set()
         line = first
         while line and not self.closing:
             text = line.decode("utf-8", errors="replace").strip()
@@ -338,18 +350,16 @@ class SimulationService:
                 # and the client feels backpressure instead of the service
                 # growing an unbounded task list.
                 await self._gate.acquire()
-                tasks.append(asyncio.ensure_future(
-                    self._respond_gated(text, writer, lock)))
+                _start(pending, self._respond_gated(text, writer, lock))
             try:
                 line = await _read_line(reader)
             except ConnectionError:
                 break
         if line is None:  # an over-long line: answer it, then close
             await self._gate.acquire()
-            tasks.append(asyncio.ensure_future(
-                self._respond_gated(None, writer, lock)))
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+            _start(pending, self._respond_gated(None, writer, lock))
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
 
     async def _respond_gated(self, text: Optional[str],
                              writer: asyncio.StreamWriter,
@@ -364,7 +374,7 @@ class SimulationService:
                 response = await self._process_line_ungated(text)
         finally:
             self._gate.release()
-        payload = (json.dumps(response, sort_keys=True) + "\n").encode()
+        payload = encode_response(response).encode()
         async with lock:
             try:
                 writer.write(payload)
@@ -423,8 +433,9 @@ class SimulationService:
                 })
                 return
             body = await reader.readexactly(length)
-            response = await self.handle_line(body.decode(
-                "utf-8", errors="replace"))
+            async with self._gate:
+                response = await self._process_line_ungated(body.decode(
+                    "utf-8", errors="replace"))
             status = 200 if response.get("ok") else 422
             await _http_reply(writer, status, response)
             return
@@ -444,7 +455,7 @@ class SimulationService:
         loop = asyncio.get_running_loop()
         lock = asyncio.Lock()
         served = 0
-        tasks = []
+        pending: Set[asyncio.Future] = set()
 
         async def respond(text: str) -> None:
             try:
@@ -452,7 +463,7 @@ class SimulationService:
             finally:
                 self._gate.release()
             async with lock:
-                out_stream.write(json.dumps(response, sort_keys=True) + "\n")
+                out_stream.write(encode_response(response))
                 out_stream.flush()
 
         while True:
@@ -463,10 +474,25 @@ class SimulationService:
                 continue
             await self._gate.acquire()
             served += 1
-            tasks.append(asyncio.ensure_future(respond(line.strip())))
-        if tasks:
-            await asyncio.gather(*tasks)
+            _start(pending, respond(line.strip()))
+        if pending:
+            await asyncio.gather(*pending)
         return served
+
+
+def _start(pending: Set[asyncio.Future], coro) -> None:
+    """Run a response task, kept in ``pending`` until it finishes cleanly:
+    a long-lived connection holds its in-flight responses (at most
+    ``max_inflight``), never every one it has served.  A task that failed
+    stays, so the connection's closing gather still surfaces its error."""
+    task = asyncio.ensure_future(coro)
+    pending.add(task)
+
+    def forget(done: asyncio.Future) -> None:
+        if not done.cancelled() and done.exception() is None:
+            pending.discard(done)
+
+    task.add_done_callback(forget)
 
 
 async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
@@ -495,11 +521,39 @@ def _error_response(rid: object, type_: str, message: str,
     }
 
 
+def encode_response(response: Dict[str, object]) -> str:
+    """A response's wire line (JSONL, stdio, HTTP):
+    ``json.dumps(response, sort_keys=True)`` and a newline.
+
+    A report held as wire text (a ``str``, as the result cache stores it)
+    is spliced in where the envelope, encoded with ``null`` in its place,
+    has that ``null``.  The first ``"report": null`` is that placeholder:
+    the keys sorting before it (``cached``, ``id``, ``ok``) hold scalars,
+    and a JSON string cannot hold an unescaped quote."""
+    report = response.get("report")
+    if not isinstance(report, str):
+        return json.dumps(response, sort_keys=True) + "\n"
+    envelope = dict(response)
+    envelope["report"] = None
+    head, _, tail = json.dumps(envelope, sort_keys=True).partition(
+        '"report": null')
+    return head + '"report": ' + report + tail + "\n"
+
+
+def _decoded(response: Dict[str, object]) -> Dict[str, object]:
+    """An in-process caller's response: a report held as wire text is
+    decoded, so the dict equals ``json.loads`` of the wire line."""
+    report = response.get("report")
+    if isinstance(report, str):
+        response["report"] = json.loads(report)
+    return response
+
+
 async def _http_reply(writer: asyncio.StreamWriter, status: int,
                       doc: Dict[str, object]) -> None:
     reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                422: "Unprocessable Entity"}
-    body = (json.dumps(doc, sort_keys=True) + "\n").encode()
+    body = encode_response(doc).encode()
     head = (
         f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
         "Content-Type: application/json\r\n"

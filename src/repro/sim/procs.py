@@ -27,6 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Type
 
+from repro.sim.engine import raise_timeout
+
 
 class Syscall:
     """Base class for everything a process may yield."""
@@ -167,6 +169,12 @@ class Scheduler:
     def live(self) -> List[Process]:
         return [p for p in self.processes if not p.finished]
 
+    def stuck(self) -> List[str]:
+        """Each live process and what it waits on (timeout forensics)."""
+        return [f"{p.name}: blocked on {p.blocked_on!r}" if p.blocked
+                else f"{p.name}: ready at cycle {p.ready_at}"
+                for p in self.live()]
+
     def step(self) -> None:
         """Run one scheduler cycle."""
         ready = [
@@ -184,7 +192,9 @@ class Scheduler:
         """Run until all processes finish.  Returns the final cycle count.
 
         Raises :class:`SchedulerDeadlock` when every live process is blocked
-        and nothing is scheduled to wake, and RuntimeError on cycle overrun.
+        and nothing is scheduled to wake, and
+        :class:`~repro.sim.engine.SimulationTimeout` at exactly
+        ``start + max_cycles``, naming each live process (:meth:`stuck`).
         """
         limit = max_cycles if max_cycles is not None else self.max_cycles
         start = self.cycle
@@ -195,5 +205,5 @@ class Scheduler:
             if all(p.ready_at is None for p in live):
                 raise SchedulerDeadlock([p for p in live if p.blocked])
             if self.cycle - start >= limit:
-                raise RuntimeError(f"scheduler exceeded {limit} cycles without finishing")
+                raise_timeout("scheduler", self.cycle, limit, self.stuck())
             self.step()

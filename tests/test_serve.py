@@ -535,6 +535,52 @@ class TestFraming:
         assert unhandled == []
 
 
+def _response_tasks():
+    """Every response task still reachable, finished or not."""
+    import gc
+
+    gc.collect()
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, asyncio.Task)
+            and obj.get_coro().__qualname__.endswith("_respond_gated")]
+
+
+class TestConnectionMemory:
+    def test_a_long_connection_keeps_only_pending_response_tasks(self, pool):
+        """A connection holds its in-flight responses, not every response
+        it has served: after 2000 requests on one open connection at most
+        ``max_inflight`` response tasks are left."""
+        n_requests, max_inflight = 2000, 8
+
+        async def scenario():
+            service = SimulationService(pool=pool, max_inflight=max_inflight)
+            server = await service.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=1 << 24)
+            try:
+                writer.write(b"".join(
+                    (json.dumps({"id": f"r{i}", "system": "cfm",
+                                 "params": dict(CFM_PARAMS)}) + "\n").encode()
+                    for i in range(n_requests)))
+                answered = 0
+                for _ in range(n_requests):
+                    line = await asyncio.wait_for(reader.readline(), 60)
+                    answered += bool(json.loads(line)["ok"])
+                retained = len(_response_tasks())  # connection still open
+            finally:
+                writer.close()
+                await asyncio.sleep(0.05)
+                server.close()
+                await server.wait_closed()
+            return answered, retained, service.cache.hits
+
+        answered, retained, hits = asyncio.run(scenario())
+        assert answered == n_requests
+        assert hits >= n_requests - max_inflight  # the rest are cache hits
+        assert retained <= max_inflight
+
+
 # --------------------------------------------------------------------------
 # CLI stdio mode (subprocess: the full `repro serve` surface)
 

@@ -4,7 +4,8 @@ The serving cache's contract (``repro.serve.cache`` + service wiring):
 
 1. **Hit ≡ fresh run** — a cache hit's report is bit-identical (post JSON
    round-trip) to :func:`repro.obs.bench.run_spec` run serially, across
-   every engine the client can pin;
+   every engine the client can pin, and a hit's wire line is pinned byte
+   for byte;
 2. **Eviction is deterministic** — bounded LRU, least-recently-used out
    first, refreshed by hits;
 3. **Fault-injected, failed, and malformed requests never populate it**;
@@ -80,45 +81,48 @@ class TestContentAddressing:
 
 
 class TestResultCacheLRU:
+    """Entries are a report's wire text; the cache never parses them."""
+
     def test_hit_miss_counters_and_roundtrip(self):
         cache = ResultCache(max_entries=4)
         assert cache.get("k1") is None
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.put("k1", {"value": [1, 2, 3]})
-        assert cache.get("k1") == {"value": [1, 2, 3]}
+        cache.put("k1", '{"value": [1, 2, 3]}')
+        assert cache.get("k1") == '{"value": [1, 2, 3]}'
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_hit_returns_a_fresh_object_every_time(self):
+    def test_hit_returns_the_stored_text_unchanged(self):
         cache = ResultCache(max_entries=4)
-        cache.put("k", {"nested": {"list": [1, 2]}})
-        first = cache.get("k")
-        first["nested"]["list"].append(99)  # caller mutates its copy
-        assert cache.get("k") == {"nested": {"list": [1, 2]}}
+        text = '{"nested": {"list": [1, 2]}}'
+        cache.put("k", text)
+        # A str is immutable: no caller can change the entry in place.
+        assert cache.get("k") is text
+        assert cache.get("k") == '{"nested": {"list": [1, 2]}}'
 
     def test_eviction_is_deterministic_lru(self):
         cache = ResultCache(max_entries=2)
-        cache.put("a", {"r": "a"})
-        cache.put("b", {"r": "b"})
-        assert cache.put("c", {"r": "c"}) == 1  # a (oldest) evicted
+        cache.put("a", '{"r": "a"}')
+        cache.put("b", '{"r": "b"}')
+        assert cache.put("c", '{"r": "c"}') == 1  # a (oldest) evicted
         assert cache.get("a") is None
-        assert cache.get("b") == {"r": "b"}  # refreshes b over c
-        assert cache.put("d", {"r": "d"}) == 1  # c evicted, not b
+        assert cache.get("b") == '{"r": "b"}'  # refreshes b over c
+        assert cache.put("d", '{"r": "d"}') == 1  # c evicted, not b
         assert cache.get("c") is None
-        assert cache.get("b") == {"r": "b"}
+        assert cache.get("b") == '{"r": "b"}'
         assert cache.evictions == 2
 
     def test_put_refreshes_recency(self):
         cache = ResultCache(max_entries=2)
-        cache.put("a", {"r": 1})
-        cache.put("b", {"r": 2})
-        cache.put("a", {"r": 3})  # rewrite refreshes a
-        cache.put("c", {"r": 4})  # b is now LRU
+        cache.put("a", '{"r": 1}')
+        cache.put("b", '{"r": 2}')
+        cache.put("a", '{"r": 3}')  # rewrite refreshes a
+        cache.put("c", '{"r": 4}')  # b is now LRU
         assert cache.get("b") is None
-        assert cache.get("a") == {"r": 3}
+        assert cache.get("a") == '{"r": 3}'
 
     def test_zero_entries_disables_the_cache(self):
         cache = ResultCache(max_entries=0)
-        assert cache.put("k", {"r": 1}) == 0
+        assert cache.put("k", '{"r": 1}') == 0
         assert cache.get("k") is None
         assert len(cache) == 0
 
@@ -128,7 +132,7 @@ class TestResultCacheLRU:
 
     def test_stats_document(self):
         cache = ResultCache(max_entries=2)
-        cache.put("a", {"r": 1})
+        cache.put("a", '{"r": 1}')
         cache.get("a")
         cache.get("zzz")
         assert cache.stats() == {"hits": 1, "misses": 1, "evictions": 0,
@@ -300,3 +304,290 @@ class TestCacheAccounting:
         assert snap["batch"]["pending"] == 0
         assert snap["service"]["serve.batch.size"]["n"] == 1
         assert snap["service"]["serve.cache"]["counts"]["hits"] == 1
+
+
+# --------------------------------------------------------------------------
+# The wire: each report is encoded once, and a hit splices that text
+
+
+#: Specs whose cache-hit lines are pinned: cfm at every warm shape (4,1)
+#: .. (32,8), one engine-pinned cfm spec, and one spec per coherence layer.
+GOLDEN_SPECS = {
+    "cfm-4x1": {"system": "cfm", "params": {
+        "n_procs": 4, "bank_cycle": 1, "cycles": 200}},
+    "cfm-8x2": {"system": "cfm", "params": {
+        "n_procs": 4, "bank_cycle": 2, "cycles": 200}},
+    "cfm-16x4": {"system": "cfm", "params": {
+        "n_procs": 4, "bank_cycle": 4, "cycles": 200}},
+    "cfm-32x8": {"system": "cfm", "params": {
+        "n_procs": 4, "bank_cycle": 8, "cycles": 200}},
+    "cfm-8x2-reference": {"system": "cfm", "params": {
+        "n_procs": 4, "bank_cycle": 2, "cycles": 200, "engine": "reference"}},
+    "cache": {"system": "cache", "params": {
+        "n_procs": 4, "rounds": 2, "seed": 1}},
+    "hierarchy": {"system": "hierarchy", "params": {
+        "n_clusters": 2, "procs_per_cluster": 2, "rounds": 2, "seed": 1}},
+}
+
+#: sha256 of each spec's JSONL cache-hit line (request id ``<name>-hit``,
+#: tenant ``golden``, two shards), recorded when a hit still decoded the
+#: stored report and re-encoded the whole response.  A hit's line is
+#: deterministic: ``wall_ms`` is 0.0 and it carries no ``worker`` field.
+GOLDEN_HIT_SHA256 = {
+    "cfm-4x1":
+        "aef93b88e06237827ad9b4d7a8ec8408a4a4d82c335ba6786a21177028d79ffa",
+    "cfm-8x2":
+        "7e205184aac75fe0454d160ea24991196de6ed779609a31fb68afe712350f9e1",
+    "cfm-16x4":
+        "eacd981626070de11751d4d3059e43fa04969441ba6cada3ee8d967f9c0a32e1",
+    "cfm-32x8":
+        "2ba46a6144042f988b36dee281f59873b9e5aaacca097e99de0c259baf795902",
+    "cfm-8x2-reference":
+        "ecb40cbc67fc7768b419ff668eeeb31727ebe87e8a63379fe871903cc5c8bb88",
+    "cache":
+        "150b65745364e0fa053c006f9cd10109bf1222ff4552845105b4aca9e6ce31cb",
+    "hierarchy":
+        "da866a1cc30dd8ce06711a5557cbd558a4806f56596e3f22f87aa76574b005d3",
+}
+
+
+def _line(request):
+    return (json.dumps(request) + "\n").encode()
+
+
+def _canonical_line(line):
+    """The bytes ``json.dumps(response, sort_keys=True)`` gives for the
+    response a wire line decodes to: what every line must equal."""
+    return (json.dumps(json.loads(line), sort_keys=True) + "\n").encode()
+
+
+async def _jsonl(service, lines):
+    """Send each line over one TCP connection, awaiting its response
+    before the next (so a repeated spec is a hit); returns the raw
+    response lines."""
+    server = await service.start("127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port,
+                                                   limit=1 << 24)
+    responses = []
+    try:
+        for line in lines:
+            writer.write(line)
+            await writer.drain()
+            responses.append(await asyncio.wait_for(reader.readline(), 60))
+    finally:
+        writer.close()
+        await asyncio.sleep(0.05)  # let the connection handler return
+        server.close()
+        await server.wait_closed()
+    return responses
+
+
+def _string_keys_only(doc):
+    if isinstance(doc, dict):
+        return all(isinstance(k, str) and _string_keys_only(v)
+                   for k, v in doc.items())
+    if isinstance(doc, (list, tuple)):
+        return all(_string_keys_only(v) for v in doc)
+    return True
+
+
+class _CountingJson:
+    """Stands in for a module's ``json``: records every call's argument."""
+
+    def __init__(self):
+        self.loads_args = []
+        self.dumps_args = []
+
+    def loads(self, text, **kw):
+        self.loads_args.append(text)
+        return json.loads(text, **kw)
+
+    def dumps(self, obj, **kw):
+        self.dumps_args.append(obj)
+        return json.dumps(obj, **kw)
+
+
+class TestWireEncoding:
+    def test_hit_lines_match_the_pinned_bytes(self, pool):
+        import hashlib
+
+        lines = []
+        for name, spec in GOLDEN_SPECS.items():
+            lines.append(_line({"id": f"{name}-miss", "tenant": "golden",
+                                **spec}))
+            lines.append(_line({"id": f"{name}-hit", "tenant": "golden",
+                                **spec}))
+        service = _service(pool, cache_size=16)
+        responses = asyncio.run(_jsonl(service, lines))
+        hits = dict(zip(GOLDEN_SPECS, responses[1::2]))
+        for name, line in hits.items():
+            assert json.loads(line)["cached"] is True, name
+            assert (hashlib.sha256(line).hexdigest()
+                    == GOLDEN_HIT_SHA256[name]), (name, line[:200])
+
+    @pytest.mark.parametrize("spec", [
+        *GOLDEN_SPECS.values(),
+        *({"system": "cfm", "params": {"n_procs": 4, "bank_cycle": 2,
+                                       "cycles": 120, "engine": engine}}
+          for engine in ("batch", "vectorized", "stacked")),
+        {"system": "cache", "params": {"n_procs": 4, "rounds": 2,
+                                       "workload": "private"}},
+        {"system": "hierarchy", "params": {
+            "n_clusters": 2, "procs_per_cluster": 2, "rounds": 2,
+            "workload": "global"}},
+    ], ids=lambda spec: f"{spec['system']}-"
+                        f"{spec['params'].get('engine') or ''}"
+                        f"{spec['params'].get('workload') or ''}")
+    def test_reports_have_string_keys_only(self, spec):
+        """Encoding a report once with sorted keys equals decoding its
+        compact encoding and encoding that again only when every key is
+        a string (an int key would sort numerically before and as text
+        after)."""
+        from repro.obs.bench import run_spec
+
+        report = run_spec(spec)
+        assert _string_keys_only(report)
+        once = json.dumps(report, sort_keys=True)
+        compact = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        assert once == json.dumps(json.loads(compact), sort_keys=True)
+
+    def test_every_jsonl_line_is_its_sorted_encoding(self, pool):
+        spec = {"system": "cfm", "params": dict(CFM_PARAMS)}
+        lines = [
+            _line({"id": "miss", **spec}),
+            _line({"id": "hit", **spec}),
+            _line({"id": "faulted", **spec, "inject": {"events": [
+                {"kind": "bank_stuck", "start": 3, "duration": 2,
+                 "target": 1, "extra": 0}]}}),
+            _line({"id": "dead", **spec, "inject": dict(DEAD_BANK_INJECT)}),
+            _line({"id": "bad", "system": "cfm",
+                   "params": {"frobnicate": 1}}),
+            b"{not json\n",
+            _line({"op": "ping", "id": "p"}),
+            _line({"op": "metrics", "id": "m"}),
+            _line({"op": "nope", "id": "n"}),
+        ]
+        service = _service(pool, cache_size=16)
+        responses = asyncio.run(_jsonl(service, lines))
+        docs = [json.loads(line) for line in responses]
+        assert "worker" in docs[0] and docs[1]["cached"] is True
+        assert docs[2]["ok"] is True and "report" in docs[2]  # uncacheable
+        assert [d["ok"] for d in docs[3:6]] == [False] * 3
+        assert docs[6]["op"] == "ping" and docs[7]["op"] == "metrics"
+        for line in responses:
+            assert line == _canonical_line(line), line[:200]
+
+    @pytest.mark.parametrize("exc", ["BrokenProcessPool", "RuntimeError"])
+    def test_pool_error_lines_are_their_sorted_encoding(self, pool, exc):
+        from concurrent.futures.process import BrokenProcessPool
+
+        service = _service(pool, cache_size=16)
+        error = {"BrokenProcessPool": BrokenProcessPool,
+                 "RuntimeError": RuntimeError}[exc]
+
+        async def failing(payload, shard=None):
+            raise error("the batch is lost")
+
+        service.batcher.submit = failing
+        (line,) = asyncio.run(_jsonl(service, [_line(
+            {"id": "x", "system": "cfm", "params": dict(CFM_PARAMS)})]))
+        assert json.loads(line)["error"]["type"] == exc
+        assert line == _canonical_line(line)
+
+    def test_stdio_lines_are_their_sorted_encoding(self, pool):
+        import io
+
+        spec = {"system": "cfm", "params": dict(CFM_PARAMS)}
+
+        async def scenario():
+            service = _service(pool, cache_size=16)
+            await service.process({"id": "warm", **spec})
+            requests = [json.dumps(r) for r in (
+                {"id": "hit", **spec},
+                {"id": "miss", "system": "cfm",
+                 "params": dict(CFM_PARAMS, cycles=150)},
+                {"id": "bad", "system": "no_such"},
+                {"op": "ping", "id": "p"},
+            )]
+            out = io.StringIO()
+            served = await service.serve_stdio(
+                io.StringIO("\n".join(requests) + "\n"), out)
+            return served, out.getvalue()
+
+        served, text = asyncio.run(scenario())
+        lines = [line.encode() for line in text.splitlines(keepends=True)]
+        assert served == len(lines) == 4
+        by_id = {json.loads(line)["id"]: json.loads(line) for line in lines}
+        assert by_id["hit"]["cached"] is True
+        assert "worker" in by_id["miss"]
+        for line in lines:
+            assert line == _canonical_line(line), line[:200]
+
+    def test_http_bodies_are_their_sorted_encoding(self, pool):
+        spec = {"system": "cfm", "params": dict(CFM_PARAMS)}
+
+        async def http(port, method, path, body=b""):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(f"{method} {path} HTTP/1.1\r\n"
+                         f"Content-Length: {len(body)}\r\n\r\n".encode()
+                         + body)
+            await writer.drain()
+            data = await asyncio.wait_for(reader.read(), 60)
+            writer.close()
+            head, _, payload = data.partition(b"\r\n\r\n")
+            return head.split(b" ")[1], payload
+
+        async def scenario():
+            service = _service(pool, cache_size=16)
+            server = await service.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                out = [await http(port, "POST", "/run", json.dumps(
+                    {"id": rid, **spec}).encode()) for rid in ("a", "b")]
+                out.append(await http(port, "POST", "/run",
+                                      b'{"id": "c", "system": "no_such"}'))
+                out.append(await http(port, "GET", "/metrics"))
+                out.append(await http(port, "GET", "/healthz"))
+                out.append(await http(port, "GET", "/nowhere"))
+                await asyncio.sleep(0.05)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return out
+
+        out = asyncio.run(scenario())
+        assert [status for status, _ in out] == [
+            b"200", b"200", b"422", b"200", b"200", b"404"]
+        assert "worker" in json.loads(out[0][1])
+        assert json.loads(out[1][1])["cached"] is True
+        for _, body in out:
+            assert body == _canonical_line(body), body[:200]
+
+    def test_a_hit_does_no_json_work_on_its_report(self, pool, monkeypatch):
+        import repro.serve.cache as cache_mod
+        import repro.serve.service as service_mod
+
+        spec = {"system": "cfm", "params": dict(CFM_PARAMS)}
+        counters = {}
+        for module in (service_mod, cache_mod):
+            counters[module.__name__] = _CountingJson()
+            monkeypatch.setattr(module, "json", counters[module.__name__])
+        miss_line = _line({"id": "miss", **spec})
+        hit_line = _line({"id": "hit", **spec})
+        service = _service(pool, cache_size=16)
+        miss, _ = asyncio.run(_jsonl(service, [miss_line, hit_line]))
+        report = json.loads(miss)["report"]
+        service_json = counters["repro.serve.service"]
+        cache_json = counters["repro.serve.cache"]
+        # Each line is decoded once; the one report encoding is the miss's.
+        assert service_json.loads_args == [miss_line.decode().strip(),
+                                           hit_line.decode().strip()]
+        assert cache_json.loads_args == []
+        encoded = [obj for obj in service_json.dumps_args + cache_json.dumps_args
+                   if _normalized(obj) == report]
+        assert len(encoded) == 1
+        for obj in service_json.dumps_args + cache_json.dumps_args:
+            if isinstance(obj, dict) and obj is not encoded[0]:
+                assert obj.get("report") is None
+                assert all(v != report for v in obj.values())

@@ -2,7 +2,8 @@
 
 Each driver that takes ``max_slots`` runs through
 :func:`repro.sim.engine.run_until` (or, for the two ``run_ops`` span
-loops, raises through :func:`repro.sim.engine.raise_timeout`).  Given a
+loops and the two cooperative-process loops that take ``max_cycles``,
+raises through :func:`repro.sim.engine.raise_timeout`).  Given a
 budget too small to finish, each must raise :class:`SimulationTimeout` at
 exactly ``start + max_slots``, naming what is wedged.  Every system idles
 a few slots first, so a boundary counted from slot 0 would show.
@@ -13,6 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.binding.cfm_backend import BindStep, CFMBindingSystem
+from repro.binding.distributed import DistributedBindingRuntime, RemoteBind
+from repro.binding.region import AccessType, Region
 from repro.cache.locks import CacheLockSystem, MultiLockSystem
 from repro.cache.protocol import CacheSystem
 from repro.core.cfm import AccessKind, CFMemory
@@ -22,6 +25,7 @@ from repro.core.multimodule import MultiModuleCFM
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
 from repro.network.partial import PartialCFSystem
 from repro.sim.engine import SimulationTimeout, all_settled
+from repro.sim.procs import Delay, Scheduler
 from repro.tracking.atomic import CFMDriver, ReadOperation
 from repro.tracking.locks import SpinLockSystem
 
@@ -118,6 +122,31 @@ def _multimodule():
     return lambda: mm.run_until_idle(max_slots=BUDGET), lambda: mm.slot
 
 
+def _scheduler():
+    sched = Scheduler()
+    for _ in range(WARM):
+        sched.step()
+
+    def sleeper():
+        yield Delay(100)
+
+    sched.spawn(sleeper(), "sleeper")
+    return lambda: sched.run(max_cycles=BUDGET), lambda: sched.cycle
+
+
+def _distributed():
+    runtime = DistributedBindingRuntime(2, hop_latency=4)
+    for _ in range(WARM):
+        runtime.sched.step()
+
+    def binder():
+        # The grant takes 2 hops (8 cycles): still in flight at the budget.
+        yield RemoteBind(Region("x")[0:4], AccessType.RW)
+
+    runtime.spawn(binder(), "binder")
+    return lambda: runtime.run(max_cycles=BUDGET), lambda: runtime.sched.cycle
+
+
 CASES = {
     "CFMemory.run_until_idle": _cfm,
     "CacheSystem.run_until": lambda: _cache(run_ops=False),
@@ -132,6 +161,8 @@ CASES = {
     "CFMBindingSystem.run": _binding,
     "ClusterSystem.run_until_done": _clusters,
     "MultiModuleCFM.run_until_idle": _multimodule,
+    "Scheduler.run": _scheduler,
+    "DistributedBindingRuntime.run": _distributed,
 }
 
 
