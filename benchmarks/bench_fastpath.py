@@ -7,7 +7,9 @@
   all run the one fast driver) on the large shapes, and the reference
   itself, hold speed floors.  A stack of 16 same-shape specs through
   :func:`repro.fastpath.stack.run_specs_stacked` must equal per-spec
-  serial ``run_spec``.
+  serial ``run_spec``.  A shape's first run in a fresh process costs
+  about what its second does (:func:`test_cold_start_ratio`): the
+  schedule is a formula, built in O(n), not a per-shape table.
 * **coherence** — the cache protocol under full load (proc-private
   offsets, every processor streaming loads and stores) through its one
   driver, :meth:`CacheSystem.run_ops`, which passes provably quiet
@@ -40,7 +42,11 @@ with their timing tables, through pytest::
 
 from __future__ import annotations
 
+import os
 import random
+import statistics
+import subprocess
+import sys
 import time
 from functools import partial
 from typing import List, Tuple
@@ -99,6 +105,16 @@ OBSERVED_SHAPE = (64, 16)
 OBSERVED_CYCLES = 20_000
 OBSERVED_PAIRS = 21
 MAX_OBSERVED_OVERHEAD = 1.75
+
+#: Cold start: in each of COLD_PROCESSES fresh processes, the first
+#: ``run_spec`` of COLD_SHAPE (engine ``batch``, COLD_CYCLES cycles) over
+#: the second; the median ratio must stay <= MAX_COLD_START_RATIO.  With
+#: the schedule materialised as b rows of n banks per shape the ratio
+#: read 2.55 on a 2-vCPU Xeon; built from its formula, 0.93.
+COLD_SHAPE = (128, 32)
+COLD_CYCLES = 20_000
+COLD_PROCESSES = 5
+MAX_COLD_START_RATIO = 1.3
 
 #: Stacked specs: STACK_WIDTH identical STACK_SHAPE bench specs.
 STACK_SHAPE = (64, 16)
@@ -446,3 +462,57 @@ def test_stack_bit_identity():
              for _ in range(STACK_WIDTH)]
     assert run_specs_stacked(specs) == [run_spec(spec) for spec in specs]
 
+
+# --------------------------------------------------------------------------
+# Cold start: a shape's first run costs what its second does
+
+
+#: Child process: warm the imports on a small shape, then time the first
+#: and second run of the gated spec; prints first over second.
+_COLD_START_CHILD = """
+import sys, time
+from repro.obs.bench import run_spec
+n_procs, bank_cycle, cycles = map(int, sys.argv[1:4])
+run_spec({"system": "cfm", "params": {
+    "n_procs": 4, "bank_cycle": 1, "cycles": 16, "engine": "batch"}})
+spec = {"system": "cfm", "params": {"n_procs": n_procs,
+        "bank_cycle": bank_cycle, "cycles": cycles, "engine": "batch"}}
+seconds = []
+for _ in range(2):
+    t0 = time.perf_counter()
+    run_spec(spec)
+    seconds.append(time.perf_counter() - t0)
+print(seconds[0] / seconds[1])
+"""
+
+
+def _cold_start_ratio() -> float:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    n_procs, bank_cycle = COLD_SHAPE
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START_CHILD, str(n_procs),
+         str(bank_cycle), str(COLD_CYCLES)],
+        capture_output=True, text=True, timeout=120, env=env, cwd=root,
+        check=True)
+    return float(proc.stdout.split()[-1])
+
+
+def test_cold_start_ratio():
+    """A fresh process's first ``COLD_SHAPE`` run costs at most
+    MAX_COLD_START_RATIO times its second, as the median over
+    COLD_PROCESSES processes."""
+    ratios = [_cold_start_ratio() for _ in range(COLD_PROCESSES)]
+    ratio = statistics.median(ratios)
+    emit_gate_table(
+        f"CFM cold start: first over second run_spec in a fresh process "
+        f"({COLD_CYCLES} cycles, engine=batch, median of {COLD_PROCESSES})",
+        ["shape (n, c)", "ratios", "median"],
+        [(f"{COLD_SHAPE}", " ".join(f"{r:.2f}" for r in ratios),
+          f"{ratio:.2f}x")],
+    )
+    assert ratio <= MAX_COLD_START_RATIO, (
+        f"first {COLD_SHAPE} run {ratio:.2f}x the second, need <= "
+        f"{MAX_COLD_START_RATIO}x"
+    )

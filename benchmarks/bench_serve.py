@@ -3,9 +3,9 @@
 Three same-run gates on ``repro.serve``:
 
 1. **warm vs fresh**: a persistent worker pool sharded by machine shape —
-   every worker pre-warmed with exactly the AT-space tables of the shapes
-   it owns — serves a mixed-shape request stream at >= 2x the throughput
-   of standing up a fresh worker pool for every request.
+   each worker forked once and kept, its imports done after its first
+   request — serves a mixed-shape request stream at >= 2x the throughput
+   of standing up a fresh worker process for every request.
 2. **batched vs per-request**: under >= 32 concurrent same-shape requests
    (heavy traffic with duplicates in flight, the regime the continuous
    batcher exists for), micro-batched dispatch through the full service
@@ -45,9 +45,9 @@ from benchmarks._timing import best_of, emit_gate_table
 from repro.obs.bench import run_spec
 from repro.serve.pool import ShardedWorkerPool, serve_worker
 from repro.serve.service import SimulationService
-from repro.serve.shard import DEFAULT_WARM_SHAPES
 
-QUICK_SHAPES: Tuple[Tuple[int, int], ...] = DEFAULT_WARM_SHAPES
+#: The Table 3.3 working set of ``(n_banks, bank_cycle)`` shapes.
+QUICK_SHAPES: Tuple[Tuple[int, int], ...] = ((4, 1), (8, 2), (16, 4), (32, 8))
 N_SHARDS = 2
 CYCLES = 200
 MIN_SPEEDUP = 2.0
@@ -67,7 +67,7 @@ MIN_BATCH_SPEEDUP = 2.0
 #: requests run the same driver with a metrics registry attached.
 MIN_STACKED_RATIO = 1.0
 
-#: Round-trip gate: distinct unpinned cfm specs of one warm shape
+#: Round-trip gate: distinct unpinned cfm specs of one shape
 #: (``n_procs`` 4, ``bank_cycle`` 4), about 30-40 ms of compute in all.
 #: The ceiling is set midway between ten clean runs (0.99-1.14) and ten
 #: with ``serve_worker_batch`` slowed 2x (1.99-2.46) on a 2-vCPU Xeon.
@@ -79,7 +79,7 @@ MAX_ROUND_TRIP_RATIO = 1.56
 def _payloads(n_requests: int,
               shapes: Tuple[Tuple[int, int], ...] = QUICK_SHAPES,
               cycles: int = CYCLES) -> List[Dict[str, object]]:
-    """A mixed-shape request stream: round-robin over the warm shapes."""
+    """A mixed-shape request stream: round-robin over ``shapes``."""
     out = []
     for i in range(n_requests):
         n_banks, bank_cycle = shapes[i % len(shapes)]
@@ -115,21 +115,9 @@ def _assert_identical_to_serial(reports: List[Dict[str, object]],
         )
 
 
-def _cold_caches() -> None:
-    """Baseline executor initializer: start genuinely cold.
-
-    Linux executors fork, so a 'fresh' worker inherits the parent's warm
-    ``lru_cache`` tables — clearing them keeps the baseline honest."""
-    from repro.fastpath import tables
-
-    tables.slot_bank_table.cache_clear()
-    tables.bank_orders.cache_clear()
-    tables.shift_permutations.cache_clear()
-
-
 def measure_warm(pool: ShardedWorkerPool, payloads: List[Dict[str, object]]
                  ) -> Tuple[float, List[Dict[str, object]]]:
-    """Seconds + reports to serve ``payloads`` through a warm pool."""
+    """Seconds + reports to serve ``payloads`` through a persistent pool."""
     t0 = time.perf_counter()
     futures = []
     for p in payloads:
@@ -141,12 +129,12 @@ def measure_warm(pool: ShardedWorkerPool, payloads: List[Dict[str, object]]
 
 def measure_fresh(payloads: List[Dict[str, object]]
                   ) -> Tuple[float, List[Dict[str, object]]]:
-    """Seconds + reports to serve ``payloads`` standing up one cold
+    """Seconds + reports to serve ``payloads`` standing up one fresh
     executor per request."""
     results = []
     t0 = time.perf_counter()
     for payload in payloads:
-        with ProcessPoolExecutor(1, initializer=_cold_caches) as executor:
+        with ProcessPoolExecutor(1) as executor:
             results.append(executor.submit(serve_worker,
                                            dict(payload)).result())
     return time.perf_counter() - t0, _reports(results)

@@ -17,7 +17,7 @@ Analytic artifacts print instantly; simulated ones (figures 2.1, 3.13,
 ``bench`` writes one machine-readable ``BENCH_<name>.json`` per benchmark
 (see :mod:`repro.obs.bench` for the schema).  ``serve`` runs the sharded
 async simulation service (:mod:`repro.serve`): JSONL requests in, streamed
-responses out, with warm per-shard table caches and bounded in-flight
+responses out, with persistent per-shard workers and bounded in-flight
 depth.
 
 Unknown table/figure/bench IDs exit with status 2 and the list of valid
@@ -405,30 +405,12 @@ def _cmd_bench(args) -> int:
     return status
 
 
-def _parse_shapes(texts):
-    """``"8x2"``-style shape args → ``(n_banks, bank_cycle)`` tuples."""
-    shapes = []
-    for text in texts:
-        try:
-            b, _, c = text.lower().partition("x")
-            shapes.append((int(b), int(c or 1)))
-        except ValueError:
-            raise SystemExit(
-                f"error: bad shape {text!r} (want BANKSxCYCLE, e.g. 8x2)"
-            )
-    return shapes
-
-
 def _cmd_serve(args) -> int:
     import asyncio
     import json as _json
     import signal
 
     from repro.serve.service import SimulationService
-    from repro.serve.shard import DEFAULT_WARM_SHAPES
-
-    warm = (_parse_shapes(args.warm) if args.warm
-            else list(DEFAULT_WARM_SHAPES))
 
     async def _shutdown(service) -> None:
         """Drain in-flight work, flush final metrics, close pools cleanly."""
@@ -443,7 +425,7 @@ def _cmd_serve(args) -> int:
 
     async def _run() -> int:
         service = SimulationService(
-            n_shards=args.shards, max_inflight=args.depth, warm_shapes=warm,
+            n_shards=args.shards, max_inflight=args.depth,
             max_batch=args.max_batch, cache_size=args.cache_size,
         )
         clean = False
@@ -469,8 +451,7 @@ def _cmd_serve(args) -> int:
             host, port = server.sockets[0].getsockname()[:2]
             print(f"serving JSONL+HTTP on {host}:{port} "
                   f"(shards={args.shards}, depth={args.depth}, "
-                  f"max_batch={args.max_batch}, cache={args.cache_size}, "
-                  f"warm={' '.join(f'{b}x{c}' for b, c in warm)})",
+                  f"max_batch={args.max_batch}, cache={args.cache_size})",
                   file=sys.stderr, flush=True)
             await stop.wait()
             # Graceful: stop accepting, drain, flush metrics, close pools.
@@ -566,7 +547,8 @@ def main(argv=None) -> int:
     )
     p_serve.add_argument(
         "--shards", type=int, default=2, metavar="N",
-        help="worker shards — one warm process each (default: %(default)s)",
+        help="worker shards — one persistent process each, requests "
+        "routed by machine shape (default: %(default)s)",
     )
     p_serve.add_argument(
         "--depth", type=int, default=32, metavar="M",
@@ -588,11 +570,6 @@ def main(argv=None) -> int:
     p_serve.add_argument(
         "--stdio", action="store_true",
         help="serve JSONL over stdin/stdout instead of TCP (exit on EOF)",
-    )
-    p_serve.add_argument(
-        "--warm", nargs="*", metavar="BxC", default=None,
-        help="machine shapes to pre-warm, e.g. 8x2 16x4 "
-        "(default: the Table 3.3 working set)",
     )
     args = parser.parse_args(argv)
 

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.block import Block, Word
 from repro.core.config import CFMConfig
 from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
-from repro.fastpath.tables import bank_orders, slot_bank_table
+from repro.fastpath.tables import at_schedule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
 from repro.sim.criticality import parse_tier, rank_of
@@ -292,15 +292,14 @@ class CFMemory:
         # one span (see _advance_span); valid while _memo_stamp matches.
         self._read_memo: Dict[int, Dict[int, Word]] = {}
         self._memo_stamp = 0
-        # The whole AT-space schedule, precomputed once per (b, c) shape:
-        # _table[slot % b][proc] is the bank proc addresses at that slot,
-        # _ring[first:first + k] the first k banks of the wrap-around
-        # visit sequence from bank `first`.  Building the table also
-        # statically proves the schedule conflict-free (every row
-        # injective), which is what lets run_batch() drop the per-visit
-        # conflict dictionary.
-        self._table = slot_bank_table(config.banks_per_module, config.bank_cycle)
-        self._ring = bank_orders(config.banks_per_module)
+        # The AT-space schedule as its formula: proc addresses bank
+        # _ring[slot % _period + _offsets[proc]] at a slot, and (healthy)
+        # _ring[first:first + k] is the first k banks of the wrap-around
+        # visit sequence from bank `first`.  Building it statically proves
+        # the schedule conflict-free, which is what lets run_batch() drop
+        # the per-visit conflict dictionary.
+        self._ring, self._period, self._offsets = at_schedule(
+            config.banks_per_module, config.bank_cycle)
         self.banks: List[Dict[int, Word]] = [dict() for _ in range(config.n_banks)]
         #: Active accesses, kept sorted by processor — the deterministic
         #: arbitration order — so tick() never re-sorts.
@@ -421,7 +420,7 @@ class CFMemory:
         AT-space partition)."""
         if not 0 <= proc < self.cfg.n_procs:
             raise ValueError(f"proc {proc} out of range [0, {self.cfg.n_procs})")
-        if proc >= len(self._table[0]):
+        if proc >= len(self._offsets):
             raise ValueError(
                 f"proc {proc} out of range for a module serving "
                 f"{self.cfg.procs_per_module_slot} processors"
@@ -674,9 +673,11 @@ class CFMemory:
             hold_end = slot + cycle - 1
         else:
             util_busy = None
-        # The precomputed AT-space row for this slot replaces per-visit
-        # modular arithmetic (table lookups, no method dispatch).
-        row = self._table[slot % len(self._table)]
+        # This slot's phase along the schedule ring: each visit's bank is
+        # one add and one index away.
+        phase = slot % self._period
+        ring = self._ring
+        offsets = self._offsets
         banks = self.banks
         n_banks = self.cfg.n_banks
         # The degraded schedule cannot switch mid-slot: degrade_bank
@@ -696,7 +697,7 @@ class CFMemory:
                 continue
             if self.controller is not ctrl:
                 ctrl, on_start, on_bank = self._hooks()
-            bank = row[acc.proc]
+            bank = ring[phase + offsets[acc.proc]]
             if util_busy is not None:
                 # Credit this visit's hold [slot, slot + c - 1] minus any
                 # overlap with the bank's previous hold (only the degraded
@@ -806,7 +807,7 @@ class CFMemory:
         schedule exists (``c = 1``), when accesses are in flight, or when
         the module is already degraded.
         """
-        from repro.faults.degrade import degraded_slot_bank_table, shadow_bank_for
+        from repro.faults.degrade import shadow_bank_for
         from repro.faults.errors import DegradedModeError
 
         if self._dead_bank is not None:
@@ -823,9 +824,8 @@ class CFMemory:
             )
         # May itself raise DegradedModeError: with c = 1 all b processors
         # cannot share b-1 surviving banks conflict-free.
-        self._table = degraded_slot_bank_table(
-            self.cfg.banks_per_module, self.cfg.bank_cycle, dead_bank
-        )
+        self._ring, self._period, self._offsets = at_schedule(
+            self.cfg.banks_per_module, self.cfg.bank_cycle, dead_bank)
         self._dead_bank = dead_bank
         self._shadow_bank = shadow_bank_for(self.n_banks, dead_bank)
         if self.faults is not None:
@@ -872,10 +872,10 @@ class CFMemory:
         * **idle-slot skipping** — with nothing in flight the slot counter
           leaps straight to the end;
         * **epoch batching** — an undisturbed access is a straight walk
-          along a precomputed bank order, so every active access is run
-          forward to the earliest completion slot in one pass
+          along the bank ring, so every active access is run forward to
+          the earliest completion slot in one pass
           (:meth:`_advance_span`; conflict checks are subsumed by the
-          static row-injectivity proof of the table itself);
+          static conflict-freedom proof of the schedule itself);
         * **completion-slot scheduling** — finish callbacks fire exactly
           at their slot-accurate times, in processor order, so chained
           re-issues land on the same slots as under :meth:`tick`.
@@ -953,16 +953,17 @@ class CFMemory:
         With a registry attached, each access credits its visits' holds
         to ``cfm.bank[k].util`` in O(1) (see :meth:`_settle_util`): every
         access walks the whole span along one ring range of banks, and
-        visits to one bank are at least c slots apart (every table row
-        is injective and b = n·c), so each visit holds its bank for c
-        slots of its own.  Only the visits of the span's last c slots
+        visits to one bank are at least c slots apart (every slot's
+        schedule row is injective and b = n·c), so each visit holds its
+        bank for c slots of its own.  Only the visits of the span's last c slots
         hold past the slot before ``target``, where finish callbacks read;
         where their holds end is kept pending (:meth:`_flush_util_tail`).
         """
         slot = self.slot
         active = self.active
         n_banks = self.cfg.banks_per_module
-        row = self._table[slot % n_banks]
+        phase = slot % n_banks
+        offsets = self._offsets
         span = target - slot + 1
         if self.metrics is not None:
             ranges = self._util_ranges
@@ -984,7 +985,7 @@ class CFMemory:
         # active cannot mutate inside this loop (callbacks only fire from
         # _finish below), so no snapshot copy is needed.
         for acc in active:
-            first = row[acc.proc]
+            first = ring[phase + offsets[acc.proc]]
             done = acc.words_done
             if not done:
                 acc.first_bank = first

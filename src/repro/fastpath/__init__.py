@@ -2,9 +2,9 @@
 
 The paper's central observation — the CFM schedule is *statically
 determined* (at slot *t* processor *p* touches bank ``(t + c·p) mod b``,
-§3.1, Table 3.1) — means every per-slot modular computation the simulators
-perform can be replaced by a table lookup computed once per ``(b, c)``
-shape.  This package holds those tables plus the parallel bench runner;
+§3.1, Table 3.1) — means a whole run's schedule is a formula, proven
+conflict-free once per ``(b, c)`` shape in O(n).  This package holds that
+formula (:mod:`repro.fastpath.tables`) plus the parallel bench runner;
 the slot-skipping fast paths live on the components themselves
 (:meth:`repro.core.cfm.CFMemory.run_batch` and the ``run_ops`` span loops
 of :class:`repro.cache.protocol.CacheSystem` and
@@ -39,14 +39,7 @@ from repro.fastpath.engine import (
     supported_layers,
 )
 from repro.fastpath.parallel import derive_seed, map_specs, sweep
-from repro.fastpath.tables import (
-    TABLE_CACHE_SIZE,
-    assert_conflict_free,
-    bank_orders,
-    shift_permutations,
-    slot_bank_table,
-    warm_tables,
-)
+from repro.fastpath.tables import Schedule, at_schedule, bank_orders
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -55,16 +48,13 @@ __all__ = [
     "ENGINE_STACKED",
     "ENGINE_VECTORIZED",
     "ENGINES",
-    "TABLE_CACHE_SIZE",
-    "assert_conflict_free",
+    "Schedule",
+    "at_schedule",
     "bank_orders",
     "derive_seed",
     "engine_available",
     "map_specs",
     "resolve_engine",
     "supported_layers",
-    "shift_permutations",
-    "slot_bank_table",
     "sweep",
-    "warm_tables",
 ]

@@ -26,11 +26,7 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
 from repro.faults.inject import FaultInjector
-from repro.faults.degrade import (
-    assert_degraded_conflict_free,
-    degraded_slot_bank_table,
-    shadow_bank_for,
-)
+from repro.faults.degrade import shadow_bank_for
 from repro.faults.recovery import RecoveringOp, RetryPolicy, run_with_recovery
 
 __all__ = [
@@ -48,7 +44,5 @@ __all__ = [
     "RetryPolicy",
     "RecoveringOp",
     "run_with_recovery",
-    "degraded_slot_bank_table",
     "shadow_bank_for",
-    "assert_degraded_conflict_free",
 ]

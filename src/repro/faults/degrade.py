@@ -8,63 +8,19 @@ al.), executed at AT-schedule granularity: block width stays ``b``, one
 physical port does double duty, and an access completes after ``b - 1``
 bank visits plus the usual ``c - 1`` drain.
 
-The guarantee is re-proven, not assumed: :func:`degraded_slot_bank_table`
-builds the full degraded period and checks every row injective — the same
-static proof :func:`repro.fastpath.tables.slot_bank_table` performs for the
-healthy schedule.  Shapes that cannot satisfy it (``c = 1``: ``n = b``
-processors cannot share ``b - 1`` banks conflict-free) raise a typed
-:class:`repro.faults.errors.DegradedModeError` instead of degrading into a
-schedule that would conflict.
+The degraded schedule is the healthy formula over the survivors:
+processor ``p`` addresses ``surviving[(t + c·p) mod (b - 1)]`` at slot
+``t``.  :func:`repro.fastpath.tables.at_schedule` builds it with
+``dead_bank`` set and re-proves it conflict-free with the same O(n)
+row-0 check as the healthy schedule.  Shapes that cannot satisfy it
+(``c = 1``: ``n = b`` processors cannot share ``b - 1`` banks
+conflict-free) raise a typed :class:`repro.faults.errors.DegradedModeError`
+instead of degrading into a schedule that would conflict.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Tuple
-
-from repro.fastpath.tables import TABLE_CACHE_SIZE
 from repro.faults.errors import DegradedModeError
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def degraded_slot_bank_table(
-    n_banks: int, bank_cycle: int, dead_bank: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """The period-``b-1`` AT schedule over the surviving banks.
-
-    ``table[t % (b-1)][p]`` is the *physical* surviving bank processor
-    ``p`` addresses at slot ``t``.  Row injectivity is checked on
-    construction (the degraded conflict-freedom proof); a shape with more
-    processors than surviving banks raises :class:`DegradedModeError`.
-    """
-    if not 0 <= dead_bank < n_banks:
-        raise ValueError(f"dead bank {dead_bank} out of range [0, {n_banks})")
-    if n_banks % bank_cycle != 0:
-        raise ValueError(
-            f"{n_banks} banks do not divide into cycle-{bank_cycle} slots"
-        )
-    n_procs = n_banks // bank_cycle
-    survivors = n_banks - 1
-    if n_procs > survivors:
-        raise DegradedModeError(
-            f"cannot degrade (b={n_banks}, c={bank_cycle}): {n_procs} "
-            f"processors cannot share {survivors} surviving banks "
-            f"conflict-free — no row-injective b-1 schedule exists"
-        )
-    surviving = tuple(k for k in range(n_banks) if k != dead_bank)
-    table = tuple(
-        tuple(surviving[(phase + bank_cycle * proc) % survivors]
-              for proc in range(n_procs))
-        for phase in range(survivors)
-    )
-    for phase, row in enumerate(table):
-        if len(set(row)) != len(row):
-            raise DegradedModeError(
-                f"degraded schedule for (b={n_banks}, c={bank_cycle}, "
-                f"dead={dead_bank}) is not conflict-free at phase {phase}: "
-                f"{row}"
-            )
-    return table
 
 
 def shadow_bank_for(n_banks: int, dead_bank: int) -> int:
@@ -77,9 +33,3 @@ def shadow_bank_for(n_banks: int, dead_bank: int) -> int:
     if n_banks < 2:
         raise DegradedModeError("a 1-bank module cannot lose its only bank")
     return (dead_bank + 1) % n_banks
-
-
-def assert_degraded_conflict_free(n_banks: int, bank_cycle: int,
-                                  dead_bank: int) -> None:
-    """Re-prove the degraded schedule conflict-free (cached, per shape)."""
-    degraded_slot_bank_table(n_banks, bank_cycle, dead_bank)

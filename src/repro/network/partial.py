@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import CFMConfig
-from repro.fastpath.tables import shift_permutations
 from repro.network.omega import OmegaNetwork
 
 
@@ -147,13 +146,11 @@ class PartiallySynchronousOmega:
         """Bank within ``module`` the clock assigns ``proc`` at ``slot``.
 
         The clock-driven columns implement the per-module AT-space mapping
-        with the processor's contention-set index as its division; the
-        per-phase shift permutations are precomputed
-        (:func:`repro.fastpath.tables.shift_permutations`)."""
+        with the processor's contention-set index as its division: the
+        uniform shift ``(t + division) mod banks_per_module``."""
         division = self.contention_set(proc)
         bpm = self.banks_per_module
-        local = shift_permutations(bpm)[slot % bpm][division]
-        return module * bpm + local
+        return module * bpm + (slot + division) % bpm
 
     def header_fields(self) -> List[str]:
         """Which address fields a request message must carry (Fig 3.10)."""

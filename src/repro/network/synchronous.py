@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.fastpath.tables import shift_permutations
 from repro.network.omega import OmegaNetwork
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
@@ -34,8 +33,6 @@ class SynchronousOmegaNetwork:
         self.net = OmegaNetwork(n_ports)
         self.n_ports = n_ports
         self._states: Dict[int, List[List[int]]] = {}
-        # One period of slot permutations, precomputed (shared per N).
-        self._perms = shift_permutations(n_ports)
         self.probe = probe
         self.metrics = metrics
         #: Optional :class:`repro.faults.FaultInjector`: dropped links and
@@ -56,14 +53,15 @@ class SynchronousOmegaNetwork:
         return self.net.n_stages
 
     def target(self, input_port: int, slot: int) -> int:
-        """The slot-defined destination: (t + i) mod N (table lookup)."""
+        """The slot-defined destination: (t + i) mod N."""
         if not 0 <= input_port < self.n_ports:
             raise ValueError(f"input port {input_port} out of range")
-        return self._perms[slot % self.n_ports][input_port]
+        return (slot + input_port) % self.n_ports
 
     def permutation(self, slot: int) -> List[int]:
         """The full connection permutation active at ``slot``."""
-        return list(self._perms[slot % self.n_ports])
+        n = self.n_ports
+        return [(slot + i) % n for i in range(n)]
 
     def switch_states(self, slot: int) -> List[List[int]]:
         """states[column][switch] ∈ {0 straight, 1 interchange} at ``slot``.
@@ -85,12 +83,12 @@ class SynchronousOmegaNetwork:
 
         Contention is impossible by construction: the slot permutation is a
         bijection.  (Asserted anyway — the whole point of the design.)"""
-        row = self._perms[slot % self.n_ports]
+        n = self.n_ports
         faults = self.faults
         dropped = 0
         out: Dict[int, object] = {}
         for i, payload in payloads.items():
-            t = row[i]
+            t = (slot + i) % n
             if (
                 faults is not None
                 and faults.active
@@ -109,7 +107,7 @@ class SynchronousOmegaNetwork:
         if self.metrics is not None:
             used = set()
             for i in payloads:
-                for hop in self.net.route_path(i, row[i]):
+                for hop in self.net.route_path(i, (slot + i) % n):
                     used.add((hop.stage, hop.switch))
             for s in range(self.net.n_stages):
                 for w in range(self.net.switches_per_stage):

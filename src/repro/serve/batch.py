@@ -44,8 +44,9 @@ BatchKey = Tuple[str, Optional[Tuple[int, int]]]
 def batch_key(payload: Dict[str, object]) -> BatchKey:
     """The coalescing key: requests of one key share one worker batch.
 
-    Keyed by ``(system, shape)`` — the granularity at which AT-space
-    tables (and therefore warm-cache behavior) are shared."""
+    Keyed by ``(system, shape)``: routing by shape sends every request
+    of a key to one shard (:mod:`repro.serve.shard`), where they queue
+    together."""
     system = str(payload.get("system"))
     params = dict(payload.get("params") or {})
     return (system, shape_of(system, params))

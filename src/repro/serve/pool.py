@@ -1,13 +1,12 @@
 """The persistent sharded worker pool behind the serving front-end.
 
 One single-worker :class:`concurrent.futures.ProcessPoolExecutor` per
-shard, each worker long-lived: the executor's first task pre-warms the
-AT-space table caches for exactly the shapes the shard owns
-(:func:`repro.serve.shard.owned_shapes` →
-:func:`repro.fastpath.tables.warm_tables`), and because routing is by
-shape, every later request finds its ``lru_cache``'d tables hot.  This is
-what the throughput bench measures against a fresh-pool-per-request
-baseline (``benchmarks/bench_serve.py``).
+shard, each worker long-lived: it forks at the shard's first dispatch and
+then serves every later request with its imports done, which is what the
+throughput bench measures against a fresh-process-per-request baseline
+(``benchmarks/bench_serve.py``).  Routing is by shape
+(:mod:`repro.serve.shard`), so same-shape requests meet in one shard's
+micro-batches.
 
 Failure semantics follow the sweep's failures-as-data convention
 (:mod:`repro.fastpath.parallel`): the worker function never raises.  A
@@ -17,7 +16,7 @@ typed fault (:class:`repro.faults.FaultError` subclass or
 not a worker death — and anything else as an untyped error dict.  The
 worker that served a faulted request serves the next one.  A worker that
 *dies* fails its running batch with ``BrokenProcessPool``, and the shard's
-next dispatch replaces the executor, warm-up included.
+next dispatch replaces the executor.
 
 :meth:`ShardedWorkerPool.submit` carries a whole micro-batch of requests
 (:func:`serve_worker_batch`) through **one** executor task — one
@@ -34,19 +33,11 @@ import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.fastpath.tables import warm_tables
-from repro.serve.shard import DEFAULT_WARM_SHAPES, Shape, owned_shapes, shard_for
+from repro.serve.shard import shard_for
 
 WorkerResult = Dict[str, object]
-
-
-def _table_cache_stats() -> Tuple[int, int]:
-    from repro.fastpath.tables import slot_bank_table
-
-    info = slot_bank_table.cache_info()
-    return info.hits, info.misses
 
 
 def _error_payload(exc: BaseException, typed: bool) -> Dict[str, object]:
@@ -103,7 +94,6 @@ def serve_worker(payload: Dict[str, object]) -> WorkerResult:
     from repro.sim.engine import SimulationTimeout
 
     t0 = time.perf_counter()
-    hits0, misses0 = _table_cache_stats()
     base: Dict[str, object] = {"pid": os.getpid()}
     try:
         inject = payload.get("inject")
@@ -130,9 +120,7 @@ def serve_worker(payload: Dict[str, object]) -> WorkerResult:
         base.update(ok=False, error=_error_payload(exc, typed=True))
     except Exception as exc:  # noqa: BLE001 — failures-as-data boundary
         base.update(ok=False, error=_error_payload(exc, typed=False))
-    hits1, misses1 = _table_cache_stats()
     base["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    base["tables"] = {"hits": hits1 - hits0, "misses": misses1 - misses0}
     return base
 
 
@@ -163,36 +151,21 @@ def serve_worker_batch(payloads: Sequence[Dict[str, object]]
 
 
 class ShardedWorkerPool:
-    """``n_shards`` persistent single-worker executors, warm per shape.
+    """``n_shards`` persistent single-worker executors.
 
-    One process per shard keeps the shard's table-cache story exact: the
-    shapes a shard owns are warmed once, in the process that will serve
-    them.  Workers fork with the platform's default start method, so they
-    inherit whatever the parent patched before constructing the pool.
+    Workers fork with the platform's default start method at their
+    shard's first dispatch, so they inherit whatever the parent patched
+    before that dispatch.
     """
 
-    def __init__(self, n_shards: int = 2,
-                 warm_shapes: Sequence[Shape] = DEFAULT_WARM_SHAPES):
+    def __init__(self, n_shards: int = 2):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        # Validate (and incidentally warm) the shapes in the parent first:
-        # a bad shape must fail construction, not a worker's warm-up task.
-        warm_tables(warm_shapes)
         self.n_shards = n_shards
-        self.warm_shapes: Tuple[Shape, ...] = tuple(
-            (int(b), int(c)) for b, c in warm_shapes
-        )
         self.dispatched: List[int] = [0] * n_shards
         self.batches: List[int] = [0] * n_shards
-        self._executors = [self._start(shard) for shard in range(n_shards)]
-
-    def _start(self, shard: int) -> ProcessPoolExecutor:
-        """A fresh executor for ``shard``; its first task, submitted now,
-        forks the worker and warms its tables before any request."""
-        executor = ProcessPoolExecutor(max_workers=1)
-        executor.submit(warm_tables,
-                        owned_shapes(shard, self.n_shards, self.warm_shapes))
-        return executor
+        self._executors = [ProcessPoolExecutor(max_workers=1)
+                           for _ in range(n_shards)]
 
     # -- routing -------------------------------------------------------------
 
@@ -206,7 +179,7 @@ class ShardedWorkerPool:
         """Dispatch a micro-batch to ``shard`` as one executor task.
 
         A dead worker's executor refuses the task, which then goes to a
-        warm replacement.  :func:`serve_worker_batch` is looked up per
+        fresh replacement.  :func:`serve_worker_batch` is looked up per
         call, so a replacement installed before the workers fork runs."""
         self.dispatched[shard] += len(payloads)
         self.batches[shard] += 1
@@ -215,7 +188,7 @@ class ShardedWorkerPool:
             return self._executors[shard].submit(serve_worker_batch, batch)
         except BrokenProcessPool:
             self._executors[shard].shutdown(wait=False)
-            self._executors[shard] = self._start(shard)
+            self._executors[shard] = ProcessPoolExecutor(max_workers=1)
             return self._executors[shard].submit(serve_worker_batch, batch)
 
     # -- lifecycle -----------------------------------------------------------
@@ -225,7 +198,6 @@ class ShardedWorkerPool:
             "n_shards": self.n_shards,
             "dispatched": list(self.dispatched),
             "batches": list(self.batches),
-            "warm_shapes": [list(s) for s in self.warm_shapes],
         }
 
     def close(self) -> None:

@@ -3,7 +3,7 @@
 Architecture (one request's life)::
 
     client ──JSONL line──▶ front-end ──validate──▶ result cache ──miss──▶
-        micro-batcher (shard k) ──1 pool task/batch──▶ warm worker
+        micro-batcher (shard k) ──1 pool task/batch──▶ worker
                                                       │
                response line ◀── result stream ◀──────┘
 
@@ -53,14 +53,14 @@ import itertools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Optional, Sequence, Set, TextIO
+from typing import Dict, Optional, Set, TextIO
 
 from repro.obs.metrics import MetricsRegistry, TenantMetrics
 from repro.obs.sla import SlaTracker
 from repro.serve.batch import MicroBatcher
 from repro.serve.cache import ResultCache, cacheable, payload_key
 from repro.serve.pool import ShardedWorkerPool
-from repro.serve.shard import DEFAULT_WARM_SHAPES, Shape, shape_of
+from repro.serve.shard import shape_of
 from repro.serve.spec import RequestError, ServeRequest, validate_request
 
 #: Longest accepted request line / HTTP body, in bytes (network input).
@@ -74,12 +74,11 @@ class SimulationService:
 
     def __init__(self, pool: Optional[ShardedWorkerPool] = None,
                  n_shards: int = 2, max_inflight: int = 32,
-                 warm_shapes: Sequence[Shape] = DEFAULT_WARM_SHAPES,
                  max_batch: int = 8, cache_size: int = 1024):
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.pool = pool if pool is not None else ShardedWorkerPool(
-            n_shards=n_shards, warm_shapes=warm_shapes)
+            n_shards=n_shards)
         self.max_inflight = max_inflight
         self._gate = asyncio.Semaphore(max_inflight)
         self.metrics = MetricsRegistry()
@@ -189,7 +188,7 @@ class SimulationService:
         else:
             response["error"] = result.get("error")
         worker: Dict[str, object] = {}
-        for field in ("pid", "tables", "deduped"):
+        for field in ("pid", "deduped"):
             if field in result:
                 worker[field] = result[field]
         if worker:
@@ -208,11 +207,6 @@ class SimulationService:
         self.metrics.stats("serve.latency_ms").add(wall_ms)
         self.sla.record(request.criticality, wall_ms,
                         deadline=request.deadline_ms)
-        tables = result.get("tables")
-        if isinstance(tables, dict):
-            shard_tables = self.metrics.counter(f"serve.tables[{shard}]")
-            shard_tables.incr("hits", int(tables.get("hits") or 0))
-            shard_tables.incr("misses", int(tables.get("misses") or 0))
         shape = shape_of(request.system, request.params)
         if shape is not None:
             self.metrics.counter(

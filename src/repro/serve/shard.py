@@ -1,36 +1,32 @@
 """Shard routing: requests of one machine shape land on one worker.
 
-The point of sharding is cache locality, not load spreading: every AT-space
-table (:mod:`repro.fastpath.tables`) is keyed by the ``(n_banks,
-bank_cycle)`` machine shape, so a worker that keeps seeing the same shapes
-serves every request after its first from a hot ``lru_cache``.  Routing is
-therefore *by shape*: :func:`shard_for` maps a spec's shape through the
-same crc32 derivation the parallel sweep uses for seeds
-(:func:`repro.fastpath.parallel.derive_seed` — deterministic across
-processes, orderings, and runs, pinned by golden tests), and a worker
-pre-warms exactly the shapes that route to it (:func:`owned_shapes`).
+The point of sharding by shape is coalescing, not load spreading: the
+micro-batcher (:mod:`repro.serve.batch`) joins queued requests of one
+``(system, shape)`` into one worker task, so every request of a shape
+must queue at the same shard.  :func:`shard_for` maps a spec's
+``(n_banks, bank_cycle)`` shape through the same crc32 derivation the
+parallel sweep uses for seeds (:func:`repro.fastpath.parallel.derive_seed`
+— deterministic across processes, orderings, and runs, pinned by golden
+tests).
 
-Systems without an AT-space shape (the retry simulators) carry no table
-state worth pinning; they route by ``(system, seed)`` instead, which
+Systems without an AT-space shape (the retry simulators) have nothing to
+coalesce by shape; they route by ``(system, seed)`` instead, which
 spreads replicated seed grids across the pool.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.fastpath.parallel import derive_seed
 
 Shape = Tuple[int, int]
 
-#: The Table 3.3 working set: what a fresh pool warms by default.
-DEFAULT_WARM_SHAPES: Tuple[Shape, ...] = ((4, 1), (8, 2), (16, 4), (32, 8))
-
 
 def shape_of(system: str, params: Dict[str, object]) -> Optional[Shape]:
-    """The ``(n_banks, bank_cycle)`` shape a spec's tables are keyed by.
+    """The ``(n_banks, bank_cycle)`` machine shape a spec runs on.
 
-    ``None`` for systems whose runs build no per-shape AT-space tables."""
+    ``None`` for systems without an AT-space schedule."""
     bank_cycle = int(params.get("bank_cycle", 1) or 1)
     if system == "cfm":
         n_procs = int(params.get("n_procs", 0) or 0)
@@ -61,10 +57,3 @@ def shard_for(system: str, params: Dict[str, object], n_shards: int) -> int:
         return shard_for_shape(shape, n_shards)
     seed = int(params.get("seed", 0) or 0)
     return derive_seed(seed, "serve.shard", system) % n_shards
-
-
-def owned_shapes(shard: int, n_shards: int,
-                 shapes: Iterable[Shape]) -> List[Shape]:
-    """The subset of ``shapes`` that routes to ``shard`` — what its worker
-    pre-warms at pool start."""
-    return [s for s in shapes if shard_for_shape(s, n_shards) == shard]

@@ -9,6 +9,10 @@ observable state, across the Table 3.3 machine shapes.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.block import Block
@@ -20,12 +24,8 @@ from repro.core.cfm import (
     ControlAction,
 )
 from repro.core.config import CFMConfig
-from repro.fastpath.tables import (
-    assert_conflict_free,
-    bank_orders,
-    shift_permutations,
-    slot_bank_table,
-)
+from repro.fastpath.tables import at_schedule, bank_orders
+from repro.network.synchronous import SynchronousOmegaNetwork
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
 from tests.history import record_finishes
@@ -34,29 +34,34 @@ SHAPES = [(4, 1), (8, 2), (16, 4), (32, 8)]
 
 
 # --------------------------------------------------------------------------
-# Tables
+# The AT-space schedule
+
+
+def _row(schedule, slot):
+    """The banks every processor addresses at ``slot``."""
+    ring, period, offsets = schedule
+    return [ring[slot % period + offset] for offset in offsets]
 
 
 class TestTables:
     @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
     def test_slot_bank_table_matches_config_formula(self, n_procs, bank_cycle):
+        """Three periods of the slot→bank table (Table 3.1, generalized)
+        read off the schedule equal the config formula."""
         cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
-        table = slot_bank_table(cfg.n_banks, bank_cycle)
+        schedule = at_schedule(cfg.n_banks, bank_cycle)
+        assert schedule.period == cfg.n_banks
         for slot in range(3 * cfg.n_banks):
-            for proc in range(n_procs):
-                assert table[slot % cfg.n_banks][proc] == cfg.bank_for(proc, slot)
+            assert _row(schedule, slot) == [
+                cfg.bank_for(proc, slot) for proc in range(n_procs)]
 
     @pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
     def test_rows_are_injective(self, n_procs, bank_cycle):
         n_banks = n_procs * bank_cycle
-        assert_conflict_free(n_banks, bank_cycle)
-        for row in slot_bank_table(n_banks, bank_cycle):
-            assert len(set(row)) == len(row)
-
-    def test_tables_are_shared_per_shape(self):
-        assert slot_bank_table(8, 2) is slot_bank_table(8, 2)
-        assert bank_orders(8) is bank_orders(8)
-        assert shift_permutations(8) is shift_permutations(8)
+        schedule = at_schedule(n_banks, bank_cycle)
+        for slot in range(schedule.period):
+            row = _row(schedule, slot)
+            assert len(set(row)) == len(row) == n_procs
 
     def test_bank_orders_wrap(self):
         ring = bank_orders(4)
@@ -65,16 +70,54 @@ class TestTables:
         assert ring[3:7] == (3, 0, 1, 2)
 
     def test_shift_permutations(self):
-        perms = shift_permutations(8)
+        net = SynchronousOmegaNetwork(8)
         for t in range(8):
+            assert net.permutation(t) == [(t + i) % 8 for i in range(8)]
             for i in range(8):
-                assert perms[t][i] == (t + i) % 8
+                assert net.target(i, t) == (t + i) % 8
 
     def test_invalid_shapes_raise(self):
         with pytest.raises(ValueError):
-            slot_bank_table(0, 1)
+            at_schedule(0, 1)
         with pytest.raises(ValueError):
-            slot_bank_table(8, 3)  # 8 banks don't divide into cycle-3 slots
+            at_schedule(8, 3)  # 8 banks don't divide into cycle-3 slots
+
+
+#: Address-space cap of the large-shape child process, and the most its
+#: peak RSS may grow building one module.  A materialised (1024, 32)
+#: schedule would hold 33.5M entries, far past the cap.
+LARGE_SHAPE_AS_LIMIT = 768 << 20
+LARGE_SHAPE_MAX_GROWTH_KB = 64 << 10
+
+_LARGE_SHAPE_CHILD = """
+import resource, sys
+from repro.core.cfm import CFMemory
+from repro.core.config import CFMConfig
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+mem = CFMemory(CFMConfig(n_procs=1024, bank_cycle=32))
+if sys.argv[2] == "degraded":
+    mem.degrade_bank(mem.n_banks // 2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.parametrize("mode", ["healthy", "degraded"])
+def test_large_shape_schedule_memory_is_linear(mode):
+    """A (1024, 32) module — 32 768 banks — builds under a 768 MB
+    address-space cap with its peak RSS growing less than 64 MB: the
+    schedule costs O(b), not b rows of n banks."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_SHAPE_CHILD,
+         str(LARGE_SHAPE_AS_LIMIT), mode],
+        capture_output=True, text=True, timeout=120, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    growth_kb = int(proc.stdout.split()[-1])
+    assert growth_kb < LARGE_SHAPE_MAX_GROWTH_KB, growth_kb
 
 
 # --------------------------------------------------------------------------

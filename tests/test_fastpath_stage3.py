@@ -50,12 +50,6 @@ from repro.fastpath.engine import (
     resolve_engine,
     supported_layers,
 )
-from repro.fastpath.tables import (
-    TABLE_CACHE_SIZE,
-    bank_orders,
-    shift_permutations,
-    slot_bank_table,
-)
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
 from repro.obs.bench import run_spec
 from repro.obs.metrics import MetricsRegistry
@@ -308,48 +302,6 @@ def test_cfm_run_until_idle_strict_boundary():
     mem2 = CFMemory(CFMConfig(n_procs=4, bank_cycle=1))
     mem2.issue(0, AccessKind.READ, offset=0)
     assert mem2.run_until_idle(max_slots=4) == 4
-
-
-# --------------------------------------------------------------------------
-# Bounded table caches + degraded aliasing (satellite 2)
-
-
-def test_table_caches_are_bounded():
-    from repro.faults.degrade import degraded_slot_bank_table
-
-    for fn in (slot_bank_table, bank_orders, shift_permutations,
-               degraded_slot_bank_table):
-        assert fn.cache_info().maxsize == TABLE_CACHE_SIZE, fn.__name__
-
-
-def test_degraded_table_cannot_alias_genuine_shape():
-    """A degraded period-(b-1) table can never collide with a genuine
-    (b-1)-bank shape's cache entry.  Twice over: the caches are separate
-    objects, and the contents are disjoint — degrading requires c >= 2
-    with c | b, while a genuine (b-1)-bank table needs c | (b-1); c
-    dividing both b and b-1 forces c = 1.  Concretely, the degraded
-    table's rows still name *physical* banks (including b-1, excluding
-    the dead one), which no genuine (b-1)-bank table contains."""
-    from repro.faults.degrade import degraded_slot_bank_table
-
-    n_banks, bank_cycle, dead = 8, 2, 3
-    degraded = degraded_slot_bank_table(n_banks, bank_cycle, dead)
-    assert len(degraded) == n_banks - 1  # period b-1
-    values = {bank for row in degraded for bank in row}
-    assert dead not in values
-    assert n_banks - 1 in values  # physical bank 7 still addressed
-    # Every genuine 7-bank shape (only c=1 and c=7 divide 7) stays in
-    # range [0, 7) — it can never equal the degraded table.
-    for c in (1, 7):
-        genuine = slot_bank_table(n_banks - 1, c)
-        assert all(bank < n_banks - 1 for row in genuine for bank in row)
-        assert genuine != degraded
-    # And any c >= 2 that could degrade an 8-bank module cannot describe
-    # a genuine 7-bank shape at all.
-    with pytest.raises(ValueError):
-        slot_bank_table(n_banks - 1, bank_cycle)
-    # Separate lru_caches: a degraded lookup never seeds the healthy one.
-    assert degraded_slot_bank_table is not slot_bank_table
 
 
 # --------------------------------------------------------------------------

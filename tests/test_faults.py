@@ -31,8 +31,6 @@ from repro.faults import (
     RecoveringOp,
     RetryExhaustedError,
     RetryPolicy,
-    assert_degraded_conflict_free,
-    degraded_slot_bank_table,
     run_with_recovery,
     shadow_bank_for,
 )
@@ -44,6 +42,7 @@ from repro.faults.chaos import (
     chaos_sweep,
     differential_zero_fault,
 )
+from repro.fastpath.tables import at_schedule
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import SimulationTimeout
 from repro.tracking.atomic import CFMDriver
@@ -113,10 +112,10 @@ def test_zero_fault_runs_are_bit_identical_at_every_layer():
 @pytest.mark.parametrize("n_banks,bank_cycle", [(8, 2), (16, 4), (32, 8)])
 def test_degraded_table_is_conflict_free(n_banks, bank_cycle):
     for dead in (0, n_banks // 2, n_banks - 1):
-        assert_degraded_conflict_free(n_banks, bank_cycle, dead)
-        table = degraded_slot_bank_table(n_banks, bank_cycle, dead)
-        assert len(table) == n_banks - 1  # period shrinks to b-1
-        for row in table:
+        ring, period, offsets = at_schedule(n_banks, bank_cycle, dead)
+        assert period == n_banks - 1  # period shrinks to b-1
+        for slot in range(period):
+            row = [ring[slot + offset] for offset in offsets]
             assert dead not in row  # the dead bank is never scheduled
             assert len(set(row)) == len(row)  # per-slot injectivity
 
@@ -125,7 +124,10 @@ def test_degraded_table_impossible_for_c1():
     # c = 1 means n = b processors: b-1 surviving banks cannot host an
     # injective per-slot assignment, so degradation must refuse, typed.
     with pytest.raises(DegradedModeError):
-        degraded_slot_bank_table(4, 1, dead_bank=2)
+        at_schedule(4, 1, dead_bank=2)
+    mem = CFMemory(CFMConfig(n_procs=4, bank_cycle=1))
+    with pytest.raises(DegradedModeError):
+        mem.degrade_bank(2)
 
 
 def test_degraded_memory_preserves_data_integrity():

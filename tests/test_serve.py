@@ -10,7 +10,7 @@ Pinned here (mirrors the invariants listed in ``repro/serve/__init__.py``):
    answers the next request.
 3. **Backpressure** — in-flight depth never exceeds ``max_inflight``.
 4. **Deterministic routing** — shard assignment is a pure function of the
-   spec's shape, and warm-shape ownership partitions the shape set.
+   spec's shape.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ import signal
 import pytest
 
 from repro.serve import (
-    DEFAULT_WARM_SHAPES,
     RequestError,
     ShardedWorkerPool,
     SimulationService,
-    owned_shapes,
     serve_worker,
     shape_of,
     shard_for,
@@ -36,6 +34,8 @@ from repro.serve import (
     validate_request,
 )
 
+#: The Table 3.3 working set of ``(n_banks, bank_cycle)`` shapes.
+SHAPES = ((4, 1), (8, 2), (16, 4), (32, 8))
 CFM_PARAMS = {"n_procs": 4, "bank_cycle": 1, "cycles": 200}
 DEAD_BANK_INJECT = {
     # (4,1) has no b-1 schedule: bank death must surface DegradedModeError.
@@ -127,21 +127,14 @@ class TestValidateRequest:
 class TestShardRouting:
     def test_routing_is_deterministic_and_in_range(self):
         for n_shards in (1, 2, 4, 7):
-            for shape in DEFAULT_WARM_SHAPES:
+            for shape in SHAPES:
                 s = shard_for_shape(shape, n_shards)
                 assert 0 <= s < n_shards
                 assert s == shard_for_shape(shape, n_shards)
 
     def test_shapes_spread_across_shards(self):
-        owners = {shard_for_shape(s, 4) for s in DEFAULT_WARM_SHAPES}
+        owners = {shard_for_shape(s, 4) for s in SHAPES}
         assert len(owners) >= 2  # the working set is not all on one worker
-
-    def test_owned_shapes_partition_the_working_set(self):
-        n_shards = 3
-        owned = [owned_shapes(i, n_shards, DEFAULT_WARM_SHAPES)
-                 for i in range(n_shards)]
-        flat = [s for shapes in owned for s in shapes]
-        assert sorted(flat) == sorted(DEFAULT_WARM_SHAPES)
 
     def test_shape_of_knows_the_table_keys(self):
         assert shape_of("cfm", {"n_procs": 8, "bank_cycle": 2}) == (16, 2)
@@ -156,23 +149,6 @@ class TestShardRouting:
         a = shard_for("cfm", {"n_procs": 8, "bank_cycle": 2}, 4)
         b = shard_for("cache", {"n_procs": 8, "bank_cycle": 2}, 4)
         assert a == b  # both route by the (16, 2) table key
-
-
-# --------------------------------------------------------------------------
-# Warm tables
-
-
-class TestWarmTables:
-    def test_warm_builds_every_table(self):
-        from repro.fastpath.tables import warm_tables
-
-        assert warm_tables([(4, 1), (8, 2)]) >= 6
-
-    def test_bad_shape_raises_at_warm_time(self):
-        from repro.fastpath.tables import warm_tables
-
-        with pytest.raises(ValueError):
-            warm_tables([(8, 3)])  # 8 % 3 != 0
 
 
 # --------------------------------------------------------------------------
@@ -238,13 +214,6 @@ class TestShardedWorkerPool:
         assert after["ok"] is True
         assert after["pid"] == faulted["pid"]  # same worker, still alive
         assert pool.shard_of("cfm", CFM_PARAMS) == shard
-
-    def test_warm_shard_serves_from_hot_tables(self, pool):
-        # Repeat of a warm shape: the second request must add no misses.
-        spec = {"system": "cfm", "params": dict(CFM_PARAMS)}
-        _run(pool, dict(spec))
-        again = _run(pool, dict(spec))
-        assert again["tables"]["misses"] == 0
 
     def test_dispatch_counters(self, pool):
         before = list(pool.dispatched)
@@ -453,8 +422,6 @@ class TestWorkerDeath:
         assert all(r["ok"] for r in survived), survived
         assert after["ok"] is True, after
         assert after["worker"]["pid"] != victim_pid
-        # The replacement worker was warmed before it served.
-        assert after["worker"]["tables"]["misses"] == 0
 
 
 # --------------------------------------------------------------------------
@@ -600,7 +567,7 @@ class TestServeCli:
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [_sys.executable, "-m", "repro", "serve", "--stdio",
-             "--shards", "1", "--warm", "4x1"],
+             "--shards", "1"],
             input=requests, capture_output=True, text=True, timeout=120,
             env=env, cwd=os.path.dirname(os.path.dirname(__file__)),
         )

@@ -416,7 +416,7 @@ class TestGracefulShutdown:
         cwd = os.path.dirname(os.path.dirname(__file__))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
-             "--port", "0", "--shards", "1", "--warm", "4x1",
+             "--port", "0", "--shards", "1",
              "--max-batch", "4", "--cache-size", "8"],
             stderr=subprocess.PIPE, text=True, env=env, cwd=cwd,
         )
@@ -478,7 +478,7 @@ class TestGracefulShutdown:
         cwd = os.path.dirname(os.path.dirname(__file__))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
-             "--port", "0", "--shards", "1", "--warm", "4x1"],
+             "--port", "0", "--shards", "1"],
             stderr=subprocess.PIPE, text=True, env=env, cwd=cwd,
         )
         try:

@@ -310,7 +310,7 @@ class TestCacheAccounting:
 # The wire: each report is encoded once, and a hit splices that text
 
 
-#: Specs whose cache-hit lines are pinned: cfm at every warm shape (4,1)
+#: Specs whose cache-hit lines are pinned: cfm at every Table 3.3 shape (4,1)
 #: .. (32,8), one engine-pinned cfm spec, and one spec per coherence layer.
 GOLDEN_SPECS = {
     "cfm-4x1": {"system": "cfm", "params": {
