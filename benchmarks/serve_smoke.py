@@ -239,8 +239,10 @@ async def _drive(proc, host: str, port: int, max_batch: int,
     assert counts["ok"] == N_REQUESTS, counts
     assert counts["error"] == 1, counts
     assert counts["rejected"] == 1, counts
-    assert {"team0", "team1", "team2"} <= set(metrics["tenants"]), (
-        sorted(metrics["tenants"]))
+    tenants = {name[len("tenant["):-len("].requests")]
+               for name in metrics["service"]
+               if name.startswith("tenant[") and name.endswith("].requests")}
+    assert {"team0", "team1", "team2"} <= tenants, sorted(tenants)
     assert metrics["inflight"]["peak"] <= metrics["inflight"]["max"], (
         metrics["inflight"])
     shapes = [k for k in metrics["service"] if k.startswith("serve.shape[")]
@@ -270,9 +272,9 @@ async def _drive(proc, host: str, port: int, max_batch: int,
             len(cached_responses), cache)
     else:
         assert cache["hits"] == 0 and cache["entries"] == 0, cache
-    for tenant, snap in metrics["tenants"].items():
-        treq = snap["requests"]["counts"]
-        tcache = snap["cache"]["counts"]
+    for tenant in tenants:
+        treq = metrics["service"][f"tenant[{tenant}].requests"]["counts"]
+        tcache = metrics["service"][f"tenant[{tenant}].cache"]["counts"]
         assert (tcache.get("hit", 0) + tcache.get("miss", 0)
                 == treq["total"]), (tenant, tcache, treq)
 

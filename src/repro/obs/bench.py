@@ -37,7 +37,7 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, sla_section
 from repro.obs.probe import Probe
 
 SCHEMA = "repro-bench/1"
@@ -442,16 +442,17 @@ def _run_qos(n_procs: int, bank_cycle: int, cycles: int, seed: int = 0,
     open-loop submission stream — latency-critical foreground plus bulk
     background — into :meth:`CFMemory.submit`, so ops queue for AT-space
     entry whenever their processor's partition is occupied and the
-    ``arbitration`` policy picks contended winners.  The run is
-    *unobserved* (no metrics registry — SLA accounting rides the finish
-    callbacks instead), so it is valid under every engine pin; grant
-    decisions happen at the ``_finish`` seam every engine drives at
-    identical slots, making reports engine-invariant pre-timing.
+    ``arbitration`` policy picks contended winners.  Grant decisions
+    happen at the ``_finish`` seam every engine drives at identical
+    slots, making reports engine-invariant pre-timing.
 
     The report gains a ``"qos"`` section: arbitration policy, entry-queue
-    counters, and the per-tier :class:`repro.obs.sla.SlaTracker` snapshot
-    (p50/p99/p99.9 + deadline met/missed at ``deadline_factor``·β for
-    latency-critical, ``2·deadline_factor``·β for normal).  With
+    counters, and the per-tier :func:`repro.obs.metrics.sla_section` of
+    the module's own ``cfm.latency[<tier>]`` histograms and
+    ``cfm.deadline`` counter (p50/p99/p99.9 + deadline met/missed at
+    ``deadline_factor``·β for latency-critical, ``2·deadline_factor``·β
+    for normal).  That registry is private to the section, so the
+    report's ``metrics`` block stays empty.  With
     ``degraded_bank`` set the module switches to the degraded b−1
     schedule before traffic starts — tier separation must survive a dead
     bank.
@@ -461,27 +462,25 @@ def _run_qos(n_procs: int, bank_cycle: int, cycles: int, seed: int = 0,
     from repro.core.cfm import AccessKind as AK
     from repro.core.config import CFMConfig
     from repro.fastpath.engine import resolve_engine
-    from repro.obs.sla import SlaTracker
+    from repro.sim.criticality import LATENCY_CRITICAL, NORMAL
     from repro.sim.stats import RunSummary
     from repro.sim.workload import MixedCriticalityWorkload
 
     if engine is not None:
         resolve_engine(engine, layer="cfm")  # fail fast, typed
     cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
-    mem = CFMemory(cfg, probe=probe, arbitration=arbitration)
+    sla = MetricsRegistry()
+    mem = CFMemory(cfg, probe=probe, metrics=sla, arbitration=arbitration)
     if degraded_bank is not None:
         mem.degrade_bank(degraded_bank)
     beta = cfg.block_access_time
-    tracker = SlaTracker(unit="slots", deadlines={
-        "latency_critical": deadline_factor * beta,
-        "normal": 2 * deadline_factor * beta,
-    })
+    deadlines = {LATENCY_CRITICAL: deadline_factor * beta,
+                 NORMAL: 2 * deadline_factor * beta}
     summary = RunSummary()
 
     def finished(acc) -> None:
         summary.completed += 1
         summary.latencies.add(acc.qos_latency)
-        tracker.record(acc.criticality, acc.qos_latency)
 
     wl = MixedCriticalityWorkload(
         n_procs, 1, rate, critical_procs=critical_procs,
@@ -496,7 +495,8 @@ def _run_qos(n_procs: int, bank_cycle: int, cycles: int, seed: int = 0,
                 if ev.is_write else None)
         mem.submit(ev.proc, AK.WRITE if ev.is_write else AK.READ,
                    offset=ev.offset, data=data, on_finish=finished,
-                   criticality=ev.criticality)
+                   criticality=ev.criticality,
+                   deadline=deadlines.get(ev.criticality))
     # Drain the backlog: no new arrivals, so every queued op completes.
     while mem.active:
         mem.run_engine(4 * beta, engine=engine)
@@ -518,7 +518,7 @@ def _run_qos(n_procs: int, bank_cycle: int, cycles: int, seed: int = 0,
     report["qos"] = {
         "arbitration": arbitration,
         "entry_queue": dict(mem.qos_counts),
-        "sla": tracker.snapshot(),
+        "sla": sla_section(sla, "cfm.latency", "cfm.deadline", "slots"),
     }
     return report
 

@@ -11,6 +11,11 @@ returns the same object on every call, so a component can resolve its
 instruments once at attach time and update them at O(1) inside the cycle
 loop.  Components treat an absent registry (``metrics is None``) as
 "observability off" and skip all accounting.
+
+Labelled families are plain names: a per-tier latency histogram is
+``cfm.latency[latency_critical]``, a tenant's request counter
+``tenant[alice].requests``.  :func:`sla_section` renders a registry's
+per-tier histograms and deadline counter as one SLA summary.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import json
 import weakref
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
+from repro.sim.criticality import TIERS, parse_tier
 from repro.sim.stats import Histogram, RunningStats, TallyCounter, Utilization
 
 Instrument = Union[TallyCounter, RunningStats, Histogram, Utilization]
@@ -158,58 +164,45 @@ class MetricsRegistry:
         return out
 
 
-class TenantMetrics:
-    """A keyed family of registries: one :class:`MetricsRegistry` per tenant.
+def sla_section(metrics: MetricsRegistry, latency: str, deadline: str,
+                unit: str, quantum: int = 1) -> Dict[str, object]:
+    """The per-criticality-tier SLA summary of ``metrics``::
 
-    The serving layer accounts per tenant from day one (every request
-    carries a tenant label), but tenant strings arrive from the network —
-    so the family is bounded: the family never holds more than
-    ``max_tenants`` registries *in total*, one of which is reserved for
-    the ``"<overflow>"`` registry that late-arriving labels share instead
-    of growing memory without limit (so at most ``max_tenants - 1`` named
-    tenants get a registry of their own).  Snapshots nest each tenant's
-    flat snapshot under its label, keeping per-tenant names identical
-    across tenants (``requests``, ``latency_ms``, …) rather than baking
-    labels into metric names.
+        {"unit": unit, "tiers": {tier: {"n", "mean", "min", "max",
+                                        "p50", "p99", "p999",
+                                        "deadline": {"met", "missed"}}}}
+
+    Reads the histograms ``<latency>[<tier>]``, whose integer samples
+    count ``quantum`` steps per ``unit`` (the service keeps milliseconds
+    as whole microseconds), and the counter ``deadline``, which counts
+    ``<tier>.met`` and ``<tier>.missed``.  Figures are reported in
+    ``unit``; tiers appear in canonical order, and ``deadline`` only for
+    a tier with a judged deadline.  A histogram under ``<latency>[``
+    that names no tier raises ``ValueError`` naming the valid tiers.
     """
-
-    OVERFLOW = "<overflow>"
-
-    def __init__(self, max_tenants: int = 1024) -> None:
-        if max_tenants < 1:
-            raise ValueError("max_tenants must be >= 1")
-        self.max_tenants = max_tenants
-        self._registries: Dict[str, MetricsRegistry] = {}
-
-    def registry(self, tenant: str) -> MetricsRegistry:
-        """Get-or-create the registry of ``tenant`` (bounded family).
-
-        The overflow slot is reserved *inside* the bound: a new named
-        tenant is only admitted while a slot would still remain for
-        ``OVERFLOW``, so the family never exceeds ``max_tenants``
-        registries even after the overflow registry materializes.
-        """
-        if not tenant:
-            raise ValueError("tenant label must be non-empty")
-        reg = self._registries.get(tenant)
-        if reg is None:
-            if tenant != self.OVERFLOW:
-                reserved = 0 if self.OVERFLOW in self._registries else 1
-                if len(self._registries) >= self.max_tenants - reserved:
-                    return self.registry(self.OVERFLOW)
-            reg = MetricsRegistry()
-            self._registries[tenant] = reg
-        return reg
-
-    def tenants(self) -> List[str]:
-        return sorted(self._registries)
-
-    def __contains__(self, tenant: str) -> bool:
-        return tenant in self._registries
-
-    def __len__(self) -> int:
-        return len(self._registries)
-
-    def snapshot(self) -> Dict[str, Dict[str, Dict[str, object]]]:
-        """``{tenant: registry snapshot}``, tenants sorted, JSON-able."""
-        return {t: self._registries[t].snapshot() for t in self.tenants()}
+    head = latency + "["
+    hists: Dict[str, Histogram] = {}
+    for name in metrics.names():
+        if name.startswith(head):
+            hists[parse_tier(name[len(head):-1])] = metrics.get(name)
+    counts = metrics.get(deadline)
+    tiers: Dict[str, object] = {}
+    for tier in TIERS:
+        hist = hists.get(tier)
+        if hist is None or not hist.total():
+            continue
+        entry: Dict[str, object] = {
+            "n": hist.total(),
+            "mean": hist.mean() / quantum,
+            "min": hist.percentile(0.0) / quantum,
+            "max": hist.percentile(1.0) / quantum,
+        }
+        for key, q in (("p50", 0.5), ("p99", 0.99), ("p999", 0.999)):
+            entry[key] = hist.percentile(q) / quantum
+        if counts is not None:
+            met = counts.get(f"{tier}.met")
+            missed = counts.get(f"{tier}.missed")
+            if met or missed:
+                entry["deadline"] = {"met": met, "missed": missed}
+        tiers[tier] = entry
+    return {"unit": unit, "tiers": tiers}

@@ -5,8 +5,9 @@ same-shape traffic paid per-request IPC and task pickling even when dozens
 of requests were queued behind one busy worker.  This module coalesces
 those requests the way production serving stacks do ("continuous
 batching"): requests pending for a shard are grouped by their batch key —
-``(system, (n_banks, bank_cycle))``, the same shape the shard's AT-space
-tables are keyed by — and flushed to the worker as **one** pool task
+``(system, (n_banks, bank_cycle))``, the machine shape the shard is
+routed by (:mod:`repro.serve.shard`) — and flushed to the worker as
+**one** pool task
 running :func:`repro.serve.pool.serve_worker_batch`.
 
 Flushing is request-count/drain-driven, never wall-clock:

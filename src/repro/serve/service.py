@@ -35,10 +35,15 @@ Architecture (one request's life)::
   layer, a killed worker (typed ``BrokenProcessPool``) and unexpected
   worker exceptions all come back as ``{"ok": false, "error": {...}}`` on
   the same stream; a faulted request never kills a worker or a connection.
-* **Accounting from day one** — per-tenant (:class:`repro.obs.TenantMetrics`)
-  and per-shape/per-shard counters, exposed as a JSON snapshot via the
-  ``{"op": "metrics"}`` control request and the HTTP ``GET /metrics``
-  endpoint.
+* **Accounting from day one** — one :class:`repro.obs.MetricsRegistry`
+  holds every count: per shape and shard, per criticality tier
+  (``serve.sla.latency_us[<tier>]`` histograms and the
+  ``serve.sla.deadline`` counter) and per tenant
+  (``tenant[<label>].requests|cache|latency_ms``, at most
+  :data:`MAX_TENANTS` label sets).  It is exposed as a JSON snapshot via
+  the ``{"op": "metrics"}`` control request and the HTTP ``GET /metrics``
+  endpoint, whose ``sla`` section :func:`repro.obs.metrics.sla_section`
+  renders from the tier instruments.
 
 The HTTP front-end is deliberately minimal (no dependency beyond asyncio):
 ``POST /run`` serves one request per connection, ``GET /metrics`` and
@@ -55,18 +60,25 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Optional, Set, TextIO
 
-from repro.obs.metrics import MetricsRegistry, TenantMetrics
-from repro.obs.sla import SlaTracker
+from repro.obs.metrics import MetricsRegistry, sla_section
 from repro.serve.batch import MicroBatcher
 from repro.serve.cache import ResultCache, cacheable, payload_key
 from repro.serve.pool import ShardedWorkerPool
 from repro.serve.shard import shape_of
 from repro.serve.spec import RequestError, ServeRequest, validate_request
+from repro.sim.criticality import NORMAL
 
 #: Longest accepted request line / HTTP body, in bytes (network input).
 MAX_REQUEST_BYTES = 1 << 20
 
 _HTTP_METHODS = (b"GET ", b"POST ", b"PUT ", b"HEAD ", b"DELETE ", b"OPTIONS ")
+
+#: Most tenant label sets the service accounts, ``OVERFLOW_TENANT``
+#: included.  Tenant labels are network input: past ``MAX_TENANTS - 1``
+#: named tenants, every new label shares the overflow set instead of
+#: growing the registry without limit.
+MAX_TENANTS = 1024
+OVERFLOW_TENANT = "<overflow>"
 
 
 class SimulationService:
@@ -82,10 +94,8 @@ class SimulationService:
         self.max_inflight = max_inflight
         self._gate = asyncio.Semaphore(max_inflight)
         self.metrics = MetricsRegistry()
-        self.tenants = TenantMetrics()
-        #: Per-criticality-tier wall-latency tails and deadline accounting
-        #: (``quantum=1000``: millisecond latencies kept to µs resolution).
-        self.sla = SlaTracker(unit="ms", quantum=1000)
+        #: Admitted tenant label → its instrument-name prefix.
+        self._tenants: Dict[str, str] = {}
         self.batcher = MicroBatcher(self.pool, max_batch=max_batch,
                                     metrics=self.metrics)
         self.cache = ResultCache(max_entries=cache_size)
@@ -205,19 +215,41 @@ class SimulationService:
         self.metrics.counter(f"serve.shard[{shard}]").incr(
             "cached" if cached else "dispatched")
         self.metrics.stats("serve.latency_ms").add(wall_ms)
-        self.sla.record(request.criticality, wall_ms,
-                        deadline=request.deadline_ms)
+        # Untagged requests are judged as ``normal``: served tails cover
+        # every client, tagged or not.
+        tier = request.criticality or NORMAL
+        self.metrics.histogram(f"serve.sla.latency_us[{tier}]").add(
+            round(wall_ms * 1000))
+        if request.deadline_ms is not None:
+            self.metrics.counter("serve.sla.deadline").incr(
+                f"{tier}.met" if wall_ms <= request.deadline_ms
+                else f"{tier}.missed")
         shape = shape_of(request.system, request.params)
         if shape is not None:
             self.metrics.counter(
                 f"serve.shape[b={shape[0]},c={shape[1]}]").incr("requests")
         self.metrics.counter("serve.system").incr(request.system)
-        tenant = self.tenants.registry(request.tenant)
-        treq = tenant.counter("requests")
+        tenant = self._tenant(request.tenant)
+        treq = self.metrics.counter(tenant + ".requests")
         treq.incr("total")
         treq.incr("ok" if ok else "error")
-        tenant.counter("cache").incr("hit" if cached else "miss")
-        tenant.stats("latency_ms").add(wall_ms)
+        self.metrics.counter(tenant + ".cache").incr(
+            "hit" if cached else "miss")
+        self.metrics.stats(tenant + ".latency_ms").add(wall_ms)
+
+    def _tenant(self, label: str) -> str:
+        """The instrument-name prefix ``tenant[<label>]`` of a tenant.
+
+        A new named tenant is admitted only while one of the
+        :data:`MAX_TENANTS` label sets would still be left for
+        :data:`OVERFLOW_TENANT`, which every later label shares."""
+        prefix = self._tenants.get(label)
+        if prefix is None:
+            named = len(self._tenants) - (OVERFLOW_TENANT in self._tenants)
+            if label != OVERFLOW_TENANT and named >= MAX_TENANTS - 1:
+                return self._tenant(OVERFLOW_TENANT)
+            prefix = self._tenants[label] = f"tenant[{label}]"
+        return prefix
 
     def _control(self, obj: Dict[str, object]) -> Dict[str, object]:
         op = obj.get("op")
@@ -232,11 +264,12 @@ class SimulationService:
                                typed=True)
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """The ``/metrics`` document: service + tenants + pool state."""
+        """The ``/metrics`` document: the service registry, its per-tier
+        SLA section, and in-flight, pool, cache and batcher state."""
         return {
             "service": self.metrics.snapshot(),
-            "tenants": self.tenants.snapshot(),
-            "sla": self.sla.snapshot(),
+            "sla": sla_section(self.metrics, "serve.sla.latency_us",
+                               "serve.sla.deadline", "ms", quantum=1000),
             "inflight": {
                 "current": self._inflight,
                 "peak": self.peak_inflight,

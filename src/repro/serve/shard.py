@@ -23,24 +23,31 @@ from repro.fastpath.parallel import derive_seed
 Shape = Tuple[int, int]
 
 
+#: The params a shaped system's machine is read from: (processors per AT
+#: space, bank cycle), the bank cycle fixed at 1 where it is ``None``.
+#: Request validation checks each one present is an int >= 1.
+SHAPE_PARAMS: Dict[str, Tuple[str, Optional[str]]] = {
+    "cfm": ("n_procs", "bank_cycle"),
+    "cache": ("n_procs", "bank_cycle"),
+    "hierarchy": ("procs_per_cluster", "bank_cycle"),
+    "sync_omega": ("n_ports", None),
+}
+
+
 def shape_of(system: str, params: Dict[str, object]) -> Optional[Shape]:
     """The ``(n_banks, bank_cycle)`` machine shape a spec runs on.
 
-    ``None`` for systems without an AT-space schedule."""
-    bank_cycle = int(params.get("bank_cycle", 1) or 1)
-    if system == "cfm":
-        n_procs = int(params.get("n_procs", 0) or 0)
-        return (n_procs * bank_cycle, bank_cycle) if n_procs else None
-    if system == "cache":
-        n_procs = int(params.get("n_procs", 0) or 0)
-        return (n_procs * bank_cycle, bank_cycle) if n_procs else None
-    if system == "hierarchy":
-        per = int(params.get("procs_per_cluster", 0) or 0)
-        return (per * bank_cycle, bank_cycle) if per else None
-    if system == "sync_omega":
-        n_ports = int(params.get("n_ports", 0) or 0)
-        return (n_ports, 1) if n_ports else None
-    return None
+    ``None`` for systems without an AT-space schedule, and for a spec
+    that names no processor count."""
+    names = SHAPE_PARAMS.get(system)
+    if names is None:
+        return None
+    procs, cycle = names
+    n_procs = int(params.get(procs, 0) or 0)
+    if not n_procs:
+        return None
+    bank_cycle = int(params.get(cycle, 1) or 1) if cycle else 1
+    return (n_procs * bank_cycle, bank_cycle)
 
 
 def shard_for_shape(shape: Shape, n_shards: int) -> int:

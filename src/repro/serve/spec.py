@@ -13,9 +13,11 @@ run uses, and identical specs produce bit-identical reports either way.
 Validation happens in the front-end process, *before* the request costs a
 worker round-trip: unknown systems, unknown or missing parameter names
 (checked against the runner's signature), non-JSON param values, engine
-names the system's layer cannot run, and malformed fault-injection
-descriptions all raise :class:`RequestError`, which the service turns
-into a typed error response.
+names the system's layer cannot run, routing params that are not ints
+(``n_procs``, ``bank_cycle``, ``seed``, …), machines of more than
+:data:`MAX_BANKS` banks, and malformed fault-injection descriptions all
+raise :class:`RequestError`, which the service turns into a typed error
+response.
 
 An optional ``"inject"`` member asks the worker to run the spec under a
 seeded :class:`repro.faults.FaultPlan` (cfm only — the chaos-harness
@@ -30,11 +32,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
+from repro.serve.shard import SHAPE_PARAMS, shape_of
 from repro.sim.criticality import TIERS
 
 #: Parameters never accepted over the wire: observers are process-local
 #: objects (probes can't ride a JSON request into a worker).
 _UNSERVABLE_PARAMS = frozenset({"probe"})
+
+#: Most banks a served machine may have.  A run keeps one dict per bank,
+#: so a request for a huge shape (``n_procs`` 2^20 at ``bank_cycle`` 64
+#: is 67M banks) would exhaust its worker's memory.  The largest shape
+#: the benches run, (128, 32), has 4096.
+MAX_BANKS = 4096
 
 #: Tenant labels are network input; keep them short and printable.
 _MAX_TENANT_LEN = 64
@@ -145,6 +154,24 @@ def _check_runnable(system: str, params: Dict[str, object]) -> None:
                            layer=SYSTEM_ENGINE_LAYER.get(system, system))
         except ValueError as exc:
             raise RequestError(str(exc)) from None
+
+
+def _check_routing(system: str, params: Dict[str, object]) -> None:
+    """The params the shard router reads are true ints — the shape params
+    (:data:`repro.serve.shard.SHAPE_PARAMS`) >= 1, ``seed`` >= 0 — and
+    the machine has at most :data:`MAX_BANKS` banks."""
+    procs, cycle = SHAPE_PARAMS.get(system, (None, None))
+    for key, low in ((procs, 1), (cycle, 1), ("seed", 0)):
+        value = params.get(key, low) if key is not None else low
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise RequestError(
+                f"param {key!r} must be an int >= {low}, got {value!r}")
+    shape = shape_of(system, params)
+    if shape is not None and shape[0] > MAX_BANKS:
+        raise RequestError(
+            f"machine of {shape[0]} banks exceeds the served bound of "
+            f"{MAX_BANKS}"
+        )
 
 
 def _int_field(obj: Dict[str, object], key: str, default: int) -> int:
@@ -260,6 +287,7 @@ def validate_request(obj: object,
         raise RequestError(
             f"unknown request field(s): {' '.join(sorted(unknown))}"
         )
+    _check_routing(system, params)
     _check_runnable(system, params)
     return ServeRequest(id=req_id, tenant=tenant, system=system,
                         params=params, inject=inject,

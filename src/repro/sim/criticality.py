@@ -8,7 +8,9 @@ three-tier vocabulary — ``latency_critical`` / ``normal`` / ``bulk`` —
 used by workload generators (:mod:`repro.sim.workload`), AT-space entry
 arbitration (:class:`repro.core.cfm.CFMemory`), NC queueing
 (:mod:`repro.hierarchy.controller`), the serving layer
-(:mod:`repro.serve`), and the SLA trackers (:mod:`repro.obs.sla`).
+(:mod:`repro.serve`), and the per-tier SLA instruments
+(``<name>[<tier>]`` histograms, rendered by
+:func:`repro.obs.metrics.sla_section`).
 
 It lives at the bottom of the layer stack (no ``repro.*`` imports) so
 any layer can consult it without cycles.  A tier is carried as its

@@ -89,14 +89,15 @@ class CFMDriver:
     def _leap_safe(self) -> bool:
         """True when idle slots are provably uneventful and skippable.
 
-        Requires no in-flight accesses, no observers pinning the per-slot
+        Requires no in-flight accesses, no probe pinning the per-slot
         event stream, and a controller whose ``on_slot`` is either the base
         no-op or declared GC-only (``ON_SLOT_IS_GC``): ATT lookups
         age-filter, so a prune that runs late removes nothing a lookup in
-        between could have seen.
+        between could have seen.  A metrics registry does not pin: bank
+        utilization is settled from the slot count when it is read.
         """
         mem = self.mem
-        if mem.active or mem.probe is not None or mem.metrics is not None:
+        if mem.active or mem.probe is not None:
             return False
         ctrl = mem.controller
         return (

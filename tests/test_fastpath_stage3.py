@@ -2,9 +2,10 @@
 
 Three proof obligations:
 
-* **engine seam** — ``resolve_engine``, the CFM's ``engine=``
-  constructor argument and the coherence bench runners, which only
-  validate and record the name, reject the same names the same way.
+* **engine seam** — ``resolve_engine``, ``CFMemory.run_engine`` (the
+  one dispatcher: no constructor takes an engine) and the coherence
+  bench runners, which only validate and record the name, reject the
+  same names the same way.
 * **engine-name differential** — every engine name the CFM accepts
   (``reference`` and the fast driver's ``batch``/``vectorized``/
   ``stacked`` aliases) produces bit-identical full-state fingerprints,
@@ -17,8 +18,9 @@ Three proof obligations:
   sum to the slots it advanced, and a cache run times out at the strict
   boundary slot under every engine name a cache spec accepts.
 
-Also covered: bounded table caches + degraded-table aliasing, the
-partial bench-document contract, and the ``--engine`` CLI surface.
+Also covered: metrics snapshots identical across engine names, the
+strict timeout boundary, the partial bench-document contract, and the
+``--engine`` CLI surface.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ from repro.obs import (
     MetricsRegistry,
     MultiProbe,
     RecordingProbe,
-    TenantMetrics,
     drain_artifacts,
     load_probe_events,
 )
+from repro.serve import RequestError, validate_request
+from repro.serve import service as service_module
+from repro.serve.service import OVERFLOW_TENANT
 from repro.sim.stats import Histogram, RunningStats, TallyCounter, Utilization
+from tests.serving import serve_serially, tenant_labels
 
 
 class TestMetricsRegistry:
@@ -85,58 +88,63 @@ class TestMetricsRegistry:
 
 
 class TestTenantMetrics:
+    """Per-tenant ``tenant[<label>].*`` instruments of the service's one
+    registry, bounded to ``MAX_TENANTS`` label sets (network input)."""
+
     def test_named_tenants_get_their_own_registry(self):
-        tm = TenantMetrics(max_tenants=4)
-        a = tm.registry("alice")
-        assert tm.registry("alice") is a
-        tm.registry("bob")
-        assert tm.tenants() == ["alice", "bob"]
+        snap = serve_serially([{"tenant": "alice"}, {"tenant": "bob"},
+                               {"tenant": "alice"}])
+        assert tenant_labels(snap) == {"alice", "bob"}
+        service = snap["service"]
+        assert service["tenant[alice].requests"]["counts"] == {
+            "total": 2, "ok": 2}
+        assert service["tenant[alice].cache"]["counts"] == {"miss": 2}
+        assert service["tenant[bob].latency_ms"]["n"] == 1
 
-    def test_family_never_exceeds_max_tenants(self):
-        # The overflow slot is reserved INSIDE the bound.  With
-        # max_tenants distinct labels, the family must hold exactly
-        # max_tenants registries: max_tenants - 1 named ones plus the
-        # materialized overflow registry — never max_tenants + 1 (the
-        # regression: the bound check admitted max_tenants named tenants
-        # and then created "<overflow>" on top of them).
-        max_tenants = 5
-        tm = TenantMetrics(max_tenants=max_tenants)
-        regs = [tm.registry(f"t{i}") for i in range(max_tenants)]
-        assert len(tm) == max_tenants
-        assert TenantMetrics.OVERFLOW in tm
-        named = [t for t in tm.tenants() if t != TenantMetrics.OVERFLOW]
-        assert len(named) == max_tenants - 1
-        # The last arrival shares the overflow registry.
-        assert regs[-1] is tm.registry(TenantMetrics.OVERFLOW)
-        # Further strangers keep sharing it — the family stays put.
-        for i in range(10):
-            assert tm.registry(f"late{i}") is regs[-1]
-        assert len(tm) == max_tenants
+    def test_family_never_exceeds_max_tenants(self, monkeypatch):
+        # The overflow set is reserved INSIDE the bound.  With MAX_TENANTS
+        # distinct labels there are exactly MAX_TENANTS label sets:
+        # MAX_TENANTS - 1 named ones plus the overflow set — never
+        # MAX_TENANTS + 1 (the regression: the bound admitted MAX_TENANTS
+        # named tenants and then created "<overflow>" on top of them).
+        monkeypatch.setattr(service_module, "MAX_TENANTS", 5)
+        snap = serve_serially([{"tenant": f"t{i}"} for i in range(5)]
+                              + [{"tenant": f"late{i}"} for i in range(10)])
+        assert tenant_labels(snap) == {"t0", "t1", "t2", "t3",
+                                       OVERFLOW_TENANT}
+        # The last arrival and every later stranger share the overflow.
+        overflow = snap["service"][f"tenant[{OVERFLOW_TENANT}].requests"]
+        assert overflow["counts"]["total"] == 11
 
-    def test_admitted_tenants_survive_overflow(self):
-        tm = TenantMetrics(max_tenants=3)
-        a = tm.registry("a")
-        b = tm.registry("b")
-        tm.registry("c")  # spills: only 2 named slots beside overflow
-        assert tm.registry("a") is a and tm.registry("b") is b
+    def test_admitted_tenants_survive_overflow(self, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_TENANTS", 3)
+        snap = serve_serially([{"tenant": t} for t in "abcab"])
+        assert tenant_labels(snap) == {"a", "b", OVERFLOW_TENANT}
+        totals = {t: snap["service"][f"tenant[{t}].requests"]["counts"][
+            "total"] for t in ("a", "b", OVERFLOW_TENANT)}
+        assert totals == {"a": 2, "b": 2, OVERFLOW_TENANT: 1}
 
-    def test_max_tenants_one_sends_everyone_to_overflow(self):
-        tm = TenantMetrics(max_tenants=1)
-        reg = tm.registry("only")
-        assert tm.tenants() == [TenantMetrics.OVERFLOW]
-        assert tm.registry("other") is reg
+    def test_max_tenants_one_sends_everyone_to_overflow(self, monkeypatch):
+        monkeypatch.setattr(service_module, "MAX_TENANTS", 1)
+        snap = serve_serially([{"tenant": "only"}, {"tenant": "other"}])
+        assert tenant_labels(snap) == {OVERFLOW_TENANT}
+        assert snap["service"][f"tenant[{OVERFLOW_TENANT}].requests"][
+            "counts"]["total"] == 2
 
     def test_snapshot_nests_by_tenant(self):
-        tm = TenantMetrics(max_tenants=8)
-        tm.registry("a").counter("requests").incr("total")
-        snap = tm.snapshot()
-        assert snap["a"]["requests"]["counts"]["total"] == 1
+        # One snapshot schema: a tenant's instruments sit in the service
+        # snapshot under their labelled names; /metrics has no other
+        # tenant section.
+        snap = serve_serially([{"tenant": "a"}])
+        assert "tenants" not in snap
+        assert snap["service"]["tenant[a].requests"] == {
+            "type": "counter", "counts": {"total": 1, "ok": 1}, "total": 2}
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="max_tenants"):
-            TenantMetrics(max_tenants=0)
-        with pytest.raises(ValueError, match="non-empty"):
-            TenantMetrics().registry("")
+        with pytest.raises(RequestError, match="tenant"):
+            validate_request({"id": "x", "system": "cfm", "tenant": ""})
+        with pytest.raises(RequestError, match="tenant"):
+            validate_request({"id": "x", "system": "cfm", "tenant": "t" * 65})
 
 
 class TestProbes:

@@ -16,9 +16,10 @@ The load-bearing properties:
 4. **Table 5.4 dominance** — in the NC queue, criticality reorders events
    only *within* an event-type priority class; untagged events keep the
    exact ``(priority, seq)`` order.
-5. **SLA accounting** — per-tier histograms/deadline counters ride finish
-   callbacks (slots) or the service accounting path (ms), never the
-   simulation's metrics registry.
+5. **SLA accounting** — per-tier ``<name>[<tier>]`` latency histograms
+   and a ``<tier>.met|missed`` deadline counter in a metrics registry,
+   written by ``CFMemory._finish`` (slots) or the service accounting path
+   (ms) and rendered by one function, :func:`repro.obs.metrics.sla_section`.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from repro.core.cfm import (
 from repro.core.config import CFMConfig
 from repro.fastpath.engine import ENGINES, engine_available
 from repro.hierarchy.controller import EventType, NetworkController
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sla import SlaTracker
+from repro.obs.metrics import MetricsRegistry, sla_section
 from repro.sim.criticality import (
     BULK,
     DEFAULT_RANK,
@@ -179,9 +179,9 @@ class TestSubmitArbitration:
     @pytest.mark.parametrize("slack", [-1, 0])
     def test_deadline_boundary_agrees_with_sla_tracker(self, slack):
         """A D-slot budget is met iff qos_latency <= D, on the access, in
-        the ``cfm.deadline`` counter and in :class:`SlaTracker` alike: at
-        (4, 1) an idle read takes beta = 4 slots, so D = 3 misses and
-        D = 4 meets."""
+        the ``cfm.deadline`` counter and in the SLA section rendered
+        from it alike: at (4, 1) an idle read takes beta = 4 slots, so D = 3
+        misses and D = 4 meets."""
         metrics = MetricsRegistry()
         mem = _mem(metrics=metrics)
         beta = mem.cfg.block_access_time
@@ -197,9 +197,10 @@ class TestSubmitArbitration:
         outcome = "met" if met else "missed"
         assert metrics.counter("cfm.deadline")[
             f"{LATENCY_CRITICAL}.{outcome}"] == 1
-        sla = SlaTracker(unit="slots")
-        sla.record(LATENCY_CRITICAL, acc.qos_latency, deadline=budget)
-        assert sla.missed(LATENCY_CRITICAL) == (0 if met else 1)
+        tier = sla_section(metrics, "cfm.latency", "cfm.deadline",
+                           "slots")["tiers"][LATENCY_CRITICAL]
+        assert tier["max"] == beta
+        assert tier["deadline"] == {"met": int(met), "missed": int(not met)}
 
     def test_queueing_counts_against_qos_latency(self):
         mem = _mem()
@@ -410,41 +411,67 @@ class TestHierarchyCriticality:
 
 
 # --------------------------------------------------------------------------
-# The SLA tracker
+# SLA tracking: tier instruments rendered by sla_section
+
+
+def _record(metrics, tier, latency, deadline=None):
+    """Account one completion as the writers do: a ``cfm.latency[<tier>]``
+    sample, and a ``cfm.deadline`` count when there is a deadline."""
+    metrics.histogram(f"cfm.latency[{tier}]").add(latency)
+    if deadline is not None:
+        metrics.counter("cfm.deadline").incr(
+            f"{tier}.{'met' if latency <= deadline else 'missed'}")
+
+
+def _section(metrics, unit="slots", quantum=1):
+    return sla_section(metrics, "cfm.latency", "cfm.deadline", unit,
+                       quantum)
 
 
 class TestSlaTracker:
+    """Per-tier tails and deadline counts of a registry's ``<name>[<tier>]``
+    histograms and deadline counter, as :func:`sla_section` renders them."""
+
     def test_per_tier_percentiles_and_deadlines(self):
-        t = SlaTracker(unit="slots", deadlines={LATENCY_CRITICAL: 50})
-        t.extend(LATENCY_CRITICAL, [10, 20, 30, 40, 60])
-        t.record(BULK, 500, deadline=100)
-        assert t.total() == 6
-        assert t.percentile(LATENCY_CRITICAL, 0.5) == 30
-        assert t.percentile(LATENCY_CRITICAL, 1.0) == 60
-        assert t.missed(LATENCY_CRITICAL) == 1  # the 60 against default 50
-        assert t.missed(BULK) == 1
-        snap = t.snapshot()
+        # A tier default applies to every completion of the tier, as
+        # _run_qos judges latency-critical ops against deadline_factor*beta.
+        defaults = {LATENCY_CRITICAL: 50}
+        metrics = MetricsRegistry()
+        for latency in [10, 20, 30, 40, 60]:
+            _record(metrics, LATENCY_CRITICAL, latency,
+                    defaults.get(LATENCY_CRITICAL))
+        _record(metrics, BULK, 500, deadline=100)
+        snap = _section(metrics)
         assert snap["unit"] == "slots"
-        assert list(snap["tiers"]) == [LATENCY_CRITICAL, BULK]  # canonical
-        lc = snap["tiers"][LATENCY_CRITICAL]
-        assert lc["n"] == 5 and lc["deadline"] == {"met": 4, "missed": 1}
+        tiers = snap["tiers"]
+        assert list(tiers) == [LATENCY_CRITICAL, BULK]  # canonical order
+        assert sum(t["n"] for t in tiers.values()) == 6
+        lc = tiers[LATENCY_CRITICAL]
+        assert lc["p50"] == 30 and lc["max"] == 60 and lc["min"] == 10
+        assert lc["n"] == 5 and lc["mean"] == 32
+        # The 60 misses the default 50.
+        assert lc["deadline"] == {"met": 4, "missed": 1}
+        assert tiers[BULK]["deadline"] == {"met": 0, "missed": 1}
 
     def test_quantum_preserves_fractional_units(self):
-        t = SlaTracker(unit="ms", quantum=1000)
-        t.extend(None, [0.25, 0.5, 1.75])  # untagged → "normal"
-        assert t.percentile(NORMAL, 0.5) == 0.5
-        snap = t.snapshot()["tiers"][NORMAL]
-        assert snap["min"] == 0.25 and snap["max"] == 1.75
-        assert "deadline" not in snap  # no deadline was ever supplied
+        metrics = MetricsRegistry()
+        for latency_ms in [0.25, 0.5, 1.75]:  # kept as whole microseconds
+            _record(metrics, NORMAL, round(latency_ms * 1000))
+        snap = _section(metrics, unit="ms", quantum=1000)
+        assert snap["unit"] == "ms"
+        normal = snap["tiers"][NORMAL]
+        assert normal["p50"] == 0.5
+        assert normal["min"] == 0.25 and normal["max"] == 1.75
+        assert "deadline" not in normal  # no deadline was ever supplied
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="quantum"):
-            SlaTracker(quantum=0)
-        t = SlaTracker()
+        metrics = MetricsRegistry()
+        metrics.histogram("cfm.latency[asap]").add(1)
         with pytest.raises(ValueError, match="latency_critical"):
-            t.record("asap", 1.0)
-        with pytest.raises(ValueError, match="no samples"):
-            t.percentile(BULK, 0.5)
+            _section(metrics)
+        empty = MetricsRegistry()
+        empty.histogram(f"cfm.latency[{BULK}]")  # no samples: no tier
+        assert _section(empty) == {"unit": "slots", "tiers": {}}
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from repro.serve import (
     shard_for_shape,
     validate_request,
 )
+from repro.serve.spec import MAX_BANKS
+from tests.serving import serve_serially, tenant_labels
 
 #: The Table 3.3 working set of ``(n_banks, bank_cycle)`` shapes.
 SHAPES = ((4, 1), (8, 2), (16, 4), (32, 8))
@@ -104,10 +106,40 @@ class TestValidateRequest:
         ({"id": "x", "system": "cfm", "inject": {"events": [
             {"kind": "bank_stuck", "duration": 0}]}}, "fault window"),
         ("just a string", "JSON object"),
+        # The params the shard router reads are ints >= 1 (seed >= 0)...
+        ({"id": "x", "system": "cfm", "params": {
+            "n_procs": 4, "bank_cycle": "y", "cycles": 10}}, "bank_cycle"),
+        ({"id": "x", "system": "hierarchy", "params": {
+            "n_clusters": 2, "procs_per_cluster": "z", "rounds": 2}},
+         "procs_per_cluster"),
+        ({"id": "x", "system": "cfm", "params": {
+            "n_procs": True, "bank_cycle": 1, "cycles": 10}}, "n_procs"),
+        ({"id": "x", "system": "cfm", "params": {
+            "n_procs": 4.0, "bank_cycle": 1, "cycles": 10}}, "n_procs"),
+        ({"id": "x", "system": "cfm", "params": {
+            "n_procs": 0, "bank_cycle": 1, "cycles": 10}}, "n_procs"),
+        ({"id": "x", "system": "sync_omega", "params": {"n_ports": None}},
+         "n_ports"),
+        ({"id": "x", "system": "cache", "params": {
+            "n_procs": 4, "rounds": 2, "seed": "s"}}, "seed"),
+        # ...and the machine has at most MAX_BANKS banks.
+        ({"id": "x", "system": "cfm", "params": {
+            "n_procs": 1 << 20, "bank_cycle": 64, "cycles": 10}},
+         "67108864 banks exceeds"),
+        ({"id": "x", "system": "hierarchy", "params": {
+            "n_clusters": 2, "procs_per_cluster": 4097, "rounds": 2}},
+         "4097 banks exceeds"),
+        ({"id": "x", "system": "sync_omega", "params": {"n_ports": 8192}},
+         "8192 banks exceeds"),
     ])
     def test_rejects_malformed(self, bad, fragment):
         with pytest.raises(RequestError, match=fragment):
             validate_request(bad)
+
+    def test_largest_served_machine_is_accepted(self):
+        req = validate_request({"id": "x", "system": "cfm", "params": {
+            "n_procs": 128, "bank_cycle": 32, "cycles": 10}})
+        assert shape_of(req.system, req.params) == (MAX_BANKS, 32)
 
     def test_inject_validates_and_normalizes(self):
         req = validate_request({
@@ -264,8 +296,8 @@ class TestSimulationService:
         snap = service.metrics_snapshot()
         assert snap["service"]["serve.requests"]["counts"]["total"] == 7
         assert snap["service"]["serve.requests"]["counts"]["rejected"] == 1
-        assert {"t0", "t1"} <= set(snap["tenants"])
-        t0 = snap["tenants"]["t0"]["requests"]["counts"]
+        assert {"t0", "t1"} <= tenant_labels(snap)
+        t0 = snap["service"]["tenant[t0].requests"]["counts"]
         assert t0["total"] == t0["ok"] == 3
 
     def test_http_run_metrics_health_and_404(self, pool):
@@ -349,6 +381,29 @@ class TestSimulationService:
         assert bad_json["ok"] is False
         assert "not valid JSON" in bad_json["error"]["message"]
 
+    @pytest.mark.parametrize("system, params", [
+        ("cfm", {"n_procs": 4, "bank_cycle": "y", "cycles": 10}),
+        ("hierarchy", {"n_clusters": 2, "procs_per_cluster": "z",
+                       "rounds": 2}),
+        ("cfm", {"n_procs": 1 << 20, "bank_cycle": 64, "cycles": 10}),
+    ], ids=["bank_cycle_str", "procs_per_cluster_str", "oversized"])
+    def test_bad_shape_is_a_typed_response(self, pool, system, params):
+        """A shape the router cannot read, or one over MAX_BANKS, is
+        answered with a typed error and counted as rejected, never raised
+        out of ``handle_line`` nor dispatched."""
+        line = json.dumps({"id": "bad-shape", "system": system,
+                           "params": params})
+        before = (list(pool.dispatched), list(pool.batches))
+        service = SimulationService(pool=pool)
+        resp = asyncio.run(service.handle_line(line))
+        assert resp["ok"] is False and resp["id"] == "bad-shape"
+        assert resp["error"]["type"] == "RequestError"
+        assert resp["error"]["typed"]
+        counts = service.metrics_snapshot()["service"]["serve.requests"][
+            "counts"]
+        assert counts == {"rejected": 1}
+        assert (list(pool.dispatched), list(pool.batches)) == before
+
     def test_malformed_inject_event_is_a_typed_response(self, pool):
         """A bad inject event is answered with a typed error and counted as
         rejected, never raised out of ``handle_line``."""
@@ -366,6 +421,39 @@ class TestSimulationService:
             "counts"]
         assert counts["rejected"] == 1
         assert list(pool.dispatched) == before
+
+
+# --------------------------------------------------------------------------
+# Accounting: per-tier SLA instruments of the service's one registry
+
+
+class TestSlaAccounting:
+    def test_served_latency_tails_and_deadlines_per_tier(self):
+        snap = serve_serially([
+            # Untagged requests are judged as normal; no deadline given.
+            {"params": dict(CFM_PARAMS, cycles=250)},
+            {"params": dict(CFM_PARAMS, cycles=500)},
+            {"params": dict(CFM_PARAMS, cycles=1750)},
+            # A deadline of D ms is met iff wall_ms <= D.
+            {"params": dict(CFM_PARAMS, cycles=2000),
+             "criticality": "latency_critical", "deadline_ms": 2.0},
+            {"params": dict(CFM_PARAMS, cycles=2001),
+             "criticality": "latency_critical", "deadline_ms": 2.0},
+        ], cache_size=0)
+        sla = snap["sla"]
+        assert sla["unit"] == "ms"
+        assert list(sla["tiers"]) == ["latency_critical", "normal"]
+        normal = sla["tiers"]["normal"]
+        assert normal["n"] == 3 and normal["p50"] == 0.5
+        assert normal["min"] == 0.25 and normal["max"] == 1.75
+        assert "deadline" not in normal
+        critical = sla["tiers"]["latency_critical"]
+        assert critical["deadline"] == {"met": 1, "missed": 1}
+        assert critical["max"] == 2.001
+        service = snap["service"]
+        assert service["serve.sla.latency_us[normal]"]["max"] == 1750
+        assert service["serve.sla.deadline"]["counts"] == {
+            "latency_critical.met": 1, "latency_critical.missed": 1}
 
 
 # --------------------------------------------------------------------------

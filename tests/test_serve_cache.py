@@ -273,9 +273,13 @@ class TestCacheAccounting:
         snap = service.metrics_snapshot()
         total_requests = 0
         total_cache_events = 0
-        for tenant, tsnap in snap["tenants"].items():
-            treq = tsnap["requests"]["counts"]
-            tcache = tsnap["cache"]["counts"]
+        tenants = {name[:-len(".requests")] for name in snap["service"]
+                   if name.startswith("tenant[")
+                   and name.endswith(".requests")}
+        assert tenants == {"tenant[t0]", "tenant[t1]"}
+        for tenant in tenants:
+            treq = snap["service"][f"{tenant}.requests"]["counts"]
+            tcache = snap["service"][f"{tenant}.cache"]["counts"]
             assert (tcache.get("hit", 0) + tcache.get("miss", 0)
                     == treq["total"]), (tenant, tcache, treq)
             total_requests += treq["total"]

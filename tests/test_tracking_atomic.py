@@ -212,3 +212,88 @@ class TestTimeoutForensics:
         with pytest.raises(SimulationTimeout) as exc:
             d.run_until(lambda: False, max_slots=3)
         assert "proc 2" in str(exc.value)
+
+
+class _CountingDriver(CFMDriver):
+    """Counts the slots the driver actually ticks."""
+
+    def __init__(self, mem):
+        super().__init__(mem)
+        self.ticks = 0
+
+    def tick(self):
+        self.ticks += 1
+        super().tick()
+
+
+class _NoLeapDriver(_CountingDriver):
+    def _leap_safe(self):
+        return False
+
+
+def _observed_rounds(driver_cls, n, c, seed, retry_delay):
+    """Rounds of one random read/write/swap per processor on a few hot
+    offsets under FIRST_WINS, an idle gap before each round, with a
+    metrics registry attached.  Returns everything the run produced."""
+    import random
+
+    from repro.obs.metrics import MetricsRegistry
+
+    rng = random.Random(seed)
+    cfg = CFMConfig(n_procs=n, bank_cycle=c)
+    metrics = MetricsRegistry()
+    mem = CFMemory(cfg, metrics=metrics,
+                   controller=AddressTrackingController(
+                       cfg.n_banks, PriorityMode.FIRST_WINS))
+    driver = driver_cls(mem)
+    ops = []
+    for rnd in range(3):
+        batch = []
+
+        def start(batch=batch, rnd=rnd):
+            for proc in range(n):
+                kind = rng.choice((ReadOperation, WriteOperation,
+                                   SwapOperation))
+                offset = rng.randrange(2)
+                if kind is ReadOperation:
+                    op = kind(driver, proc, offset, retry_delay=retry_delay)
+                else:
+                    values = [rnd * 100 + proc] * cfg.n_banks
+                    op = kind(driver, proc, offset, values,
+                              version=f"r{rnd}p{proc}",
+                              retry_delay=retry_delay)
+                batch.append(op.start())
+
+        driver.defer(1 + rng.randrange(12), start)
+        driver.run_until(lambda: batch and all(op.done for op in batch))
+        ops.extend(batch)
+    outcome = [
+        (type(op).__name__, op.status, op.attempts, op.issue_slot,
+         op.done_slot, getattr(op, "full_restarts", None),
+         getattr(op, "result", None) and op.result.values,
+         getattr(op, "old_block", None) and op.old_block.values)
+        for op in ops
+    ]
+    blocks = [mem.peek_block(offset).values for offset in range(2)]
+    return (outcome, blocks, mem.slot, metrics.snapshot()), driver.ticks
+
+
+class TestLeapWithMetrics:
+    """A registry no longer pins the driver to per-slot ticking: leaping
+    idle slots toward a deferred re-issue or round start leaves every op
+    result, the final slot and the metrics snapshot exactly as ticking
+    each slot does."""
+
+    @pytest.mark.parametrize("retry_delay", [1, 7])
+    @pytest.mark.parametrize("n, c", [(4, 1), (4, 2), (8, 2)])
+    def test_leaping_matches_ticking(self, n, c, retry_delay):
+        leapt = ticked = 0
+        for seed in range(12):
+            fast, fast_ticks = _observed_rounds(_CountingDriver, n, c, seed,
+                                                retry_delay)
+            slow, slow_ticks = _observed_rounds(_NoLeapDriver, n, c, seed,
+                                                retry_delay)
+            assert fast == slow, (n, c, seed, retry_delay)
+            leapt += fast_ticks
+            ticked += slow_ticks
+        assert leapt < ticked
