@@ -22,6 +22,11 @@ Three same-run gates on ``repro.serve``:
    run in this process.  The pool adds only IPC, so the ratio sits near 1
    and moves when the worker side gets slower.
 
+Beside the gates, :func:`test_hit_path_ledger` prints the in-process cost
+of a cache hit's front half, stage by stage, in µs per request — decode,
+validate, key, lookup, account, encode — with no bound (host noise is
+larger than any stage), as a baseline for changes to the serving path.
+
 Every timing is :func:`benchmarks._timing.best_of`.  Every distinct spec's
 served report is asserted bit-identical (post JSON round-trip) to
 :func:`repro.obs.bench.run_spec` run serially: the serving layer must
@@ -43,8 +48,11 @@ from typing import Dict, List, Tuple
 
 from benchmarks._timing import best_of, emit_gate_table
 from repro.obs.bench import run_spec
+from repro.serve.cache import payload_key
 from repro.serve.pool import ShardedWorkerPool, serve_worker
-from repro.serve.service import SimulationService
+from repro.serve.service import SimulationService, encode_response
+from repro.serve.spec import validate_request
+from repro.sim.criticality import TIERS
 
 #: The Table 3.3 working set of ``(n_banks, bank_cycle)`` shapes.
 QUICK_SHAPES: Tuple[Tuple[int, int], ...] = ((4, 1), (8, 2), (16, 4), (32, 8))
@@ -74,6 +82,11 @@ MIN_STACKED_RATIO = 1.0
 ROUND_TRIP_SHAPE = (4, 4)
 ROUND_TRIP_CYCLES = tuple(range(1000, 1800, 100))
 MAX_ROUND_TRIP_RATIO = 1.56
+
+#: Hit-path ledger: request lines over the :data:`QUICK_SHAPES` cfm specs,
+#: spread over a few tenants and every criticality tier.
+LEDGER_LINES = 512
+LEDGER_TENANTS = 4
 
 
 def _payloads(n_requests: int,
@@ -226,6 +239,78 @@ def measure_in_process(specs: List[Dict[str, object]]
     t0 = time.perf_counter()
     reports = [run_spec(dict(s)) for s in specs]
     return time.perf_counter() - t0, reports
+
+
+def _hit_lines(n_lines: int = LEDGER_LINES) -> List[str]:
+    """Request lines, one per cached spec in turn, as a client sends them."""
+    payloads = _payloads(len(QUICK_SHAPES))
+    return [json.dumps({"id": f"h{i}", "tenant": f"t{i % LEDGER_TENANTS}",
+                        "criticality": TIERS[i % len(TIERS)],
+                        **payloads[i % len(payloads)]}, sort_keys=True)
+            for i in range(n_lines)]
+
+
+def measure_hit_path(service: SimulationService,
+                     lines: List[str]) -> Dict[str, float]:
+    """µs per request of each stage of the front half answering ``lines``
+    as cache hits, and of the whole pass (``front half``), each stage
+    timed alone over every line (:func:`best_of`)."""
+    objs = [json.loads(line) for line in lines]
+    requests = [validate_request(obj) for obj in objs]
+    keys = [payload_key(r.payload) for r in requests]
+    shards = [service.pool.shard_of(r.system, r.params, r.shape)
+              for r in requests]
+    responses = [service._front_line(line) for line in lines]
+    assert all(r.get("cached") for r in responses), "expected only hits"
+    cache = service.cache
+
+    def timed(stage):
+        def run():
+            t0 = time.perf_counter()
+            stage()
+            return time.perf_counter() - t0, None
+        return run
+
+    def account():
+        for request, shard in zip(requests, shards):
+            service._account(request, shard).add(True, 0.0, True,
+                                                 request.deadline_ms)
+
+    def front():
+        for line in lines:
+            encode_response(service._front_line(line)).encode()
+
+    stages = {
+        "decode": lambda: [json.loads(line) for line in lines],
+        "validate": lambda: [validate_request(obj, default_id="req")
+                             for obj in objs],
+        "key": lambda: [payload_key(r.payload) for r in requests],
+        "lookup": lambda: [cache.get(key) for key in keys],
+        "account": account,
+        "encode": lambda: [encode_response(r).encode() for r in responses],
+        "front half": front,
+    }
+    timings = best_of(*(timed(stage) for stage in stages.values()))
+    return {name: seconds / len(lines) * 1e6
+            for name, (seconds, _) in zip(stages, timings)}
+
+
+def test_hit_path_ledger():
+    """The hit path's cost by stage; printed, not gated."""
+    lines = _hit_lines()
+    with ShardedWorkerPool(n_shards=N_SHARDS) as pool:
+        service = SimulationService(pool=pool)
+        for payload in _payloads(len(QUICK_SHAPES)):
+            request = validate_request(payload, default_id="warm")
+            service.cache.put(payload_key(request.payload),
+                              json.dumps(run_spec(payload), sort_keys=True))
+        us = measure_hit_path(service, lines)
+    emit_gate_table(
+        f"Serving: in-process hit path ({len(lines)} cached requests), "
+        "µs per request, no bound",
+        ["stage", "µs/request"],
+        [(name, f"{v:.1f}") for name, v in us.items()],
+    )
 
 
 def test_warm_sharded_pool_speedup():

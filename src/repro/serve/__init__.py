@@ -24,9 +24,11 @@ Layers (one module each):
 * :mod:`repro.serve.pool`    — one persistent single-worker process
   executor per shard, rebuilt if its worker dies; failures-as-data batch
   workers;
-* :mod:`repro.serve.service` — the asyncio front-end: streaming responses,
-  bounded in-flight depth (backpressure), per-tenant/per-shape metrics,
-  graceful drain on shutdown.
+* :mod:`repro.serve.service` — the asyncio front-end: one synchronous
+  front half that answers hits, rejections and control ops inline,
+  streaming responses for dispatched misses, bounded in-flight depth
+  (backpressure), per-tenant/per-shape metrics, graceful drain on
+  shutdown.
 
 Serving invariants (tested in ``tests/test_serve.py``,
 ``tests/test_serve_batch.py``, ``tests/test_serve_cache.py``, benched in

@@ -35,7 +35,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Sequence
 
-from repro.serve.shard import shard_for
+from repro.serve.shard import Shape, shard_for
 
 WorkerResult = Dict[str, object]
 
@@ -169,8 +169,9 @@ class ShardedWorkerPool:
 
     # -- routing -------------------------------------------------------------
 
-    def shard_of(self, system: str, params: Dict[str, object]) -> int:
-        return shard_for(system, params, self.n_shards)
+    def shard_of(self, system: str, params: Dict[str, object],
+                 shape: Optional[Shape] = None) -> int:
+        return shard_for(system, params, self.n_shards, shape)
 
     # -- dispatch ------------------------------------------------------------
 

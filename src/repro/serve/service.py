@@ -21,15 +21,27 @@ Architecture (one request's life)::
   shard by ``(system, shape)`` (:mod:`repro.serve.batch`) and cross the
   process boundary as one pool task per batch, flushed by request count or
   queue drain, never by wall-clock timers.
-* **Streaming responses** — every response is written the moment its
-  batch finishes, under a per-connection writer lock; responses carry the
-  request ``id`` because they may interleave out of order.
-* **Bounded in-flight depth** — the connection reader acquires the service
-  semaphore *before* reading on, so at ``max_inflight`` outstanding
-  requests the front-end simply stops consuming bytes and TCP backpressure
-  propagates to the client.  A connection keeps only its pending response
-  tasks (a finished one drops out at once), so its memory stays flat over
-  any number of requests.  No unbounded task or queue growth anywhere.
+* **Answers that need no worker are written inline** — one synchronous
+  front half (decode, :func:`~repro.serve.spec.validate_request`, cache
+  key, lookup, accounting, :func:`encode_response`) answers a cache hit, a
+  :class:`~repro.serve.spec.RequestError` or a control op, and the JSONL
+  reader writes that line straight to the transport: no task, permit or
+  lock.  It awaits ``drain()`` only while the write buffer is over its
+  high-water mark, and yields to the loop every ``max_inflight`` inline
+  answers so one pipelining connection cannot starve the others.  Every
+  framing — JSONL, HTTP ``POST /run``, stdio and the in-process
+  :meth:`SimulationService.process` / :meth:`~SimulationService.handle_line`
+  — runs this one front half; each line is decoded and validated once.
+* **Streaming responses** — a miss's response is written the moment its
+  batch finishes; responses carry the request ``id`` because they may
+  interleave out of order.
+* **Bounded in-flight depth** — only a dispatch holds a permit of the
+  service semaphore, and the connection reader acquires it *before*
+  reading on, so at ``max_inflight`` outstanding dispatches the front-end
+  simply stops consuming bytes and TCP backpressure propagates to the
+  client.  A connection keeps only its pending response tasks (a finished
+  one drops out at once), so its memory stays flat over any number of
+  requests.  No unbounded task or queue growth anywhere.
 * **Failures are responses** — validation problems
   (:class:`repro.serve.spec.RequestError`), typed faults from the fault
   layer, a killed worker (typed ``BrokenProcessPool``) and unexpected
@@ -40,10 +52,12 @@ Architecture (one request's life)::
   (``serve.sla.latency_us[<tier>]`` histograms and the
   ``serve.sla.deadline`` counter) and per tenant
   (``tenant[<label>].requests|cache|latency_ms``, at most
-  :data:`MAX_TENANTS` label sets).  It is exposed as a JSON snapshot via
-  the ``{"op": "metrics"}`` control request and the HTTP ``GET /metrics``
-  endpoint, whose ``sla`` section :func:`repro.obs.metrics.sla_section`
-  renders from the tier instruments.
+  :data:`MAX_TENANTS` label sets).  Each kind of request (tenant, tier,
+  system, shape, shard) resolves its instruments once.  The registry is
+  exposed as a JSON snapshot via the ``{"op": "metrics"}`` control request
+  and the HTTP ``GET /metrics`` endpoint, whose ``sla`` section
+  :func:`repro.obs.metrics.sla_section` renders from the tier
+  instruments.
 
 The HTTP front-end is deliberately minimal (no dependency beyond asyncio):
 ``POST /run`` serves one request per connection, ``GET /metrics`` and
@@ -58,15 +72,16 @@ import itertools
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Optional, Set, TextIO
+from typing import Dict, List, NamedTuple, Optional, Set, TextIO, Union
 
 from repro.obs.metrics import MetricsRegistry, sla_section
 from repro.serve.batch import MicroBatcher
 from repro.serve.cache import ResultCache, cacheable, payload_key
 from repro.serve.pool import ShardedWorkerPool
-from repro.serve.shard import shape_of
+from repro.serve.shard import Shape
 from repro.serve.spec import RequestError, ServeRequest, validate_request
 from repro.sim.criticality import NORMAL
+from repro.sim.stats import TallyCounter
 
 #: Longest accepted request line / HTTP body, in bytes (network input).
 MAX_REQUEST_BYTES = 1 << 20
@@ -79,6 +94,76 @@ _HTTP_METHODS = (b"GET ", b"POST ", b"PUT ", b"HEAD ", b"DELETE ", b"OPTIONS ")
 #: growing the registry without limit.
 MAX_TENANTS = 1024
 OVERFLOW_TENANT = "<overflow>"
+
+#: Most request kinds — (tenant, criticality, system, shape, shard) —
+#: whose resolved instruments the service keeps (:meth:`_account`).
+MAX_ACCOUNTS = 4096
+
+
+class _Account:
+    """The instruments one kind of request is accounted in — one
+    (tenant, tier, system, shape, shard) — resolved from the registry
+    once, so accounting a request costs a few increments and no name
+    lookups."""
+
+    __slots__ = ("_metrics", "cache", "_requests", "_shard", "_latency",
+                 "_tier_latency", "_deadline", "_met", "_missed", "_shape",
+                 "_systems", "_system", "_tenant_requests", "_tenant_cache",
+                 "_tenant_latency")
+
+    def __init__(self, metrics: MetricsRegistry, tenant: str, tier: str,
+                 system: str, shape: Optional[Shape], shard: int) -> None:
+        self._metrics = metrics
+        #: ``serve.cache``: hits, misses and evictions.
+        self.cache = metrics.counter("serve.cache")
+        self._requests = metrics.counter("serve.requests")
+        self._shard = metrics.counter(f"serve.shard[{shard}]")
+        self._latency = metrics.stats("serve.latency_ms")
+        self._tier_latency = metrics.histogram(
+            f"serve.sla.latency_us[{tier}]")
+        # Resolved by the first request that carries a deadline, so a
+        # service that never judged one shows no deadline counter.
+        self._deadline: Optional[TallyCounter] = None
+        self._met, self._missed = f"{tier}.met", f"{tier}.missed"
+        self._shape = None if shape is None else metrics.counter(
+            f"serve.shape[b={shape[0]},c={shape[1]}]")
+        self._systems = metrics.counter("serve.system")
+        self._system = system
+        self._tenant_requests = metrics.counter(tenant + ".requests")
+        self._tenant_cache = metrics.counter(tenant + ".cache")
+        self._tenant_latency = metrics.stats(tenant + ".latency_ms")
+
+    def add(self, ok: bool, wall_ms: float, cached: bool,
+            deadline_ms: Optional[float]) -> None:
+        """Account one answered request."""
+        outcome = "ok" if ok else "error"
+        self._requests.incr("total")
+        self._requests.incr(outcome)
+        self._shard.incr("cached" if cached else "dispatched")
+        self._latency.add(wall_ms)
+        self._tier_latency.add(round(wall_ms * 1000))
+        if deadline_ms is not None:
+            if self._deadline is None:
+                self._deadline = self._metrics.counter("serve.sla.deadline")
+            self._deadline.incr(self._met if wall_ms <= deadline_ms
+                                else self._missed)
+        if self._shape is not None:
+            self._shape.incr("requests")
+        self._systems.incr(self._system)
+        self._tenant_requests.incr("total")
+        self._tenant_requests.incr(outcome)
+        self._tenant_cache.incr("hit" if cached else "miss")
+        self._tenant_latency.add(wall_ms)
+
+
+class _Miss(NamedTuple):
+    """A validated request the front half could not answer: what the back
+    half needs to dispatch it."""
+
+    request: ServeRequest
+    key: Optional[str]  # its cache key; ``None`` when uncacheable
+    shard: int
+    account: _Account
 
 
 class SimulationService:
@@ -96,6 +181,8 @@ class SimulationService:
         self.metrics = MetricsRegistry()
         #: Admitted tenant label → its instrument-name prefix.
         self._tenants: Dict[str, str] = {}
+        #: (tenant, criticality, system, shape, shard) → its instruments.
+        self._accounts: Dict[tuple, _Account] = {}
         self.batcher = MicroBatcher(self.pool, max_batch=max_batch,
                                     metrics=self.metrics)
         self.cache = ResultCache(max_entries=cache_size)
@@ -114,11 +201,41 @@ class SimulationService:
     # -- request handling ------------------------------------------------
 
     async def process(self, obj: object) -> Dict[str, object]:
-        """One decoded request → one response dict, depth-gated."""
-        async with self._gate:
-            return _decoded(await self._process_ungated(obj))
+        """One decoded request → one response dict; only a dispatch holds
+        a gate permit."""
+        return _decoded(await self._answer(self._front(obj)))
 
-    async def _process_ungated(self, obj: object) -> Dict[str, object]:
+    async def handle_line(self, line: str) -> Dict[str, object]:
+        """One JSONL input line → one response dict (never raises)."""
+        return _decoded(await self._answer(self._front_line(line)))
+
+    async def _answer(self, front: Union[Dict[str, object], _Miss]
+                      ) -> Dict[str, object]:
+        """The front half's answer, or the back half's under a permit."""
+        if not isinstance(front, _Miss):
+            return front
+        async with self._gate:
+            return await self._dispatch(front)
+
+    def _front_line(self, text: str) -> Union[Dict[str, object], _Miss]:
+        """:meth:`_front` of one request line, decoded here."""
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:
+            self.metrics.counter("serve.requests").incr("rejected")
+            return _error_response(None, "RequestError",
+                                   f"request is not valid JSON: {exc}",
+                                   typed=True)
+        return self._front(obj)
+
+    def _front(self, obj: object) -> Union[Dict[str, object], _Miss]:
+        """The synchronous front half: validate, key, look up, account.
+
+        Answers whatever needs no worker — a control op, a
+        :class:`RequestError`, a cache hit — with its response; any other
+        request comes back as the :class:`_Miss` the back half
+        (:meth:`_dispatch`) runs, so no line is decoded or validated
+        twice."""
         if isinstance(obj, dict) and obj.get("op") is not None:
             return self._control(obj)
         try:
@@ -127,24 +244,19 @@ class SimulationService:
             self.metrics.counter("serve.requests").incr("rejected")
             rid = obj.get("id") if isinstance(obj, dict) else None
             return _error_response(rid, "RequestError", str(exc), typed=True)
-        return await self._dispatch(request)
-
-    async def _dispatch(self, request: ServeRequest) -> Dict[str, object]:
-        shard = self.pool.shard_of(request.system, request.params)
-        payload = request.payload
+        shard = self.pool.shard_of(request.system, request.params,
+                                   request.shape)
+        account = self._account(request, shard)
         # Content-addressed lookup first: a completed identical spec never
         # costs a second worker round-trip.  Fault-injected requests have
         # no key (never cached in either direction).
         key: Optional[str] = None
-        if self.cache.max_entries > 0 and cacheable(payload):
-            key = payload_key(payload)
-        cache_counter = self.metrics.counter("serve.cache")
-        if key is not None:
+        if self.cache.max_entries > 0 and cacheable(request.payload):
+            key = payload_key(request.payload)
             report = self.cache.get(key)
             if report is not None:  # the stored wire text of the report
-                cache_counter.incr("hits")
-                result = {"ok": True, "report": report, "wall_ms": 0.0}
-                self._account(request, shard, result, cached=True)
+                account.cache.incr("hits")
+                account.add(True, 0.0, True, request.deadline_ms)
                 return {
                     "id": request.id,
                     "tenant": request.tenant,
@@ -156,7 +268,12 @@ class SimulationService:
                 }
         # Uncacheable requests "miss" too: per-tenant hit+miss always sums
         # to the tenant's dispatched request count.
-        cache_counter.incr("misses")
+        account.cache.incr("misses")
+        return _Miss(request, key, shard, account)
+
+    async def _dispatch(self, miss: _Miss) -> Dict[str, object]:
+        """The back half: one missed request through the batcher."""
+        request, key, shard, account = miss
         self._inflight += 1
         self.peak_inflight = max(self.peak_inflight, self._inflight)
         try:
@@ -164,10 +281,12 @@ class SimulationService:
             # did: the tag is an opt-in hint, not part of the dispatch
             # contract.
             if request.criticality is None:
-                result = await self.batcher.submit(payload, shard=shard)
+                result = await self.batcher.submit(request.payload,
+                                                   shard=shard)
             else:
                 result = await self.batcher.submit(
-                    payload, shard=shard, criticality=request.criticality)
+                    request.payload, shard=shard,
+                    criticality=request.criticality)
         except Exception as exc:  # pool failure: the batch is lost
             died = isinstance(exc, BrokenProcessPool)  # typed; shard rebuilt
             result = {"ok": False, "error": {
@@ -176,7 +295,8 @@ class SimulationService:
             }, "wall_ms": 0.0}
         finally:
             self._inflight -= 1
-        report = result.get("report") if result.get("ok") else None
+        ok = bool(result.get("ok"))
+        report = result.get("report") if ok else None
         if report is not None:
             # The one encoding of this report: the cache stores this text
             # and every response carrying the report splices it in.
@@ -184,16 +304,17 @@ class SimulationService:
             if key is not None:
                 evicted = self.cache.put(key, report)
                 if evicted:
-                    cache_counter.incr("evictions", evicted)
-        self._account(request, shard, result, cached=False)
+                    account.cache.incr("evictions", evicted)
+        account.add(ok, float(result.get("wall_ms") or 0.0), False,
+                    request.deadline_ms)
         response: Dict[str, object] = {
             "id": request.id,
             "tenant": request.tenant,
-            "ok": bool(result.get("ok")),
+            "ok": ok,
             "shard": shard,
             "wall_ms": result.get("wall_ms"),
         }
-        if result.get("ok"):
+        if ok:
             response["report"] = report
         else:
             response["error"] = result.get("error")
@@ -205,37 +326,24 @@ class SimulationService:
             response["worker"] = worker
         return response
 
-    def _account(self, request: ServeRequest, shard: int,
-                 result: Dict[str, object], cached: bool = False) -> None:
-        ok = bool(result.get("ok"))
-        wall_ms = float(result.get("wall_ms") or 0.0)
-        svc = self.metrics.counter("serve.requests")
-        svc.incr("total")
-        svc.incr("ok" if ok else "error")
-        self.metrics.counter(f"serve.shard[{shard}]").incr(
-            "cached" if cached else "dispatched")
-        self.metrics.stats("serve.latency_ms").add(wall_ms)
-        # Untagged requests are judged as ``normal``: served tails cover
-        # every client, tagged or not.
-        tier = request.criticality or NORMAL
-        self.metrics.histogram(f"serve.sla.latency_us[{tier}]").add(
-            round(wall_ms * 1000))
-        if request.deadline_ms is not None:
-            self.metrics.counter("serve.sla.deadline").incr(
-                f"{tier}.met" if wall_ms <= request.deadline_ms
-                else f"{tier}.missed")
-        shape = shape_of(request.system, request.params)
-        if shape is not None:
-            self.metrics.counter(
-                f"serve.shape[b={shape[0]},c={shape[1]}]").incr("requests")
-        self.metrics.counter("serve.system").incr(request.system)
-        tenant = self._tenant(request.tenant)
-        treq = self.metrics.counter(tenant + ".requests")
-        treq.incr("total")
-        treq.incr("ok" if ok else "error")
-        self.metrics.counter(tenant + ".cache").incr(
-            "hit" if cached else "miss")
-        self.metrics.stats(tenant + ".latency_ms").add(wall_ms)
+    def _account(self, request: ServeRequest, shard: int) -> _Account:
+        """The instruments ``request`` is accounted in, resolved at the
+        first request of its kind.  At most :data:`MAX_ACCOUNTS` kinds
+        are kept; past that the set starts over (the instruments stay in
+        the registry, only their resolution is repeated)."""
+        kind = (request.tenant, request.criticality, request.system,
+                request.shape, shard)
+        account = self._accounts.get(kind)
+        if account is None:
+            if len(self._accounts) >= MAX_ACCOUNTS:
+                self._accounts.clear()
+            # Untagged requests are judged as ``normal``: served tails
+            # cover every client, tagged or not.
+            account = self._accounts[kind] = _Account(
+                self.metrics, self._tenant(request.tenant),
+                request.criticality or NORMAL, request.system,
+                request.shape, shard)
+        return account
 
     def _tenant(self, label: str) -> str:
         """The instrument-name prefix ``tenant[<label>]`` of a tenant.
@@ -286,23 +394,18 @@ class SimulationService:
         """Run the in-flight work dry: stop admitting requests, then wait
         until every already-admitted one has been answered.
 
-        Acquiring every gate permit is the drain barrier — a permit is
-        only free once its request's response has been written, so holding
+        Acquiring every gate permit is the drain barrier — only a dispatch
+        holds a permit, until its response is ready to write, so holding
         all ``max_inflight`` of them means nothing is left in the batcher
-        or the pools.  The permits are released afterwards so a drained
-        service could in principle serve again (tests do)."""
+        or the pools.  Answers that need no worker are written inline by
+        the connection readers, which stop at ``closing``.  The permits
+        are released afterwards so a drained service could in principle
+        serve again (tests do)."""
         self.closing = True
         for _ in range(self.max_inflight):
             await self._gate.acquire()
         for _ in range(self.max_inflight):
             self._gate.release()
-
-    # -- JSONL framing -----------------------------------------------------
-
-    async def handle_line(self, line: str) -> Dict[str, object]:
-        """One JSONL input line → one response dict (never raises)."""
-        async with self._gate:
-            return _decoded(await self._process_line_ungated(line))
 
     # -- TCP server ----------------------------------------------------------
 
@@ -366,58 +469,81 @@ class SimulationService:
     async def _serve_jsonl(self, first: Optional[bytes],
                            reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
-        lock = asyncio.Lock()
+        """Answer JSONL lines; misses stream back as their batches finish.
+
+        An answer that needs no worker is written inline, without a task:
+        the answers of one turn of the event loop go out as one write.
+        The reader awaits ``drain()`` only while the transport's buffer is
+        over its high-water mark — so a client that stops reading stops
+        being read — and yields to the loop every ``max_inflight`` inline
+        answers, so one pipelining connection cannot starve the others."""
+        loop = asyncio.get_running_loop()
+        transport = writer.transport
+        high_water = transport.get_write_buffer_limits()[1]
         pending: Set[asyncio.Future] = set()
+        answers: List[bytes] = []  # inline answers not yet written
+
+        def flush() -> None:
+            if answers:
+                _write(writer, b"".join(answers))
+                answers.clear()
+
+        def answer(response: Dict[str, object]) -> None:
+            if not answers:
+                loop.call_soon(flush)
+            answers.append(encode_response(response).encode())
+
         line = first
         while line and not self.closing:
             text = line.decode("utf-8", errors="replace").strip()
             if text:
-                # Acquire BEFORE reading on: at max_inflight outstanding
-                # requests this loop parks here, the socket buffer fills,
-                # and the client feels backpressure instead of the service
-                # growing an unbounded task list.
-                await self._gate.acquire()
-                _start(pending, self._respond_gated(text, writer, lock))
+                front = self._front_line(text)
+                if isinstance(front, _Miss):
+                    await self._gate.acquire()
+                    _start(pending, self._respond_gated(front, writer))
+                else:
+                    answer(front)
+                    if len(answers) >= self.max_inflight:
+                        await asyncio.sleep(0)  # runs flush()
+            if transport.get_write_buffer_size() > high_water:
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    break
+            await self._await_permit()
             try:
                 line = await _read_line(reader)
             except ConnectionError:
                 break
         if line is None:  # an over-long line: answer it, then close
-            await self._gate.acquire()
-            _start(pending, self._respond_gated(None, writer, lock))
+            answer(_error_response(
+                None, "RequestError",
+                f"request line exceeds {MAX_REQUEST_BYTES} bytes", typed=True))
+        flush()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
 
-    async def _respond_gated(self, text: Optional[str],
-                             writer: asyncio.StreamWriter,
-                             lock: asyncio.Lock) -> None:
+    async def _await_permit(self) -> None:
+        """Wait, before a reader reads on, until a dispatch permit is free.
+
+        At ``max_inflight`` outstanding dispatches the reader parks here,
+        the socket buffer fills, and the client feels backpressure instead
+        of the service growing an unbounded task list; the next line is
+        looked up only once the dispatches before it can have filled the
+        cache."""
+        if self._gate.locked():
+            await self._gate.acquire()
+            self._gate.release()
+
+    async def _respond_gated(self, miss: _Miss,
+                             writer: asyncio.StreamWriter) -> None:
+        """Dispatch a miss under the gate permit its reader took, then
+        write its response (the reader drains the buffer)."""
         try:
-            if text is None:  # the line was over the limit (and skipped)
-                response = _error_response(
-                    None, "RequestError",
-                    f"request line exceeds {MAX_REQUEST_BYTES} bytes",
-                    typed=True)
-            else:
-                response = await self._process_line_ungated(text)
+            response = await self._dispatch(miss)
         finally:
             self._gate.release()
-        payload = encode_response(response).encode()
-        async with lock:
-            try:
-                writer.write(payload)
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass  # client went away; the result is simply dropped
-
-    async def _process_line_ungated(self, text: str) -> Dict[str, object]:
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            self.metrics.counter("serve.requests").incr("rejected")
-            return _error_response(None, "RequestError",
-                                   f"request is not valid JSON: {exc}",
-                                   typed=True)
-        return await self._process_ungated(obj)
+        _write(writer, encode_response(response).encode())
 
     # -- HTTP --------------------------------------------------------------
 
@@ -460,9 +586,8 @@ class SimulationService:
                 })
                 return
             body = await reader.readexactly(length)
-            async with self._gate:
-                response = await self._process_line_ungated(body.decode(
-                    "utf-8", errors="replace"))
+            response = await self._answer(self._front_line(body.decode(
+                "utf-8", errors="replace")))
             status = 200 if response.get("ok") else 422
             await _http_reply(writer, status, response)
             return
@@ -480,18 +605,19 @@ class SimulationService:
         in_stream = in_stream if in_stream is not None else sys.stdin
         out_stream = out_stream if out_stream is not None else sys.stdout
         loop = asyncio.get_running_loop()
-        lock = asyncio.Lock()
         served = 0
         pending: Set[asyncio.Future] = set()
 
-        async def respond(text: str) -> None:
+        def write(response: Dict[str, object]) -> None:
+            out_stream.write(encode_response(response))
+            out_stream.flush()
+
+        async def respond(miss: _Miss) -> None:
             try:
-                response = await self._process_line_ungated(text)
+                response = await self._dispatch(miss)
             finally:
                 self._gate.release()
-            async with lock:
-                out_stream.write(encode_response(response))
-                out_stream.flush()
+            write(response)
 
         while True:
             line = await loop.run_in_executor(None, in_stream.readline)
@@ -499,9 +625,14 @@ class SimulationService:
                 break
             if not line.strip():
                 continue
-            await self._gate.acquire()
             served += 1
-            _start(pending, respond(line.strip()))
+            front = self._front_line(line.strip())
+            if isinstance(front, _Miss):
+                await self._gate.acquire()
+                _start(pending, respond(front))
+            else:
+                write(front)
+            await self._await_permit()
         if pending:
             await asyncio.gather(*pending)
         return served
@@ -536,6 +667,13 @@ async def _read_line(reader: asyncio.StreamReader) -> Optional[bytes]:
             await reader.readexactly(exc.consumed)  # already buffered
             continue
         return None if oversized else line
+
+
+def _write(writer: asyncio.StreamWriter, data: bytes) -> None:
+    """Put response lines on a connection's transport, unless the
+    connection is closing (its client went away: they are dropped)."""
+    if not writer.transport.is_closing():
+        writer.write(data)
 
 
 def _error_response(rid: object, type_: str, message: str,

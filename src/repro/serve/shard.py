@@ -16,6 +16,7 @@ spreads replicated seed grids across the pool.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.fastpath.parallel import derive_seed
@@ -50,16 +51,24 @@ def shape_of(system: str, params: Dict[str, object]) -> Optional[Shape]:
     return (n_procs * bank_cycle, bank_cycle)
 
 
+@lru_cache(maxsize=4096)
 def shard_for_shape(shape: Shape, n_shards: int) -> int:
-    """The shard that owns a machine shape — pure function of the shape."""
+    """The shard that owns a machine shape — pure function of the shape,
+    memoized (a served machine has at most ``MAX_BANKS`` banks, so the
+    shapes a service routes are few)."""
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     return derive_seed(0, "serve.shard", int(shape[0]), int(shape[1])) % n_shards
 
 
-def shard_for(system: str, params: Dict[str, object], n_shards: int) -> int:
-    """Route one spec: by shape when it has one, by (system, seed) else."""
-    shape = shape_of(system, params)
+def shard_for(system: str, params: Dict[str, object], n_shards: int,
+              shape: Optional[Shape] = None) -> int:
+    """Route one spec: by shape when it has one, by (system, seed) else.
+
+    ``shape`` is the spec's :func:`shape_of` when the caller already has
+    it (a validated request carries it); left ``None`` it is derived."""
+    if shape is None:
+        shape = shape_of(system, params)
     if shape is not None:
         return shard_for_shape(shape, n_shards)
     seed = int(params.get("seed", 0) or 0)

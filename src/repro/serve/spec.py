@@ -17,7 +17,8 @@ names the system's layer cannot run, routing params that are not ints
 (``n_procs``, ``bank_cycle``, ``seed``, …), machines of more than
 :data:`MAX_BANKS` banks, and malformed fault-injection descriptions all
 raise :class:`RequestError`, which the service turns into a typed error
-response.
+response.  A valid request leaves validation with its worker payload and
+machine shape built, so the service never walks its spec again.
 
 An optional ``"inject"`` member asks the worker to run the spec under a
 seeded :class:`repro.faults.FaultPlan` (cfm only — the chaos-harness
@@ -30,9 +31,11 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
-from repro.serve.shard import SHAPE_PARAMS, shape_of
+from repro.fastpath.engine import resolve_engine
+from repro.obs.bench import ENGINE_SYSTEMS, SYSTEM_ENGINE_LAYER, SYSTEMS
+from repro.serve.shard import SHAPE_PARAMS, Shape, shape_of
 from repro.sim.criticality import TIERS
 
 #: Parameters never accepted over the wire: observers are process-local
@@ -44,6 +47,18 @@ _UNSERVABLE_PARAMS = frozenset({"probe"})
 #: is 67M banks) would exhaust its worker's memory.  The largest shape
 #: the benches run, (128, 32), has 4096.
 MAX_BANKS = 4096
+
+#: Systems that build ``n_procs × bank_cycle`` banks but route by seed
+#: (no AT-space shape): their machine is bounded by :data:`MAX_BANKS` and
+#: its params checked like :data:`repro.serve.shard.SHAPE_PARAMS`.
+BANKED_PARAMS: Dict[str, Tuple[str, str]] = {
+    "qos": ("n_procs", "bank_cycle"),
+    "partial": ("n_procs", "bank_cycle"),
+}
+
+#: Every field a request object may carry (``op`` marks a control op).
+_REQUEST_FIELDS = frozenset({"id", "tenant", "system", "params", "inject",
+                             "criticality", "deadline_ms", "op"})
 
 #: Tenant labels are network input; keep them short and printable.
 _MAX_TENANT_LEN = 64
@@ -72,20 +87,28 @@ class ServeRequest:
     criticality: Optional[str] = None
     #: Per-request SLA deadline in wall milliseconds (accounting only).
     deadline_ms: Optional[float] = None
+    #: What crosses the process boundary to a worker: ``system``,
+    #: ``params`` and, when present, ``inject`` — the content the result
+    #: cache addresses.  Built once, with the request.
+    payload: Dict[str, object] = field(init=False, repr=False,
+                                       compare=False)
+    #: The ``(n_banks, bank_cycle)`` machine shape
+    #: (:func:`repro.serve.shard.shape_of`), computed once, with the
+    #: request.
+    shape: Optional[Shape] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        payload: Dict[str, object] = {"system": self.system,
+                                      "params": self.params}
+        if self.inject is not None:
+            payload["inject"] = self.inject
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "shape", shape_of(self.system, self.params))
 
     @property
     def spec(self) -> Dict[str, object]:
         """The :func:`repro.obs.bench.run_spec`-compatible spec."""
         return {"system": self.system, "params": dict(self.params)}
-
-    @property
-    def payload(self) -> Dict[str, object]:
-        """What actually crosses the process boundary to a worker."""
-        out: Dict[str, object] = {"system": self.system,
-                                  "params": dict(self.params)}
-        if self.inject is not None:
-            out["inject"] = dict(self.inject)
-        return out
 
 
 def _require_str(value: object, what: str, max_len: int = 256) -> str:
@@ -100,12 +123,17 @@ def _require_str(value: object, what: str, max_len: int = 256) -> str:
 
 
 @lru_cache(maxsize=None)
-def _runner_params(system: str):
+def _runner_params(system: str) -> Mapping[str, inspect.Parameter]:
     """The parameters of ``system``'s :func:`repro.obs.bench.run_spec`
     runner (a fixed registry, so cached per process)."""
-    from repro.obs.bench import SYSTEMS
-
     return inspect.signature(SYSTEMS[system]).parameters
+
+
+@lru_cache(maxsize=None)
+def _required_params(system: str) -> FrozenSet[str]:
+    """The parameters ``system``'s runner has no default for."""
+    return frozenset(name for name, param in _runner_params(system).items()
+                     if param.default is inspect.Parameter.empty)
 
 
 def _validate_params(system: str, params: object) -> Dict[str, object]:
@@ -136,17 +164,11 @@ def _validate_params(system: str, params: object) -> Dict[str, object]:
 def _check_runnable(system: str, params: Dict[str, object]) -> None:
     """Would the runner accept ``params``?  Every required argument of its
     signature is present, and a pinned engine runs on the system's layer."""
-    from repro.fastpath.engine import resolve_engine
-    from repro.obs.bench import ENGINE_SYSTEMS, SYSTEM_ENGINE_LAYER
-
-    missing = sorted(
-        name for name, param in _runner_params(system).items()
-        if param.default is inspect.Parameter.empty and name not in params
-    )
+    missing = _required_params(system).difference(params)
     if missing:
         raise RequestError(
             f"missing required param(s) for system {system!r}: "
-            f"{' '.join(missing)}"
+            f"{' '.join(sorted(missing))}"
         )
     if params.get("engine") is not None and system in ENGINE_SYSTEMS:
         try:
@@ -157,21 +179,24 @@ def _check_runnable(system: str, params: Dict[str, object]) -> None:
 
 
 def _check_routing(system: str, params: Dict[str, object]) -> None:
-    """The params the shard router reads are true ints — the shape params
-    (:data:`repro.serve.shard.SHAPE_PARAMS`) >= 1, ``seed`` >= 0 — and
-    the machine has at most :data:`MAX_BANKS` banks."""
-    procs, cycle = SHAPE_PARAMS.get(system, (None, None))
+    """The params the shard router reads are true ints — the machine
+    params (:data:`repro.serve.shard.SHAPE_PARAMS`,
+    :data:`BANKED_PARAMS`) >= 1, ``seed`` >= 0 — and the machine has at
+    most :data:`MAX_BANKS` banks."""
+    procs, cycle = (SHAPE_PARAMS.get(system) or BANKED_PARAMS.get(system)
+                    or (None, None))
     for key, low in ((procs, 1), (cycle, 1), ("seed", 0)):
         value = params.get(key, low) if key is not None else low
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise RequestError(
                 f"param {key!r} must be an int >= {low}, got {value!r}")
-    shape = shape_of(system, params)
-    if shape is not None and shape[0] > MAX_BANKS:
-        raise RequestError(
-            f"machine of {shape[0]} banks exceeds the served bound of "
-            f"{MAX_BANKS}"
-        )
+    if procs is not None:
+        banks = params.get(procs, 1) * (params.get(cycle, 1) if cycle else 1)
+        if banks > MAX_BANKS:
+            raise RequestError(
+                f"machine of {banks} banks exceeds the served bound of "
+                f"{MAX_BANKS}"
+            )
 
 
 def _int_field(obj: Dict[str, object], key: str, default: int) -> int:
@@ -244,8 +269,6 @@ def validate_request(obj: object,
 
     Raises :class:`RequestError` naming exactly what is wrong; never lets
     a malformed request reach a worker."""
-    from repro.obs.bench import SYSTEMS
-
     if not isinstance(obj, dict):
         raise RequestError(
             f"request must be a JSON object, got {type(obj).__name__}"
@@ -281,11 +304,10 @@ def validate_request(obj: object,
                 f"deadline_ms must be a positive number, got {deadline_ms!r}"
             )
         deadline_ms = float(deadline_ms)
-    unknown = set(obj) - {"id", "tenant", "system", "params", "inject",
-                          "criticality", "deadline_ms", "op"}
-    if unknown:
+    if not _REQUEST_FIELDS.issuperset(obj):
         raise RequestError(
-            f"unknown request field(s): {' '.join(sorted(unknown))}"
+            "unknown request field(s): "
+            f"{' '.join(sorted(set(obj) - _REQUEST_FIELDS))}"
         )
     _check_routing(system, params)
     _check_runnable(system, params)

@@ -27,7 +27,7 @@ class InstantPool:
     def __init__(self) -> None:
         self.dispatched = 0
 
-    def shard_of(self, system, params) -> int:
+    def shard_of(self, system, params, shape=None) -> int:
         return 0
 
     def submit(self, payloads, shard) -> concurrent.futures.Future:

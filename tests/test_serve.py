@@ -131,10 +131,38 @@ class TestValidateRequest:
          "4097 banks exceeds"),
         ({"id": "x", "system": "sync_omega", "params": {"n_ports": 8192}},
          "8192 banks exceeds"),
+        # Systems that route by seed still build n_procs x bank_cycle banks.
+        ({"id": "x", "system": "qos", "params": {
+            "n_procs": 1 << 20, "bank_cycle": 64, "cycles": 1}},
+         "67108864 banks exceeds"),
+        ({"id": "x", "system": "partial", "params": {
+            "n_procs": 1 << 20, "n_modules": 8, "bank_cycle": 64,
+            "rate": 0.5, "locality": 0.5, "cycles": 1}},
+         "67108864 banks exceeds"),
+        ({"id": "x", "system": "qos", "params": {
+            "n_procs": "4", "bank_cycle": 1, "cycles": 1}}, "n_procs"),
     ])
     def test_rejects_malformed(self, bad, fragment):
         with pytest.raises(RequestError, match=fragment):
             validate_request(bad)
+
+    def test_runner_signatures_are_read_once_per_system(self, monkeypatch):
+        """A repeated request is validated without reading its runner's
+        signature again: required params are known per system."""
+        import inspect
+
+        request = {"id": "x", "system": "qos", "params": {
+            "n_procs": 4, "bank_cycle": 2, "cycles": 10}}
+        validate_request(dict(request))
+        calls = []
+        signature = inspect.signature
+        monkeypatch.setattr(inspect, "signature",
+                            lambda *a, **k: calls.append(a) or signature(
+                                *a, **k))
+        req = validate_request(dict(request))
+        assert calls == []
+        assert req.payload == {"system": "qos", "params": request["params"]}
+        assert req.shape is None  # qos routes by seed
 
     def test_largest_served_machine_is_accepted(self):
         req = validate_request({"id": "x", "system": "cfm", "params": {
@@ -386,7 +414,11 @@ class TestSimulationService:
         ("hierarchy", {"n_clusters": 2, "procs_per_cluster": "z",
                        "rounds": 2}),
         ("cfm", {"n_procs": 1 << 20, "bank_cycle": 64, "cycles": 10}),
-    ], ids=["bank_cycle_str", "procs_per_cluster_str", "oversized"])
+        ("qos", {"n_procs": 1 << 20, "bank_cycle": 64, "cycles": 1}),
+        ("partial", {"n_procs": 1 << 20, "n_modules": 8, "bank_cycle": 64,
+                     "rate": 0.5, "locality": 0.5, "cycles": 1}),
+    ], ids=["bank_cycle_str", "procs_per_cluster_str", "oversized",
+            "qos_oversized", "partial_oversized"])
     def test_bad_shape_is_a_typed_response(self, pool, system, params):
         """A shape the router cannot read, or one over MAX_BANKS, is
         answered with a typed error and counted as rejected, never raised
@@ -634,6 +666,172 @@ class TestConnectionMemory:
         assert answered == n_requests
         assert hits >= n_requests - max_inflight  # the rest are cache hits
         assert retained <= max_inflight
+
+
+def _request_line(rid, params=CFM_PARAMS):
+    return (json.dumps({"id": rid, "system": "cfm", "params": dict(params)})
+            + "\n").encode()
+
+
+def _counting(fn, calls, name):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kw):
+        calls[name] += 1
+        return fn(*args, **kw)
+    return wrapper
+
+
+class TestHitPath:
+    """A cache hit is answered by one synchronous pass in the reader."""
+
+    def test_a_repeated_hit_is_one_pass(self, pool, monkeypatch):
+        """A hit decodes, validates and keys its line once, and accounts
+        through instruments already resolved — in process and over JSONL."""
+        from collections import Counter
+
+        import repro.serve.service as service_mod
+        from repro.obs.metrics import MetricsRegistry
+
+        calls = Counter()
+        names = ("loads", "validate_request", "payload_key", "_resolve")
+        monkeypatch.setattr(service_mod, "json", type("Json", (), {
+            "loads": staticmethod(_counting(json.loads, calls, "loads")),
+            "dumps": staticmethod(json.dumps)}))
+        for owner, name in ((service_mod, "validate_request"),
+                            (service_mod, "payload_key"),
+                            (MetricsRegistry, "_resolve")):
+            monkeypatch.setattr(owner, name, _counting(
+                getattr(owner, name), calls, name))
+
+        async def scenario():
+            service = SimulationService(pool=pool, max_inflight=4)
+            line = _request_line("r").decode()
+            await service.handle_line(line)  # miss
+            await service.handle_line(line)  # first hit
+            calls.clear()
+            hit = await service.handle_line(line)
+            in_process = [calls[name] for name in names]
+            server = await service.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port, limit=1 << 24)
+            try:
+                writer.write(_request_line("j1"))
+                await asyncio.wait_for(reader.readline(), 60)
+                calls.clear()
+                writer.write(_request_line("j2"))
+                wire = json.loads(
+                    await asyncio.wait_for(reader.readline(), 60))
+                over_jsonl = [calls[name] for name in names]
+            finally:
+                writer.close()
+                await asyncio.sleep(0.05)
+                server.close()
+                await server.wait_closed()
+            return hit, wire, in_process, over_jsonl
+
+        hit, wire, in_process, over_jsonl = asyncio.run(scenario())
+        assert hit["cached"] is True and wire["cached"] is True
+        # json.loads, validate_request, payload_key, MetricsRegistry._resolve;
+        # in process, the second loads decodes the report for the caller.
+        assert in_process == [2, 1, 1, 0]
+        assert over_jsonl == [1, 1, 1, 0]
+
+    def test_a_client_that_never_reads_stops_being_read(self, pool):
+        """Pipelined hits to a client that reads nothing fill the server's
+        write buffer only to about its high-water mark; then the server
+        stops consuming the socket, and resumes once the client reads."""
+        import socket
+
+        n_requests, max_inflight = 8000, 8
+
+        async def scenario():
+            service = SimulationService(pool=pool, max_inflight=max_inflight)
+            server = await service.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                sock, ("127.0.0.1", port))
+            # The default limit: the client's reader pauses its transport
+            # past 128 KiB unread instead of buffering every answer.
+            reader, writer = await asyncio.open_connection(sock=sock)
+            try:
+                writer.write(_request_line("warm"))
+                line_len = len(await asyncio.wait_for(reader.readline(), 60))
+                writer.write(b"".join(_request_line(f"r{i}")
+                                      for i in range(n_requests)))
+                hits = -1
+                while service.cache.hits != hits:  # until it stops answering
+                    hits = service.cache.hits
+                    await asyncio.sleep(0.2)
+                (conn,) = service._connections.values()
+                buffered = conn.transport.get_write_buffer_size()
+                high_water = conn.transport.get_write_buffer_limits()[1]
+                answered = 0
+                for _ in range(n_requests):
+                    line = await asyncio.wait_for(reader.readline(), 60)
+                    answered += bool(json.loads(line)["cached"])
+            finally:
+                writer.close()
+                await asyncio.sleep(0.05)
+                server.close()
+                await server.wait_closed()
+            return hits, buffered, high_water, line_len, answered
+
+        hits, buffered, high_water, line_len, answered = asyncio.run(
+            scenario())
+        assert hits < n_requests  # stopped reading the socket
+        assert buffered <= high_water + (max_inflight + 1) * line_len
+        assert answered == n_requests  # and resumed: every hit answered
+
+    def test_a_ping_is_answered_during_another_connections_burst(self, pool):
+        """A connection pipelining hits yields to the loop every
+        ``max_inflight`` answers: another connection's ping is answered
+        while the burst is still being served."""
+        n_burst, max_inflight = 4000, 8
+
+        async def scenario():
+            service = SimulationService(pool=pool, max_inflight=max_inflight)
+            server = await service.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            ra, wa = await asyncio.open_connection("127.0.0.1", port,
+                                                   limit=1 << 24)
+            rb, wb = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                wa.write(_request_line("warm"))
+                await asyncio.wait_for(ra.readline(), 60)
+                wb.write(b'{"op": "ping", "id": "before"}\n')
+                await asyncio.wait_for(rb.readline(), 60)
+                start = service.cache.hits
+
+                async def read_burst():
+                    for _ in range(n_burst):
+                        await asyncio.wait_for(ra.readline(), 60)
+
+                burst = asyncio.ensure_future(read_burst())
+                wa.write(b"".join(_request_line(f"r{i}")
+                                  for i in range(n_burst)))
+                while service.cache.hits == start:  # the burst has begun
+                    await asyncio.sleep(0)
+                wb.write(b'{"op": "ping", "id": "during"}\n')
+                pong = json.loads(await asyncio.wait_for(rb.readline(), 60))
+                served_before_pong = service.cache.hits - start
+                await burst
+                served = service.cache.hits - start
+            finally:
+                wa.close()
+                wb.close()
+                await asyncio.sleep(0.05)
+                server.close()
+                await server.wait_closed()
+            return pong, served_before_pong, served
+
+        pong, served_before_pong, served = asyncio.run(scenario())
+        assert pong == {"id": "during", "ok": True, "op": "ping"}
+        assert served == n_burst
+        assert served_before_pong < 20 * max_inflight
 
 
 # --------------------------------------------------------------------------

@@ -236,7 +236,7 @@ class _FakePool:
     def __init__(self):
         self.batches = []
 
-    def shard_of(self, system, params):
+    def shard_of(self, system, params, shape=None):
         return 0
 
     def submit(self, payloads, shard):
