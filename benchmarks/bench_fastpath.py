@@ -9,7 +9,10 @@
   :func:`repro.fastpath.stack.run_specs_stacked` must equal per-spec
   serial ``run_spec``.  A shape's first run in a fresh process costs
   about what its second does (:func:`test_cold_start_ratio`): the
-  schedule is a formula, built in O(n), not a per-shape table.
+  schedule is a formula, built in O(n), not a per-shape table.  The
+  wall time of a fresh interpreter that imports the bench harness and
+  runs one small cfm spec is printed, not gated
+  (:func:`test_cold_start_setup_time`).
 * **coherence** — the cache protocol under full load (proc-private
   offsets, every processor streaming loads and stores) through its one
   driver, :meth:`CacheSystem.run_ops`, which passes provably quiet
@@ -42,6 +45,7 @@ with their timing tables, through pytest::
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import statistics
@@ -115,6 +119,13 @@ COLD_SHAPE = (128, 32)
 COLD_CYCLES = 20_000
 COLD_PROCESSES = 5
 MAX_COLD_START_RATIO = 1.3
+
+#: Cold-start set-up: ``perfbench`` ``sim_sweep``'s ``setup_s`` recipe
+#: (import ``run_spec``, run the first spec of its list, in a fresh
+#: interpreter), timed SETUP_LAUNCHES times.  Printed, not gated.
+SETUP_SPEC = {"system": "cfm", "params": {
+    "n_procs": 4, "bank_cycle": 4, "cycles": 3000}}
+SETUP_LAUNCHES = 5
 
 #: Stacked specs: STACK_WIDTH identical STACK_SHAPE bench specs.
 STACK_SHAPE = (64, 16)
@@ -486,17 +497,29 @@ print(seconds[0] / seconds[1])
 """
 
 
-def _cold_start_ratio() -> float:
+#: Child process: ``sim_sweep``'s set-up, import plus one call.
+_SETUP_CHILD = """
+import json, sys
+from repro.obs.bench import run_spec
+run_spec(json.loads(sys.argv[1]))
+"""
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter on this tree; its stdout."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(root, "src")
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        timeout=120, env=env, cwd=root, check=True).stdout
+
+
+def _cold_start_ratio() -> float:
     n_procs, bank_cycle = COLD_SHAPE
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START_CHILD, str(n_procs),
-         str(bank_cycle), str(COLD_CYCLES)],
-        capture_output=True, text=True, timeout=120, env=env, cwd=root,
-        check=True)
-    return float(proc.stdout.split()[-1])
+    out = _fresh_python(_COLD_START_CHILD, str(n_procs), str(bank_cycle),
+                        str(COLD_CYCLES))
+    return float(out.split()[-1])
 
 
 def test_cold_start_ratio():
@@ -515,4 +538,25 @@ def test_cold_start_ratio():
     assert ratio <= MAX_COLD_START_RATIO, (
         f"first {COLD_SHAPE} run {ratio:.2f}x the second, need <= "
         f"{MAX_COLD_START_RATIO}x"
+    )
+
+
+def test_cold_start_setup_time():
+    """Print the median wall time, over SETUP_LAUNCHES fresh interpreters,
+    of importing ``run_spec`` and running SETUP_SPEC: what ``sim_sweep``
+    reports as ``setup_s``.  Ungated: it is mostly interpreter and import
+    time, which no floor of this file normalises."""
+    spec = json.dumps(SETUP_SPEC)
+    seconds = []
+    for _ in range(SETUP_LAUNCHES):
+        t0 = time.perf_counter()
+        _fresh_python(_SETUP_CHILD, spec)
+        seconds.append(time.perf_counter() - t0)
+    emit_gate_table(
+        f"CFM cold start: import + first run_spec in a fresh interpreter "
+        f"(sim_sweep setup_s recipe, median of {SETUP_LAUNCHES}, not gated)",
+        ["spec", "seconds", "median"],
+        [(json.dumps(SETUP_SPEC["params"], sort_keys=True),
+          " ".join(f"{t:.3f}" for t in seconds),
+          f"{statistics.median(seconds):.3f} s")],
     )

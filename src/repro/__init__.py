@@ -40,10 +40,13 @@ Quickstart
 >>> mem.drain()
 >>> acc.latency == cfg.block_access_time
 True
+
+The names below are exported lazily (:mod:`repro._lazy`): ``import repro``
+loads no subpackage, so an entry point such as ``repro.cli`` or
+``repro.serve`` pays only for the modules it runs.
 """
 
-from repro.core import ATSpace, CFMConfig, CFMemory, AccessKind
-from repro.core.block import Block, Word
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -56,3 +59,8 @@ __all__ = [
     "Word",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".core": ("ATSpace", "CFMConfig", "CFMemory", "AccessKind"),
+    ".core.block": ("Block", "Word"),
+})

@@ -15,8 +15,15 @@
   logic and the Chapter 5 cache protocol.
 * :mod:`repro.core.clusters` — multiple conflict-free clusters exchanging
   remote accesses through free time slots (§3.3, Fig 3.12).
+* :mod:`repro.core.multimodule` — several CFM modules behind a partially
+  synchronous omega network (§3.2.2).
+
+The multi-module system loads :mod:`repro.network`, so its names are
+exported lazily (:mod:`repro._lazy`); ``import repro.core`` loads only the
+single-module CFM and its clusters.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.atspace import ATSpace
 from repro.core.block import Block, Word
 from repro.core.cfm import (
@@ -30,7 +37,6 @@ from repro.core.cfm import (
 )
 from repro.core.clusters import ClusterSystem, ConflictFreeCluster
 from repro.core.config import CFMConfig, tradeoff_table
-from repro.core.multimodule import MultiModuleCFM, MultiModuleWorkloadDriver
 from repro.core.switch import SynchronousSwitchBox
 
 __all__ = [
@@ -52,3 +58,7 @@ __all__ = [
     "MultiModuleCFM",
     "MultiModuleWorkloadDriver",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".multimodule": ("MultiModuleCFM", "MultiModuleWorkloadDriver"),
+})

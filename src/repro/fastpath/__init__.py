@@ -25,8 +25,14 @@ Every fast path is differentially tested against the slot-by-slot
 reference path for bit-identical traces, metrics, and bench payloads
 (``tests/test_fastpath.py``, ``tests/test_fastpath_stage3.py``,
 ``tests/test_fastpath_stage4.py``).
+
+The sweep runner (:mod:`repro.fastpath.parallel`) loads a process pool and
+the bench harness, so ``derive_seed``, ``map_specs`` and ``sweep`` are
+exported lazily (:mod:`repro._lazy`): the CFM engine imports this package
+without them.
 """
 
+from repro._lazy import lazy_exports
 from repro.fastpath.engine import (
     DEFAULT_ENGINE,
     ENGINE_BATCH,
@@ -38,7 +44,6 @@ from repro.fastpath.engine import (
     resolve_engine,
     supported_layers,
 )
-from repro.fastpath.parallel import derive_seed, map_specs, sweep
 from repro.fastpath.tables import Schedule, at_schedule, bank_orders
 
 __all__ = [
@@ -58,3 +63,7 @@ __all__ = [
     "supported_layers",
     "sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".parallel": ("derive_seed", "map_specs", "sweep"),
+})

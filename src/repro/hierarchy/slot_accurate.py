@@ -199,6 +199,10 @@ class SlotAccurateHierarchy:
         ]
         # The published (global-memory) value of each block, cluster-width.
         self.global_data: Dict[int, Block] = {}
+        # Blocks are frozen, so one zero block per width serves every
+        # unpublished read and every global write-back.
+        self._zero_cluster = Block.zeros(self._cluster_width())
+        self._zero_global = Block.zeros(self.global_mem.cfg.n_banks)
         self._parked: List[Tuple[int, HierOp]] = []  # (ready_slot, op)
         self._parked_next = -1  # earliest ready slot; -1 = nothing parked
         # In-flight intra-cluster requests, keyed by (cluster, offset):
@@ -231,7 +235,7 @@ class SlotAccurateHierarchy:
         return self.clusters[0].cfg.n_banks
 
     def _global_value(self, offset: int) -> Block:
-        return self.global_data.get(offset, Block.zeros(self._cluster_width()))
+        return self.global_data.get(offset, self._zero_cluster)
 
     # -- public API --------------------------------------------------------------
 
@@ -456,10 +460,9 @@ class SlotAccurateHierarchy:
             )
             return
         # Step 2: the global write-back itself.
-        width = self.global_mem.cfg.n_banks
         nc.global_access = self.global_mem.issue(
             cluster, AccessKind.WRITE_BACK, txn.offset,
-            data=Block.zeros(width),
+            data=self._zero_global,
             on_finish=lambda acc, c=cluster: self._nc_global_done(c, acc),
         )
 

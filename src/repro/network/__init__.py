@@ -14,8 +14,13 @@
   overhead reduction of dropping routing fields (Figs 3.9/3.10, §3.4.3).
 * :mod:`repro.network.crossbar` — a conventional arbitrated crossbar and a
   circuit-switching retry model (BBN-style) as baselines.
+
+The partially synchronous network is built on :mod:`repro.core`'s
+configuration, so its names are exported lazily (:mod:`repro._lazy`);
+``import repro.network`` loads only the network models themselves.
 """
 
+from repro._lazy import lazy_exports
 from repro.network.crossbar import ArbitratedCrossbar, CircuitSwitchRetryModel
 from repro.network.messages import (
     MessageHeader,
@@ -25,7 +30,6 @@ from repro.network.messages import (
     synchronous_header,
 )
 from repro.network.omega import OmegaNetwork, RoutingConflict, perfect_shuffle
-from repro.network.partial import PartialCFSystem, PartiallySynchronousOmega
 from repro.network.synchronous import SynchronousOmegaNetwork
 
 __all__ = [
@@ -43,3 +47,7 @@ __all__ = [
     "ArbitratedCrossbar",
     "CircuitSwitchRetryModel",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".partial": ("PartiallySynchronousOmega", "PartialCFSystem"),
+})

@@ -25,11 +25,19 @@ specs within the batch once (runs are pure functions of their spec, so
 replicating the result is bit-identical to re-running it).  The
 continuous batcher (:mod:`repro.serve.batch`) builds batches; this module
 only executes them.
+
+Workers belong to their server.  A forked worker inherits the server's
+asyncio signal handling, under which SIGTERM did nothing and a signal was
+forwarded to the server's loop; :func:`_init_worker` restores SIGTERM,
+leaves Ctrl-C to the server (which drains) and exits the worker once its
+server is gone, even if the server was SIGKILLed.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -38,6 +46,31 @@ from typing import Dict, List, Optional, Sequence
 from repro.serve.shard import Shape, shard_for
 
 WorkerResult = Dict[str, object]
+
+#: How often a worker checks that its server is still alive (seconds).
+PARENT_POLL_S = 0.5
+
+
+def _init_worker(server: int) -> None:
+    """Executor initializer: make a forked worker obey SIGTERM, ignore
+    SIGINT, stop writing signals into the server's wakeup fd, and exit
+    when the server process ``server`` is gone."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch() -> None:
+        while os.getppid() == server:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="server-watch", daemon=True).start()
+
+
+def _executor() -> ProcessPoolExecutor:
+    """A one-worker executor whose worker runs :func:`_init_worker`."""
+    return ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
+                               initargs=(os.getpid(),))
 
 
 def _error_payload(exc: BaseException, typed: bool) -> Dict[str, object]:
@@ -164,8 +197,7 @@ class ShardedWorkerPool:
         self.n_shards = n_shards
         self.dispatched: List[int] = [0] * n_shards
         self.batches: List[int] = [0] * n_shards
-        self._executors = [ProcessPoolExecutor(max_workers=1)
-                           for _ in range(n_shards)]
+        self._executors = [_executor() for _ in range(n_shards)]
 
     # -- routing -------------------------------------------------------------
 
@@ -189,7 +221,7 @@ class ShardedWorkerPool:
             return self._executors[shard].submit(serve_worker_batch, batch)
         except BrokenProcessPool:
             self._executors[shard].shutdown(wait=False)
-            self._executors[shard] = ProcessPoolExecutor(max_workers=1)
+            self._executors[shard] = _executor()
             return self._executors[shard].submit(serve_worker_batch, batch)
 
     # -- lifecycle -----------------------------------------------------------

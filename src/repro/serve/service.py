@@ -86,6 +86,10 @@ from repro.sim.stats import TallyCounter
 #: Longest accepted request line / HTTP body, in bytes (network input).
 MAX_REQUEST_BYTES = 1 << 20
 
+#: Seconds a closing connection may take to flush its answers at shutdown
+#: before its transport is aborted (a client that never reads).
+CLOSE_GRACE_S = 1.0
+
 _HTTP_METHODS = (b"GET ", b"POST ", b"PUT ", b"HEAD ", b"DELETE ", b"OPTIONS ")
 
 #: Most tenant label sets the service accounts, ``OVERFLOW_TENANT``
@@ -456,15 +460,24 @@ class SimulationService:
         unparks handlers blocked in ``readline()``/``wait_closed()`` so
         they exit through their own ``finally`` blocks — never left to be
         cancelled by the event loop tearing down (which asyncio reports
-        as an "Exception in callback" traceback)."""
+        as an "Exception in callback" traceback).  A transport keeps its
+        unsent answers until they flush, so a handler whose client has
+        not read them within :data:`CLOSE_GRACE_S` has its transport
+        aborted, which fails its ``drain()``."""
         tasks = list(self._connections)
         for writer in self._connections.values():
             try:
                 writer.close()
             except RuntimeError:
                 pass
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if not tasks:
+            return
+        _, stuck = await asyncio.wait(tasks, timeout=CLOSE_GRACE_S)
+        for task in stuck:
+            writer = self._connections.get(task)
+            if writer is not None:
+                writer.transport.abort()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _serve_jsonl(self, first: Optional[bytes],
                            reader: asyncio.StreamReader,

@@ -10,13 +10,18 @@ This subpackage is the substrate every simulator in the reproduction runs on:
   deterministic round-robin scheduler; used by the lock simulations and the
   resource-binding runtime (Chapter 6).
 * :mod:`repro.sim.rng` — seeded, stream-splittable randomness so every
-  experiment is reproducible.
+  experiment is reproducible; numpy loads with a process's first stream.
 * :mod:`repro.sim.stats` — counters, online mean/variance, histograms and
   utilization tracking used by the benchmark harness.
 * :mod:`repro.sim.workload` — synthetic workload generators standing in for
   the paper's assumed access patterns (uniform rate *r*, hot-spot, locality λ).
+
+The workload generators import numpy, so their names are exported lazily
+(:mod:`repro._lazy`): ``from repro.sim import UniformWorkload`` works, but
+``import repro.sim`` does not load them.
 """
 
+from repro._lazy import lazy_exports
 from repro.sim.engine import SimulationTimeout
 from repro.sim.procs import Delay, Halt, Process, Scheduler, SchedulerDeadlock
 from repro.sim.rng import derive_rng, make_rng
@@ -26,12 +31,6 @@ from repro.sim.stats import (
     RunSummary,
     TallyCounter,
     Utilization,
-)
-from repro.sim.workload import (
-    AccessEvent,
-    HotSpotWorkload,
-    LocalityWorkload,
-    UniformWorkload,
 )
 
 __all__ = [
@@ -53,3 +52,8 @@ __all__ = [
     "HotSpotWorkload",
     "LocalityWorkload",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".workload": ("AccessEvent", "UniformWorkload", "HotSpotWorkload",
+                  "LocalityWorkload"),
+})

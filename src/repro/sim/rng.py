@@ -5,20 +5,26 @@ derives independent substreams per component (per processor, per workload)
 with :func:`derive_rng`, so that adding a component never perturbs the draws
 seen by another — runs are bitwise reproducible and comparisons between
 architectures use common random numbers.
+
+numpy is imported by the first call, not by this module: a cfm run draws
+no random numbers (its schedule is static), so it never pays for numpy.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[int, np.random.Generator]
+SeedLike = Union[int, "np.random.Generator"]
 
 
 def make_rng(seed: SeedLike = 0) -> np.random.Generator:
     """Return a numpy Generator for ``seed`` (pass-through if already one)."""
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -32,6 +38,8 @@ def derive_rng(seed: SeedLike, *keys: object) -> np.random.Generator:
     ``SeedSequence`` spawn keys).  If ``seed`` is itself a Generator we fold
     one draw from it into the derivation so repeated calls differ.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         base = int(seed.integers(0, 2**31 - 1))
     else:

@@ -12,7 +12,9 @@ What continuous batching must preserve from PR 7's per-request dispatch
    ``max_batch``, requests of different ``(system, shape)`` keys never
    share a batch, and ``max_batch=1`` reproduces per-request dispatch;
 4. **Graceful shutdown** — SIGTERM drains in-flight work, flushes final
-   metrics, and exits 0 with no pool stack traces (subprocess test).
+   metrics, and exits 0 with no pool stack traces, also while a client
+   pipelines and never reads; pool workers exit with a SIGKILLed server
+   (subprocess tests).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import concurrent.futures
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -409,26 +412,60 @@ class TestBatchedService:
 # Graceful shutdown (subprocess: the full `repro serve` surface)
 
 
+def _launch_server(*args):
+    """Start ``repro serve`` on a free port; ``(process, host, port)``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    cwd = os.path.dirname(os.path.dirname(__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+         "--port", "0", *args],
+        stderr=subprocess.PIPE, text=True, env=env, cwd=cwd,
+    )
+    announce = proc.stderr.readline()
+    if "serving JSONL+HTTP on " not in announce:
+        proc.kill()
+        proc.wait(timeout=30)
+        raise AssertionError(announce)
+    hostport = announce.split("serving JSONL+HTTP on ", 1)[1].split()[0]
+    host, _, port = hostport.rpartition(":")
+    return proc, host, int(port)
+
+
+def _stop(proc):
+    """Kill ``proc`` if it still runs; its whole stderr."""
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait(timeout=30)
+    with proc.stderr:
+        return proc.stderr.read()
+
+
+def _signal_mask(pid, field):
+    """The ``SigCgt``/``SigIgn``/... signal bitmask of process ``pid``."""
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith(field + ":"):
+                return int(line.split()[1], 16)
+    raise AssertionError(f"no {field} for {pid}")
+
+
+def _running(pid):
+    """Is ``pid`` a live process (neither gone nor an unreaped zombie)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestGracefulShutdown:
     def test_sigterm_drains_flushes_metrics_and_exits_clean(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        cwd = os.path.dirname(os.path.dirname(__file__))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
-             "--port", "0", "--shards", "1",
-             "--max-batch", "4", "--cache-size", "8"],
-            stderr=subprocess.PIPE, text=True, env=env, cwd=cwd,
-        )
+        proc, host, port = _launch_server(
+            "--shards", "1", "--max-batch", "4", "--cache-size", "8")
         try:
-            announce = proc.stderr.readline()
-            assert "serving JSONL+HTTP on " in announce, announce
-            hostport = announce.split("serving JSONL+HTTP on ", 1)[1].split()[0]
-            host, _, port = hostport.rpartition(":")
-
             async def drive():
-                reader, writer = await asyncio.open_connection(
-                    host, int(port))
+                reader, writer = await asyncio.open_connection(host, port)
                 for i in range(3):
                     req = {"id": f"s{i}", "system": "cfm",
                            "params": dict(CFM_PARAMS, cycles=100 + 50 * i)}
@@ -458,10 +495,7 @@ class TestGracefulShutdown:
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=60)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
-        stderr = proc.stderr.read()
+            stderr = _stop(proc)
         assert proc.returncode == 0, (proc.returncode, stderr)
         assert "draining in-flight requests" in stderr, stderr
         assert "final metrics: " in stderr, stderr
@@ -473,25 +507,74 @@ class TestGracefulShutdown:
         assert "BrokenProcessPool" not in stderr, stderr
 
     def test_sigint_also_exits_clean(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-        cwd = os.path.dirname(os.path.dirname(__file__))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
-             "--port", "0", "--shards", "1"],
-            stderr=subprocess.PIPE, text=True, env=env, cwd=cwd,
-        )
+        proc, _, _ = _launch_server("--shards", "1")
         try:
-            announce = proc.stderr.readline()
-            assert "serving JSONL+HTTP on " in announce, announce
             time.sleep(0.2)
             proc.send_signal(signal.SIGINT)
             proc.wait(timeout=60)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
-        stderr = proc.stderr.read()
+            stderr = _stop(proc)
         assert proc.returncode == 0, (proc.returncode, stderr)
         assert "final metrics: " in stderr, stderr
         assert "Traceback" not in stderr, stderr
+
+    def test_sigterm_exits_while_a_client_pipelines_and_never_reads(self):
+        """Answers the client never reads fill the socket buffers; the
+        server still exits promptly, aborting that connection."""
+        proc, host, port = _launch_server("--shards", "1")
+        line = (json.dumps(_cfm(cycles=100)) + "\n").encode()
+        sock = socket.create_connection((host, port))
+        try:
+            sock.sendall(line)  # one miss, so later lines are cache hits
+            time.sleep(1.0)
+            sock.setblocking(False)
+            try:
+                for _ in range(20000):
+                    sock.send(line)
+            except BlockingIOError:
+                pass  # both socket buffers are full
+            time.sleep(0.5)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+        finally:
+            sock.close()
+            stderr = _stop(proc)
+        assert proc.returncode == 0, (proc.returncode, stderr)
+        assert "final metrics: " in stderr, stderr
+        assert "Traceback" not in stderr, stderr
+        assert "Exception in callback" not in stderr, stderr
+
+    def test_workers_die_with_a_killed_server(self):
+        """Forked workers do not inherit the server's signal handling
+        (SIGTERM is left to its default, SIGINT ignored), and exit once
+        their server is gone, even after SIGKILL."""
+        proc, host, port = _launch_server("--shards", "2")
+        workers = set()
+        try:
+            with socket.create_connection((host, port)) as sock, \
+                    sock.makefile("rwb") as stream:
+                for bank_cycle in (1, 2, 3, 4):
+                    stream.write((json.dumps({
+                        "system": "cfm", "params": dict(
+                            CFM_PARAMS, bank_cycle=bank_cycle)})
+                        + "\n").encode())
+                stream.flush()
+                for _ in range(4):
+                    workers.add(json.loads(stream.readline())["worker"]["pid"])
+            assert len(workers) == 2, workers
+            for pid in workers:
+                term, intr = (1 << (signal.SIGTERM - 1),
+                              1 << (signal.SIGINT - 1))
+                assert not _signal_mask(pid, "SigCgt") & term
+                assert _signal_mask(pid, "SigIgn") & intr
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            _stop(proc)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
