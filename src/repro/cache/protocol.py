@@ -22,9 +22,10 @@ processor-record check — an operation visiting a coupled bank also sees
 that processor's *in-flight* operation, closing the window where an
 earlier-issued access has already passed the later one's first bank.
 
-The CPU-level state machine implements Table 5.1 exactly: hits are served
-locally in one cycle; a dirty victim is written back before its line is
-refilled; stores require exclusivity.
+The CPU-level state machine reads Table 5.1 from
+:data:`repro.cache.state.TABLE_5_1` rather than restating it: hits are
+served locally in one cycle; a dirty victim is written back before its
+line is refilled.
 """
 
 from __future__ import annotations
@@ -47,13 +48,16 @@ from repro.core.cfm import (
 )
 from repro.core.config import CFMConfig
 from repro.cache.directory import CacheDirectory, CacheLine
-from repro.cache.state import CacheLineState
+from repro.cache.state import TABLE_5_1, CacheLineState, RemoteAction
 from repro.sim.engine import all_settled, raise_timeout, run_until
 from repro.tracking.att import AddressTrackingTable
 
 _NEVER = 1 << 62  # a wake slot no run reaches
 _PROCEED = ControlAction.PROCEED
 _WRITE_BACK = AccessKind.WRITE_BACK
+_PASS = RemoteAction.PASS
+_INVALIDATE = RemoteAction.INVALIDATE
+_TRIGGER_WB = RemoteAction.WRITE_BACK
 
 class CpuOpKind(enum.Enum):
     """Processor-level request kinds against the coherent memory."""
@@ -61,6 +65,17 @@ class CpuOpKind(enum.Enum):
     STORE = "store"
     ACQUIRE = "acquire"  # read-invalidate with wb_disabled: sync-op phase 1
     WRITEBACK = "writeback"  # explicit flush: sync-op phase 3
+    __hash__ = object.__hash__  # singletons: dict lookups call no Python
+
+
+#: The Table 5.1 rule of each request kind that reads it: an acquire is a
+#: store that also disables triggered write-back (§5.3.1); an explicit
+#: write-back is no Table 5.1 access.
+_RULES = {
+    CpuOpKind.LOAD: TABLE_5_1[AccessKind.READ],
+    CpuOpKind.STORE: TABLE_5_1[AccessKind.READ_INVALIDATE],
+    CpuOpKind.ACQUIRE: TABLE_5_1[AccessKind.READ_INVALIDATE],
+}
 
 
 class OpPhase(enum.Enum):
@@ -199,11 +214,11 @@ class _ProtocolController(AccessController):
             kind = acc.kind
             if kind is _WRITE_BACK:
                 continue
+            remote = TABLE_5_1[kind].remote
             for q, directory in enumerate(dirs):
                 line = directory.lookup(acc.offset)
-                if line is not None and q != acc.proc and (
-                        kind is AccessKind.READ_INVALIDATE
-                        or line.state is CacheLineState.DIRTY):
+                if line is not None and q != acc.proc \
+                        and remote[line.state] is not _PASS:
                     return False
         return True
 
@@ -284,20 +299,15 @@ class _ProtocolController(AccessController):
                     if my_op is not None and my_op.offset == access.offset:
                         my_op.invalidate_on_fill = True
         if line is None:
-            return ControlAction.PROCEED
-        if access.kind is AccessKind.READ_INVALIDATE:
-            if line.state is CacheLineState.VALID:
-                sys.dirs[q].invalidate(access.offset)
-                self.invalidations_sent += 1
-                return ControlAction.PROCEED
-            if line.state is CacheLineState.DIRTY:
-                self._trigger_writeback(q, access)
-                return ControlAction.RETRY
-        elif access.kind is AccessKind.READ:
-            if line.state is CacheLineState.DIRTY:
-                self._trigger_writeback(q, access)
-                return ControlAction.RETRY
-        return ControlAction.PROCEED
+            return _PROCEED
+        remote = TABLE_5_1[access.kind].remote[line.state]
+        if remote is _INVALIDATE:
+            sys.dirs[q].invalidate(access.offset)
+            self.invalidations_sent += 1
+        elif remote is _TRIGGER_WB:
+            self._trigger_writeback(q, access)
+            return ControlAction.RETRY
+        return _PROCEED
 
     def _trigger_writeback(self, q: int, access: BlockAccess) -> None:
         st = self.sys.procs[q]
@@ -579,12 +589,7 @@ class CacheSystem:
         if op is not None and st.local_done_at == slot and op.phase is not OpPhase.DONE:
             line = st.directory.lookup(op.offset)
             still_ok = op.kind is CpuOpKind.WRITEBACK or (
-                line is not None
-                and (
-                    op.kind is CpuOpKind.LOAD
-                    or line.state is CacheLineState.DIRTY
-                )
-            )
+                line is not None and line.state in _RULES[op.kind].hits)
             if still_ok:
                 self._complete_op(p, st, op, slot)
             else:
@@ -620,23 +625,6 @@ class CacheSystem:
 
     def _start_op(self, p: int, st: _ProcState, op: CpuOp, slot: int) -> None:
         line = st.directory.lookup(op.offset)
-        state = line.state if line is not None else CacheLineState.INVALID
-        if op.kind is CpuOpKind.LOAD and state is not CacheLineState.INVALID:
-            op.was_hit = True
-            self.stats_local_hits += 1
-            st.local_done_at = slot + 1
-            return
-        if op.kind is CpuOpKind.STORE and state is CacheLineState.DIRTY:
-            op.was_hit = True
-            self.stats_local_hits += 1
-            st.local_done_at = slot + 1
-            return
-        if op.kind is CpuOpKind.ACQUIRE and state is CacheLineState.DIRTY:
-            op.was_hit = True
-            assert line is not None
-            line.wb_disabled = True
-            st.local_done_at = slot + 1
-            return
         if op.kind is CpuOpKind.WRITEBACK:
             if line is None or line.state is not CacheLineState.DIRTY:
                 # Already flushed (a triggered write-back got there first);
@@ -646,6 +634,14 @@ class CacheSystem:
                 return
             op.phase = OpPhase.MEMORY
             self._issue_for_op(p, st, op)
+            return
+        if line is not None and line.state in _RULES[op.kind].hits:
+            op.was_hit = True
+            st.local_done_at = slot + 1
+            if op.kind is CpuOpKind.ACQUIRE:
+                line.wb_disabled = True
+            else:
+                self.stats_local_hits += 1
             return
         # Memory work needed.  A dirty victim in the target line must be
         # written back before the refill (write-back on replacement, §5.2.2).
@@ -669,15 +665,10 @@ class CacheSystem:
         if op.kind is CpuOpKind.WRITEBACK:
             self._issue_writeback(p, st, op.offset, op)
             return
-        kind = (
-            AccessKind.READ
-            if op.kind is CpuOpKind.LOAD
-            else AccessKind.READ_INVALIDATE
-        )
         self.stats_memory_ops += 1
         op.memory_accesses += 1
         st.current_access = self.mem.issue(
-            p, kind, op.offset,
+            p, _RULES[op.kind].op, op.offset,
             on_finish=lambda acc, p=p, op=op: self._access_finished(p, op, acc),
         )
 
@@ -731,24 +722,19 @@ class CacheSystem:
         done_slot = acc.complete_slot  # includes the c−1 pipeline drain
         if done_slot < self.slot:
             done_slot = self.slot  # a delayed delivery completes on arrival
-        block = acc.result
-        if acc.kind is AccessKind.READ:
-            if op.invalidate_on_fill:
-                # A concurrent read-invalidate claimed the block mid-flight:
-                # deliver the (consistently old) value, do not cache it.
-                op.result = block
-            else:
-                self.dirs[p].fill(op.offset, block, CacheLineState.VALID)
-                op.result = block
-            self._complete_op(p, st, op, done_slot)
-            return
-        # READ_INVALIDATE completed: we are the exclusive owner.
-        line = self.dirs[p].fill(op.offset, block, CacheLineState.DIRTY)
-        if op.kind is CpuOpKind.STORE and op.store_words:
-            self.modify_owned(p, op.offset, op.store_words)
-        if op.kind is CpuOpKind.ACQUIRE:
-            line.wb_disabled = True
-        op.result = self.dirs[p].lookup(op.offset).data  # type: ignore[union-attr]
+        if op.invalidate_on_fill:
+            # A concurrent read-invalidate claimed the block while this
+            # load's read was in flight: deliver the (consistently old)
+            # value, do not cache it.
+            op.result = acc.result
+        else:
+            line = self.dirs[p].fill(op.offset, acc.result,
+                                     TABLE_5_1[acc.kind].fill)
+            if op.kind is CpuOpKind.STORE and op.store_words:
+                self.modify_owned(p, op.offset, op.store_words)
+            if op.kind is CpuOpKind.ACQUIRE:
+                line.wb_disabled = True
+            op.result = line.data
         self._complete_op(p, st, op, done_slot)
 
     def _writeback_finished(self, p: int, op: Optional[CpuOp], acc: BlockAccess) -> None:

@@ -290,6 +290,21 @@ def verify() -> int:
                    and rows[-1].remark == "Conventional"
                    and [r.n_modules for r in rows] == [1, 2, 4, 8, 16, 32, 64]))
 
+    from repro.cache.state import table_5_1_rows
+
+    # (event, local + remote + final state, action), the paper's rows.
+    none, rd, ri = "no memory access", "read", "read-invalidate"
+    wb = " (trigger remote write-back)"
+    checks.append(("Table 5.1", [
+        (ev.value, loc.value + rem.value + act.final_local_state.value,
+         act.describe()) for ev, loc, rem, act in table_5_1_rows()] == [
+        ("read_hit", "vvv", none), ("read_hit", "viv", none),
+        ("read_hit", "did", none), ("read_miss", "ivv", rd),
+        ("read_miss", "iiv", rd), ("read_miss", "idv", rd + wb),
+        ("write_hit", "vvd", ri), ("write_hit", "vid", ri),
+        ("write_hit", "did", none), ("write_miss", "ivd", ri),
+        ("write_miss", "iid", ri), ("write_miss", "idd", ri + wb)]))
+
     from repro.hierarchy.latency import table_5_5 as t55, table_5_6 as t56
 
     checks.append(("Table 5.5",
@@ -360,35 +375,26 @@ def _fail_unknown(kind: str, bad_id: str, valid) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from repro.fastpath.parallel import sweep
     from repro.obs.bench import (
-        BENCHMARKS, benchmark_specs, pin_specs, run_benchmark,
-        write_document,
+        BENCHMARKS, benchmark_specs, pin_specs, write_document,
     )
 
     if args.list_benches:
         print("benchmarks:", " ".join(sorted(BENCHMARKS)))
         return 0
     names = args.names or (["quick"] if args.quick else sorted(BENCHMARKS))
-    if args.faults and "faults" not in names:
-        names = list(names) + ["faults"]
-    if args.qos and "qos" not in names:
-        names = list(names) + ["qos"]
     unknown = [n for n in names if n not in BENCHMARKS]
     if unknown:
         return _fail_unknown("bench", unknown[0], BENCHMARKS)
     status = 0
     for name in names:
-        if args.parallel > 1:
-            from repro.fastpath.parallel import sweep
-
-            specs = pin_specs(benchmark_specs(name, quick=args.quick),
-                              engine=args.engine)
-            doc = sweep(
-                specs, jobs=args.parallel, name=name,
-                quick=args.quick or name == "quick", timing=False,
-            )
-        else:
-            doc = run_benchmark(name, quick=args.quick, engine=args.engine)
+        specs = pin_specs(benchmark_specs(name, quick=args.quick),
+                          engine=args.engine)
+        doc = sweep(
+            specs, jobs=args.parallel, name=name,
+            quick=args.quick or name == "quick", timing=False,
+        )
         path = write_document(doc, name, out_dir=args.out)
         print(f"wrote {path}")
         # Partial failure: the document (with every surviving run) is
@@ -513,17 +519,6 @@ def main(argv=None) -> int:
         "--parallel", type=int, default=1, metavar="N",
         help="fan runs across N worker processes (results identical to "
         "serial; default: 1)",
-    )
-    p_bench.add_argument(
-        "--faults", action="store_true",
-        help="also run the 'faults' chaos benchmark (zero-fault "
-        "bit-identity + seeded fault sweeps with typed-error outcomes)",
-    )
-    p_bench.add_argument(
-        "--qos", action="store_true",
-        help="also run the 'qos' mixed-criticality benchmark (priority "
-        "arbitration vs FIFO baseline; per-tier p50/p99/p99.9 and "
-        "deadline-miss SLA accounting)",
     )
     p_bench.add_argument(
         "--engine", choices=ENGINES, default=None, metavar="ENGINE",

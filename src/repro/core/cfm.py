@@ -66,6 +66,7 @@ class AccessKind(enum.Enum):
     WRITE_BACK = "write_back"
     SWAP_READ = "swap_read"
     SWAP_WRITE = "swap_write"
+    __hash__ = object.__hash__  # singletons: dict lookups call no Python
 
     @property
     def is_write(self) -> bool:
@@ -268,7 +269,6 @@ class CFMemory:
         self,
         config: CFMConfig,
         controller: Optional[AccessController] = None,
-        check_conflicts: bool = True,
         probe: Optional[Probe] = None,
         metrics: Optional[MetricsRegistry] = None,
         arbitration: str = "priority",
@@ -281,7 +281,6 @@ class CFMemory:
             )
         self.cfg = config
         self.controller = controller or PermissiveController()
-        self.check_conflicts = check_conflicts
         self.slot = 0
         self._next_id = 0
         # Monotone write counter: bumped on every write_word so the span
@@ -660,10 +659,9 @@ class CFMemory:
             # its totals are the slots advanced, settled when read.
             self.slot = slot + 1
             return
-        # Bank -> processor of this slot's visits; None when conflict
-        # checking is off.
-        banks_used: Optional[Dict[int, int]] = (
-            {} if self.check_conflicts else None)
+        # Bank -> processor of this slot's visits: a second visit to one
+        # bank would falsify the paper's theorem.
+        banks_used: Dict[int, int] = {}
         if self.metrics is not None:
             if self._util_tail is not None:
                 self._flush_util_tail()
@@ -705,13 +703,12 @@ class CFMemory:
                 fresh = hold_end - busy_until[bank]
                 util_busy[bank] += fresh if fresh < cycle else cycle
                 busy_until[bank] = hold_end
-            if banks_used is not None:
-                if bank in banks_used:
-                    raise ConflictError(
-                        f"bank {bank} addressed by procs {banks_used[bank]} "
-                        f"and {acc.proc} at slot {slot} — AT-space violated"
-                    )
-                banks_used[bank] = acc.proc
+            if bank in banks_used:
+                raise ConflictError(
+                    f"bank {bank} addressed by procs {banks_used[bank]} "
+                    f"and {acc.proc} at slot {slot} — AT-space violated"
+                )
+            banks_used[bank] = acc.proc
             if f_stuck is not None and bank in f_stuck:
                 # A stuck bank cannot accept the address: the access aborts
                 # for re-issue by its owner (the RETRY path the recovery

@@ -102,8 +102,8 @@ def sweep(
     ``runs`` holds the deterministic reports in spec order, as in
     :func:`repro.obs.bench.run_benchmark` output; wall-clock data goes to
     the ``timing`` section only (``benchmarks/sweep.py`` prints it).
-    ``repro bench --parallel`` passes ``timing=False``, so its documents
-    equal the serial ones.  Specs that raised are
+    ``repro bench`` runs every benchmark here with ``timing=False``, so
+    its documents are the same at any ``jobs``.  Specs that raised are
     dropped from ``runs``/``timing`` and reported — spec and error string —
     in a ``failures`` section, so one bad spec costs its own report, not
     the sweep's.

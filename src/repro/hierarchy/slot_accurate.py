@@ -14,6 +14,10 @@ The recursion, executed rather than modeled:
   priorities: triggered second-level write-backs (after flushing the L1
   owner inside the cluster) beat fetch requests.
 
+Both levels read one Table 5.1, :data:`repro.cache.state.TABLE_5_1`; here
+a cluster's L2 line is a request's local line, and another cluster's L2
+the remote copy its global access passes.
+
 CPU requests walk the paper's §5.4.2 paths: an L2 hit is an ordinary
 intra-cluster access (β_L); an L2 miss parks the request while the NC
 fetches globally (β_G) and then replays it locally — producing the
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.protocol import CacheSystem, CpuOp
-from repro.cache.state import CacheLineState as S
+from repro.cache.state import TABLE_5_1, CacheLineState as S, RemoteAction, Rule
 from repro.core.block import Block
 from repro.core.cfm import (
     AccessController,
@@ -54,6 +58,16 @@ class HierOpKind(enum.Enum):
     """Processor-level request kinds against the two-level machine."""
     LOAD = "load"
     STORE = "store"
+    __hash__ = object.__hash__  # singletons: dict lookups call no Python
+
+
+#: The Table 5.1 rule of each request kind, read against its cluster's L2.
+_RULES = {
+    HierOpKind.LOAD: TABLE_5_1[AccessKind.READ],
+    HierOpKind.STORE: TABLE_5_1[AccessKind.READ_INVALIDATE],
+}
+_INVALIDATE = RemoteAction.INVALIDATE
+_TRIGGER_WB = RemoteAction.WRITE_BACK
 
 
 class HierPhase(enum.Enum):
@@ -138,19 +152,15 @@ class _GlobalController(AccessController):
         q = bank  # global bank k is coupled with cluster k's NC (c = 1)
         if q == access.proc:
             return ControlAction.PROCEED
-        state = h.l2[q].get(access.offset, S.INVALID)
-        if state is S.INVALID:
-            return ControlAction.PROCEED
-        if access.kind is AccessKind.READ_INVALIDATE:
-            if state is S.VALID:
-                h._invalidate_cluster(q, access.offset)
-                self.invalidations_sent += 1
-                return ControlAction.PROCEED
+        state = h.l2[q].get(access.offset)
+        if state is None:
+            return ControlAction.PROCEED  # cluster q holds no copy
+        remote = TABLE_5_1[access.kind].remote[state]
+        if remote is _INVALIDATE:
+            h._invalidate_cluster(q, access.offset)
+            self.invalidations_sent += 1
+        elif remote is _TRIGGER_WB:
             # Remote dirty: trigger the L1-flush → L2-write-back chain.
-            h._trigger_l2_writeback(q, access.offset)
-            self.triggered_l2_writebacks += 1
-            return ControlAction.RETRY
-        if access.kind is AccessKind.READ and state is S.DIRTY:
             h._trigger_l2_writeback(q, access.offset)
             self.triggered_l2_writebacks += 1
             return ControlAction.RETRY
@@ -259,15 +269,13 @@ class SlotAccurateHierarchy:
 
     # -- request routing (§5.4.2 paths) ----------------------------------------------
 
-    def _l2_sufficient(self, cluster: int, op: HierOp) -> bool:
-        state = self.l2[cluster].get(op.offset, S.INVALID)
-        if op.kind is HierOpKind.LOAD:
-            return state is not S.INVALID
-        return state is S.DIRTY  # stores need cluster-level exclusivity
+    def _l2_sufficient(self, cluster: int, offset: int, rule: Rule) -> bool:
+        """Does the cluster's L2 line already satisfy ``rule``'s access?"""
+        return self.l2[cluster].get(offset, S.INVALID) in rule.hits
 
     def _route(self, op: HierOp) -> None:
         cluster = self.cluster_of(op.gproc)
-        if self._l2_sufficient(cluster, op):
+        if self._l2_sufficient(cluster, op.offset, _RULES[op.kind]):
             self._issue_cluster_op(op)
             return
         # The intra-cluster attempt that discovers the L2 miss costs one
@@ -280,16 +288,13 @@ class SlotAccurateHierarchy:
 
     def _discovered(self, op: HierOp) -> None:
         cluster = self.cluster_of(op.gproc)
-        if self._l2_sufficient(cluster, op):
+        rule = _RULES[op.kind]
+        if self._l2_sufficient(cluster, op.offset, rule):
             # Someone else's fetch landed meanwhile.
             self._issue_cluster_op(op)
             return
         op.phase = HierPhase.WAIT_NC
-        kind = (
-            AccessKind.READ
-            if op.kind is HierOpKind.LOAD
-            else AccessKind.READ_INVALIDATE
-        )
+        kind = rule.op
         nc = self.ncs[cluster]
         # Coalesce with an already-queued compatible transaction.
         for ev in list(nc.queue._heap):
@@ -311,12 +316,9 @@ class SlotAccurateHierarchy:
             return
         txn = _NCTransaction(kind=kind, offset=op.offset, waiters=[op],
                              criticality=op.criticality)
-        etype = (
-            EventType.READ if kind is AccessKind.READ
-            else EventType.READ_INVALIDATE
-        )
-        nc.queue.enqueue(etype, op.offset, requester=op.gproc, payload=txn,
-                         criticality=txn.criticality)
+        # A fetch's NC event is named after its global access.
+        nc.queue.enqueue(EventType[kind.name], op.offset, requester=op.gproc,
+                         payload=txn, criticality=txn.criticality)
 
     def _issue_cluster_op(self, op: HierOp) -> None:
         op.phase = HierPhase.CLUSTER
@@ -415,12 +417,8 @@ class SlotAccurateHierarchy:
             assert ev is not None
             nc.current = ev.payload  # type: ignore[assignment]
             nc.retry_at = self.slot
-            etype = (
-                EventType.READ
-                if preempted.kind is AccessKind.READ
-                else EventType.READ_INVALIDATE
-            )
-            nc.queue.enqueue(etype, preempted.offset, payload=preempted,
+            nc.queue.enqueue(EventType[preempted.kind.name],
+                             preempted.offset, payload=preempted,
                              criticality=preempted.criticality)
         txn = nc.current
         assert txn is not None
@@ -469,16 +467,9 @@ class SlotAccurateHierarchy:
     def _nc_l1_flushed(self, cluster: int) -> None:
         self.ncs[cluster].flushing_op = None  # retry the WB path next tick
 
-    def _fetch_satisfied(self, cluster: int, txn: _NCTransaction) -> bool:
-        """Is the fetch already redundant (a racing transaction landed)?"""
-        state = self.l2[cluster].get(txn.offset, S.INVALID)
-        if txn.kind is AccessKind.READ:
-            return state is not S.INVALID
-        return state is S.DIRTY
-
     def _nc_start_fetch(self, cluster: int, nc: _NCState,
                         txn: _NCTransaction) -> None:
-        if self._fetch_satisfied(cluster, txn):
+        if self._l2_sufficient(cluster, txn.offset, TABLE_5_1[txn.kind]):
             # A coalesced/raced transaction already produced the state we
             # need — never issue a stale fetch that would downgrade it.
             nc.current = None
@@ -530,9 +521,7 @@ class SlotAccurateHierarchy:
             self.clusters[cluster].mem.poke_block(
                 txn.offset, self._global_value(txn.offset)
             )
-            self.l2[cluster][txn.offset] = (
-                S.VALID if txn.kind is AccessKind.READ else S.DIRTY
-            )
+            self.l2[cluster][txn.offset] = TABLE_5_1[txn.kind].fill
         nc.current = None
         for op in txn.waiters:
             op.nc_fetches += 1

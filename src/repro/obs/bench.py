@@ -285,13 +285,13 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     """Coherent-cache op stream through the protocol's one driver.
 
     ``workload="mix"`` is the original loads+stores over a small shared
-    set; ``"private"`` gives every processor its own offsets.  Unpinned,
-    the run is observed (a metrics registry; bank utilization is settled
-    when the report reads it).  Every engine name runs the same driver,
-    so ``engine`` is only validated and recorded in ``params.engine``;
-    an engine-pinned run stays *unobserved* (no metrics registry), the
-    shape every engine-pinned report has.  ``profile=True`` adds an
-    empty ``"hotpath"`` section, kept for callers that still send it.
+    set; ``"private"`` gives every processor its own offsets.  The run is
+    observed (a metrics registry; bank utilization is settled when the
+    report reads it).  Every engine name runs the same driver, so
+    ``engine`` is only validated and recorded in ``params.engine``, and a
+    pinned report equals the unpinned one apart from that name.
+    ``profile=True`` adds an empty ``"hotpath"`` section, kept for callers
+    that still send it.
     """
     from repro.cache.protocol import CacheSystem
     from repro.fastpath.engine import resolve_engine
@@ -302,11 +302,8 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
         raise ValueError(f"unknown cache workload {workload!r}")
     if engine is not None:
         resolve_engine(engine, layer="cache")  # fail fast, typed
-    # Engine-pinned runs leave the registry off: their reports carry no
-    # metrics or utilization.
     metrics = MetricsRegistry()
-    sys_ = CacheSystem(n_procs, probe=probe,
-                       metrics=None if engine is not None else metrics)
+    sys_ = CacheSystem(n_procs, probe=probe, metrics=metrics)
     rng = derive_rng(seed, "bench.cache", n_procs, rounds)
     summary = RunSummary()
     ops = []

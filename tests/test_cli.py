@@ -109,6 +109,32 @@ class TestBenchCommand:
         assert "timing" not in doc
         assert doc == json.loads((serial / "BENCH_quick.json").read_text())
 
+    def test_failed_spec_is_reported_serial_and_pooled(
+            self, tmp_path, monkeypatch, capsys):
+        """A spec that raises costs only its own run at any ``--parallel``:
+        the surviving runs are written, the spec is named on stderr, and
+        the command exits 1."""
+        import json
+
+        from repro.obs import bench
+
+        bad = {"system": "no_such_system", "params": {}}
+        quick = bench.BENCH_SPECS["quick"]
+        monkeypatch.setitem(bench.BENCH_SPECS, "quick",
+                            lambda q: quick(q)[:2] + [dict(bad)])
+        docs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["bench", "quick", "--quick", "--parallel", jobs,
+                         "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "error: bench spec failed: no_such_system" in err
+            docs.append(json.loads((out / "BENCH_quick.json").read_text()))
+        for doc in docs:
+            assert [f["spec"] for f in doc["failures"]] == [bad]
+        assert len(docs[0]["runs"]) == 2
+        assert docs[0]["runs"] == docs[1]["runs"]
+
 
 class TestVerify:
     def test_verify_reports_full_reproduction(self, capsys):
@@ -116,7 +142,7 @@ class TestVerify:
 
         assert verify() == 0
         out = capsys.readouterr().out
-        assert "8/8 deterministic artifacts match the paper" in out
+        assert "9/9 deterministic artifacts match the paper" in out
         assert "FAIL" not in out
 
     def test_verify_via_main(self, capsys):

@@ -71,15 +71,6 @@ class TestUnbalancedPartialSystems:
 
 
 class TestEngineFlags:
-    def test_conflict_checking_can_be_disabled(self):
-        """check_conflicts=False must not change conflict-free behaviour
-        (it only skips the assertion machinery)."""
-        cfg = CFMConfig(n_procs=4)
-        mem = CFMemory(cfg, check_conflicts=False)
-        accs = [mem.issue(p, AccessKind.READ, 0) for p in range(4)]
-        mem.drain()
-        assert all(a.latency == 4 for a in accs)
-
     def test_result_unavailable_before_completion(self):
         mem = CFMemory(CFMConfig(n_procs=4))
         acc = mem.issue(0, AccessKind.READ, 0)

@@ -122,8 +122,8 @@ COHERENCE_SPECS = {
 def test_coherence_runners_validate_and_record_engine(system):
     """The cache and hierarchy runners run one driver whatever the name:
     they reject unknown names and the CFM-only ``stacked`` with typed
-    errors, and a pinned report's statistics equal the unpinned one's,
-    with the name recorded in ``params.engine``."""
+    errors, and a pinned report equals the unpinned one, metrics and
+    utilization included, with the name recorded in ``params.engine``."""
     params = COHERENCE_SPECS[system]
     with pytest.raises(ValueError, match="unknown engine 'turbo'"):
         run_spec({"system": system, "params": {**params, "engine": "turbo"}})
@@ -135,7 +135,8 @@ def test_coherence_runners_validate_and_record_engine(system):
         pinned = run_spec({"system": system,
                            "params": {**params, "engine": engine}})
         assert pinned["params"].pop("engine") == engine
-        for key in ("cycles", "completed", "latency", "params"):
+        for key in ("cycles", "completed", "latency", "params", "metrics",
+                    "utilization"):
             assert pinned[key] == plain[key], (engine, key)
 
 
@@ -366,3 +367,15 @@ def test_cli_bench_has_no_profile_flag(capsys):
         main(["bench", "--quick", "--profile"])
     assert exc.value.code == 2
     assert "--profile" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--faults", "--qos"])
+def test_cli_bench_has_no_faults_or_qos_flag(flag, capsys):
+    """Benchmarks are named in the positional list
+    (``repro bench --quick quick faults qos``); no flag appends one."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--quick", flag])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

