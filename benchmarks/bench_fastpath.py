@@ -10,9 +10,9 @@
   serial ``run_spec``.  A shape's first run in a fresh process costs
   about what its second does (:func:`test_cold_start_ratio`): the
   schedule is a formula, built in O(n), not a per-shape table.  The
-  wall time of a fresh interpreter that imports the bench harness and
-  runs one small cfm spec is printed, not gated
-  (:func:`test_cold_start_setup_time`).
+  wall time and peak RSS of a fresh interpreter that imports the bench
+  harness and runs one small cfm, cache or hierarchy spec are printed,
+  not gated (:func:`test_cold_start_setup_time`).
 * **coherence** — the cache protocol under full load (proc-private
   offsets, every processor streaming loads and stores) through its one
   driver, :meth:`CacheSystem.run_ops`, which passes provably quiet
@@ -120,11 +120,20 @@ COLD_CYCLES = 20_000
 COLD_PROCESSES = 5
 MAX_COLD_START_RATIO = 1.3
 
-#: Cold-start set-up: ``perfbench`` ``sim_sweep``'s ``setup_s`` recipe
-#: (import ``run_spec``, run the first spec of its list, in a fresh
-#: interpreter), timed SETUP_LAUNCHES times.  Printed, not gated.
-SETUP_SPEC = {"system": "cfm", "params": {
-    "n_procs": 4, "bank_cycle": 4, "cycles": 3000}}
+#: Cold-start set-up: import ``run_spec`` and run one spec in a fresh
+#: interpreter, timed SETUP_LAUNCHES times per spec.  Printed, not gated.
+#: The cfm spec is ``perfbench`` ``sim_sweep``'s ``setup_s`` recipe (the
+#: first spec of its list); the cache and hierarchy specs are what a serve
+#: worker's first coherence request pays.
+SETUP_SPECS = (
+    {"system": "cfm", "params": {
+        "n_procs": 4, "bank_cycle": 4, "cycles": 3000}},
+    {"system": "cache", "params": {
+        "n_procs": 4, "rounds": 4, "workload": "mix"}},
+    {"system": "hierarchy", "params": {
+        "n_clusters": 2, "procs_per_cluster": 2, "rounds": 4,
+        "workload": "global"}},
+)
 SETUP_LAUNCHES = 5
 
 #: Stacked specs: STACK_WIDTH identical STACK_SHAPE bench specs.
@@ -497,11 +506,22 @@ print(seconds[0] / seconds[1])
 """
 
 
-#: Child process: ``sim_sweep``'s set-up, import plus one call.
+#: Child process: import plus one call; prints its peak RSS in MB, the
+#: VmHWM of ``/proc/self/status`` (``ru_maxrss`` would also count the
+#: forking parent's peak), or ``nan`` where there is no such file.
 _SETUP_CHILD = """
 import json, sys
 from repro.obs.bench import run_spec
 run_spec(json.loads(sys.argv[1]))
+peak = float("nan")
+try:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                peak = int(line.split()[1]) / 1024
+except OSError:
+    pass
+print(peak)
 """
 
 
@@ -542,21 +562,29 @@ def test_cold_start_ratio():
 
 
 def test_cold_start_setup_time():
-    """Print the median wall time, over SETUP_LAUNCHES fresh interpreters,
-    of importing ``run_spec`` and running SETUP_SPEC: what ``sim_sweep``
-    reports as ``setup_s``.  Ungated: it is mostly interpreter and import
-    time, which no floor of this file normalises."""
-    spec = json.dumps(SETUP_SPEC)
-    seconds = []
-    for _ in range(SETUP_LAUNCHES):
-        t0 = time.perf_counter()
-        _fresh_python(_SETUP_CHILD, spec)
-        seconds.append(time.perf_counter() - t0)
+    """Print, per SETUP_SPECS entry, the median wall time and peak RSS
+    over SETUP_LAUNCHES fresh interpreters of importing ``run_spec`` and
+    running the spec; the cfm row is what ``sim_sweep`` reports as
+    ``setup_s``.  Ungated: it is mostly interpreter and import time, which
+    no floor of this file normalises."""
+    rows = []
+    for spec in SETUP_SPECS:
+        seconds, peaks = [], []
+        for _ in range(SETUP_LAUNCHES):
+            t0 = time.perf_counter()
+            out = _fresh_python(_SETUP_CHILD, json.dumps(spec))
+            seconds.append(time.perf_counter() - t0)
+            peaks.append(float(out.split()[-1]))
+        rows.append((
+            f"{spec['system']} "
+            f"{json.dumps(spec['params'], sort_keys=True)}",
+            " ".join(f"{t:.3f}" for t in seconds),
+            f"{statistics.median(seconds):.3f} s",
+            f"{statistics.median(peaks):.1f} MB"))
     emit_gate_table(
-        f"CFM cold start: import + first run_spec in a fresh interpreter "
-        f"(sim_sweep setup_s recipe, median of {SETUP_LAUNCHES}, not gated)",
-        ["spec", "seconds", "median"],
-        [(json.dumps(SETUP_SPEC["params"], sort_keys=True),
-          " ".join(f"{t:.3f}" for t in seconds),
-          f"{statistics.median(seconds):.3f} s")],
+        f"Cold start: import + first run_spec in a fresh interpreter "
+        f"(median of {SETUP_LAUNCHES}, not gated; the cfm row is "
+        f"sim_sweep's setup_s recipe)",
+        ["spec", "seconds", "median", "VmHWM"],
+        rows,
     )

@@ -137,7 +137,11 @@ class _ProtocolController(AccessController):
     RETRY_AFTER_RI = 3
 
     def __init__(self, system: "CacheSystem"):
-        self.sys = system
+        # The system's directory and processor lists, not the system: the
+        # system holds this controller, and a reference back would make
+        # every finished run a cycle for the collector.
+        self.dirs = system.dirs
+        self.procs = system.procs
         n_banks = system.cfg.n_banks
         self.atts = [
             AddressTrackingTable(max(1, n_banks - 1)) for _ in range(n_banks)
@@ -209,7 +213,7 @@ class _ProtocolController(AccessController):
                                      or acc.kind is not AccessKind.READ):
                 return False
             kinds[acc.offset] = acc.kind
-        dirs = self.sys.dirs
+        dirs = self.dirs
         for acc in active:
             kind = acc.kind
             if kind is _WRITE_BACK:
@@ -265,11 +269,11 @@ class _ProtocolController(AccessController):
     def _check_directory(
         self, access: BlockAccess, q: int, slot: int
     ) -> ControlAction:
-        sys = self.sys
-        line = sys.dirs[q].lookup(access.offset)
+        dirs, procs = self.dirs, self.procs
+        line = dirs[q].lookup(access.offset)
         # Processor-record check (§5.2.4 alternative mechanism): the coupled
         # processor's own in-flight operation is visible here too.
-        inflight = sys.procs[q].current_access
+        inflight = procs[q].current_access
         if inflight is not None and inflight.offset == access.offset:
             if access.kind is AccessKind.READ_INVALIDATE:
                 if inflight.kind is AccessKind.WRITE_BACK:
@@ -287,7 +291,7 @@ class _ProtocolController(AccessController):
                 if inflight.kind is AccessKind.READ:
                     # The remote read may already have passed our first bank:
                     # deliver its value but do not let it cache the block.
-                    op = sys.procs[q].current_op
+                    op = procs[q].current_op
                     if op is not None and op.offset == access.offset:
                         op.invalidate_on_fill = True
             elif access.kind is AccessKind.READ:
@@ -295,14 +299,14 @@ class _ProtocolController(AccessController):
                     # q is becoming the exclusive owner; our fill would be a
                     # stale valid copy the moment q's modification lands.
                     # Deliver the (consistently old) value uncached.
-                    my_op = sys.procs[access.proc].current_op
+                    my_op = procs[access.proc].current_op
                     if my_op is not None and my_op.offset == access.offset:
                         my_op.invalidate_on_fill = True
         if line is None:
             return _PROCEED
         remote = TABLE_5_1[access.kind].remote[line.state]
         if remote is _INVALIDATE:
-            sys.dirs[q].invalidate(access.offset)
+            dirs[q].invalidate(access.offset)
             self.invalidations_sent += 1
         elif remote is _TRIGGER_WB:
             self._trigger_writeback(q, access)
@@ -310,7 +314,7 @@ class _ProtocolController(AccessController):
         return _PROCEED
 
     def _trigger_writeback(self, q: int, access: BlockAccess) -> None:
-        st = self.sys.procs[q]
+        st = self.procs[q]
         line = st.directory.lookup(access.offset)
         if line is not None and line.wb_disabled:
             # A synchronization operation owns the block: just keep retrying
@@ -339,6 +343,8 @@ class CacheSystem:
         self.cfg = CFMConfig(
             n_procs=n_procs, bank_cycle=bank_cycle, word_width=word_width
         )
+        self.dirs = [CacheDirectory(p, n_lines) for p in range(n_procs)]
+        self.procs = [_ProcState(directory=self.dirs[p]) for p in range(n_procs)]
         self.controller = _ProtocolController(self)
         # The shared probe/metrics flow down into the block-access engine,
         # so one registry sees both protocol ops and bank utilization.
@@ -356,8 +362,6 @@ class CacheSystem:
         # the top of tick() so a delayed fill lands at a deterministic slot.
         self._delayed: List[Tuple[int, int, Callable[[], None]]] = []
         self._delay_seq = itertools.count()
-        self.dirs = [CacheDirectory(p, n_lines) for p in range(n_procs)]
-        self.procs = [_ProcState(directory=self.dirs[p]) for p in range(n_procs)]
         self.stats_local_hits = 0
         self.stats_memory_ops = 0
         # The earliest slot at which some processor may act (see tick).

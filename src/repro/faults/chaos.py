@@ -150,13 +150,13 @@ def _cfm_fingerprint(n_procs: int, bank_cycle: int, engine: str,
 
 
 def _build_cache_ops(sys_, n_procs: int, rounds: int, seed: int):
-    from repro.sim.rng import derive_rng
+    from repro.sim.rng import derive_stream
 
-    rng = derive_rng(seed, "chaos.cache", n_procs, rounds)
+    rng = derive_stream(seed, "chaos.cache", n_procs, rounds)
     ops = []
     for _ in range(rounds):
         for p in range(n_procs):
-            offset = int(rng.integers(0, 4))
+            offset = rng.integers(0, 4)
             if rng.random() < 0.3:
                 ops.append(sys_.store(p, offset, {0: p + 1}))
             else:
@@ -176,13 +176,13 @@ def _cache_fingerprint(n_procs: int, rounds: int, seed: int,
 
 
 def _build_hier_ops(hier, rounds: int, seed: int):
-    from repro.sim.rng import derive_rng
+    from repro.sim.rng import derive_stream
 
-    rng = derive_rng(seed, "chaos.hier", hier.n_clusters, hier.per, rounds)
+    rng = derive_stream(seed, "chaos.hier", hier.n_clusters, hier.per, rounds)
     ops = []
     for _ in range(rounds):
         for g in range(hier.n_procs):
-            offset = int(rng.integers(0, 6))
+            offset = rng.integers(0, 6)
             if rng.random() < 0.5:
                 ops.append(hier.store(g, offset, {0: g + 1}))
             else:

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a frozen schedule of :class:`FaultEvent` windows —
 *which* component misbehaves, *how*, and *when* — fixed before the run
 starts.  All randomness lives in :meth:`FaultPlan.generate` (driven by
-:func:`repro.sim.rng.derive_rng`, the repo-wide substream idiom), so the
+:func:`repro.sim.rng.derive_stream`, the repo-wide substream idiom), so the
 same seed always produces the same plan and the same injected run: fault
 campaigns are bitwise reproducible and shrinkable.
 
@@ -137,7 +137,7 @@ class FaultPlan:
         to degraded mode) is opt-in via ``kinds`` because it changes the
         machine for the rest of the run.
         """
-        from repro.sim.rng import derive_rng
+        from repro.sim.rng import derive_stream
 
         pool = tuple(kinds) if kinds is not None else (
             "bank_stuck", "bank_slow", "switch_drop", "link_drop",
@@ -147,33 +147,33 @@ class FaultPlan:
             if k not in FAULT_KINDS:
                 raise ValueError(f"unknown fault kind {k!r}")
         procs = n_procs if n_procs is not None else n_banks
-        rng = derive_rng(seed, "fault-plan", n_banks, procs, n_clusters,
-                         horizon, n_events, tuple(pool))
+        rng = derive_stream(seed, "fault-plan", n_banks, procs, n_clusters,
+                            horizon, n_events, tuple(pool))
         events = []
         for _ in range(n_events):
-            kind = pool[int(rng.integers(0, len(pool)))]
-            start = int(rng.integers(0, max(1, horizon)))
-            duration = int(rng.integers(1, max_duration + 1))
+            kind = pool[rng.integers(0, len(pool))]
+            start = rng.integers(0, max(1, horizon))
+            duration = rng.integers(1, max_duration + 1)
             extra = 0
             if kind in ("bank_stuck", "bank_slow", "bank_dead"):
-                target = int(rng.integers(0, n_banks))
+                target = rng.integers(0, n_banks)
                 if kind == "bank_slow":
-                    extra = int(rng.integers(1, 5))
+                    extra = rng.integers(1, 5)
             elif kind == "switch_drop":
                 # stage × switch of an omega net over n_banks ports.
                 stages = max(1, (n_banks - 1).bit_length())
-                extra = int(rng.integers(0, stages))
-                target = int(rng.integers(0, max(1, n_banks // 2)))
+                extra = rng.integers(0, stages)
+                target = rng.integers(0, max(1, n_banks // 2))
             elif kind in ("link_drop",):
-                target = int(rng.integers(0, n_banks))
+                target = rng.integers(0, n_banks)
             elif kind == "module_drop":
-                target = int(rng.integers(0, max(1, n_clusters)))
+                target = rng.integers(0, max(1, n_clusters))
             elif kind == "nc_stall":
-                target = int(rng.integers(0, n_clusters))
+                target = rng.integers(0, n_clusters)
             else:  # completion_delay / completion_lost target a processor
-                target = int(rng.integers(0, procs))
+                target = rng.integers(0, procs)
                 if kind == "completion_delay":
-                    extra = int(rng.integers(1, 9))
+                    extra = rng.integers(1, 9)
             events.append(FaultEvent(kind=kind, start=start,
                                      duration=duration, target=target,
                                      extra=extra))

@@ -125,14 +125,19 @@ class _GlobalController(AccessController):
     (first-issued wins, as at the L1 level)."""
 
     def __init__(self, hier: "SlotAccurateHierarchy"):
-        self.hier = hier
+        # The hierarchy's per-cluster state, not the hierarchy: it holds
+        # this controller, and a reference back would make every finished
+        # run a cycle for the collector.
+        self.l2 = hier.l2
+        self.ncs = hier.ncs
+        self.clusters = hier.clusters
+        self.cluster_inflight = hier._cluster_inflight
         self.invalidations_sent = 0
         self.triggered_l2_writebacks = 0
 
     def on_bank(
         self, mem: CFMemory, access: BlockAccess, bank: int, slot: int
     ) -> ControlAction:
-        h = self.hier
         if access.kind is AccessKind.WRITE_BACK:
             return ControlAction.PROCEED
         # First-issued-wins among concurrent global fetches of one block.
@@ -152,19 +157,44 @@ class _GlobalController(AccessController):
         q = bank  # global bank k is coupled with cluster k's NC (c = 1)
         if q == access.proc:
             return ControlAction.PROCEED
-        state = h.l2[q].get(access.offset)
+        state = self.l2[q].get(access.offset)
         if state is None:
             return ControlAction.PROCEED  # cluster q holds no copy
         remote = TABLE_5_1[access.kind].remote[state]
         if remote is _INVALIDATE:
-            h._invalidate_cluster(q, access.offset)
+            self._invalidate_cluster(q, access.offset)
             self.invalidations_sent += 1
         elif remote is _TRIGGER_WB:
             # Remote dirty: trigger the L1-flush → L2-write-back chain.
-            h._trigger_l2_writeback(q, access.offset)
+            self._trigger_l2_writeback(q, access.offset)
             self.triggered_l2_writebacks += 1
             return ControlAction.RETRY
         return ControlAction.PROCEED
+
+    def _invalidate_cluster(self, cluster: int, offset: int) -> None:
+        """Invalidation from above (Table 5.4 priority 2): drop the L2 line
+        and every L1 copy below it, in passing."""
+        self.ncs[cluster].queue.record(EventType.INVALIDATION_FROM_ABOVE, offset)
+        self.l2[cluster].pop(offset, None)
+        for d in self.clusters[cluster].dirs:
+            d.invalidate(offset)
+        # In-flight intra-cluster loads for this block may still fill after
+        # the invalidation: let them deliver their (consistently old) value
+        # without caching it — the L1-level rule, one level up.
+        for op in self.cluster_inflight.get((cluster, offset), []):
+            if op.kind is HierOpKind.LOAD and op.cluster_op is not None:
+                op.cluster_op.invalidate_on_fill = True
+
+    def _trigger_l2_writeback(self, cluster: int, offset: int) -> None:
+        nc = self.ncs[cluster]
+        if offset in nc.wb_pending:
+            return
+        if nc.current is not None and nc.current.offset == offset \
+                and nc.current.kind is AccessKind.WRITE_BACK:
+            return
+        nc.wb_pending.add(offset)
+        txn = _NCTransaction(kind=AccessKind.WRITE_BACK, offset=offset)
+        nc.queue.enqueue(EventType.WRITE_BACK, offset, payload=txn)
 
 
 @dataclass
@@ -195,10 +225,6 @@ class SlotAccurateHierarchy:
                         n_lines=n_lines)
             for _ in range(n_clusters)
         ]
-        self.global_controller = _GlobalController(self)
-        self.global_mem = CFMemory(
-            CFMConfig(n_procs=n_clusters), controller=self.global_controller
-        )
         #: Optional :class:`repro.faults.FaultInjector`: at this level it
         #: drives NC stalls; bank/completion faults belong to the cluster
         #: and module layers (attach the injector there via chaos harness).
@@ -212,13 +238,17 @@ class SlotAccurateHierarchy:
         # Blocks are frozen, so one zero block per width serves every
         # unpublished read and every global write-back.
         self._zero_cluster = Block.zeros(self._cluster_width())
-        self._zero_global = Block.zeros(self.global_mem.cfg.n_banks)
         self._parked: List[Tuple[int, HierOp]] = []  # (ready_slot, op)
         self._parked_next = -1  # earliest ready slot; -1 = nothing parked
         # In-flight intra-cluster requests, keyed by (cluster, offset):
         # the global controller consults this the way the L1 controller
         # consults processor records (§5.2.4, one level up).
         self._cluster_inflight: Dict[Tuple[int, int], List[HierOp]] = {}
+        self.global_controller = _GlobalController(self)
+        self.global_mem = CFMemory(
+            CFMConfig(n_procs=n_clusters), controller=self.global_controller
+        )
+        self._zero_global = Block.zeros(self.global_mem.cfg.n_banks)
         self.slot = 0
 
     # -- topology -----------------------------------------------------------
@@ -346,38 +376,13 @@ class SlotAccurateHierarchy:
             if not inflight:
                 self._cluster_inflight.pop(key, None)
         op.phase = HierPhase.DONE
-        op.done_slot = self.slot
+        # The cluster op's own completion slot, c - 1 past this one: the
+        # final bank's word still drains (β_L = b + c - 1, §3.1.4).
+        op.done_slot = c_op.done_slot
         op.result = c_op.result
         op.cluster_op = None
         if op.on_done is not None:
             op.on_done(op)
-
-    # -- coherence actions (called from the global controller) ---------------------------
-
-    def _invalidate_cluster(self, cluster: int, offset: int) -> None:
-        """Invalidation from above (Table 5.4 priority 2): drop the L2 line
-        and every L1 copy below it, in passing."""
-        self.ncs[cluster].queue.record(EventType.INVALIDATION_FROM_ABOVE, offset)
-        self.l2[cluster].pop(offset, None)
-        for d in self.clusters[cluster].dirs:
-            d.invalidate(offset)
-        # In-flight intra-cluster loads for this block may still fill after
-        # the invalidation: let them deliver their (consistently old) value
-        # without caching it — the L1-level rule, one level up.
-        for op in self._cluster_inflight.get((cluster, offset), []):
-            if op.kind is HierOpKind.LOAD and op.cluster_op is not None:
-                op.cluster_op.invalidate_on_fill = True
-
-    def _trigger_l2_writeback(self, cluster: int, offset: int) -> None:
-        nc = self.ncs[cluster]
-        if offset in nc.wb_pending:
-            return
-        if nc.current is not None and nc.current.offset == offset \
-                and nc.current.kind is AccessKind.WRITE_BACK:
-            return
-        nc.wb_pending.add(offset)
-        txn = _NCTransaction(kind=AccessKind.WRITE_BACK, offset=offset)
-        nc.queue.enqueue(EventType.WRITE_BACK, offset, payload=txn)
 
     # -- the NC state machines --------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.network.omega import OmegaNetwork, perfect_shuffle
-from repro.sim.rng import SeedLike, derive_rng
+from repro.sim.rng import SeedLike, derive_stream
 
 
 @dataclass
@@ -73,7 +73,7 @@ class BufferedMINSimulator:
         self.buffer_depth = buffer_depth
         self.service_time = service_time
         self.hot_module = hot_module
-        self.rng = derive_rng(seed, "hotspot", n_ports, buffer_depth, service_time)
+        self.rng = derive_stream(seed, "hotspot", n_ports, buffer_depth, service_time)
         # queues[stage][wire]: packets waiting at the *output* wire of a stage.
         self.queues: List[List[Deque[_Packet]]] = [
             [deque() for _ in range(self.n)] for _ in range(self.k)
@@ -170,7 +170,7 @@ class BufferedMINSimulator:
                 if self.rng.random() < hot_fraction:
                     injections.append((self.hot_module, True))
                 else:
-                    injections.append((int(self.rng.integers(0, self.n)), False))
+                    injections.append((self.rng.integers(0, self.n), False))
             self.step(injections)
         lat_h = self._lat_hot
         lat_c = self._lat_cold

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.sim.rng import SeedLike, derive_rng
+from repro.sim.rng import SeedLike, derive_stream
 
 
 class AccessMode(enum.Enum):
@@ -83,10 +83,10 @@ class OrthogonalMemory:
 
         Analytically (period − 1)/2 ≈ mode_cycles − ½ for the synchronized
         design; measured here by sampling."""
-        rng = derive_rng(seed, "omp_stall", self.cfg.n_procs, self.cfg.mode_cycles)
+        rng = derive_stream(seed, "omp_stall", self.cfg.n_procs, self.cfg.mode_cycles)
         total = 0
         for _ in range(samples):
-            cycle = int(rng.integers(0, self.cfg.period))
+            cycle = rng.integers(0, self.cfg.period)
             mode = AccessMode.ROW if rng.random() < 0.5 else AccessMode.COLUMN
             total += self.stall(cycle, mode)
         return total / samples

@@ -19,8 +19,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.sim.rng import SeedLike, derive_rng
-
 
 class MappingPolicy(enum.Enum):
     """Address-to-module mapping policies of §2.1.2."""

@@ -20,7 +20,7 @@ import enum
 from typing import List, Tuple
 
 from repro.network.partial import PartialCFSystem
-from repro.sim.rng import SeedLike, derive_rng
+from repro.sim.rng import SeedLike, derive_stream
 
 
 class AllocationStrategy(enum.Enum):
@@ -43,8 +43,8 @@ def make_division_map(
         return [p % divisions for p in range(n_procs)]
     if strategy is AllocationStrategy.ADVERSARIAL:
         return [0] * n_procs
-    rng = derive_rng(seed, "allocation", n_procs, divisions)
-    return [int(d) for d in rng.integers(0, divisions, size=n_procs)]
+    rng = derive_stream(seed, "allocation", n_procs, divisions)
+    return [rng.integers(0, divisions) for _ in range(n_procs)]
 
 
 class AllocatedPartialCFSystem(PartialCFSystem):

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.network.omega import OmegaNetwork
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
-from repro.sim.rng import SeedLike, derive_rng
+from repro.sim.rng import SeedLike, derive_stream
 
 
 class ArbitratedCrossbar:
@@ -123,7 +123,7 @@ class CircuitSwitchRetryModel:
         self.retry_max = retry_max if retry_max is not None else hold_cycles
         if self.retry_min < 1 or self.retry_max < self.retry_min:
             raise ValueError("invalid retry window")
-        self.rng = derive_rng(seed, "circuit_retry", n_ports, hold_cycles)
+        self.rng = derive_stream(seed, "circuit_retry", n_ports, hold_cycles)
         self.now = 0
         self._held: List[_HeldPath] = []
         self.attempts = 0
@@ -159,7 +159,7 @@ class CircuitSwitchRetryModel:
 
     def backoff(self) -> int:
         """Random delayed retry (the Butterfly's conflict resolution)."""
-        return int(self.rng.integers(self.retry_min, self.retry_max + 1))
+        return self.rng.integers(self.retry_min, self.retry_max + 1)
 
     def advance(self, cycles: int = 1) -> None:
         if cycles < 0:

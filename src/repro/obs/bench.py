@@ -209,14 +209,14 @@ def _run_circuit(n_ports: int, hold_cycles: int, rate: float, cycles: int,
                  probe: Optional[Probe] = None) -> Dict[str, object]:
     """Circuit-switched omega with abort-and-retry (the BBN discipline)."""
     from repro.network.crossbar import CircuitSwitchRetryModel
-    from repro.sim.rng import derive_rng
+    from repro.sim.rng import derive_stream
     from repro.sim.stats import RunSummary
 
     metrics = MetricsRegistry()
     model = CircuitSwitchRetryModel(
         n_ports, hold_cycles, seed=seed, probe=probe, metrics=metrics,
     )
-    rng = derive_rng(seed, "bench.circuit", n_ports, rate)
+    rng = derive_stream(seed, "bench.circuit", n_ports, rate)
     summary = RunSummary()
     issued_at = [-1] * n_ports  # -1: idle
     next_try = [0] * n_ports
@@ -232,7 +232,7 @@ def _run_circuit(n_ports: int, hold_cycles: int, rate: float, cycles: int,
                     continue
                 issued_at[src] = now
                 next_try[src] = now
-                dsts[src] = int(rng.integers(0, n_ports))
+                dsts[src] = rng.integers(0, n_ports)
             if next_try[src] != now:
                 continue
             done = model.try_request(src, dsts[src])
@@ -295,7 +295,7 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     """
     from repro.cache.protocol import CacheSystem
     from repro.fastpath.engine import resolve_engine
-    from repro.sim.rng import derive_rng
+    from repro.sim.rng import derive_stream
     from repro.sim.stats import RunSummary
 
     if workload not in ("mix", "private"):
@@ -304,15 +304,15 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
         resolve_engine(engine, layer="cache")  # fail fast, typed
     metrics = MetricsRegistry()
     sys_ = CacheSystem(n_procs, probe=probe, metrics=metrics)
-    rng = derive_rng(seed, "bench.cache", n_procs, rounds)
+    rng = derive_stream(seed, "bench.cache", n_procs, rounds)
     summary = RunSummary()
     ops = []
     for _ in range(rounds):
         for p in range(n_procs):
             if workload == "private":
-                offset = p * 4 + int(rng.integers(0, 4))
+                offset = p * 4 + rng.integers(0, 4)
             else:
-                offset = int(rng.integers(0, 4))
+                offset = rng.integers(0, 4)
             if rng.random() < 0.3:
                 ops.append(sys_.store(p, offset, {0: p + 1}))
             else:
@@ -357,7 +357,7 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
     from repro.core.block import Block
     from repro.fastpath.engine import resolve_engine
     from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
-    from repro.sim.rng import derive_rng
+    from repro.sim.rng import derive_stream
     from repro.sim.stats import RunSummary
 
     if workload not in ("local", "global"):
@@ -376,21 +376,20 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
                         off, Block.of_values([off + i for i in range(width)],
                                              "seed"))
                     hier.l2[c][off] = CacheLineState.DIRTY
-    rng = derive_rng(seed, "bench.hierarchy", n_clusters, procs_per_cluster,
-                     rounds)
+    rng = derive_stream(seed, "bench.hierarchy", n_clusters,
+                        procs_per_cluster, rounds)
     summary = RunSummary()
     ops = []
     for _ in range(rounds):
         round_ops = []
         for g in range(hier.n_procs):
             if workload == "local":
-                offset = g * 4 + int(rng.integers(0, 4))
+                offset = g * 4 + rng.integers(0, 4)
             else:
-                offset = int(rng.integers(0, 6))
+                offset = rng.integers(0, 6)
             if rng.random() < 0.5:
                 round_ops.append(hier.store(
-                    g, offset, {int(rng.integers(0, procs_per_cluster)):
-                                g + 1}))
+                    g, offset, {rng.integers(0, procs_per_cluster): g + 1}))
             else:
                 round_ops.append(hier.load(g, offset))
         hier.run_ops(round_ops)

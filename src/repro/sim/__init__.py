@@ -10,7 +10,8 @@ This subpackage is the substrate every simulator in the reproduction runs on:
   deterministic round-robin scheduler; used by the lock simulations and the
   resource-binding runtime (Chapter 6).
 * :mod:`repro.sim.rng` — seeded, stream-splittable randomness so every
-  experiment is reproducible; numpy loads with a process's first stream.
+  experiment is reproducible; numpy loads only for array draws
+  (:func:`~repro.sim.rng.derive_rng`), never for scalar streams.
 * :mod:`repro.sim.stats` — counters, online mean/variance, histograms and
   utilization tracking used by the benchmark harness.
 * :mod:`repro.sim.workload` — synthetic workload generators standing in for
@@ -24,7 +25,7 @@ The workload generators import numpy, so their names are exported lazily
 from repro._lazy import lazy_exports
 from repro.sim.engine import SimulationTimeout
 from repro.sim.procs import Delay, Halt, Process, Scheduler, SchedulerDeadlock
-from repro.sim.rng import derive_rng, make_rng
+from repro.sim.rng import derive_rng, derive_stream, make_rng
 from repro.sim.stats import (
     Histogram,
     RunningStats,
@@ -42,6 +43,7 @@ __all__ = [
     "Halt",
     "make_rng",
     "derive_rng",
+    "derive_stream",
     "TallyCounter",
     "RunningStats",
     "RunSummary",

@@ -1,12 +1,16 @@
 """Cold start: each entry point loads only what it runs.
 
 The package roots export their heavy names lazily (``repro._lazy``), and
-``repro.sim.rng`` imports numpy on the first stream, so:
+``repro.sim.rng`` imports numpy only for array draws (``derive_rng``);
+its scalar stream (``derive_stream``) is pure Python.  So:
 
 * a cfm ``run_spec`` loads no numpy, no process pool, no asyncio, no
   network models and no serving layer;
+* a cache or hierarchy ``run_spec`` draws its op stream from
+  ``derive_stream`` and loads no numpy;
 * the CLI and the serve front-end load no numpy;
-* ``from repro.sim import derive_rng`` loads numpy only when called.
+* ``from repro.sim import derive_rng`` loads numpy only when called, and
+  draws from ``derive_stream`` never load it.
 
 The module checks run in fresh interpreters, since this test process has
 long since imported everything.  The lazy exports themselves are checked
@@ -55,6 +59,22 @@ def test_cfm_run_loads_no_numpy_pool_asyncio_network_or_serve():
     assert loaded == dict.fromkeys(heavy, False)
 
 
+@pytest.mark.parametrize("spec", [
+    {"system": "cache", "params": {"n_procs": 4, "rounds": 4,
+                                   "workload": "mix"}},
+    {"system": "hierarchy", "params": {"n_clusters": 2,
+                                       "procs_per_cluster": 2, "rounds": 4,
+                                       "workload": "global"}},
+], ids=["cache", "hierarchy"])
+def test_coherence_run_loads_no_numpy(spec):
+    loaded = _loaded_after(
+        "from repro.obs.bench import run_spec\n"
+        f"report = run_spec({spec!r})\n"
+        "assert report['completed'] > 0",
+        ["numpy"])
+    assert loaded == {"numpy": False}
+
+
 def test_cli_and_serve_front_end_load_no_numpy():
     loaded = _loaded_after("import repro.cli\nimport repro.serve.service",
                            ["numpy", "repro.serve.service"])
@@ -67,6 +87,10 @@ def test_numpy_loads_with_the_first_random_stream():
     assert _loaded_after("from repro.sim import derive_rng\n"
                          "derive_rng(7, 'proc', 0).integers(0, 4)",
                          ["numpy"]) == {"numpy": True}
+    assert _loaded_after("from repro.sim import derive_stream\n"
+                         "s = derive_stream(7, 'proc', 0)\n"
+                         "s.integers(0, 4), s.random()",
+                         ["numpy"]) == {"numpy": False}
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)

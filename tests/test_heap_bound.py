@@ -5,7 +5,9 @@ its in-flight state: once finished and delivered through ``on_finish``,
 nothing in the engine, the coherence protocol or the hierarchy keeps it.
 After each run below, with the system still referenced, a full
 collection leaves at most one live :class:`BlockAccess` per processor of
-every module in the system.
+every module in the system.  A finished coherence run holds no
+reference cycle either: reference counting alone frees it, leaving the
+cyclic collector nothing to find.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.cache.protocol import CacheSystem
 from repro.core.cfm import AccessKind, BlockAccess, CFMemory
 from repro.core.config import CFMConfig
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
+from repro.obs.bench import run_spec
 from repro.sim.engine import all_settled
 
 
@@ -94,6 +97,40 @@ def test_hierarchy_global_keeps_only_in_flight_accesses(engine):
         _drive(h, ops, engine)
     assert sum(cs.stats_memory_ops for cs in h.clusters) > 100
     assert _live_accesses() <= h.n_procs + h.n_clusters
+
+
+#: The coherence calls of the perfbench ``sim_sweep`` workload.
+COHERENCE_SPECS = {
+    "cache_sys.mix": {"system": "cache", "params": {
+        "n_procs": 4, "rounds": 80, "seed": 7, "workload": "mix"}},
+    "cache_sys.private": {"system": "cache", "params": {
+        "n_procs": 4, "rounds": 150, "seed": 7, "workload": "private"}},
+    "hierarchy.local": {"system": "hierarchy", "params": {
+        "n_clusters": 2, "procs_per_cluster": 2, "rounds": 100,
+        "seed": 7, "workload": "local"}},
+    "hierarchy.global": {"system": "hierarchy", "params": {
+        "n_clusters": 2, "procs_per_cluster": 2, "rounds": 40,
+        "seed": 7, "workload": "global"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COHERENCE_SPECS))
+def test_finished_coherence_run_leaves_nothing_for_the_collector(name):
+    """No controller points back at the system that holds it, so a run's
+    caches, directories and queues go when its last reference does."""
+    spec = COHERENCE_SPECS[name]
+    run_spec(spec)  # a first call's imports may leave garbage of their own
+    gc.collect()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_spec(spec)
+        gc.collect()
+        left = gc.garbage[before:]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+    assert [type(obj).__name__ for obj in left] == []
 
 
 #: Measures, in a fresh interpreter, how far one (128, 32) run_spec
